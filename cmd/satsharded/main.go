@@ -3,14 +3,14 @@
 // while keeping each compiled problem hot on as few replicas as possible.
 //
 // Every /v1/sample request is mapped to its problem key — the same
-// content hash (sampling.HashFormula) the replicas' compile caches and
-// the shared -store directory are keyed by — and routed via consistent
-// hashing over the live replica set:
+// content hash the replicas' compile caches and the shared -store
+// directory are keyed by, derived by the replicas' own function
+// (server.ProblemSpec.ProblemKey) — and routed via consistent hashing
+// over the live replica set:
 //
 //   - ?key= requests route by that key directly (no body needed);
 //   - DIMACS bodies are parsed at the edge (bounded by -maxbody) and
-//     hashed exactly as the replica will hash them, ?project= folded in,
-//     so the proxy and the fleet agree on the key byte-for-byte;
+//     keyed by that same function, ?project= and ?assume= folded in;
 //   - ?resume= legs prefer the replica named by ?resume_addr= when the
 //     client forwards it, and otherwise try replicas in ring order — a
 //     replica without the token answers 404 without consuming anything,
@@ -63,7 +63,7 @@ import (
 	"time"
 
 	"repro/internal/cnf"
-	"repro/internal/sampling"
+	"repro/internal/server"
 )
 
 // vnodes is how many ring positions each replica occupies. 64 keeps the
@@ -249,77 +249,32 @@ func (p *proxy) candidates(key, preferred string) []string {
 	return append(out, down...)
 }
 
-// routeKey derives the request's problem key: ?key= (with ?assume= folded
-// in via cnf.AssumeKey, the same derivation the replica's compiler uses),
+// routeKey derives the request's problem key with the replicas' own
+// function (server.ProblemSpec.ProblemKey): ?key= with ?assume= folded in,
 // else the content hash of the posted DIMACS with ?project= and ?assume=
-// folded in — the exact identity the replica will compute, so a
-// specialized artifact is owned by one replica no matter how the request
-// arrives. A body or assumption spec the proxy cannot parse routes
+// folded in. The proxy and the fleet therefore agree on the key byte for
+// byte, and a specialized artifact is owned by one replica no matter how
+// the request arrives. A body or spec the proxy cannot parse routes
 // keyless; the replica owns the error reply.
 func (p *proxy) routeKey(r *http.Request, body []byte) string {
-	assume, aerr := parseAssume(strings.TrimSpace(r.URL.Query().Get("assume")))
-	if aerr != nil {
-		return ""
-	}
-	fold := func(base string) string {
-		return cnf.AssumeKey(base, cnf.CanonicalAssume(assume))
-	}
-	if key := r.URL.Query().Get("key"); key != "" {
-		return fold(key)
-	}
-	if len(body) == 0 {
-		return ""
-	}
-	f, err := cnf.ParseDIMACSLimits(bytes.NewReader(body), p.limits)
+	spec, err := server.ParseProblemSpec(r.URL.Query())
 	if err != nil {
 		return ""
 	}
-	if spec := strings.TrimSpace(r.URL.Query().Get("project")); spec != "" {
-		vars, perr := parseProjection(spec)
-		if perr != nil || cnf.ValidateProjection(f.NumVars, vars) != nil {
+	var f *cnf.Formula
+	if spec.Key == "" {
+		if len(body) == 0 {
 			return ""
 		}
-		if vars != nil {
-			f.Projection = vars
+		if f, err = cnf.ParseDIMACSLimits(bytes.NewReader(body), p.limits); err != nil {
+			return ""
 		}
 	}
-	return fold(sampling.HashFormula(f))
-}
-
-// parseAssume mirrors the server's ?assume= grammar: JSON array of signed
-// literals or comma list.
-func parseAssume(spec string) ([]cnf.Lit, error) {
-	if spec == "" {
-		return nil, nil
+	key, err := spec.ProblemKey(f)
+	if err != nil {
+		return ""
 	}
-	if strings.HasPrefix(spec, "[") {
-		var raw []int
-		if err := json.Unmarshal([]byte(spec), &raw); err != nil {
-			return nil, err
-		}
-		lits := make([]cnf.Lit, len(raw))
-		for i, v := range raw {
-			if v == 0 {
-				return nil, fmt.Errorf("assumption literal 0")
-			}
-			lits[i] = cnf.Lit(v)
-		}
-		return lits, nil
-	}
-	return cnf.ParseAssumeList(spec)
-}
-
-// parseProjection mirrors the server's ?project= grammar: JSON array or
-// comma list.
-func parseProjection(spec string) ([]int, error) {
-	if strings.HasPrefix(spec, "[") {
-		var vars []int
-		if err := json.Unmarshal([]byte(spec), &vars); err != nil {
-			return nil, err
-		}
-		return vars, nil
-	}
-	return cnf.ParseProjectionList(spec)
+	return key
 }
 
 func (p *proxy) handleSample(w http.ResponseWriter, r *http.Request) {

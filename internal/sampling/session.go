@@ -3,6 +3,7 @@ package sampling
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/cnf"
@@ -10,19 +11,6 @@ import (
 	"repro/internal/extract"
 	"repro/internal/tensor"
 )
-
-// litsEqual reports element-wise equality of two literal slices.
-func litsEqual(a, b []cnf.Lit) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
 
 // Problem is the immutable, shareable compiled form of one CNF: the
 // formula, its extraction result, and the core compiled artifact (fused
@@ -114,7 +102,7 @@ func (p *Problem) NewSession(cfg SessionConfig) (*Session, error) {
 	if len(cfg.Assumptions) > 0 {
 		canon := cnf.CanonicalAssume(cfg.Assumptions)
 		switch have := p.core.Assumptions(); {
-		case litsEqual(canon, have):
+		case slices.Equal(canon, have):
 			// Already specialized under exactly these pins.
 		case len(have) == 0:
 			cp, err := core.Specialize(p.core, canon)

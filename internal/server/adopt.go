@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 
@@ -17,15 +18,15 @@ import (
 // it or terminates it at the mesh layer (see DESIGN.md).
 //
 // Adoption is priced like a resume, not admitted like one: the envelope is
-// decoded, compiled through the shared cache (warming it for the client's
-// reconnect), and checked against this server's whole memory budget as an
-// advisory bound — an envelope that could never fit is refused while the
-// sender still holds it and can try another peer. The actual ledger
-// reservation and fair-queueing happen when the client presents the token,
-// exactly as for any ?resume=.
+// decoded, resolved exactly as a ?resume= of it will be (warming the
+// cache for the client's reconnect), and checked against this server's
+// whole memory budget as an advisory bound — an envelope that could never
+// fit is refused while the sender still holds it and can try another peer.
+// The actual ledger reservation and fair-queueing happen when the client
+// presents the token, exactly as for any ?resume=.
 func (s *Server) handleAdopt(w http.ResponseWriter, r *http.Request) {
 	reject := func(status int, msg, outcome, reason string) {
-		s.met.handoffRejected()
+		s.met.inc(&s.met.handoffReject)
 		s.log.Warn("adoption refused", "reason", reason)
 		s.errorBody(w, status, msg, outcome, "")
 	}
@@ -51,24 +52,18 @@ func (s *Server) handleAdopt(w http.ResponseWriter, r *http.Request) {
 		reject(http.StatusBadRequest, "bad envelope: "+err.Error(), outcomeBadRequest, "bad_envelope")
 		return
 	}
-	// Warm the compile cache so the client's reconnect doesn't pay the
-	// compile on its critical path; the compiled shape also feeds the
-	// advisory capacity check below.
-	prob, ok := s.compiler.Lookup(ck.Key())
-	if !ok {
-		select {
-		case s.compileGate <- struct{}{}:
-		case <-r.Context().Done():
-			s.met.request(outcomeCancelled)
-			return
-		}
-		p, cerr := s.compiler.Compile(ck.Formula())
-		<-s.compileGate
-		if cerr != nil {
-			reject(http.StatusBadRequest, "envelope compile: "+cerr.Error(), outcomeBadRequest, "compile")
-			return
-		}
-		prob = p
+	// Warm the compile cache through the resume path's own resolver, so
+	// the client's reconnect finds the envelope's (possibly specialized)
+	// key resident instead of paying the compile on its critical path; the
+	// compiled shape also feeds the advisory capacity check below.
+	prob, err := s.envelopeProblem(r.Context(), ck)
+	if errors.Is(err, errGone) {
+		s.met.request(outcomeCancelled)
+		return
+	}
+	if err != nil {
+		reject(http.StatusBadRequest, "envelope compile: "+err.Error(), outcomeBadRequest, "compile")
+		return
 	}
 	sn := ck.Snapshot()
 	est := s.estimateSession(prob, sn.Batch(), sn.UniqueCount(), sn.ProjectionWidth(), sn.Momentum())
@@ -82,7 +77,7 @@ func (s *Server) handleAdopt(w http.ResponseWriter, r *http.Request) {
 		reject(http.StatusInsufficientStorage, "spool: "+err.Error(), outcomeShedMemory, "spool")
 		return
 	}
-	s.met.handoffAdopted()
+	s.met.inc(&s.met.handoffAdopt)
 	s.met.request(outcomeOK)
 	s.log.Info("adopted stream checkpoint", "key", short(ck.Key()), "token", short(tok),
 		"delivered", ck.Delivered(), "bytes", len(body))

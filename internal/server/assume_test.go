@@ -3,6 +3,8 @@ package server
 import (
 	"fmt"
 	"net/http"
+	"net/url"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -157,8 +159,9 @@ func TestAssumeRejections(t *testing.T) {
 	}
 }
 
-// FuzzAssumeSpec: the ?assume= grammar never panics and never silently
-// accepts a literal the validator would reject as zero.
+// FuzzAssumeSpec: the exported ?assume=/?project= parser never panics,
+// never silently accepts a literal the validator would reject as zero, and
+// always hands back the canonical pin set the problem key folds in.
 func FuzzAssumeSpec(f *testing.F) {
 	f.Add("1,2,3")
 	f.Add("[1,-4]")
@@ -169,15 +172,22 @@ func FuzzAssumeSpec(f *testing.F) {
 	f.Add("[1.5]")
 	f.Add("  ")
 	f.Add("[9223372036854775807]")
+	// Projection specs (the same grammar without signs).
+	f.Add("1,4,7")
+	f.Add("[2,3]")
+	f.Add("3,3")
+	f.Add("-2")
 	f.Fuzz(func(t *testing.T, spec string) {
-		lits, err := parseAssumeSpec(spec)
-		if err != nil {
-			return
-		}
-		for _, l := range lits {
-			if l == 0 {
-				t.Fatalf("spec %q parsed to a zero literal", spec)
+		if ps, err := ParseProblemSpec(url.Values{"assume": {spec}}); err == nil {
+			for _, l := range ps.Assume {
+				if l == 0 {
+					t.Fatalf("spec %q parsed to a zero literal", spec)
+				}
+			}
+			if !slices.Equal(ps.Assume, cnf.CanonicalAssume(ps.Assume)) {
+				t.Fatalf("spec %q parsed to non-canonical pins %v", spec, ps.Assume)
 			}
 		}
+		ParseProblemSpec(url.Values{"project": {spec}})
 	})
 }

@@ -58,6 +58,13 @@ const (
 	outcomeUnsatAssume = "unsat_assume"
 )
 
+// inc counts one event on c, a counter field of m.
+func (m *metrics) inc(c *int64) {
+	m.mu.Lock()
+	*c++
+	m.mu.Unlock()
+}
+
 func (m *metrics) request(outcome string) {
 	m.mu.Lock()
 	m.requests[outcome]++
@@ -78,58 +85,6 @@ func (m *metrics) addSolutions(n int, projected bool, now time.Time) {
 		m.stamp[i], m.bucket[i] = sec, 0
 	}
 	m.bucket[i] += int64(n)
-	m.mu.Unlock()
-}
-
-// projectedRequest counts one completed request that sampled under a
-// projection.
-func (m *metrics) projectedRequest() {
-	m.mu.Lock()
-	m.projRequests++
-	m.mu.Unlock()
-}
-
-// checkpointed counts one drained stream whose checkpoint was spooled.
-func (m *metrics) checkpointed() {
-	m.mu.Lock()
-	m.checkpoints++
-	m.mu.Unlock()
-}
-
-// resumed counts one stream re-attached from a resume token.
-func (m *metrics) resumed() {
-	m.mu.Lock()
-	m.resumes++
-	m.mu.Unlock()
-}
-
-// handoffSentInc counts one envelope successfully handed to a peer.
-func (m *metrics) handoffSentInc() {
-	m.mu.Lock()
-	m.handoffSent++
-	m.mu.Unlock()
-}
-
-// handoffAdopted counts one envelope this server adopted from a peer.
-func (m *metrics) handoffAdopted() {
-	m.mu.Lock()
-	m.handoffAdopt++
-	m.mu.Unlock()
-}
-
-// handoffRejected counts one /v1/adopt request this server refused
-// (draining, damaged envelope, capacity, or an injected rejection).
-func (m *metrics) handoffRejected() {
-	m.mu.Lock()
-	m.handoffReject++
-	m.mu.Unlock()
-}
-
-// preempted counts one session checkpointed off its worker slot by the
-// SFQ preemption policy.
-func (m *metrics) preempted() {
-	m.mu.Lock()
-	m.preemptions++
 	m.mu.Unlock()
 }
 
@@ -160,22 +115,20 @@ func (m *metrics) Write(w io.Writer, queueDepth, active int, reserved, budget in
 	cs sampling.CompilerStats, ss store.Stats, draining bool,
 	spoolEntries int, spoolBytes, spoolEvictions, spoolCorrupt int64) {
 	now := time.Now()
-	fmt.Fprintf(w, "# TYPE satserved_uptime_seconds counter\n")
-	fmt.Fprintf(w, "satserved_uptime_seconds %.3f\n", now.Sub(m.start).Seconds())
-	fmt.Fprintf(w, "# TYPE satserved_queue_depth gauge\n")
-	fmt.Fprintf(w, "satserved_queue_depth %d\n", queueDepth)
-	fmt.Fprintf(w, "# TYPE satserved_active_sessions gauge\n")
-	fmt.Fprintf(w, "satserved_active_sessions %d\n", active)
-	fmt.Fprintf(w, "# TYPE satserved_mem_reserved_bytes gauge\n")
-	fmt.Fprintf(w, "satserved_mem_reserved_bytes %d\n", reserved)
-	fmt.Fprintf(w, "# TYPE satserved_mem_budget_bytes gauge\n")
-	fmt.Fprintf(w, "satserved_mem_budget_bytes %d\n", budget)
-	fmt.Fprintf(w, "# TYPE satserved_draining gauge\n")
+	// series writes one metric: its TYPE line, then its value.
+	series := func(name, typ string, v any) {
+		fmt.Fprintf(w, "# TYPE %s %s\n%s %v\n", name, typ, name, v)
+	}
+	series("satserved_uptime_seconds", "counter", fmt.Sprintf("%.3f", now.Sub(m.start).Seconds()))
+	series("satserved_queue_depth", "gauge", queueDepth)
+	series("satserved_active_sessions", "gauge", active)
+	series("satserved_mem_reserved_bytes", "gauge", reserved)
+	series("satserved_mem_budget_bytes", "gauge", budget)
 	d := 0
 	if draining {
 		d = 1
 	}
-	fmt.Fprintf(w, "satserved_draining %d\n", d)
+	series("satserved_draining", "gauge", d)
 
 	m.mu.Lock()
 	solutions := m.solutions
@@ -199,63 +152,36 @@ func (m *metrics) Write(w io.Writer, queueDepth, active int, reserved, budget in
 	for i, k := range outcomes {
 		fmt.Fprintf(w, "satserved_requests_total{outcome=%q} %d\n", k, counts[i])
 	}
-	fmt.Fprintf(w, "# TYPE satserved_shed_total counter\n")
-	fmt.Fprintf(w, "satserved_shed_total %d\n", shed)
-	fmt.Fprintf(w, "# TYPE satserved_solutions_total counter\n")
-	fmt.Fprintf(w, "satserved_solutions_total %d\n", solutions)
-	fmt.Fprintf(w, "# TYPE satserved_projected_requests_total counter\n")
-	fmt.Fprintf(w, "satserved_projected_requests_total %d\n", projRequests)
-	fmt.Fprintf(w, "# TYPE satserved_projected_solutions_total counter\n")
-	fmt.Fprintf(w, "satserved_projected_solutions_total %d\n", projSolutions)
-	fmt.Fprintf(w, "# TYPE satserved_sol_per_sec gauge\n")
-	fmt.Fprintf(w, "satserved_sol_per_sec %.3f\n", m.solRate(now))
-	fmt.Fprintf(w, "# TYPE satserved_checkpoints_total counter\n")
-	fmt.Fprintf(w, "satserved_checkpoints_total %d\n", checkpoints)
-	fmt.Fprintf(w, "# TYPE satserved_resumes_total counter\n")
-	fmt.Fprintf(w, "satserved_resumes_total %d\n", resumes)
-	fmt.Fprintf(w, "# TYPE satserved_spool_entries gauge\n")
-	fmt.Fprintf(w, "satserved_spool_entries %d\n", spoolEntries)
-	fmt.Fprintf(w, "# TYPE satserved_spool_bytes gauge\n")
-	fmt.Fprintf(w, "satserved_spool_bytes %d\n", spoolBytes)
-	fmt.Fprintf(w, "# TYPE satserved_spool_evictions_total counter\n")
-	fmt.Fprintf(w, "satserved_spool_evictions_total %d\n", spoolEvictions)
-	fmt.Fprintf(w, "# TYPE satserved_spool_corrupt_total counter\n")
-	fmt.Fprintf(w, "satserved_spool_corrupt_total %d\n", spoolCorrupt)
-	fmt.Fprintf(w, "# TYPE satserved_handoff_sent_total counter\n")
-	fmt.Fprintf(w, "satserved_handoff_sent_total %d\n", hSent)
-	fmt.Fprintf(w, "# TYPE satserved_handoff_adopted_total counter\n")
-	fmt.Fprintf(w, "satserved_handoff_adopted_total %d\n", hAdopt)
-	fmt.Fprintf(w, "# TYPE satserved_handoff_rejected_total counter\n")
-	fmt.Fprintf(w, "satserved_handoff_rejected_total %d\n", hReject)
-	fmt.Fprintf(w, "# TYPE satserved_preemptions_total counter\n")
-	fmt.Fprintf(w, "satserved_preemptions_total %d\n", preemptions)
+	series("satserved_shed_total", "counter", shed)
+	series("satserved_solutions_total", "counter", solutions)
+	series("satserved_projected_requests_total", "counter", projRequests)
+	series("satserved_projected_solutions_total", "counter", projSolutions)
+	series("satserved_sol_per_sec", "gauge", fmt.Sprintf("%.3f", m.solRate(now)))
+	series("satserved_checkpoints_total", "counter", checkpoints)
+	series("satserved_resumes_total", "counter", resumes)
+	series("satserved_spool_entries", "gauge", spoolEntries)
+	series("satserved_spool_bytes", "gauge", spoolBytes)
+	series("satserved_spool_evictions_total", "counter", spoolEvictions)
+	series("satserved_spool_corrupt_total", "counter", spoolCorrupt)
+	series("satserved_handoff_sent_total", "counter", hSent)
+	series("satserved_handoff_adopted_total", "counter", hAdopt)
+	series("satserved_handoff_rejected_total", "counter", hReject)
+	series("satserved_preemptions_total", "counter", preemptions)
 
-	fmt.Fprintf(w, "# TYPE satserved_compiler_hits_total counter\n")
-	fmt.Fprintf(w, "satserved_compiler_hits_total %d\n", cs.Hits)
-	fmt.Fprintf(w, "# TYPE satserved_compiler_misses_total counter\n")
-	fmt.Fprintf(w, "satserved_compiler_misses_total %d\n", cs.Misses)
-	fmt.Fprintf(w, "# TYPE satserved_compiler_evictions_total counter\n")
-	fmt.Fprintf(w, "satserved_compiler_evictions_total %d\n", cs.Evictions)
-	fmt.Fprintf(w, "# TYPE satserved_compiler_entries gauge\n")
-	fmt.Fprintf(w, "satserved_compiler_entries %d\n", cs.Entries)
-	fmt.Fprintf(w, "# TYPE satserved_compiler_resident_bytes gauge\n")
-	fmt.Fprintf(w, "satserved_compiler_resident_bytes %d\n", cs.ResidentBytes)
+	series("satserved_compiler_hits_total", "counter", cs.Hits)
+	series("satserved_compiler_misses_total", "counter", cs.Misses)
+	series("satserved_compiler_evictions_total", "counter", cs.Evictions)
+	series("satserved_compiler_entries", "gauge", cs.Entries)
+	series("satserved_compiler_resident_bytes", "gauge", cs.ResidentBytes)
 
 	// The durable compile tier. Hits/misses/bytes are the compiler's disk
 	// consultations; entries/bytes/evictions/quarantined are the store's
 	// own view of the shared directory. All zero when no -store is mounted.
-	fmt.Fprintf(w, "# TYPE satserved_store_hits_total counter\n")
-	fmt.Fprintf(w, "satserved_store_hits_total %d\n", cs.DiskHits)
-	fmt.Fprintf(w, "# TYPE satserved_store_misses_total counter\n")
-	fmt.Fprintf(w, "satserved_store_misses_total %d\n", cs.DiskMisses)
-	fmt.Fprintf(w, "# TYPE satserved_store_loaded_bytes_total counter\n")
-	fmt.Fprintf(w, "satserved_store_loaded_bytes_total %d\n", cs.DiskBytes)
-	fmt.Fprintf(w, "# TYPE satserved_store_entries gauge\n")
-	fmt.Fprintf(w, "satserved_store_entries %d\n", ss.Entries)
-	fmt.Fprintf(w, "# TYPE satserved_store_bytes gauge\n")
-	fmt.Fprintf(w, "satserved_store_bytes %d\n", ss.Bytes)
-	fmt.Fprintf(w, "# TYPE satserved_store_evictions_total counter\n")
-	fmt.Fprintf(w, "satserved_store_evictions_total %d\n", ss.Evictions)
-	fmt.Fprintf(w, "# TYPE satserved_store_quarantined_total counter\n")
-	fmt.Fprintf(w, "satserved_store_quarantined_total %d\n", ss.Quarantined)
+	series("satserved_store_hits_total", "counter", cs.DiskHits)
+	series("satserved_store_misses_total", "counter", cs.DiskMisses)
+	series("satserved_store_loaded_bytes_total", "counter", cs.DiskBytes)
+	series("satserved_store_entries", "gauge", ss.Entries)
+	series("satserved_store_bytes", "gauge", ss.Bytes)
+	series("satserved_store_evictions_total", "counter", ss.Evictions)
+	series("satserved_store_quarantined_total", "counter", ss.Quarantined)
 }

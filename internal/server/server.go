@@ -42,10 +42,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
+	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -381,11 +382,7 @@ func (s *Server) unreserve(est int64) {
 // stream that runs all the way to its cap is still inside its
 // reservation.
 func (s *Server) sessionShape(prob *sampling.Problem, target, projVars int) (batch int, est int64) {
-	workers := s.cfg.Device.Workers()
-	if workers < 1 {
-		workers = 1
-	}
-	batch = prob.Core().BatchForBudget(workers, false, s.cfg.SessionMemory)
+	batch = prob.Core().BatchForBudget(s.cfg.Device.Workers(), false, s.cfg.SessionMemory)
 	if batch < 64 {
 		batch = 64
 	}
@@ -401,11 +398,7 @@ func (s *Server) sessionShape(prob *sampling.Problem, target, projVars int) (bat
 // checkpoint (a resumed session runs at the batch it was snapshotted
 // with, so it must be re-priced at that batch against THIS ledger).
 func (s *Server) estimateSession(prob *sampling.Problem, batch, target, projVars int, momentum bool) int64 {
-	workers := s.cfg.Device.Workers()
-	if workers < 1 {
-		workers = 1
-	}
-	est := prob.Core().MemoryEstimate(workers, batch, momentum)
+	est := prob.Core().MemoryEstimate(s.cfg.Device.Workers(), batch, momentum)
 	est += int64(target) * int64(prob.NumInputs()/8+24)
 	if projVars > 0 {
 		est += int64(projVars) * int64(batch) / 8           // packed projection columns
@@ -423,67 +416,6 @@ func (s *Server) errorBody(w http.ResponseWriter, status int, msg, outcome, retr
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(map[string]string{"error": msg})
 	s.met.request(outcome)
-}
-
-// parseProjectionSpec reads a ?project= value: either a JSON array
-// ("[1,4,7]") or the comma-separated list satsample's -project flag also
-// speaks (shared cnf.ParseProjectionList). Syntax only — range and
-// duplicate validation happens once the formula's variable count is known
-// (cnf.ValidateProjection).
-func parseProjectionSpec(spec string) ([]int, error) {
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
-		return nil, nil
-	}
-	if strings.HasPrefix(spec, "[") {
-		var vars []int
-		if err := json.Unmarshal([]byte(spec), &vars); err != nil {
-			return nil, fmt.Errorf("bad projection JSON: %v", err)
-		}
-		return vars, nil
-	}
-	return cnf.ParseProjectionList(spec)
-}
-
-// parseAssumeSpec reads a ?assume= value: either a JSON array of signed
-// DIMACS literals ("[1,-4]") or the comma-separated list satsample's
-// -assume flag also speaks (shared cnf.ParseAssumeList). Syntax only —
-// range and contradiction validation happens once the formula's variable
-// count is known (cnf.ValidateAssumptions, via CompileAssume/
-// LookupAssume).
-func parseAssumeSpec(spec string) ([]cnf.Lit, error) {
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
-		return nil, nil
-	}
-	if strings.HasPrefix(spec, "[") {
-		var raw []int
-		if err := json.Unmarshal([]byte(spec), &raw); err != nil {
-			return nil, fmt.Errorf("bad assumption JSON: %v", err)
-		}
-		lits := make([]cnf.Lit, len(raw))
-		for i, v := range raw {
-			if v == 0 {
-				return nil, fmt.Errorf("bad assumption literal 0")
-			}
-			lits[i] = cnf.Lit(v)
-		}
-		return lits, nil
-	}
-	return cnf.ParseAssumeList(spec)
-}
-
-// litsEqual reports whether two canonical literal slices are identical.
-func litsEqual(a, b []cnf.Lit) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // litInts renders assumption literals as plain ints for the meta line.
@@ -588,7 +520,7 @@ func yieldWatch(preempt, handoff <-chan struct{}) (<-chan struct{}, func()) {
 func (s *Server) parkEnvelope(id int64, env []byte) (token, addr string) {
 	if s.peers != nil {
 		if tok, peer, ok := s.peers.Handoff(env); ok {
-			s.met.handoffSentInc()
+			s.met.inc(&s.met.handoffSent)
 			s.log.Info("stream handed to peer", "id", id, "peer", peer)
 			return tok, peer
 		}
@@ -598,368 +530,464 @@ func (s *Server) parkEnvelope(id int64, env []byte) (token, addr string) {
 		s.log.Warn("checkpoint not spooled", "id", id, "err", err)
 		return "", ""
 	}
-	s.met.checkpointed()
+	s.met.inc(&s.met.checkpoints)
 	return tok, ""
 }
 
+// handleSample serves POST /v1/sample as four stages: parseRequest reads
+// the query, resolve turns it into a compiled problem, admit reserves
+// memory and a worker slot and opens the session, and stream runs the
+// session out on the connection. A stage that fails before the stream
+// starts returns a stageError, written here and nowhere else.
 func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
-	t0 := time.Now()
-	id := s.seq.Add(1)
-	if s.draining.Load() {
-		s.errorBody(w, http.StatusServiceUnavailable, "server draining", outcomeDraining, "5")
+	req, serr := s.parseRequest(r)
+	var prob *sampling.Problem
+	var adm *admission
+	if serr == nil {
+		prob, serr = s.resolve(r, req)
+	}
+	if serr == nil {
+		adm, serr = s.admit(r.Context(), req, prob)
+	}
+	if serr != nil {
+		s.fail(w, req, serr)
 		return
 	}
+	defer adm.release()
+	s.stream(w, r, req, prob, adm)
+}
 
+// sampleRequest is a /v1/sample request as parseRequest read it.
+type sampleRequest struct {
+	id      int64
+	t0      time.Time
+	tenant  string
+	weight  int
+	target  int
+	timeout time.Duration
+	seed    int64
+	spec    ProblemSpec
+	// ck is the decoded envelope a ?resume= token took out of the spool
+	// (nil for a fresh request); envelope holds its bytes for fail to put
+	// back.
+	ck       *sampling.Checkpoint
+	envelope []byte
+}
+
+// stageError is a request that failed before its stream started: the
+// status, message, outcome label and Retry-After the handler writes. A
+// zero status means the client is gone and nothing can be written; only
+// the outcome is counted.
+type stageError struct {
+	status     int
+	msg        string
+	outcome    string
+	retryAfter string
+	// spent marks a failure of the resume envelope itself, which is not
+	// put back into the spool: a retry could only fail the same way.
+	spent bool
+}
+
+var errCancelled = &stageError{outcome: outcomeCancelled}
+
+func badRequest(msg string) *stageError {
+	return &stageError{status: http.StatusBadRequest, msg: msg, outcome: outcomeBadRequest}
+}
+
+var errServerDraining = &stageError{status: http.StatusServiceUnavailable, msg: "server draining",
+	outcome: outcomeDraining, retryAfter: "5"}
+
+// fail ends a request that never reached its stream. Tokens are one-shot,
+// but a take followed by a shed must not destroy the checkpoint: a taken
+// envelope goes back into the spool under the same token (it IS the
+// content hash), so the client's retry after backoff still resumes.
+func (s *Server) fail(w http.ResponseWriter, req *sampleRequest, e *stageError) {
+	if req != nil && req.ck != nil && !e.spent {
+		if _, err := s.spool.Put(req.envelope); err != nil {
+			s.log.Warn("could not re-spool checkpoint after shed", "id", req.id, "err", err)
+		}
+	}
+	if e.status == 0 {
+		s.met.request(e.outcome)
+		return
+	}
+	s.errorBody(w, e.status, e.msg, e.outcome, e.retryAfter)
+}
+
+// parseRequest reads the request's tenant, weight, target, timeout, seed
+// and problem spec, and takes its ?resume= envelope out of the spool.
+func (s *Server) parseRequest(r *http.Request) (*sampleRequest, *stageError) {
+	req := &sampleRequest{t0: time.Now(), id: s.seq.Add(1), weight: 1,
+		target: s.cfg.DefaultTarget, timeout: s.cfg.DefaultTimeout}
+	if s.draining.Load() {
+		return nil, errServerDraining
+	}
+	q := r.URL.Query()
 	// The edge-set header wins over the query parameter: when a trusted
 	// proxy asserts tenant identity, a client must not be able to
 	// impersonate (or fabricate) tenants by appending ?tenant=.
-	tenant := r.Header.Get("X-Tenant")
-	if tenant == "" {
-		tenant = r.URL.Query().Get("tenant")
+	req.tenant = r.Header.Get("X-Tenant")
+	if req.tenant == "" {
+		req.tenant = q.Get("tenant")
 	}
-	if tenant == "" {
-		tenant = "anon"
+	if req.tenant == "" {
+		req.tenant = "anon"
 	}
-	weight := 1
-	if v, err := strconv.Atoi(r.URL.Query().Get("weight")); err == nil {
-		weight = min(max(v, 1), s.cfg.MaxWeight)
+	if v, err := strconv.Atoi(q.Get("weight")); err == nil {
+		req.weight = min(max(v, 1), s.cfg.MaxWeight)
 	}
-	target := s.cfg.DefaultTarget
-	if tv := r.URL.Query().Get("target"); tv != "" {
+	if tv := q.Get("target"); tv != "" {
 		v, err := strconv.Atoi(tv)
 		if err != nil {
-			s.errorBody(w, http.StatusBadRequest, "bad target", outcomeBadRequest, "")
-			return
+			return nil, badRequest("bad target")
 		}
-		target = v
+		req.target = v
 	}
-	if target > s.cfg.MaxTarget {
-		s.errorBody(w, http.StatusBadRequest,
-			fmt.Sprintf("target exceeds maximum %d", s.cfg.MaxTarget), outcomeBadRequest, "")
-		return
+	if req.target > s.cfg.MaxTarget {
+		return nil, badRequest(fmt.Sprintf("target exceeds maximum %d", s.cfg.MaxTarget))
 	}
-	if target <= 0 {
+	if req.target <= 0 {
 		// "Unbounded" means the server's cap: every admitted stream is
 		// bounded, so its dedup pool is priceable at admission time. The
 		// deadline usually ends such a stream first.
-		target = s.cfg.MaxTarget
+		req.target = s.cfg.MaxTarget
 	}
-	timeout := s.cfg.DefaultTimeout
-	if tv := r.URL.Query().Get("timeout"); tv != "" {
+	if tv := q.Get("timeout"); tv != "" {
 		d, err := time.ParseDuration(tv)
 		if err != nil || d <= 0 {
-			s.errorBody(w, http.StatusBadRequest, "bad timeout", outcomeBadRequest, "")
-			return
+			return nil, badRequest("bad timeout")
 		}
-		timeout = min(d, s.cfg.MaxTimeout)
+		req.timeout = min(d, s.cfg.MaxTimeout)
 	}
 	// ?seed= pins the session seed (deterministic replays, differential
 	// chaos harnesses); absent, each request gets a distinct seed derived
 	// from the server base seed and the request counter.
-	seed := s.cfg.Seed + id
-	if sv := r.URL.Query().Get("seed"); sv != "" {
+	req.seed = s.cfg.Seed + req.id
+	if sv := q.Get("seed"); sv != "" {
 		v, err := strconv.ParseInt(sv, 10, 64)
 		if err != nil {
-			s.errorBody(w, http.StatusBadRequest, "bad seed", outcomeBadRequest, "")
-			return
+			return nil, badRequest("bad seed")
 		}
-		seed = v
+		req.seed = v
 	}
-	// ?project= declares the sampling set for this request (comma list or
-	// JSON array); it overrides any "c ind" lines in a posted body. Range
-	// and duplicate validation follows once the formula is resolved.
-	projection, perr := parseProjectionSpec(r.URL.Query().Get("project"))
-	if perr != nil {
-		s.errorBody(w, http.StatusBadRequest, perr.Error(), outcomeBadRequest, "")
-		return
+	// ?project= declares the sampling set for this request; it overrides
+	// any "c ind" lines in a posted body. ?assume= pins literals: the
+	// compiled artifact is re-specialized (never recompiled) under the pins
+	// and the session streams only solutions agreeing with them. Range
+	// validation follows once the formula is resolved.
+	spec, err := ParseProblemSpec(q)
+	if err != nil {
+		return nil, badRequest(err.Error())
 	}
-	// ?assume= pins literals for this request: the compiled artifact is
-	// re-specialized (never recompiled) under the pins and the session
-	// streams only solutions agreeing with them. The specialized artifact
-	// is cached and stored under cnf.AssumeKey(baseKey, pins), so repeat
-	// assumption sets are memory hits.
-	assume, aerr := parseAssumeSpec(r.URL.Query().Get("assume"))
-	if aerr != nil {
-		s.errorBody(w, http.StatusBadRequest, aerr.Error(), outcomeBadRequest, "")
-		return
-	}
-	assume = cnf.CanonicalAssume(assume)
-
+	req.spec = spec
 	// ?resume= re-admits a checkpointed session from the spool: the token
 	// is one-shot, its envelope self-contained (formula included), and the
 	// restored session is re-priced and re-queued like any fresh request —
 	// resumption is a scheduling event, not a side door around admission
 	// control.
-	var ck *sampling.Checkpoint
-	var ckData []byte
-	if token := r.URL.Query().Get("resume"); token != "" {
+	if token := q.Get("resume"); token != "" {
 		data, ok := s.spool.Take(token)
 		if !ok {
-			s.errorBody(w, http.StatusNotFound, "unknown or expired resume token", outcomeNotFound, "")
-			return
+			return nil, &stageError{status: http.StatusNotFound,
+				msg: "unknown or expired resume token", outcome: outcomeNotFound}
 		}
-		c, err := sampling.DecodeCheckpoint(data)
+		ck, err := sampling.DecodeCheckpoint(data)
 		if err != nil {
-			s.log.Warn("bad resume token", "id", id, "tenant", tenant, "err", err)
-			s.errorBody(w, http.StatusBadRequest, "bad resume token: "+err.Error(), outcomeBadRequest, "")
-			return
+			s.log.Warn("bad resume token", "id", req.id, "tenant", req.tenant, "err", err)
+			return nil, badRequest("bad resume token: " + err.Error())
 		}
-		ck, ckData = c, data
+		req.ck, req.envelope = ck, data
 	}
-	// Tokens are one-shot, but a Take followed by a shed must not destroy
-	// the checkpoint: on any transient admission failure the envelope goes
-	// back into the spool under the same token (it IS the content hash),
-	// so the client's retry-after-backoff still resumes.
-	reSpool := func() {
-		if ck != nil {
-			if _, err := s.spool.Put(ckData); err != nil {
-				s.log.Warn("could not re-spool checkpoint after shed", "id", id, "err", err)
-			}
-		}
-	}
+	return req, nil
+}
 
-	// Resolve the problem: from a resume token's embedded formula, by
-	// cache key (no body), or by compiling the posted DIMACS through the
-	// shared single-flight cache. New formulas go through the compile
-	// gate so a flood of distinct CNFs runs at most Workers compilations
-	// at once; already-cached formulas (and waiters on an in-flight
-	// compile) bypass it.
-	var prob *sampling.Problem
-	if ck != nil {
+// acquire takes one slot of gate, or reports false when ctx ends first.
+func acquire(ctx context.Context, gate chan struct{}) bool {
+	select {
+	case gate <- struct{}{}:
+		return true
+	case <-ctx.Done():
+		return false
+	}
+}
+
+// errGone reports that the request's context ended while it waited for a
+// gate.
+var errGone = errors.New("client gone")
+
+// resolve turns the request into its compiled problem: the resume
+// envelope's artifact, a cached artifact by ?key=, or the posted body
+// compiled through the shared single-flight cache. A fresh pinned request
+// then gets the UNSAT-under-assumptions precheck.
+func (s *Server) resolve(r *http.Request, req *sampleRequest) (*sampling.Problem, *stageError) {
+	if req.ck != nil {
 		// The envelope's assumption set is authoritative: a redundant
 		// ?assume= must agree with it (the sharded edge repeats the query
 		// so the resume routes to the specialized key's owner).
-		if len(assume) > 0 && !litsEqual(assume, ck.Assumptions()) {
-			reSpool()
-			s.errorBody(w, http.StatusBadRequest,
-				"assume does not match the resume envelope's assumption set", outcomeBadRequest, "")
-			return
+		if len(req.spec.Assume) > 0 && !slices.Equal(req.spec.Assume, req.ck.Assumptions()) {
+			return nil, badRequest("assume does not match the resume envelope's assumption set")
 		}
-		if p, ok := s.compiler.Lookup(ck.Key()); ok {
-			prob = p
-		} else {
-			// Cold cache (typically: the process restarted between the
-			// checkpoint and the resume) — recompile from the envelope,
-			// re-specializing when it carries assumptions.
-			select {
-			case s.compileGate <- struct{}{}:
-			case <-r.Context().Done():
-				reSpool()
-				s.met.request(outcomeCancelled)
-				return
-			}
-			p, err := s.compiler.CompileAssume(ck.Formula(), ck.Assumptions())
-			<-s.compileGate
-			if err != nil {
-				s.errorBody(w, http.StatusBadRequest, "resume compile: "+err.Error(), outcomeBadRequest, "")
-				return
-			}
-			prob = p
-		}
-	} else if key := r.URL.Query().Get("key"); key != "" {
-		p, ok, err := s.compiler.LookupAssume(key, assume)
-		if errors.Is(err, core.ErrBadAssume) {
-			// The base artifact exists but the pins are invalid for it —
-			// the client's error, not a cache miss.
-			s.errorBody(w, http.StatusBadRequest, err.Error(), outcomeBadRequest, "")
-			return
-		}
-		if err != nil {
-			s.errorBody(w, http.StatusInternalServerError, err.Error(), outcomeStreamErr, "")
-			return
-		}
-		if !ok {
-			s.errorBody(w, http.StatusNotFound, "unknown problem key", outcomeNotFound, "")
-			return
-		}
-		// A key identifies a compiled artifact; a request projection rides
-		// on the session instead of the cache key (the artifact is
-		// projection-independent — only solution identity changes).
-		if err := cnf.ValidateProjection(p.Formula().NumVars, projection); err != nil {
-			s.errorBody(w, http.StatusBadRequest, err.Error(), outcomeBadRequest, "")
-			return
-		}
-		prob = p
-	} else {
-		select {
-		case s.parseGate <- struct{}{}:
-		case <-r.Context().Done():
-			s.met.request(outcomeCancelled)
-			return
-		}
-		f, err := cnf.ParseDIMACSLimits(r.Body, s.cfg.Limits)
+		prob, err := s.envelopeProblem(r.Context(), req.ck)
 		switch {
-		case errors.Is(err, cnf.ErrLimit):
-			<-s.parseGate
-			s.errorBody(w, http.StatusRequestEntityTooLarge, err.Error(), outcomeTooLarge, "")
-			return
+		case errors.Is(err, errGone):
+			return nil, errCancelled
 		case err != nil:
-			<-s.parseGate
-			s.errorBody(w, http.StatusBadRequest, err.Error(), outcomeBadRequest, "")
-			return
+			e := badRequest("resume compile: " + err.Error())
+			e.spent = true
+			return nil, e
 		}
-		// The request projection becomes part of the formula — and so of
-		// its content-hash cache key — before any cache probe: a formula's
-		// sampling set is part of its identity, and sessions inherit it.
-		if projection != nil {
-			if err := cnf.ValidateProjection(f.NumVars, projection); err != nil {
-				<-s.parseGate
-				s.errorBody(w, http.StatusBadRequest, err.Error(), outcomeBadRequest, "")
-				return
-			}
-			f.Projection = projection
-		}
-		// With pins the cache identity shifts to the specialized key; the
-		// warm probe looks there so repeat assumption sets bypass both
-		// gates exactly like repeat formulas do.
-		probeKey := sampling.HashFormula(f)
-		if len(assume) > 0 {
-			probeKey = cnf.AssumeKey(probeKey, assume)
-		}
-		if p, ok := s.compiler.Lookup(probeKey); ok {
-			<-s.parseGate
-			prob = p
-		} else {
-			// The parse gate is held until the compile slot is acquired:
-			// releasing it earlier would let goroutines blocked on the
-			// compile gate accumulate parsed Formulas without bound —
-			// formula holders are capped at parseGate+compileGate slots.
-			select {
-			case s.compileGate <- struct{}{}:
-				<-s.parseGate
-			case <-r.Context().Done():
-				<-s.parseGate
-				s.met.request(outcomeCancelled)
-				return
-			}
-			p, err := s.compiler.CompileAssume(f, assume)
-			<-s.compileGate
-			if err != nil {
-				s.errorBody(w, http.StatusBadRequest, "compile: "+err.Error(), outcomeBadRequest, "")
-				return
-			}
-			prob = p
-		}
+		return prob, nil
 	}
-
-	// UNSAT-under-assumptions precheck: a bounded CDCL probe on the base
-	// formula rejects contradictory pin sets with a typed error before the
-	// session is priced and queued. Unknown (conflict budget exhausted)
-	// admits the request — the stream then honestly reports zero solutions
-	// if the space is empty.
-	if ck == nil && len(prob.Assumptions()) > 0 {
-		sv := sat.NewSolver(prob.Formula(), sat.Options{MaxConflicts: assumePrecheckConflicts})
-		if st := sv.SolveAssume(prob.Assumptions()...); st == sat.Unsat {
-			s.errorBody(w, http.StatusConflict,
-				"formula is unsatisfiable under the given assumptions", outcomeUnsatAssume, "")
-			return
-		}
-	}
-
-	// Admission control. Memory first: reserving before queueing keeps the
-	// wait queue free of jobs that could not run anyway, and the ledger
-	// covers queued + active sessions so the budget can never be exceeded.
-	// The effective projection width is known pre-admission: the explicit
-	// spec, or the formula's declared set the session would inherit. A
-	// resumed session's shape is fixed by its checkpoint — the batch it
-	// was snapshotted with is the batch it restores at — so it is priced
-	// at that batch, not at what this server would size a fresh session.
-	var batch int
-	var est int64
-	if ck != nil {
-		sn := ck.Snapshot()
-		batch = sn.Batch()
-		est = s.estimateSession(prob, batch, max(target, sn.UniqueCount()), sn.ProjectionWidth(), sn.Momentum())
+	var prob *sampling.Problem
+	var serr *stageError
+	if req.spec.Key != "" {
+		prob, serr = s.resolveKey(req.spec)
 	} else {
-		effProj := len(projection)
+		prob, serr = s.resolveBody(r.Context(), r.Body, req.spec)
+	}
+	if serr != nil {
+		return nil, serr
+	}
+	// A bounded CDCL probe on the base formula rejects contradictory pin
+	// sets with a typed error before the session is priced and queued.
+	// Unknown (conflict budget exhausted) admits the request — the stream
+	// then honestly reports zero solutions if the space is empty.
+	if len(prob.Assumptions()) > 0 {
+		sv := sat.NewSolver(prob.Formula(), sat.Options{MaxConflicts: assumePrecheckConflicts})
+		if sv.SolveAssume(prob.Assumptions()...) == sat.Unsat {
+			return nil, &stageError{status: http.StatusConflict,
+				msg: "formula is unsatisfiable under the given assumptions", outcome: outcomeUnsatAssume}
+		}
+	}
+	return prob, nil
+}
+
+// envelopeProblem resolves a checkpoint envelope's artifact for ?resume=
+// and /v1/adopt alike: a memory or store hit on the envelope's key, else
+// (typically: the process restarted between the checkpoint and the
+// resume) a gated recompile of the embedded formula, re-specialized under
+// the envelope's pins so the specialized key is the one that turns warm.
+func (s *Server) envelopeProblem(ctx context.Context, ck *sampling.Checkpoint) (*sampling.Problem, error) {
+	if p, ok := s.compiler.Lookup(ck.Key()); ok {
+		return p, nil
+	}
+	if !acquire(ctx, s.compileGate) {
+		return nil, errGone
+	}
+	defer func() { <-s.compileGate }()
+	return s.compiler.CompileAssume(ck.Formula(), ck.Assumptions())
+}
+
+// resolveKey finds an already-compiled artifact by ?key=, specializing a
+// cached base under ?assume= when the specialized key is not resident.
+func (s *Server) resolveKey(spec ProblemSpec) (*sampling.Problem, *stageError) {
+	p, ok, err := s.compiler.LookupAssume(spec.Key, spec.Assume)
+	switch {
+	case errors.Is(err, core.ErrBadAssume):
+		// The base artifact exists but the pins are invalid for it — the
+		// client's error, not a cache miss.
+		return nil, badRequest(err.Error())
+	case err != nil:
+		return nil, &stageError{status: http.StatusInternalServerError, msg: err.Error(), outcome: outcomeStreamErr}
+	case !ok:
+		return nil, &stageError{status: http.StatusNotFound, msg: "unknown problem key", outcome: outcomeNotFound}
+	}
+	// A key identifies a compiled artifact; a request projection rides on
+	// the session instead of the cache key (the artifact is projection-
+	// independent — only solution identity changes).
+	if err := cnf.ValidateProjection(p.Formula().NumVars, spec.Projection); err != nil {
+		return nil, badRequest(err.Error())
+	}
+	return p, nil
+}
+
+// resolveBody parses the posted DIMACS and compiles it. New formulas pass
+// the parse gate and then the compile gate, so a flood of distinct CNFs
+// holds a bounded number of parsed formulas and runs at most Workers
+// compilations at once; a warm problem key (a repeat formula, or a repeat
+// pin set over one) releases the parse gate and skips the compile gate.
+func (s *Server) resolveBody(ctx context.Context, body io.Reader, spec ProblemSpec) (*sampling.Problem, *stageError) {
+	if !acquire(ctx, s.parseGate) {
+		return nil, errCancelled
+	}
+	f, err := cnf.ParseDIMACSLimits(body, s.cfg.Limits)
+	if errors.Is(err, cnf.ErrLimit) {
+		<-s.parseGate
+		return nil, &stageError{status: http.StatusRequestEntityTooLarge, msg: err.Error(), outcome: outcomeTooLarge}
+	}
+	var key string
+	if err == nil {
+		key, err = spec.ProblemKey(f)
+	}
+	if err != nil {
+		<-s.parseGate
+		return nil, badRequest(err.Error())
+	}
+	if p, ok := s.compiler.Lookup(key); ok {
+		<-s.parseGate
+		return p, nil
+	}
+	// The parse gate is held until the compile slot is acquired: releasing
+	// it earlier would let goroutines blocked on the compile gate
+	// accumulate parsed Formulas without bound — formula holders are
+	// capped at parseGate+compileGate slots.
+	ok := acquire(ctx, s.compileGate)
+	<-s.parseGate
+	if !ok {
+		return nil, errCancelled
+	}
+	p, err := s.compiler.CompileAssume(f, spec.Assume)
+	<-s.compileGate
+	if err != nil {
+		return nil, badRequest("compile: " + err.Error())
+	}
+	return p, nil
+}
+
+// admission is a request's hold on the server: its memory reservation, its
+// worker-slot grant, and the session opened on them. A preempted stream
+// gives the reservation and the grant back (release) and takes them again
+// (reclaim); release frees whatever is still held.
+type admission struct {
+	s         *Server
+	batch     int
+	est       int64
+	memHeld   bool
+	grant     *Grant
+	queueWait time.Duration
+	sess      *sampling.Session
+}
+
+func (a *admission) release() {
+	if a.memHeld {
+		a.s.unreserve(a.est)
+		a.memHeld = false
+	}
+	if a.grant != nil {
+		a.grant.Release()
+		a.grant = nil
+	}
+}
+
+// reclaim re-files the request behind a fresh fair-queueing tag and
+// re-reserves its memory; false means it could not get back in (drain,
+// full queue, disconnect, or the budget is gone).
+func (a *admission) reclaim(ctx context.Context, req *sampleRequest) bool {
+	g, err := a.s.queue.AcquireGrant(ctx, req.tenant, req.weight)
+	if err != nil {
+		return false
+	}
+	a.grant = g
+	if !a.s.reserve(a.est) {
+		return false
+	}
+	a.memHeld = true
+	return true
+}
+
+// admit prices the session, reserves it against the memory ledger, waits
+// for a weighted-fair worker slot, and opens the session on it. Memory
+// comes first: reserving before queueing keeps the wait queue free of
+// jobs that could not run anyway, and the ledger covers queued + active
+// sessions so the budget can never be exceeded.
+func (s *Server) admit(ctx context.Context, req *sampleRequest, prob *sampling.Problem) (*admission, *stageError) {
+	a := &admission{s: s}
+	if req.ck != nil {
+		// A resumed session's shape is fixed by its checkpoint — the batch
+		// it was snapshotted with is the batch it restores at — so it is
+		// priced at that batch, not at what this server would size a fresh
+		// session.
+		sn := req.ck.Snapshot()
+		a.batch = sn.Batch()
+		a.est = s.estimateSession(prob, a.batch, max(req.target, sn.UniqueCount()), sn.ProjectionWidth(), sn.Momentum())
+	} else {
+		// The effective projection width is known pre-admission: the
+		// explicit spec, or the formula's declared set the session would
+		// inherit.
+		effProj := len(req.spec.Projection)
 		if effProj == 0 {
 			effProj = len(prob.Formula().Projection)
 		}
-		batch, est = s.sessionShape(prob, target, effProj)
+		a.batch, a.est = s.sessionShape(prob, req.target, effProj)
 	}
-	if !s.reserve(est) {
-		reSpool()
-		s.log.Warn("shed", "id", id, "tenant", tenant, "reason", "memory",
-			"estimate", est, "key", short(prob.Key()))
-		s.errorBody(w, http.StatusTooManyRequests, "session memory budget exhausted", outcomeShedMemory, "2")
-		return
+	if !s.reserve(a.est) {
+		s.log.Warn("shed", "id", req.id, "tenant", req.tenant, "reason", "memory",
+			"estimate", a.est, "key", short(prob.Key()))
+		return nil, &stageError{status: http.StatusTooManyRequests, msg: "session memory budget exhausted",
+			outcome: outcomeShedMemory, retryAfter: "2"}
 	}
-	// Preemption temporarily gives the reservation (and the grant) back;
-	// the flags keep the deferred cleanup balanced across those gaps.
-	memHeld := true
-	defer func() {
-		if memHeld {
-			s.unreserve(est)
-		}
-	}()
+	a.memHeld = true
 
 	qt0 := time.Now()
-	grant, err := s.queue.AcquireGrant(r.Context(), tenant, weight)
-	if errors.Is(err, ErrQueueFull) {
-		reSpool()
-		s.log.Warn("shed", "id", id, "tenant", tenant, "reason", "queue", "key", short(prob.Key()))
-		s.errorBody(w, http.StatusTooManyRequests, "queue full", outcomeShedQueue, "1")
-		return
-	}
-	if errors.Is(err, ErrTenantFull) {
-		reSpool()
-		s.log.Warn("shed", "id", id, "tenant", tenant, "reason", "tenant_queue", "key", short(prob.Key()))
-		s.errorBody(w, http.StatusTooManyRequests, "tenant queue share full", outcomeShedTenant, "1")
-		return
-	}
-	if errors.Is(err, ErrDraining) {
-		// A drain started while this request waited for a slot: same clean
-		// 503 a fresh arrival gets, instead of riding out the grace period
-		// blocked in the queue.
-		reSpool()
-		s.errorBody(w, http.StatusServiceUnavailable, "server draining", outcomeDraining, "5")
-		return
-	}
+	grant, err := s.queue.AcquireGrant(ctx, req.tenant, req.weight)
 	if err != nil {
-		// Client disconnected while waiting; nothing can be written.
-		reSpool()
-		s.met.request(outcomeCancelled)
-		return
+		a.release()
+		return nil, s.queueRefusal(req, prob, err)
 	}
-	defer func() {
-		if grant != nil {
-			grant.Release()
-		}
-	}()
+	a.grant = grant
 	// Pure slot wait — parse/compile time is excluded so operators tuning
 	// Workers/QueueDepth see real queueing pressure, not compile cost.
-	queueWait := time.Since(qt0)
+	a.queueWait = time.Since(qt0)
 
-	var sess *sampling.Session
-	if ck != nil {
+	if req.ck != nil {
 		// The restored session resumes the checkpointed stream exactly:
 		// batch, seed, projection, pool and delivery cursor all come from
 		// the envelope (streams are device-independent, so it runs on this
 		// server's device whatever the original ran on).
-		sess, err = prob.RestoreSession(ck, s.cfg.Device)
+		a.sess, err = prob.RestoreSession(req.ck, s.cfg.Device)
 	} else {
-		sess, err = prob.NewSession(sampling.SessionConfig{
-			BatchSize:  batch,
-			Seed:       seed,
+		a.sess, err = prob.NewSession(sampling.SessionConfig{
+			BatchSize:  a.batch,
+			Seed:       req.seed,
 			Device:     s.cfg.Device,
-			Projection: projection, // nil inherits the formula's declared set
+			Projection: req.spec.Projection, // nil inherits the formula's declared set
 		})
 	}
 	if err != nil {
-		s.errorBody(w, http.StatusInternalServerError, err.Error(), outcomeStreamErr, "")
-		return
+		a.release()
+		return nil, &stageError{status: http.StatusInternalServerError, msg: err.Error(),
+			outcome: outcomeStreamErr, spent: true}
 	}
-	if ck != nil {
-		s.met.resumed()
+	if req.ck != nil {
+		s.met.inc(&s.met.resumes)
 	}
-	projVars := len(sess.Projection())
+	return a, nil
+}
 
+// queueRefusal maps an AcquireGrant failure to its reply.
+func (s *Server) queueRefusal(req *sampleRequest, prob *sampling.Problem, err error) *stageError {
+	shed := func(reason, msg, outcome string) *stageError {
+		s.log.Warn("shed", "id", req.id, "tenant", req.tenant, "reason", reason, "key", short(prob.Key()))
+		return &stageError{status: http.StatusTooManyRequests, msg: msg, outcome: outcome, retryAfter: "1"}
+	}
+	switch {
+	case errors.Is(err, ErrQueueFull):
+		return shed("queue", "queue full", outcomeShedQueue)
+	case errors.Is(err, ErrTenantFull):
+		return shed("tenant_queue", "tenant queue share full", outcomeShedTenant)
+	case errors.Is(err, ErrDraining):
+		// A drain started while this request waited for a slot: same clean
+		// 503 a fresh arrival gets, instead of riding out the grace period
+		// blocked in the queue.
+		return errServerDraining
+	default:
+		// Client disconnected while waiting; nothing can be written.
+		return errCancelled
+	}
+}
+
+// stream runs an admitted session out on the connection: the meta line,
+// the solution lines over as many legs as preemption takes, the drain
+// checkpoint, and the done line. A stream that fails once the header is
+// out ends without a done line and counts as a stream error.
+func (s *Server) stream(w http.ResponseWriter, r *http.Request, req *sampleRequest, prob *sampling.Problem, adm *admission) {
 	// The session context: request deadline + client disconnect (via
 	// r.Context) + drain cancellation.
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	ctx, cancel := context.WithTimeout(r.Context(), req.timeout)
 	defer cancel()
 	stopDrainWatch := context.AfterFunc(s.sessCtx, cancel)
 	defer stopDrainWatch()
+	projVars := len(adm.sess.Projection())
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Problem-Key", prob.Key())
@@ -976,12 +1004,12 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 		return nil
 	}
 	if err := writeLine(metaLine{
-		Type: "meta", Key: prob.Key(), Batch: batch, Target: target,
+		Type: "meta", Key: prob.Key(), Batch: adm.batch, Target: req.target,
 		ProjectedVars: projVars,
 		Assumptions:   litInts(prob.Assumptions()),
-		Resumed:       ck != nil,
-		Delivered:     sess.Delivered(),
-		QueueMS:       float64(queueWait.Microseconds()) / 1e3,
+		Resumed:       req.ck != nil,
+		Delivered:     adm.sess.Delivered(),
+		QueueMS:       float64(adm.queueWait.Microseconds()) / 1e3,
 	}); err != nil {
 		s.met.request(outcomeStreamErr)
 		return
@@ -999,48 +1027,97 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 		}
 		delivered++
 		s.met.addSolutions(1, projVars > 0, time.Now())
-		if target > 0 && sess.Delivered() >= target {
+		if req.target > 0 && adm.sess.Delivered() >= req.target {
 			return sampling.Stop
 		}
 		return nil
 	}
+	end := s.runLegs(ctx, r.Context(), req, prob, adm, sink)
 
-	// The stream runs in legs: a leg ends at the target, the deadline, an
-	// error — or a yield request (preemption or handoff) at a tick
-	// boundary. A preempted leg checkpoints, gives back slot + memory,
-	// re-files behind a fresh SFQ tag (behind every starved waiter that
-	// triggered it), restores, and continues on this same connection; a
-	// handoff leg parks the checkpoint on a peer and ends the stream.
+	st := end.st
+	drained := s.sessCtx.Err() != nil && st.Timeout
+	// A drained stream parks its full state — on a peer when one will
+	// adopt it, in the local spool otherwise — and hands the client a
+	// resume token on the summary line: the drain preserved the session
+	// instead of discarding it, so nothing is lost across the restart.
+	if drained && end.err == nil && end.token == "" {
+		if env, cerr := adm.sess.Checkpoint(); cerr != nil {
+			s.log.Warn("drain checkpoint failed", "id", req.id, "err", cerr)
+		} else {
+			end.token, end.addr = s.parkEnvelope(req.id, env)
+		}
+	}
+	outcome := outcomeOK
+	if end.err != nil {
+		outcome = outcomeStreamErr
+	} else {
+		_ = writeLine(doneLine{
+			Type: "done", Unique: st.Unique, Delivered: delivered,
+			ProjectedVars: projVars, Calls: st.Calls,
+			ElapsedMS: float64(st.Elapsed.Microseconds()) / 1e3,
+			SolPerSec: st.Throughput(), Timeout: st.Timeout,
+			Exhausted: st.Exhausted, Drained: drained,
+			Resume: end.token, ResumeAddr: end.addr,
+			Preempted: end.preempted, Preemptions: end.preemptions,
+		})
+	}
+	if projVars > 0 {
+		s.met.inc(&s.met.projRequests)
+	}
+	s.met.request(outcome)
+	s.log.Info("sample", "id", req.id, "tenant", req.tenant, "key", short(prob.Key()),
+		"target", req.target, "projected", projVars, "unique", st.Unique, "delivered", delivered,
+		"queue_ms", adm.queueWait.Milliseconds(), "elapsed_ms", st.Elapsed.Milliseconds(),
+		"total_ms", time.Since(req.t0).Milliseconds(), "timeout", st.Timeout,
+		"exhausted", st.Exhausted, "drained", drained, "resumed", req.ck != nil,
+		"preemptions", end.preemptions, "handed_off", end.addr != "",
+		"checkpointed", end.token != "", "outcome", outcome)
+}
+
+// legsEnd is how a stream's legs ended: the last leg's stats and error,
+// where an interrupted stream's checkpoint was parked, and its preemption
+// history.
+type legsEnd struct {
+	st          sampling.Stats
+	err         error
+	token, addr string
+	preemptions int
+	preempted   bool
+}
+
+// runLegs streams the session in legs: a leg ends at the target, the
+// deadline, an error — or a yield request (preemption or handoff) at a
+// tick boundary. A preempted leg checkpoints, gives back slot + memory,
+// re-files behind a fresh SFQ tag (behind every starved waiter that
+// triggered it), restores, and continues on this same connection; a
+// handoff leg parks the checkpoint on a peer and ends the stream.
+func (s *Server) runLegs(ctx, reqCtx context.Context, req *sampleRequest, prob *sampling.Problem,
+	adm *admission, sink sampling.Sink) legsEnd {
 	handoffCh := s.handoff.Load().ch
-	var preemptCh <-chan struct{}
-	var st sampling.Stats
-	var serr error
-	var resumeToken, resumeAddr string
-	preemptions := 0
-	preempted := false
 	preemptBroken := false // a failed checkpoint pins the session to its slot
+	var end legsEnd
 	for {
-		preemptCh = nil
-		if grant != nil && !preemptBroken {
-			preemptCh = grant.Preempt
+		var preemptCh <-chan struct{}
+		if !preemptBroken {
+			preemptCh = adm.grant.Preempt
 		}
 		yield, stopYield := yieldWatch(preemptCh, handoffCh)
-		st, serr = sess.StreamYield(ctx, target, yield, sink)
+		end.st, end.err = adm.sess.StreamYield(ctx, req.target, yield, sink)
 		stopYield()
-		if serr != nil || !st.Yielded {
-			break
+		if end.err != nil || !end.st.Yielded {
+			return end
 		}
 		isPreempt := false
 		select {
-		case <-grant.Preempt:
+		case <-adm.grant.Preempt:
 			isPreempt = true
 		default:
 		}
-		env, cerr := sess.Checkpoint()
+		env, cerr := adm.sess.Checkpoint()
 		if cerr != nil {
 			// A session that cannot be checkpointed cannot move: keep
 			// streaming and stop watching the signal that fired.
-			s.log.Warn("yield checkpoint failed; stream pinned", "id", id, "err", cerr)
+			s.log.Warn("yield checkpoint failed; stream pinned", "id", req.id, "err", cerr)
 			if isPreempt {
 				preemptBroken = true
 			} else {
@@ -1051,86 +1128,38 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 		if !isPreempt {
 			// Handoff: the checkpoint moves to a peer (spool fallback) and
 			// the client re-attaches wherever the token landed.
-			resumeToken, resumeAddr = s.parkEnvelope(id, env)
-			break
+			end.token, end.addr = s.parkEnvelope(req.id, env)
+			return end
 		}
-		preemptions++
-		s.met.preempted()
+		end.preemptions++
+		s.met.inc(&s.met.preemptions)
 		// Spool before giving anything up: if the process dies while this
 		// request is parked in the queue, the checkpoint survives.
 		tok, perr := s.spool.Put(env)
 		if perr != nil {
-			s.log.Warn("preempt checkpoint not spooled; held in memory only", "id", id, "err", perr)
+			s.log.Warn("preempt checkpoint not spooled; held in memory only", "id", req.id, "err", perr)
 		}
-		s.unreserve(est)
-		memHeld = false
-		grant.Release()
-		grant = nil
-		s.log.Info("preempted", "id", id, "tenant", tenant, "delivered", sess.Delivered())
-		g2, qerr := s.queue.AcquireGrant(r.Context(), tenant, weight)
-		if qerr != nil {
+		adm.release()
+		s.log.Info("preempted", "id", req.id, "tenant", req.tenant, "delivered", adm.sess.Delivered())
+		if !adm.reclaim(reqCtx, req) {
 			// Could not get back in (drain, full queue, disconnect): hand
 			// the client its token; the checkpoint stays spooled.
-			resumeToken, preempted = tok, true
-			break
+			end.token, end.preempted = tok, true
+			return end
 		}
-		grant = g2
-		if !s.reserve(est) {
-			resumeToken, preempted = tok, true
-			break
-		}
-		memHeld = true
 		if tok != "" {
 			// The session continues here; reclaim the safety copy.
 			s.spool.Take(tok)
 		}
-		ck2, derr := sampling.DecodeCheckpoint(env)
+		ck, derr := sampling.DecodeCheckpoint(env)
 		if derr == nil {
-			sess, derr = prob.RestoreSession(ck2, s.cfg.Device)
+			adm.sess, derr = prob.RestoreSession(ck, s.cfg.Device)
 		}
 		if derr != nil {
-			serr = fmt.Errorf("preemption restore: %w", derr)
-			break
+			end.err = fmt.Errorf("preemption restore: %w", derr)
+			return end
 		}
 	}
-
-	drained := s.sessCtx.Err() != nil && st.Timeout
-	// A drained stream parks its full state — on a peer when one will
-	// adopt it, in the local spool otherwise — and hands the client a
-	// resume token on the summary line: the drain preserved the session
-	// instead of discarding it, so nothing is lost across the restart.
-	if drained && serr == nil && resumeToken == "" {
-		if env, cerr := sess.Checkpoint(); cerr != nil {
-			s.log.Warn("drain checkpoint failed", "id", id, "err", cerr)
-		} else {
-			resumeToken, resumeAddr = s.parkEnvelope(id, env)
-		}
-	}
-	outcome := outcomeOK
-	if serr != nil {
-		outcome = outcomeStreamErr
-	} else {
-		_ = writeLine(doneLine{
-			Type: "done", Unique: st.Unique, Delivered: delivered,
-			ProjectedVars: projVars, Calls: st.Calls,
-			ElapsedMS: float64(st.Elapsed.Microseconds()) / 1e3,
-			SolPerSec: st.Throughput(), Timeout: st.Timeout,
-			Exhausted: st.Exhausted, Drained: drained,
-			Resume: resumeToken, ResumeAddr: resumeAddr,
-			Preempted: preempted, Preemptions: preemptions,
-		})
-	}
-	if projVars > 0 {
-		s.met.projectedRequest()
-	}
-	s.met.request(outcome)
-	s.log.Info("sample", "id", id, "tenant", tenant, "key", short(prob.Key()),
-		"target", target, "projected", projVars, "unique", st.Unique, "delivered", delivered,
-		"queue_ms", queueWait.Milliseconds(), "elapsed_ms", st.Elapsed.Milliseconds(),
-		"total_ms", time.Since(t0).Milliseconds(), "timeout", st.Timeout,
-		"exhausted", st.Exhausted, "drained", drained, "resumed", ck != nil,
-		"preemptions", preemptions, "handed_off", resumeAddr != "",
-		"checkpointed", resumeToken != "", "outcome", outcome)
 }
 
 // handleHealthz reports liveness plus the capacity hints peers use to pick
