@@ -26,6 +26,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/extract"
 	"repro/internal/harness"
+	"repro/internal/sampling"
 	"repro/internal/tensor"
 )
 
@@ -68,7 +69,7 @@ func BenchmarkTable2(b *testing.B) {
 			total := 0
 			for i := 0; i < b.N; i++ {
 				s := baselines.NewCMSGenLike(in.Formula, int64(i+1))
-				st := s.Sample(500, 5*time.Second)
+				st := sampling.SampleUntil(s, 500, 5*time.Second)
 				total += st.Unique
 			}
 			b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "sol/s")
@@ -77,7 +78,7 @@ func BenchmarkTable2(b *testing.B) {
 			total := 0
 			for i := 0; i < b.N; i++ {
 				s := baselines.NewDiffSampler(in.Formula, int64(i+1), tensor.Parallel())
-				st := s.Sample(500, 5*time.Second)
+				st := sampling.SampleUntil(s, 500, 5*time.Second)
 				total += st.Unique
 			}
 			b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "sol/s")
@@ -86,7 +87,7 @@ func BenchmarkTable2(b *testing.B) {
 			total := 0
 			for i := 0; i < b.N; i++ {
 				s := baselines.NewUniGenLike(in.Formula, int64(i+1)).WithSamplingSet(in.Enc.InputVar)
-				st := s.Sample(100, 5*time.Second)
+				st := sampling.SampleUntil(s, 100, 5*time.Second)
 				total += st.Unique
 			}
 			b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "sol/s")

@@ -316,11 +316,11 @@ func buildSampler(f *cnf.Formula, kind string, cfg sampling.SessionConfig, verbo
 	case "diff":
 		d := baselines.NewDiffSampler(f, cfg.Seed, cfg.Device)
 		d.BatchSize = cfg.BatchSize
-		return sampling.Wrap(d), nil
+		return d, nil
 	case "cmsgen":
-		return sampling.Wrap(baselines.NewCMSGenLike(f, cfg.Seed)), nil
+		return baselines.NewCMSGenLike(f, cfg.Seed), nil
 	case "unigen":
-		return sampling.Wrap(baselines.NewUniGenLike(f, cfg.Seed)), nil
+		return baselines.NewUniGenLike(f, cfg.Seed), nil
 	default:
 		return nil, fmt.Errorf("unknown sampler %q", kind)
 	}

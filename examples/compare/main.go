@@ -47,9 +47,9 @@ func main() {
 
 	samplers := []sampling.Sampler{
 		ours,
-		sampling.Wrap(baselines.NewUniGenLike(in.Formula, 1).WithSamplingSet(in.Enc.InputVar)),
-		sampling.Wrap(baselines.NewCMSGenLike(in.Formula, 1)),
-		sampling.Wrap(baselines.NewDiffSampler(in.Formula, 1, dev)),
+		baselines.NewUniGenLike(in.Formula, 1).WithSamplingSet(in.Enc.InputVar),
+		baselines.NewCMSGenLike(in.Formula, 1),
+		baselines.NewDiffSampler(in.Formula, 1, dev),
 	}
 
 	ctx := context.Background()

@@ -23,6 +23,7 @@ import (
 	"repro/internal/extract"
 	"repro/internal/logic"
 	"repro/internal/metrics"
+	"repro/internal/sampling"
 	"repro/internal/tensor"
 )
 
@@ -100,8 +101,8 @@ func main() {
 	})
 
 	// Baselines: repeated draws, projected to the inputs.
-	project := func(s baselines.Sampler) [][]bool {
-		s.Sample(samples, timeout)
+	project := func(s sampling.Sampler) [][]bool {
+		sampling.SampleUntil(s, samples, timeout)
 		var out [][]bool
 		for _, m := range s.Solutions() {
 			out = append(out, cnf.Project(m, enc.InputVar[:nInputs]))

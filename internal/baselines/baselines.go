@@ -14,46 +14,82 @@
 //     so its per-iteration cost scales with CNF literals instead of the
 //     reduced multi-level function.
 //
-// All three return verified, deduplicated full CNF assignments so
-// throughput numbers are directly comparable with the core sampler's.
+// All three implement sampling.Sampler and return verified, deduplicated
+// full CNF assignments, so throughput numbers are directly comparable with
+// the core sampler's.
 package baselines
 
 import (
+	"context"
 	"time"
 
 	"repro/internal/bitblast"
 	"repro/internal/cnf"
+	"repro/internal/sampling"
 )
 
-// Stats reports a sampling run.
-type Stats struct {
-	Unique    int           // distinct models found
-	Calls     int           // solver invocations or GD rounds
-	Elapsed   time.Duration // wall-clock sampling time
-	Timeout   bool          // stopped by deadline before reaching target
-	Exhausted bool          // solution space provably exhausted
+// driver is the state and Stream loop the three baselines share: the
+// dedup pool, the unified stats, and the delivery cursor over the pool.
+type driver struct {
+	pool      *pool
+	stats     sampling.Stats
+	delivered int // pool models already handed to a sink
 }
 
-// Throughput returns unique solutions per second.
-func (s Stats) Throughput() float64 {
-	if s.Elapsed <= 0 {
-		return 0
+// Stats returns the sampler's accumulated stats.
+func (d *driver) Stats() sampling.Stats { return d.stats }
+
+// Solutions implements sampling.Sampler. Rows are copies: mutating them
+// cannot corrupt the dedup pool.
+func (d *driver) Solutions() [][]bool {
+	out := make([][]bool, len(d.pool.sols))
+	for i, sol := range d.pool.sols {
+		out[i] = append([]bool(nil), sol...)
 	}
-	return float64(s.Unique) / s.Elapsed.Seconds()
+	return out
 }
 
-// Sampler is the common driver interface implemented by every baseline and
-// by the core-sampler adapter in the harness.
-type Sampler interface {
-	// Name identifies the sampler in reports.
-	Name() string
-	// Sample gathers up to target unique solutions within the timeout
-	// (timeout <= 0 means unbounded) and returns run statistics. Solutions
-	// accumulate across calls and are retrievable via Solutions.
-	Sample(target int, timeout time.Duration) Stats
-	// Solutions returns the distinct models found so far as dense
-	// assignments over the formula's variables.
-	Solutions() [][]bool
+// stream is the sampling.Sampler Stream loop: until target models exist
+// (target <= 0: unbounded) it checks ctx, runs one step — a solve, a
+// cell, a GD round — and hands the models the step added to sink. step
+// reports whether the sampler is done (exhausted or given up), setting
+// Stats.Exhausted itself. Elapsed counts step time only, not time spent
+// in the sink.
+func (d *driver) stream(ctx context.Context, target int, sink sampling.Sink, step func() bool) (sampling.Stats, error) {
+	// Timeout/Exhausted describe how *this* call ended, not a prior one.
+	d.stats.Timeout, d.stats.Exhausted = false, false
+	// Deliver the backlog a previous nil-sink call collected first.
+	err := d.flush(sink)
+	for err == nil && (target <= 0 || d.pool.size() < target) {
+		if ctx.Err() != nil {
+			d.stats.Timeout = true
+			break
+		}
+		start := time.Now()
+		done := step()
+		d.stats.Elapsed += time.Since(start)
+		d.stats.Unique = d.pool.size()
+		if err = d.flush(sink); done {
+			break
+		}
+	}
+	err = sampling.SinkError(err, &d.stats)
+	return d.stats, err
+}
+
+// flush hands sink the pool models added since the last flush.
+func (d *driver) flush(sink sampling.Sink) error {
+	if sink == nil {
+		return nil
+	}
+	for d.delivered < d.pool.size() {
+		sol := append([]bool(nil), d.pool.sols[d.delivered]...)
+		d.delivered++
+		if err := sink(sol); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // pool deduplicates models. Dedup keys are 64-bit SplitMix64 hashes of

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/cnf"
+	"repro/internal/sampling"
 	"repro/internal/sat"
 	"repro/internal/tensor"
 )
@@ -39,12 +40,12 @@ const andGate = "p cnf 3 4\n3 -1 -2 0\n-3 1 0\n-3 2 0\n3 0\n"
 
 const unsat = "p cnf 1 2\n1 0\n-1 0\n"
 
-func checkSampler(t *testing.T, name string, mk func(*cnf.Formula) Sampler) {
+func checkSampler(t *testing.T, name string, mk func(*cnf.Formula) sampling.Sampler) {
 	t.Helper()
 	t.Run(name+"/finds-all-or3", func(t *testing.T) {
 		f := mustParse(t, or3)
 		s := mk(f)
-		st := s.Sample(7, 10*time.Second)
+		st := sampling.SampleUntil(s, 7, 10*time.Second)
 		if st.Unique != 7 {
 			t.Errorf("unique = %d want 7", st.Unique)
 		}
@@ -63,7 +64,7 @@ func checkSampler(t *testing.T, name string, mk func(*cnf.Formula) Sampler) {
 	t.Run(name+"/single-model", func(t *testing.T) {
 		f := mustParse(t, andGate)
 		s := mk(f)
-		st := s.Sample(5, 10*time.Second)
+		st := sampling.SampleUntil(s, 5, 10*time.Second)
 		if st.Unique != 1 {
 			t.Errorf("unique = %d want 1", st.Unique)
 		}
@@ -71,7 +72,7 @@ func checkSampler(t *testing.T, name string, mk func(*cnf.Formula) Sampler) {
 	t.Run(name+"/unsat", func(t *testing.T) {
 		f := mustParse(t, unsat)
 		s := mk(f)
-		st := s.Sample(3, 5*time.Second)
+		st := sampling.SampleUntil(s, 3, 5*time.Second)
 		if st.Unique != 0 {
 			t.Errorf("unique = %d want 0 on unsat", st.Unique)
 		}
@@ -79,7 +80,7 @@ func checkSampler(t *testing.T, name string, mk func(*cnf.Formula) Sampler) {
 	t.Run(name+"/stats", func(t *testing.T) {
 		f := mustParse(t, or3)
 		s := mk(f)
-		st := s.Sample(3, 10*time.Second)
+		st := sampling.SampleUntil(s, 3, 10*time.Second)
 		if st.Calls == 0 {
 			t.Error("no calls recorded")
 		}
@@ -93,18 +94,17 @@ func checkSampler(t *testing.T, name string, mk func(*cnf.Formula) Sampler) {
 }
 
 func TestCMSGenLike(t *testing.T) {
-	checkSampler(t, "cmsgen", func(f *cnf.Formula) Sampler { return NewCMSGenLike(f, 1) })
+	checkSampler(t, "cmsgen", func(f *cnf.Formula) sampling.Sampler { return NewCMSGenLike(f, 1) })
 }
 
 func TestUniGenLike(t *testing.T) {
-	checkSampler(t, "unigen", func(f *cnf.Formula) Sampler { return NewUniGenLike(f, 1) })
+	checkSampler(t, "unigen", func(f *cnf.Formula) sampling.Sampler { return NewUniGenLike(f, 1) })
 }
 
 func TestDiffSampler(t *testing.T) {
-	checkSampler(t, "diffsampler", func(f *cnf.Formula) Sampler {
+	checkSampler(t, "diffsampler", func(f *cnf.Formula) sampling.Sampler {
 		d := NewDiffSampler(f, 1, tensor.Sequential())
 		d.BatchSize = 64
-		d.alloc()
 		return d
 	})
 }
@@ -164,18 +164,17 @@ func TestSamplersOnRandomSatInstances(t *testing.T) {
 			}
 			f.AddClause(c...)
 		}
-		samplers := []Sampler{
+		samplers := []sampling.Sampler{
 			NewCMSGenLike(f, int64(trial)),
 			NewUniGenLike(f, int64(trial)),
-			func() Sampler {
+			func() sampling.Sampler {
 				d := NewDiffSampler(f, int64(trial), tensor.Sequential())
 				d.BatchSize = 64
-				d.alloc()
 				return d
 			}(),
 		}
 		for _, s := range samplers {
-			st := s.Sample(5, 10*time.Second)
+			st := sampling.SampleUntil(s, 5, 10*time.Second)
 			if st.Unique == 0 {
 				t.Errorf("trial %d: %s found nothing on a satisfiable instance", trial, s.Name())
 			}
@@ -194,7 +193,7 @@ func TestUniGenUniformitySmoke(t *testing.T) {
 	// 4 free variables, one clause excluding all-false: 15 models.
 	f := mustParse(t, "p cnf 4 1\n1 2 3 4 0\n")
 	u := NewUniGenLike(f, 99)
-	st := u.Sample(15, 20*time.Second)
+	st := sampling.SampleUntil(u, 15, 20*time.Second)
 	if st.Unique < 12 {
 		t.Errorf("unigen-like covered only %d/15 models", st.Unique)
 	}
@@ -205,7 +204,7 @@ func TestCMSGenDiversity(t *testing.T) {
 	// with a huge solution space.
 	f := mustParse(t, "p cnf 8 1\n1 2 0\n")
 	c := NewCMSGenLike(f, 7)
-	st := c.Sample(40, 20*time.Second)
+	st := sampling.SampleUntil(c, 40, 20*time.Second)
 	if st.Unique < 20 {
 		t.Errorf("cmsgen-like found only %d models", st.Unique)
 	}

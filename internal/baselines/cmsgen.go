@@ -1,12 +1,15 @@
 package baselines
 
 import (
+	"context"
 	"math/rand"
-	"time"
 
 	"repro/internal/cnf"
+	"repro/internal/sampling"
 	"repro/internal/sat"
 )
+
+var _ sampling.Sampler = (*CMSGenLike)(nil)
 
 // CMSGenLike samples by repeated randomized CDCL descents: every decision
 // takes a random polarity and initial activities are perturbed, so each
@@ -14,70 +17,50 @@ import (
 // maximize sampling speed by reusing a tuned CDCL solver with randomized
 // heuristics, with no uniformity guarantee.
 type CMSGenLike struct {
-	formula *cnf.Formula
-	solver  *sat.Solver
-	pool    *pool
-	stats   Stats
-	rng     *rand.Rand
+	driver
+	solver *sat.Solver
 }
 
 // NewCMSGenLike builds the sampler; seed controls the randomized descents.
 func NewCMSGenLike(f *cnf.Formula, seed int64) *CMSGenLike {
-	rng := rand.New(rand.NewSource(seed))
 	return &CMSGenLike{
-		formula: f,
+		driver: driver{pool: newPool(f)},
 		solver: sat.NewSolver(f, sat.Options{
-			Rand:              rng,
+			Rand:              rand.New(rand.NewSource(seed)),
 			RandomPolarity:    true,
 			RandomizeActivity: true,
 		}),
-		pool: newPool(f),
-		rng:  rng,
 	}
 }
 
-// Name implements Sampler.
+// Name implements sampling.Sampler.
 func (c *CMSGenLike) Name() string { return "cmsgen-like" }
 
-// Solutions implements Sampler.
-func (c *CMSGenLike) Solutions() [][]bool { return c.pool.sols }
-
-// Sample implements Sampler.
-func (c *CMSGenLike) Sample(target int, timeout time.Duration) Stats {
-	start := time.Now()
-	deadline := time.Time{}
-	if timeout > 0 {
-		deadline = start.Add(timeout)
-	}
+// Stream implements sampling.Sampler: one randomized descent per step.
+func (c *CMSGenLike) Stream(ctx context.Context, target int, sink sampling.Sink) (sampling.Stats, error) {
 	stale := 0
-	for c.pool.size() < target {
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			c.stats.Timeout = true
-			break
-		}
+	return c.stream(ctx, target, sink, func() bool {
 		c.stats.Calls++
 		verdict := c.solver.Solve()
 		if verdict == sat.Unsat {
 			c.stats.Exhausted = c.pool.size() > 0 || c.stats.Calls == 1
-			break
+			return true
 		}
 		if verdict != sat.Sat {
-			break
+			return true
 		}
 		if c.pool.add(c.solver.Model()) {
 			stale = 0
-		} else {
-			stale++
-			// Random descents revisit models on skewed spaces; a long
-			// duplicate streak means the reachable set is effectively
-			// exhausted for this heuristic.
-			if stale > 256 {
-				c.stats.Exhausted = true
-				break
-			}
+			return false
 		}
-	}
-	c.stats.Unique = c.pool.size()
-	c.stats.Elapsed += time.Since(start)
-	return c.stats
+		// Random descents revisit models on skewed spaces; a long
+		// duplicate streak means the reachable set is effectively
+		// exhausted for this heuristic.
+		stale++
+		if stale > 256 {
+			c.stats.Exhausted = true
+			return true
+		}
+		return false
+	})
 }

@@ -1,11 +1,14 @@
 package baselines
 
 import (
-	"time"
+	"context"
 
 	"repro/internal/cnf"
+	"repro/internal/sampling"
 	"repro/internal/tensor"
 )
+
+var _ sampling.Sampler = (*DiffSampler)(nil)
 
 // DiffSampler performs gradient descent directly on the flat CNF, the
 // approach of the DiffSampler line of work: every variable v gets a soft
@@ -16,11 +19,11 @@ import (
 // total literal count of the CNF rather than the reduced multi-level
 // function — exactly the gap the paper's transformation removes.
 type DiffSampler struct {
+	driver
 	formula *cnf.Formula
-	pool    *pool
-	stats   Stats
 
-	// BatchSize, Iterations, LearningRate, InitRange mirror core.Config.
+	// BatchSize, Iterations, LearningRate, InitRange mirror core.Config;
+	// they may be changed between Stream calls.
 	BatchSize    int
 	Iterations   int
 	LearningRate float32
@@ -41,9 +44,9 @@ type DiffSampler struct {
 // intermediate Tseitin variable into consistency, which needs several times
 // more iterations — this gap is part of the paper's reported advantage.
 func NewDiffSampler(f *cnf.Formula, seed int64, dev tensor.Device) *DiffSampler {
-	d := &DiffSampler{
+	return &DiffSampler{
+		driver:       driver{pool: newPool(f)},
 		formula:      f,
-		pool:         newPool(f),
 		BatchSize:    1024,
 		Iterations:   20,
 		LearningRate: 10,
@@ -51,8 +54,6 @@ func NewDiffSampler(f *cnf.Formula, seed int64, dev tensor.Device) *DiffSampler 
 		Device:       dev,
 		Seed:         seed,
 	}
-	d.alloc()
-	return d
 }
 
 func (d *DiffSampler) alloc() {
@@ -63,45 +64,33 @@ func (d *DiffSampler) alloc() {
 	d.hard = make([]bool, d.BatchSize*n)
 }
 
-// Name implements Sampler.
+// Name implements sampling.Sampler.
 func (d *DiffSampler) Name() string { return "diffsampler" }
 
-// Solutions implements Sampler.
-func (d *DiffSampler) Solutions() [][]bool { return d.pool.sols }
-
-// Sample implements Sampler.
-func (d *DiffSampler) Sample(target int, timeout time.Duration) Stats {
-	start := time.Now()
-	deadline := time.Time{}
-	if timeout > 0 {
-		deadline = start.Add(timeout)
+// Stream implements sampling.Sampler: one GD round over the batch per
+// step. The matrices are (re)allocated here, so a BatchSize set after
+// construction takes effect.
+func (d *DiffSampler) Stream(ctx context.Context, target int, sink sampling.Sink) (sampling.Stats, error) {
+	if d.vmat == nil || d.vmat.Rows != d.BatchSize {
+		d.alloc()
 	}
 	stale := 0
-	for d.pool.size() < target {
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			d.stats.Timeout = true
-			break
-		}
+	return d.stream(ctx, target, sink, func() bool {
 		gained := d.roundOnce()
 		d.stats.Calls++
-		if gained == 0 {
-			stale++
-			if stale >= 64 && d.pool.size() > 0 {
-				d.stats.Exhausted = true
-				break
-			}
-			// A GD sampler can also simply fail to converge on an instance;
-			// give up eventually even with zero solutions.
-			if stale >= 256 {
-				break
-			}
-		} else {
+		if gained > 0 {
 			stale = 0
+			return false
 		}
-	}
-	d.stats.Unique = d.pool.size()
-	d.stats.Elapsed += time.Since(start)
-	return d.stats
+		stale++
+		if stale >= 64 && d.pool.size() > 0 {
+			d.stats.Exhausted = true
+			return true
+		}
+		// A GD sampler can also simply fail to converge on an instance;
+		// give up eventually even with zero solutions.
+		return stale >= 256
+	})
 }
 
 // roundOnce runs one GD round and folds verified unique models.

@@ -1,12 +1,15 @@
 package baselines
 
 import (
+	"context"
 	"math/rand"
-	"time"
 
 	"repro/internal/cnf"
+	"repro/internal/sampling"
 	"repro/internal/sat"
 )
+
+var _ sampling.Sampler = (*UniGenLike)(nil)
 
 // UniGenLike is a hashing-based almost-uniform sampler in the UniGen3
 // style: random XOR constraints over a sampling set split the solution
@@ -16,9 +19,8 @@ import (
 // dominant cost — many CDCL calls per emitted sample, on XOR-augmented
 // formulas — is the cost profile the paper compares against.
 type UniGenLike struct {
+	driver
 	formula *cnf.Formula
-	pool    *pool
-	stats   Stats
 	rng     *rand.Rand
 
 	// Pivot is the target cell size (UniGen uses ~20-70). Default 32.
@@ -45,8 +47,8 @@ type UniGenLike struct {
 // NewUniGenLike builds the sampler; seed drives hash selection.
 func NewUniGenLike(f *cnf.Formula, seed int64) *UniGenLike {
 	return &UniGenLike{
+		driver:      driver{pool: newPool(f)},
 		formula:     f,
-		pool:        newPool(f),
 		rng:         rand.New(rand.NewSource(seed)),
 		Pivot:       32,
 		MaxXorWidth: 12,
@@ -70,41 +72,25 @@ func (u *UniGenLike) samplingVars() []int {
 	return all
 }
 
-// Name implements Sampler.
+// Name implements sampling.Sampler.
 func (u *UniGenLike) Name() string { return "unigen3-like" }
 
-// Solutions implements Sampler.
-func (u *UniGenLike) Solutions() [][]bool { return u.pool.sols }
-
-// Sample implements Sampler.
-func (u *UniGenLike) Sample(target int, timeout time.Duration) Stats {
-	start := time.Now()
-	deadline := time.Time{}
-	if timeout > 0 {
-		deadline = start.Add(timeout)
-	}
+// Stream implements sampling.Sampler: one hashed cell per step.
+func (u *UniGenLike) Stream(ctx context.Context, target int, sink sampling.Sink) (sampling.Stats, error) {
 	if !u.initialized {
 		// Seed the hash count the way UniGen3 seeds it from an ApproxMC
 		// model-count estimate: the solution count is at most 2^|S| over the
 		// sampling set, and gate-style instances sit within a few output
 		// bits of that, so start a little below |S| − log2(pivot) and let
 		// the galloping search correct in both directions.
-		est := len(u.samplingVars()) - 12
-		if est < 0 {
-			est = 0
-		}
-		u.hashes = est
+		u.hashes = max(len(u.samplingVars())-12, 0)
 		u.initialized = true
 	}
 	emptyStreak := 0
 	staleStreak := 0
 	hardStreak := 0
-	for u.pool.size() < target {
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			u.stats.Timeout = true
-			break
-		}
-		models, full, hard := u.enumerateCell(deadline)
+	return u.stream(ctx, target, sink, func() bool {
+		models, full, hard := u.enumerateCell(ctx)
 		if hard {
 			// The cell's XOR system exhausted the conflict budget: resample
 			// hashes at the same count a few times, then back off.
@@ -113,7 +99,7 @@ func (u *UniGenLike) Sample(target int, timeout time.Duration) Stats {
 				u.hashes--
 				hardStreak = 0
 			}
-			continue
+			return false
 		}
 		hardStreak = 0
 		switch {
@@ -122,9 +108,7 @@ func (u *UniGenLike) Sample(target int, timeout time.Duration) Stats {
 			// decrement doubles while cells stay empty (galloping down).
 			if u.hashes == 0 {
 				u.stats.Exhausted = true
-				u.stats.Unique = u.pool.size()
-				u.stats.Elapsed += time.Since(start)
-				return u.stats
+				return true
 			}
 			if u.downStep < 1 {
 				u.downStep = 1
@@ -140,11 +124,9 @@ func (u *UniGenLike) Sample(target int, timeout time.Duration) Stats {
 			emptyStreak++
 			if emptyStreak > 32 {
 				u.stats.Exhausted = true
-				u.stats.Unique = u.pool.size()
-				u.stats.Elapsed += time.Since(start)
-				return u.stats
+				return true
 			}
-			continue
+			return false
 		case full:
 			// Overfull cell: add hashes to split further. The increment
 			// doubles while cells stay overfull (an ApproxMC-style galloping
@@ -159,7 +141,7 @@ func (u *UniGenLike) Sample(target int, timeout time.Duration) Stats {
 			}
 			u.downStep = 1
 			emptyStreak = 0
-			continue
+			return false
 		}
 		emptyStreak = 0
 		u.downStep = 1
@@ -170,7 +152,7 @@ func (u *UniGenLike) Sample(target int, timeout time.Duration) Stats {
 				u.pool.add(m)
 			}
 			u.stats.Exhausted = true
-			break
+			return true
 		}
 		u.step = 1
 		// Cell within pivot: emit a random half of the cell (UniGen emits a
@@ -183,19 +165,17 @@ func (u *UniGenLike) Sample(target int, timeout time.Duration) Stats {
 				gained++
 			}
 		}
-		if gained == 0 {
-			staleStreak++
-			if staleStreak > 64 {
-				u.stats.Exhausted = true
-				break
-			}
-		} else {
+		if gained > 0 {
 			staleStreak = 0
+			return false
 		}
-	}
-	u.stats.Unique = u.pool.size()
-	u.stats.Elapsed += time.Since(start)
-	return u.stats
+		staleStreak++
+		if staleStreak > 64 {
+			u.stats.Exhausted = true
+			return true
+		}
+		return false
+	})
 }
 
 // enumerateCell builds formula ∧ (hashes random XORs) and enumerates up to
@@ -203,7 +183,7 @@ func (u *UniGenLike) Sample(target int, timeout time.Duration) Stats {
 // capability UniGen3 gets from CryptoMiniSat) rather than CNF ladders.
 // full reports that the cell exceeded the pivot; hard reports that a solve
 // exhausted its conflict budget.
-func (u *UniGenLike) enumerateCell(deadline time.Time) (models [][]bool, full, hard bool) {
+func (u *UniGenLike) enumerateCell(ctx context.Context) (models [][]bool, full, hard bool) {
 	solver := sat.NewSolver(u.formula, sat.Options{Rand: u.rng, RandomPolarity: true, MaxConflicts: 50000})
 	for i := 0; i < u.hashes; i++ {
 		vars, rhs := u.randomXor()
@@ -218,7 +198,7 @@ func (u *UniGenLike) enumerateCell(deadline time.Time) (models [][]bool, full, h
 		}
 	}
 	for len(models) <= u.Pivot {
-		if !deadline.IsZero() && time.Now().After(deadline) {
+		if ctx.Err() != nil {
 			break
 		}
 		u.stats.Calls++

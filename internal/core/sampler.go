@@ -24,7 +24,8 @@ type Config struct {
 	LearningRate float32
 	// Seed seeds the input initialization; rounds advance the stream.
 	Seed int64
-	// Device selects sequential or data-parallel execution.
+	// Device selects sequential or data-parallel execution. The zero
+	// Device runs on one worker.
 	Device tensor.Device
 	// InitRange bounds the uniform initialization of the soft inputs V in
 	// [-InitRange, +InitRange]. Default 2.
@@ -80,9 +81,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.InitRange == 0 {
 		c.InitRange = 2
-	}
-	if c.Device.Workers() < 1 {
-		c.Device = tensor.Sequential()
 	}
 	if c.MaxAge <= 0 {
 		c.MaxAge = 3 * c.Iterations

@@ -1,6 +1,6 @@
 // Package harness drives the paper's experiments end to end: it wires the
-// benchmark generator, the sampling service layer (compile cache, sessions,
-// baseline wrappers) and the renderers together and produces the rows/series
+// benchmark generator, the sampling service layer (compile cache, sessions),
+// the baseline samplers and the renderers together and produces the rows/series
 // the paper reports — Table II (throughput), Fig. 2 (latency vs unique
 // solutions), Fig. 3 (learning dynamics and memory) and Fig. 4 (device
 // ablation, ops reduction, transformation time).
@@ -58,7 +58,7 @@ func (o RunOptions) withDefaults() RunOptions {
 	if o.Timeout <= 0 {
 		o.Timeout = 10 * time.Second
 	}
-	if o.Device.Workers() < 1 {
+	if o.Device == (tensor.Device{}) {
 		o.Device = tensor.Parallel()
 	}
 	if o.MemoryBudget <= 0 {
@@ -95,16 +95,16 @@ func NewCoreSession(f *cnf.Formula, opt RunOptions) (*sampling.Session, error) {
 	return p.NewSession(opt.sessionConfig())
 }
 
-// buildBaselines constructs the three comparison samplers for an instance,
-// wrapped onto the unified streaming interface. The UniGen-style sampler
+// buildBaselines constructs the three comparison samplers for an instance;
+// each implements the unified streaming interface. The UniGen-style sampler
 // receives the instance's input variables as its sampling set, matching
 // the independent-support annotations the real tool consumes on the Meel
 // benchmark suite.
 func buildBaselines(in *benchgen.Instance, opt RunOptions) []sampling.Sampler {
 	return []sampling.Sampler{
-		sampling.Wrap(baselines.NewUniGenLike(in.Formula, opt.Seed).WithSamplingSet(in.Enc.InputVar)),
-		sampling.Wrap(baselines.NewCMSGenLike(in.Formula, opt.Seed)),
-		sampling.Wrap(baselines.NewDiffSampler(in.Formula, opt.Seed, opt.Device)),
+		baselines.NewUniGenLike(in.Formula, opt.Seed).WithSamplingSet(in.Enc.InputVar),
+		baselines.NewCMSGenLike(in.Formula, opt.Seed),
+		baselines.NewDiffSampler(in.Formula, opt.Seed, opt.Device),
 	}
 }
 
@@ -344,7 +344,7 @@ func RunFig4(ctx context.Context, instances []*benchgen.Instance, opt RunOptions
 }
 
 // SchedRow is the scheduler ablation for one instance: the continuous-batch
-// scheduler versus the round-synchronous compatibility mode, sessions over
+// scheduler versus the paper's round-synchronous loop, core samplers over
 // the same compiled problem with the same seed and batch.
 type SchedRow struct {
 	Instance    string
@@ -361,9 +361,11 @@ type SchedRow struct {
 
 // RunSched measures the continuous-batch scheduler against the
 // round-synchronous loop on the given instances (the PR's before/after
-// ablation, and the CI smoke check's data source). Both arms share one
-// compiled problem; Repeats > 1 keeps the best arm of each mode, damping
-// scheduler-independent noise on small instances.
+// ablation, and the CI smoke check's data source). Both arms run
+// core.Sampler.SampleUntil over one compiled problem at the batch a
+// session would pick under the memory budget; Repeats > 1 keeps the best
+// arm of each mode, damping scheduler-independent noise on small
+// instances. Cancellation is honoured between runs.
 func RunSched(ctx context.Context, instances []*benchgen.Instance, repeats int, opt RunOptions) []SchedRow {
 	opt = opt.withDefaults()
 	if repeats < 1 {
@@ -378,31 +380,30 @@ func RunSched(ctx context.Context, instances []*benchgen.Instance, repeats int, 
 		if err != nil {
 			continue
 		}
-		measure := func(roundMode bool, seed int64) (sampling.Stats, core.Stats) {
-			cfg := opt.sessionConfig()
-			cfg.Seed = seed
-			cfg.RoundMode = roundMode
-			s, serr := p.NewSession(cfg)
-			if serr != nil {
-				return sampling.Stats{}, core.Stats{}
+		batch := p.BatchFor(opt.sessionConfig())
+		measure := func(roundMode bool, seed int64) core.Stats {
+			s, serr := p.Core().NewSampler(core.Config{
+				BatchSize: batch, Seed: seed, Device: opt.Device, RoundMode: roundMode,
+			})
+			if serr != nil || ctx.Err() != nil {
+				return core.Stats{}
 			}
-			st := sampleOnce(ctx, s, opt.Target, opt.Timeout)
-			return st, s.Core().Stats()
+			return s.SampleUntil(opt.Target, opt.Timeout)
 		}
 		row := SchedRow{Instance: in.Name}
 		for rep := 0; rep < repeats; rep++ {
 			seed := opt.Seed + int64(rep)
-			if cst, ccore := measure(false, seed); cst.Throughput() > row.ContSolS {
+			if cst := measure(false, seed); cst.Throughput() > row.ContSolS {
 				row.ContSolS = cst.Throughput()
 				row.ContUnique = cst.Unique
-				row.ContIters = ccore.Iterations
-				row.Retired = ccore.Retired
-				row.Stalled = ccore.Stalled
+				row.ContIters = cst.Iterations
+				row.Retired = cst.Retired
+				row.Stalled = cst.Stalled
 			}
-			if rst, rcore := measure(true, seed); rst.Throughput() > row.RoundSolS {
+			if rst := measure(true, seed); rst.Throughput() > row.RoundSolS {
 				row.RoundSolS = rst.Throughput()
 				row.RoundUnique = rst.Unique
-				row.RoundIters = rcore.Iterations
+				row.RoundIters = rst.Iterations
 			}
 		}
 		if row.RoundSolS > 0 {

@@ -16,7 +16,11 @@ package sampling
 //	| str formula (DIMACS) | [v2: bytes assumptions] | bytes core snapshot
 //	| sha256 digest
 //
-// where str/bytes are u32 length + payload. Version 1 is the
+// where str/bytes are u32 length + payload. The stale field is always 0:
+// it carried the zero-gain round counter of round-mode sessions, which no
+// longer exist, and stays in the layout so continuous-session envelopes
+// keep their bytes; an envelope with a non-zero stale field or a
+// round-mode snapshot is rejected. Version 1 is the
 // assumption-free envelope; version 2 adds the session's assumption
 // literals (i32 each) between the formula and the snapshot and is only
 // written when the session's problem carries assumptions, so every
@@ -59,7 +63,6 @@ var checkpointMagic = [4]byte{'G', 'D', 'S', 'C'}
 type Checkpoint struct {
 	name      string
 	delivered int
-	stale     int
 	formula   *cnf.Formula
 	assume    []cnf.Lit
 	snap      *core.Snapshot
@@ -123,7 +126,7 @@ func (s *Session) Checkpoint() ([]byte, error) {
 	buf = binary.LittleEndian.AppendUint16(buf, version)
 	buf = appendBlock(buf, []byte(s.name))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(s.delivered))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(s.stale))
+	buf = binary.LittleEndian.AppendUint32(buf, 0) // stale
 	buf = appendBlock(buf, []byte(text))
 	if len(assume) > 0 {
 		lits := make([]byte, 4*len(assume))
@@ -234,13 +237,12 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	if delivered > uint64(snap.UniqueCount()) {
 		return nil, fmt.Errorf("%w: delivered cursor %d exceeds the snapshot's %d solutions", ErrBadCheckpoint, delivered, snap.UniqueCount())
 	}
-	if stale > 1<<20 {
-		return nil, fmt.Errorf("%w: implausible stale counter %d", ErrBadCheckpoint, stale)
+	if stale != 0 || snap.RoundMode() {
+		return nil, fmt.Errorf("%w: round-mode session checkpoint (sessions run only the continuous scheduler)", ErrBadCheckpoint)
 	}
 	return &Checkpoint{
 		name:      string(name),
 		delivered: int(delivered),
-		stale:     int(stale),
 		formula:   f,
 		assume:    assume,
 		snap:      snap,
@@ -273,7 +275,7 @@ func (p *Problem) RestoreSession(ck *Checkpoint, dev tensor.Device) (*Session, e
 		s   *core.Sampler
 		err error
 	)
-	if dev.Workers() == 0 {
+	if dev == (tensor.Device{}) {
 		s, err = core.RestoreSampler(p.core, ck.snap)
 	} else {
 		s, err = core.RestoreSamplerOn(p.core, ck.snap, dev)
@@ -285,9 +287,7 @@ func (p *Problem) RestoreSession(ck *Checkpoint, dev tensor.Device) (*Session, e
 		prob:      p,
 		core:      s,
 		name:      ck.name,
-		roundMode: ck.snap.RoundMode(),
 		delivered: ck.delivered,
-		stale:     ck.stale,
 		stats: Stats{
 			Unique:    s.UniqueCount(),
 			Calls:     0, // per-process driver accounting restarts with the process

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"os"
 	"testing"
 
 	"repro/internal/benchgen"
@@ -49,12 +50,6 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 		{"continuous-7w", suite[1].Formula,
 			SessionConfig{Seed: 5, BatchSize: 192, Device: tensor.ParallelN(7)},
 			tensor.Device{}, 40},
-		{"round-seq", suite[0].Formula,
-			SessionConfig{Seed: 3, BatchSize: 128, Device: tensor.Sequential(), RoundMode: true},
-			tensor.ParallelN(3), 30},
-		{"round-7w", suite[3].Formula,
-			SessionConfig{Seed: 7, BatchSize: 192, Device: tensor.ParallelN(7), RoundMode: true},
-			tensor.Device{}, 30},
 		{"projected", mustParseCk(t, ckptProjDIMACS),
 			SessionConfig{Seed: 9, BatchSize: 128, Device: tensor.Sequential()},
 			tensor.ParallelN(3), 12},
@@ -159,13 +154,13 @@ func (c *countCancelCtx) Err() error {
 }
 
 // TestCheckpointExhaustionResume pins the saturation bookkeeping across a
-// checkpoint: interrupting a round-mode session deep in its zero-gain tail
-// and resuming must exhaust after exactly as many total rounds as the
-// uninterrupted run — i.e. the stale counter rides the envelope instead of
-// restarting, which would stretch the tail by up to 64 wasted rounds.
+// checkpoint: interrupting a session deep in its zero-gain tail and
+// resuming must exhaust after exactly as many total ticks as the
+// uninterrupted run — i.e. the scheduler's saturation guard rides the
+// snapshot instead of restarting, which would stretch the tail.
 func TestCheckpointExhaustionResume(t *testing.T) {
 	f := mustParseCk(t, "p cnf 2 1\n1 2 0\n")
-	cfg := SessionConfig{Seed: 2, BatchSize: 64, Device: tensor.Sequential(), RoundMode: true}
+	cfg := SessionConfig{Seed: 2, BatchSize: 64, Device: tensor.Sequential()}
 	base, err := CompileProblem(f)
 	if err != nil {
 		t.Fatal(err)
@@ -213,7 +208,7 @@ func TestCheckpointExhaustionResume(t *testing.T) {
 			t.Fatalf("cut %d: resumed run did not exhaust: %+v", cutCalls, rst)
 		}
 		if total := cutCalls + rst.Calls; total != refStats.Calls {
-			t.Fatalf("cut %d: interrupted+resumed = %d rounds, uninterrupted = %d (stale counter lost?)",
+			t.Fatalf("cut %d: interrupted+resumed = %d ticks, uninterrupted = %d (saturation guard lost?)",
 				cutCalls, total, refStats.Calls)
 		}
 		if rst.Unique != refStats.Unique {
@@ -221,7 +216,7 @@ func TestCheckpointExhaustionResume(t *testing.T) {
 		}
 	}
 	// A checkpoint taken AT exhaustion resumes straight to done: no extra
-	// rounds, the flag re-reported.
+	// ticks, the flag re-reported.
 	env, err := ref.Checkpoint()
 	if err != nil {
 		t.Fatal(err)
@@ -239,7 +234,7 @@ func TestCheckpointExhaustionResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !rst.Exhausted || rst.Calls != 0 {
-		t.Fatalf("resume at exhaustion ran %d extra rounds (exhausted %v)", rst.Calls, rst.Exhausted)
+		t.Fatalf("resume at exhaustion ran %d extra ticks (exhausted %v)", rst.Calls, rst.Exhausted)
 	}
 }
 
@@ -342,6 +337,37 @@ func TestDecodeCheckpointRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestRestoreZeroDeviceUsesSnapshotWorkers: a zero Device restores on the
+// worker count the snapshot was taken with, as RestoreSession documents.
+func TestRestoreZeroDeviceUsesSnapshotWorkers(t *testing.T) {
+	p, err := CompileProblem(mustParseCk(t, ckptProjDIMACS))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := p.NewSession(SessionConfig{Seed: 1, BatchSize: 64, Device: tensor.ParallelN(3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Stream(context.Background(), 5, nil); err != nil {
+		t.Fatal(err)
+	}
+	env, err := s.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := DecodeCheckpoint(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := p.RestoreSession(ck, tensor.Device{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := restored.Core().Snapshot().Workers(); w != 3 {
+		t.Fatalf("restored on %d workers, want the snapshot's 3", w)
+	}
+}
+
 // TestCheckpointWarmCachePath: Resume through a compiler that already
 // holds the artifact must hit the cache, not recompile.
 func TestCheckpointWarmCachePath(t *testing.T) {
@@ -392,8 +418,12 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		"p cnf 3 2\n1 2 0\n-1 3 0\n", 4)
 	proj := buildSeed(SessionConfig{Seed: 2, BatchSize: 64, Device: tensor.Sequential()},
 		ckptProjDIMACS, 4)
-	round := buildSeed(SessionConfig{Seed: 3, BatchSize: 64, Device: tensor.Sequential(), RoundMode: true},
-		"p cnf 3 2\n1 2 0\n-1 3 0\n", 4)
+	// A round-mode envelope written before sessions lost round mode: it
+	// must now be rejected cleanly.
+	round, err := os.ReadFile("testdata/gdsc_round.ckpt")
+	if err != nil {
+		f.Fatal(err)
+	}
 	fresh := buildSeed(SessionConfig{Seed: 4, BatchSize: 64, Device: tensor.Sequential()},
 		"p cnf 2 1\n1 2 0\n", 0)
 	// v2 envelope: a specialized session's checkpoint carries its

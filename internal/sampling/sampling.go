@@ -11,13 +11,13 @@
 //     with single-flight deduplication, so a service compiles each distinct
 //     CNF once no matter how many requests race on it.
 //   - Session: one lightweight sampling request over a Problem. Sessions
-//     stream verified solutions as each round hardens, honour context
+//     stream verified solutions as each row retires, honour context
 //     cancellation, and keep SampleUntil/Solutions as thin compatibility
 //     wrappers over the streaming path.
 //
-// The Sampler interface unifies sessions with the baseline samplers (via
-// Wrap), so harnesses and CLI tools drive every sampler — streaming,
-// cancellable — through one surface.
+// The Sampler interface unifies sessions with the baseline samplers
+// (package baselines implements it directly), so harnesses and CLI tools
+// drive every sampler — streaming, cancellable — through one surface.
 package sampling
 
 import (
@@ -29,7 +29,7 @@ import (
 // Stats reports a sampling run through the unified interface.
 type Stats struct {
 	Unique    int           // distinct verified solutions found so far
-	Calls     int           // GD rounds or solver invocations
+	Calls     int           // scheduler ticks, GD rounds or solver calls
 	Elapsed   time.Duration // wall-clock time spent sampling (across calls)
 	Timeout   bool          // stopped by context cancellation or deadline
 	Exhausted bool          // reachable solution set exhausted before target
@@ -74,14 +74,14 @@ type Sampler interface {
 	Solutions() [][]bool
 }
 
-// classifySinkErr maps a sink's return value onto Stream's error contract,
+// SinkError maps a sink's return value onto Stream's error contract,
 // shared by every Sampler implementation: Stop and context errors are
 // clean early exits (context errors additionally mark the run cancelled
-// via *timeout), anything else is the caller's error.
-func classifySinkErr(err error, timeout *bool) error {
+// via st.Timeout), anything else is the caller's error.
+func SinkError(err error, st *Stats) error {
 	switch {
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		*timeout = true
+		st.Timeout = true
 		return nil
 	case errors.Is(err, Stop):
 		return nil

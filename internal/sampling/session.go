@@ -70,11 +70,6 @@ type SessionConfig struct {
 	// MaxAge is the continuous scheduler's restart cap, passed through to
 	// core.Config (0 takes core's default of 3×Iterations).
 	MaxAge int
-	// RoundMode drives the session with the paper's round-synchronous loop
-	// instead of the continuous-batch scheduler: solutions deliver at round
-	// barriers and the saturation guard counts zero-gain rounds. Retained
-	// as the compatibility mode and the scheduler's differential baseline.
-	RoundMode bool
 	// Projection lists the CNF variables defining solution identity (the
 	// "c ind"/"p show" sampling set): the session counts and dedups
 	// projected-distinct solutions, streaming each projected class's first
@@ -114,8 +109,8 @@ func (p *Problem) NewSession(cfg SessionConfig) (*Session, error) {
 			return nil, fmt.Errorf("sampling: session assumptions %v do not match problem assumptions %v (resolve through Compiler.CompileAssume)", canon, have)
 		}
 	}
-	coreCfg := core.Config{
-		BatchSize:     cfg.BatchSize,
+	s, err := p.core.NewSampler(core.Config{
+		BatchSize:     p.BatchFor(cfg),
 		Iterations:    cfg.Iterations,
 		LearningRate:  cfg.LearningRate,
 		Seed:          cfg.Seed,
@@ -123,29 +118,9 @@ func (p *Problem) NewSession(cfg SessionConfig) (*Session, error) {
 		InitRange:     cfg.InitRange,
 		Momentum:      cfg.Momentum,
 		MaxAge:        cfg.MaxAge,
-		RoundMode:     cfg.RoundMode,
 		Projection:    cfg.Projection,
 		ClauseWeights: cfg.ClauseWeights,
-	}
-	if cfg.BatchSize == 0 && cfg.MemoryBudget > 0 {
-		workers := cfg.Device.Workers()
-		if workers < 1 {
-			workers = 1 // core defaults a zero Device to Sequential()
-		}
-		batch := p.core.BatchForBudget(workers, cfg.Momentum != 0, cfg.MemoryBudget)
-		if batch < 64 {
-			batch = 64
-		}
-		maxBatch := cfg.MaxBatch
-		if maxBatch <= 0 {
-			maxBatch = 8192
-		}
-		if batch > maxBatch {
-			batch = maxBatch
-		}
-		coreCfg.BatchSize = batch
-	}
-	s, err := p.core.NewSampler(coreCfg)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -153,7 +128,22 @@ func (p *Problem) NewSession(cfg SessionConfig) (*Session, error) {
 	if name == "" {
 		name = "this-work"
 	}
-	return &Session{prob: p, core: s, name: name, roundMode: cfg.RoundMode}, nil
+	return &Session{prob: p, core: s, name: name}, nil
+}
+
+// BatchFor returns the GD batch a session over p runs cfg at: BatchSize
+// when set; else, under a MemoryBudget, the largest batch that fits the
+// budget, clamped to [64, MaxBatch]; else 0, which takes core's default.
+func (p *Problem) BatchFor(cfg SessionConfig) int {
+	if cfg.BatchSize != 0 || cfg.MemoryBudget <= 0 {
+		return cfg.BatchSize
+	}
+	maxBatch := cfg.MaxBatch
+	if maxBatch <= 0 {
+		maxBatch = 8192
+	}
+	batch := p.core.BatchForBudget(cfg.Device.Workers(), cfg.Momentum != 0, cfg.MemoryBudget)
+	return min(max(batch, 64), maxBatch)
 }
 
 // Session is one sampling request over a shared Problem: a core sampler
@@ -167,9 +157,7 @@ type Session struct {
 	prob      *Problem
 	core      *core.Sampler
 	name      string
-	roundMode bool
 	delivered int             // solutions already handed to a sink
-	stale     int             // round mode: consecutive zero-gain rounds (saturation guard)
 	yield     <-chan struct{} // set per StreamYield call; checked at tick boundaries
 	stats     Stats
 }
@@ -206,9 +194,7 @@ func (s *Session) SolutionHits() []int { return s.core.SolutionHits() }
 // delivering each solution to sink as a dense CNF assignment the moment
 // its row retires — no round barrier between the pool and the caller.
 // Cancellation via ctx stops between scheduler ticks with all partial
-// progress retained (and already streamed). SessionConfig.RoundMode
-// selects the legacy round-synchronous loop, which delivers at round
-// barriers instead.
+// progress retained (and already streamed).
 func (s *Session) Stream(ctx context.Context, target int, sink Sink) (st Stats, err error) {
 	return s.StreamYield(ctx, target, nil, sink)
 }
@@ -230,11 +216,7 @@ func (s *Session) StreamYield(ctx context.Context, target int, yield <-chan stru
 	// Deliver the backlog first so a reused session streams solutions a
 	// previous nil-sink call collected but never handed out.
 	if ferr := s.flush(sink); ferr != nil {
-		err = s.sinkErr(ferr)
-		return
-	}
-	if s.roundMode {
-		err = s.streamRounds(ctx, target, sink)
+		err = SinkError(ferr, &s.stats)
 		return
 	}
 	for target <= 0 || s.core.UniqueCount() < target {
@@ -258,52 +240,11 @@ func (s *Session) StreamYield(ctx context.Context, target int, yield <-chan stru
 		s.core.ContinuousStep(target)
 		s.stats.Calls++
 		if ferr := s.flush(sink); ferr != nil {
-			err = s.sinkErr(ferr)
+			err = SinkError(ferr, &s.stats)
 			return
 		}
 	}
 	return
-}
-
-// streamRounds is the round-mode Stream loop (SessionConfig.RoundMode).
-// The zero-gain counter lives on the Session (not this call frame) so an
-// interrupted stream — cancelled and resumed on this session, or restored
-// from a checkpoint — counts saturation exactly as the uninterrupted run
-// would.
-func (s *Session) streamRounds(ctx context.Context, target int, sink Sink) error {
-	for target <= 0 || s.core.UniqueCount() < target {
-		// Saturation guard (mirrors core's round mode): rounds are
-		// independent restarts, so a long run of zero-gain rounds means
-		// the reachable solution set is exhausted. Checked at the loop top
-		// so a checkpoint taken at exhaustion resumes straight to done.
-		if s.stale >= 64 && s.core.UniqueCount() > 0 {
-			s.stats.Exhausted = true
-			break
-		}
-		if ctx.Err() != nil {
-			s.stats.Timeout = true
-			break
-		}
-		if s.yieldRequested() {
-			s.stats.Yielded = true
-			break
-		}
-		gained := s.core.Round()
-		s.stats.Calls++
-		// Update the guard before flushing: a sink that stops the stream
-		// mid-delivery must not lose this round's bookkeeping, or a resumed
-		// checkpoint would count saturation differently than the
-		// uninterrupted run.
-		if gained == 0 {
-			s.stale++
-		} else {
-			s.stale = 0
-		}
-		if ferr := s.flush(sink); ferr != nil {
-			return s.sinkErr(ferr)
-		}
-	}
-	return nil
 }
 
 // yieldRequested reports whether the current StreamYield call's preemption
@@ -348,11 +289,6 @@ func (s *Session) finish() Stats {
 	s.stats.Unique = s.core.UniqueCount()
 	s.stats.Elapsed = s.core.Stats().Elapsed
 	return s.stats
-}
-
-// sinkErr applies the shared sink-error contract to this session's stats.
-func (s *Session) sinkErr(err error) error {
-	return classifySinkErr(err, &s.stats.Timeout)
 }
 
 // SampleUntil is the blocking compatibility wrapper over Stream, matching

@@ -9,9 +9,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/baselines"
 	"repro/internal/benchgen"
-	"repro/internal/cnf"
 	"repro/internal/tensor"
 )
 
@@ -398,61 +396,6 @@ func TestSolutionRowsAreCallerOwned(t *testing.T) {
 	}
 }
 
-func TestWrapBaselineStreams(t *testing.T) {
-	in := benchgen.SmallSuite()[0]
-	w := WrapSlice(baselines.NewCMSGenLike(in.Formula, 1), 50*time.Millisecond)
-	if w.Name() != "cmsgen-like" {
-		t.Errorf("name = %q", w.Name())
-	}
-	var streamed [][]bool
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	st, err := w.Stream(ctx, 15, func(sol []bool) error {
-		streamed = append(streamed, sol)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Unique == 0 {
-		t.Fatal("wrapped baseline found nothing")
-	}
-	if len(streamed) != st.Unique {
-		t.Fatalf("streamed %d, stats report %d", len(streamed), st.Unique)
-	}
-	for i, sol := range streamed {
-		if !in.Formula.Sat(sol) {
-			t.Fatalf("streamed baseline solution %d invalid", i)
-		}
-	}
-	if got := w.Solutions(); len(got) != st.Unique {
-		t.Errorf("Solutions() = %d rows, want %d", len(got), st.Unique)
-	}
-}
-
-func TestWrapBaselineCancellation(t *testing.T) {
-	// An effectively unbounded target on a large instance: only ctx can
-	// stop the wrapped sampler, and partial progress must be streamed.
-	in := benchgen.OrChain("or-cancel", 40, 4, 99)
-	w := WrapSlice(baselines.NewCMSGenLike(in.Formula, 1), 20*time.Millisecond)
-	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
-	defer cancel()
-	delivered := 0
-	st, err := w.Stream(ctx, 1<<30, func(sol []bool) error {
-		delivered++
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.Timeout && !st.Exhausted {
-		t.Errorf("stream ended without timeout or exhaustion: %+v", st)
-	}
-	if delivered != st.Unique {
-		t.Errorf("delivered %d, stats report %d", delivered, st.Unique)
-	}
-}
-
 func TestSessionMemoryBudgetAdaptsBatch(t *testing.T) {
 	in := benchgen.SmallSuite()[0]
 	p, err := CompileProblem(in.Formula)
@@ -572,75 +515,5 @@ func TestStreamElapsedExcludesSinkTime(t *testing.T) {
 	st2 := s.SampleUntil(st.Unique+5, 5*time.Second)
 	if st2.Elapsed < st.Elapsed {
 		t.Errorf("Elapsed went backwards across calls: %v -> %v", st.Elapsed, st2.Elapsed)
-	}
-}
-
-// TestSessionRoundModeCompat: the legacy round-synchronous loop stays
-// available behind SessionConfig.RoundMode and streams only at round
-// barriers — Calls counts rounds, and every delivered solution verifies.
-func TestSessionRoundModeCompat(t *testing.T) {
-	in := benchgen.SmallSuite()[0]
-	p, err := CompileProblem(in.Formula)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := sessionCfg(31)
-	cfg.RoundMode = true
-	s, err := p.NewSession(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var streamed [][]bool
-	st, err := s.Stream(context.Background(), 20, func(sol []bool) error {
-		streamed = append(streamed, sol)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Unique < 20 || len(streamed) != st.Unique {
-		t.Fatalf("round-mode stream delivered %d of %d", len(streamed), st.Unique)
-	}
-	for i, sol := range streamed {
-		if !in.Formula.Sat(sol) {
-			t.Fatalf("round-mode solution %d invalid", i)
-		}
-	}
-	// Round mode hardens once per Iterations GD steps: a continuous
-	// session with the same budget must not need more iterations per call.
-	if st.Calls == 0 {
-		t.Error("round-mode Calls not counted")
-	}
-}
-
-func TestWrapTerminatesOnExhaustionWithoutDeadline(t *testing.T) {
-	// A single-solution formula (x3 = x1 AND x2, constrained true) with an
-	// unreachable target and NO context deadline: the wrapper's cross-slice
-	// staleness guard must terminate the stream — the baselines' own stale
-	// counters are local to one Sample call and reset every slice.
-	f := cnf.New(3)
-	f.AddClause(3, -1, -2)
-	f.AddClause(-3, 1)
-	f.AddClause(-3, 2)
-	f.AddClause(3)
-	w := WrapSlice(baselines.NewCMSGenLike(f, 1), 20*time.Millisecond)
-	done := make(chan Stats, 1)
-	go func() {
-		st, err := w.Stream(context.Background(), 1000, nil)
-		if err != nil {
-			t.Error(err)
-		}
-		done <- st
-	}()
-	select {
-	case st := <-done:
-		if st.Unique != 1 {
-			t.Errorf("unique = %d want 1", st.Unique)
-		}
-		if !st.Exhausted {
-			t.Errorf("exhausted instance not flagged: %+v", st)
-		}
-	case <-time.After(60 * time.Second):
-		t.Fatal("wrapped stream did not terminate on an exhausted instance")
 	}
 }

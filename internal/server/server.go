@@ -154,7 +154,7 @@ func (c Config) withDefaults() Config {
 	if c.Store != nil {
 		c.Compiler.WithStore(c.Store)
 	}
-	if c.Device.Workers() < 1 {
+	if c.Device == (tensor.Device{}) {
 		c.Device = tensor.Parallel()
 	}
 	if c.Workers <= 0 {

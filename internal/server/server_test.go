@@ -93,7 +93,7 @@ func parseBits(t *testing.T, s string) []bool {
 
 func testServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
-	if cfg.Device.Workers() < 1 {
+	if cfg.Device == (tensor.Device{}) {
 		cfg.Device = tensor.ParallelN(2)
 	}
 	if cfg.DefaultTimeout == 0 {
