@@ -118,7 +118,7 @@ func run() error {
 		maxTimeout  = flag.Duration("maxtimeout", 2*time.Minute, "maximum per-request deadline")
 		maxCNF      = flag.Int64("maxcnf", 8<<20, "maximum DIMACS input bytes (shape limits derive from it; 0 = the service default limits — a network server never parses unbounded input)")
 		drainGrace  = flag.Duration("draingrace", 5*time.Second, "how long in-flight streams may run after SIGTERM")
-		spoolDir    = flag.String("spool", "", "directory for drained-stream checkpoints (empty = in-memory spool only; tokens die with the process)")
+		spoolDir    = flag.String("spool", "", "directory for drained-stream checkpoints (empty = a private temporary directory removed at exit; tokens die with the process)")
 		spoolBudget = flag.Int64("spoolbudget", 32, "checkpoint spool byte budget (MiB; 0 = default, <0 disables resume)")
 		storeDir    = flag.String("store", "", "directory for the durable compile tier (content-addressed problem artifacts; share one dir across replicas); empty disables")
 		storeBudget = flag.Int64("storebudget", 0, "compile-store byte budget (MiB; 0 = unbounded), LRU-evicted by last use")

@@ -100,6 +100,22 @@ func ValidateAssumptions(numVars int, assume []Lit) error {
 	return nil
 }
 
+// ValidateCanonicalAssume checks an assumption list that must already be
+// in canonical form — as decoders of stored artifacts require, since the
+// content key hashes exactly what the writer canonicalized: valid under
+// ValidateAssumptions and strictly ascending by variable.
+func ValidateCanonicalAssume(numVars int, assume []Lit) error {
+	if err := ValidateAssumptions(numVars, assume); err != nil {
+		return err
+	}
+	for i := 1; i < len(assume); i++ {
+		if assume[i].Var() <= assume[i-1].Var() {
+			return fmt.Errorf("cnf: assumption list not canonical at entry %d", i)
+		}
+	}
+	return nil
+}
+
 // AssumeKey derives the cache identity of a problem specialized under
 // assumptions: sha256 over the base content hash and the canonical literal
 // sequence, hex-encoded like ContentHash. An empty assumption set returns

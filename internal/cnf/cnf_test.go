@@ -284,3 +284,26 @@ func TestSatMatchesNaiveProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestValidateCanonicalAssume: stored artifacts must carry assumptions
+// already canonical — valid, strictly ascending by variable — so decoders
+// refuse anything CanonicalAssume would still have to fix.
+func TestValidateCanonicalAssume(t *testing.T) {
+	for _, tc := range []struct {
+		assume []Lit
+		ok     bool
+	}{
+		{nil, true},
+		{[]Lit{-1, 2, 5}, true},
+		{CanonicalAssume([]Lit{5, -1, 2, 5}), true},
+		{[]Lit{2, 1}, false},  // unsorted
+		{[]Lit{1, 1}, false},  // duplicate
+		{[]Lit{-1, 1}, false}, // contradictory
+		{[]Lit{1, 9}, false},  // out of range
+		{[]Lit{0, 1}, false},  // zero literal
+	} {
+		if err := ValidateCanonicalAssume(5, tc.assume); (err == nil) != tc.ok {
+			t.Errorf("ValidateCanonicalAssume(5, %v) = %v, want ok=%v", tc.assume, err, tc.ok)
+		}
+	}
+}

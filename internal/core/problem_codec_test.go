@@ -274,7 +274,7 @@ func FuzzDecodeProblem(f *testing.F) {
 // resealProblem recomputes the SHA-256 trailer over a (possibly tampered)
 // body so tests can target semantic validation past the checksum.
 func resealProblem(blob []byte) []byte {
-	body := blob[:len(blob)-problemTrailerLen]
+	body := blob[:len(blob)-sha256.Size]
 	sum := sha256.Sum256(body)
 	return append(append([]byte(nil), body...), sum[:]...)
 }

@@ -33,13 +33,12 @@ package sampling
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	"fmt"
 
 	"repro/internal/cnf"
 	"repro/internal/core"
+	"repro/internal/envelope"
 	"repro/internal/tensor"
 )
 
@@ -56,7 +55,7 @@ const checkpointVersionBase = 1
 // restore attempts against the wrong problem.
 var ErrBadCheckpoint = errors.New("sampling: bad checkpoint")
 
-var checkpointMagic = [4]byte{'G', 'D', 'S', 'C'}
+const checkpointMagic = "GDSC"
 
 // Checkpoint is a decoded session checkpoint: the formula, the core
 // sampler snapshot, and the stream cursor. It is immutable once decoded.
@@ -120,29 +119,20 @@ func (s *Session) Checkpoint() ([]byte, error) {
 		4 + len(text) +
 		4 + 4*len(assume) +
 		4 + len(blob) +
-		sha256.Size
-	buf := make([]byte, 0, n)
-	buf = append(buf, checkpointMagic[:]...)
-	buf = binary.LittleEndian.AppendUint16(buf, version)
-	buf = appendBlock(buf, []byte(s.name))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(s.delivered))
-	buf = binary.LittleEndian.AppendUint32(buf, 0) // stale
-	buf = appendBlock(buf, []byte(text))
+		envelope.SHA256.Size()
+	e := envelope.NewEncoder(checkpointMagic, version, n)
+	e.Bytes([]byte(s.name))
+	e.U64(uint64(s.delivered))
+	e.U32(0) // stale
+	e.Bytes([]byte(text))
 	if len(assume) > 0 {
-		lits := make([]byte, 4*len(assume))
-		for i, l := range assume {
-			binary.LittleEndian.PutUint32(lits[4*i:], uint32(int32(l)))
+		e.U32(uint32(4 * len(assume)))
+		for _, l := range assume {
+			e.U32(uint32(int32(l)))
 		}
-		buf = appendBlock(buf, lits)
 	}
-	buf = appendBlock(buf, blob)
-	sum := sha256.Sum256(buf)
-	return append(buf, sum[:]...), nil
-}
-
-func appendBlock(buf, payload []byte) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	return append(buf, payload...)
+	e.Bytes(blob)
+	return e.Seal(envelope.SHA256), nil
 }
 
 // DecodeCheckpoint parses and fully validates a checkpoint envelope: the
@@ -153,57 +143,29 @@ func appendBlock(buf, payload []byte) []byte {
 // never panics on arbitrary input, and it does not retain data — the
 // returned Checkpoint owns all its memory.
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
-	const minLen = 4 + 2 + 4 + 8 + 4 + 4 + 4 + sha256.Size
-	if len(data) < minLen {
-		return nil, fmt.Errorf("%w: %d bytes is shorter than any envelope", ErrBadCheckpoint, len(data))
-	}
-	body, digest := data[:len(data)-sha256.Size], data[len(data)-sha256.Size:]
-	if sum := sha256.Sum256(body); [sha256.Size]byte(digest) != sum {
-		return nil, fmt.Errorf("%w: digest mismatch (truncated or corrupted envelope)", ErrBadCheckpoint)
-	}
-	if [4]byte(body[:4]) != checkpointMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrBadCheckpoint)
-	}
-	version := binary.LittleEndian.Uint16(body[4:6])
-	if version != checkpointVersionBase && version != CheckpointVersion {
-		return nil, fmt.Errorf("%w: version %d (this build reads versions %d-%d)", ErrBadCheckpoint, version, checkpointVersionBase, CheckpointVersion)
-	}
-	rest := body[6:]
-	name, rest, err := takeBlock(rest, "session name")
+	d, err := envelope.Open(data, checkpointMagic, envelope.SHA256, checkpointVersionBase, CheckpointVersion, ErrBadCheckpoint)
 	if err != nil {
 		return nil, err
 	}
-	if len(rest) < 12 {
-		return nil, fmt.Errorf("%w: truncated cursor fields", ErrBadCheckpoint)
-	}
-	delivered := binary.LittleEndian.Uint64(rest)
-	stale := binary.LittleEndian.Uint32(rest[8:])
-	rest = rest[12:]
-	text, rest, err := takeBlock(rest, "formula")
-	if err != nil {
-		return nil, err
-	}
+	name := d.Bytes("session name")
+	delivered := d.U64()
+	stale := d.U32()
+	text := d.Bytes("formula")
 	var assume []cnf.Lit
-	if version == CheckpointVersion {
-		raw, r, err := takeBlock(rest, "assumptions")
-		if err != nil {
-			return nil, err
+	if d.Version == CheckpointVersion {
+		// A u32 byte length, then that many bytes of i32 literals.
+		n := d.Count(1, "assumption block")
+		if d.Err() == nil && (n == 0 || n%4 != 0) {
+			d.Fail("assumption block of %d bytes (want a non-empty multiple of 4)", n)
 		}
-		rest = r
-		if len(raw) == 0 || len(raw)%4 != 0 {
-			return nil, fmt.Errorf("%w: assumption block of %d bytes (want a non-empty multiple of 4)", ErrBadCheckpoint, len(raw))
-		}
-		assume = make([]cnf.Lit, len(raw)/4)
+		assume = make([]cnf.Lit, n/4)
 		for i := range assume {
-			assume[i] = cnf.Lit(int32(binary.LittleEndian.Uint32(raw[4*i:])))
+			assume[i] = cnf.Lit(int32(d.U32()))
 		}
 	}
-	blob, rest, err := takeBlock(rest, "core snapshot")
-	if err != nil {
+	blob := d.Bytes("core snapshot")
+	if err := d.Close(); err != nil {
 		return nil, err
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadCheckpoint, len(rest))
 	}
 	// Resume tokens arrive over the network, so the embedded formula is
 	// re-parsed under the same service-grade bounds submissions face —
@@ -219,15 +181,8 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
 	}
-	if len(assume) > 0 {
-		if err := cnf.ValidateAssumptions(f.NumVars, assume); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
-		}
-		for i := 1; i < len(assume); i++ {
-			if assume[i].Var() <= assume[i-1].Var() {
-				return nil, fmt.Errorf("%w: assumption list not canonical at entry %d", ErrBadCheckpoint, i)
-			}
-		}
+	if err := cnf.ValidateCanonicalAssume(f.NumVars, assume); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
 	}
 	// AssumeKey degenerates to the content hash for an empty assumption
 	// set, so one cross-check covers both envelope versions.
@@ -247,18 +202,6 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 		assume:    assume,
 		snap:      snap,
 	}, nil
-}
-
-// takeBlock splits one u32-length-prefixed payload off the front of data.
-func takeBlock(data []byte, what string) (payload, rest []byte, err error) {
-	if len(data) < 4 {
-		return nil, nil, fmt.Errorf("%w: truncated %s length", ErrBadCheckpoint, what)
-	}
-	n := binary.LittleEndian.Uint32(data)
-	if uint64(n) > uint64(len(data)-4) {
-		return nil, nil, fmt.Errorf("%w: %s claims %d bytes, %d remain", ErrBadCheckpoint, what, n, len(data)-4)
-	}
-	return data[4 : 4+n], data[4+n:], nil
 }
 
 // RestoreSession rebuilds a session from a checkpoint on this problem,

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/envelope"
 	"repro/internal/tensor"
 )
 
@@ -128,14 +129,18 @@ func TestGoldenCheckpointBytes(t *testing.T) {
 func zeroElapsed(t *testing.T, env []byte) []byte {
 	t.Helper()
 	out := append([]byte(nil), env...)
-	body := out[6:] // magic, version
-	_, body, _ = takeBlock(body, "name")
-	_, body, _ = takeBlock(body[12:], "formula") // delivered, stale
-	if binary.LittleEndian.Uint16(out[4:]) == CheckpointVersion {
-		_, body, _ = takeBlock(body, "assumptions")
-	}
-	blob, _, err := takeBlock(body, "core snapshot")
+	d, err := envelope.Open(out, "GDSC", envelope.SHA256, 1, CheckpointVersion, ErrBadCheckpoint)
 	if err != nil {
+		t.Fatal(err)
+	}
+	d.Bytes("name")
+	d.Take(12) // delivered, stale
+	d.Bytes("formula")
+	if d.Version == CheckpointVersion {
+		d.Bytes("assumptions")
+	}
+	blob := d.Bytes("core snapshot")
+	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
 	// Snapshot header: magic, version, key, batch, iterations, max age,

@@ -72,7 +72,7 @@ func (s *Server) handleAdopt(w http.ResponseWriter, r *http.Request) {
 			outcomeShedMemory, "memory")
 		return
 	}
-	tok, err := s.spool.Put(body)
+	tok, err := s.spoolPut(body)
 	if err != nil {
 		reject(http.StatusInsufficientStorage, "spool: "+err.Error(), outcomeShedMemory, "spool")
 		return

@@ -3,8 +3,15 @@ package server
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"io"
+	"log/slog"
 	"net/http"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/cnf"
@@ -73,5 +80,87 @@ func TestAdoptWarmsSpecializedKey(t *testing.T) {
 	}
 	if m := s.Compiler().Stats().Misses; m != misses {
 		t.Fatalf("resume after adopt added %d compiler misses, want 0", m-misses)
+	}
+}
+
+// TestSpoolDisabledAndBounds: a negative SpoolBudget disables the spool
+// outright — it is never passed on as the store's "<= 0 = unbounded" — so
+// nothing parks, every token misses, and peers' adoptions are refused. A
+// positive budget bounds the spool: an envelope larger than all of it is
+// refused, and malformed tokens never touch the filesystem.
+func TestSpoolDisabledAndBounds(t *testing.T) {
+	env := checkpointEnvelope(t, 8)
+	off, ts := testServer(t, Config{SpoolBudget: -1})
+	if off.spool != nil || off.spoolTmp != "" {
+		t.Fatal("a disabled spool opened a store")
+	}
+	if _, err := off.spoolPut(env); err == nil {
+		t.Fatal("disabled spool parked a checkpoint")
+	}
+	if _, ok := off.spoolTake(spoolToken(env)); ok {
+		t.Fatal("disabled spool returned an entry")
+	}
+	resp, err := http.Post(ts.URL+"/v1/adopt", "application/octet-stream", bytes.NewReader(env))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("adopt on a disabled spool: status %d, want 503", resp.StatusCode)
+	}
+
+	small, _ := testServer(t, Config{SpoolBudget: int64(len(env)) - 1})
+	if _, err := small.spoolPut(env); err == nil {
+		t.Fatal("envelope larger than the whole budget was accepted")
+	}
+	for _, bad := range []string{"", "short", strings.Repeat("A", 64), strings.Repeat("g", 64), "../../../../etc/passwd"} {
+		if _, ok := small.spoolTake(bad); ok {
+			t.Fatalf("malformed token %q hit", bad)
+		}
+	}
+}
+
+// TestSpoolPrivateDir: without a SpoolDir — or with one that cannot be
+// created — the spool lives in a private directory that Close removes, so
+// tokens work for the process's lifetime and die with it. Put/Take
+// round-trips the bytes, the token is the content hash, identical content
+// parks once, and tokens are one-shot.
+func TestSpoolPrivateDir(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	env := checkpointEnvelope(t, 8)
+	for _, dir := range []string{"", filepath.Join(file, "spool")} {
+		s := New(Config{SpoolDir: dir, Log: slog.New(slog.NewTextHandler(io.Discard, nil))})
+		if s.spoolTmp == "" || s.spool.Dir() != s.spoolTmp {
+			t.Fatalf("SpoolDir %q: spool over %q, want a private directory", dir, s.spool.Dir())
+		}
+		token, err := s.spoolPut(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum := sha256.Sum256(env); token != hex.EncodeToString(sum[:]) {
+			t.Fatalf("token %q is not the content hash", token)
+		}
+		if again, _ := s.spoolPut(env); again != token {
+			t.Fatal("duplicate put returned a different token")
+		}
+		if st := s.spool.Stats(); st.Entries != 1 || st.Bytes != int64(len(env)) {
+			t.Fatalf("entries=%d bytes=%d after a duplicate put, want 1/%d", st.Entries, st.Bytes, len(env))
+		}
+		if got, ok := s.spoolTake(token); !ok || !bytes.Equal(got, env) {
+			t.Fatal("private spool lost a parked checkpoint")
+		}
+		if _, ok := s.spoolTake(token); ok {
+			t.Fatal("token is not one-shot")
+		}
+		if _, err := s.spoolPut(env); err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+		if _, err := os.Stat(s.spoolTmp); !os.IsNotExist(err) {
+			t.Fatalf("Close left the private spool behind: %v", err)
+		}
 	}
 }

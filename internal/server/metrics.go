@@ -109,11 +109,10 @@ func (m *metrics) shedTotalLocked() int64 {
 }
 
 // Write renders the metrics in Prometheus text format. The gauges owned by
-// other components (queue, compiler, memory ledger) are passed in so one
-// call renders a single consistent page.
+// other components (queue, compiler, memory ledger, stores) are passed in
+// so one call renders a single consistent page.
 func (m *metrics) Write(w io.Writer, queueDepth, active int, reserved, budget int64,
-	cs sampling.CompilerStats, ss store.Stats, draining bool,
-	spoolEntries int, spoolBytes, spoolEvictions, spoolCorrupt int64) {
+	cs sampling.CompilerStats, ss store.Stats, draining bool, spool store.Stats) {
 	now := time.Now()
 	// series writes one metric: its TYPE line, then its value.
 	series := func(name, typ string, v any) {
@@ -159,10 +158,10 @@ func (m *metrics) Write(w io.Writer, queueDepth, active int, reserved, budget in
 	series("satserved_sol_per_sec", "gauge", fmt.Sprintf("%.3f", m.solRate(now)))
 	series("satserved_checkpoints_total", "counter", checkpoints)
 	series("satserved_resumes_total", "counter", resumes)
-	series("satserved_spool_entries", "gauge", spoolEntries)
-	series("satserved_spool_bytes", "gauge", spoolBytes)
-	series("satserved_spool_evictions_total", "counter", spoolEvictions)
-	series("satserved_spool_corrupt_total", "counter", spoolCorrupt)
+	series("satserved_spool_entries", "gauge", spool.Entries)
+	series("satserved_spool_bytes", "gauge", spool.Bytes)
+	series("satserved_spool_evictions_total", "counter", spool.Evictions)
+	series("satserved_spool_corrupt_total", "counter", spool.Quarantined)
 	series("satserved_handoff_sent_total", "counter", hSent)
 	series("satserved_handoff_adopted_total", "counter", hAdopt)
 	series("satserved_handoff_rejected_total", "counter", hReject)

@@ -151,6 +151,7 @@ func TestProjectionValidationErrors(t *testing.T) {
 // estimate was tuned for.
 func TestProjectedSessionPricedHigher(t *testing.T) {
 	s := New(Config{})
+	defer s.Close()
 	f, err := cnf.ParseDIMACSString(projBody)
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -196,6 +197,7 @@ func newTestHTTP(t *testing.T, s *Server) *httptest.Server {
 	t.Helper()
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
+	t.Cleanup(s.Close)
 	return ts
 }
 
@@ -269,7 +271,7 @@ func TestResumeRepricedByLedger(t *testing.T) {
 	env := checkpointEnvelope(t, 2000)
 
 	tiny, tsTiny := testServer(t, Config{MemoryBudget: 1 << 12, MaxTarget: 1_000_000})
-	token, err := tiny.spool.Put(env)
+	token, err := tiny.spoolPut(env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,14 +284,14 @@ func TestResumeRepricedByLedger(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("resume against a full ledger: status %d, want 429", resp.StatusCode)
 	}
-	if n, _, _, _ := tiny.spool.Stats(); n != 1 {
+	if n := tiny.spool.Stats().Entries; n != 1 {
 		t.Fatalf("token was not re-spooled after the shed: %d entries", n)
 	}
 
 	// The same envelope admits fine on a server with room, and its
 	// reservation is returned when the stream ends.
 	roomy, tsRoomy := testServer(t, Config{MaxTarget: 1_000_000})
-	token2, err := roomy.spool.Put(env)
+	token2, err := roomy.spoolPut(env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,14 +344,15 @@ func TestSpoolMetricsExported(t *testing.T) {
 	env := checkpointEnvelope(t, 64)
 	budget := int64(len(env)) + int64(len(env))/2 // room for one envelope, not two
 	s, ts := testServer(t, Config{SpoolBudget: budget})
-	if _, err := s.spool.Put(env); err != nil {
+	if _, err := s.spoolPut(env); err != nil {
 		t.Fatal(err)
 	}
 	env2 := checkpointEnvelope(t, 32)
-	if _, err := s.spool.Put(env2); err != nil {
+	if _, err := s.spoolPut(env2); err != nil {
 		t.Fatal(err)
 	}
-	entries, bytes, evictions, _ := s.spool.Stats()
+	st := s.spool.Stats()
+	entries, bytes, evictions := st.Entries, st.Bytes, st.Evictions
 	if bytes > budget {
 		t.Fatalf("spool holds %d bytes over a %d budget", bytes, budget)
 	}
@@ -381,12 +384,15 @@ func TestSpoolMetricsExported(t *testing.T) {
 func TestResumeRejectsDamage(t *testing.T) {
 	env := checkpointEnvelope(t, 64)
 	s, ts := testServer(t, Config{MaxTarget: 1_000_000})
-	// Corrupt the envelope before parking it — the spool's own content
-	// check is keyed by the damaged bytes' hash, so it stores fine, and
-	// the checkpoint decoder must be the layer that refuses it.
+	// Corrupt the envelope before parking it, then reseal its outer
+	// SHA-256 — the spool refuses an unsealed envelope, so the damage sits
+	// inside the sealed body, and the checkpoint decoder must be the layer
+	// that refuses it.
 	bad := append([]byte(nil), env...)
 	bad[len(bad)/3] ^= 0x10
-	token, err := s.spool.Put(bad)
+	sum := sha256.Sum256(bad[:len(bad)-sha256.Size])
+	copy(bad[len(bad)-sha256.Size:], sum[:])
+	token, err := s.spoolPut(bad)
 	if err != nil {
 		t.Fatal(err)
 	}

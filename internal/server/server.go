@@ -39,12 +39,15 @@ package server
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
+	"os"
 	"slices"
 	"strconv"
 	"sync"
@@ -114,9 +117,10 @@ type Config struct {
 	// session checkpoints parked by drains, LRU-evicted beyond it (default
 	// 32 MiB; < 0 disables spooling and drains cancel without tokens).
 	SpoolBudget int64
-	// SpoolDir, when set, persists spooled checkpoints to disk so resume
-	// tokens survive a process restart — the chaos tier's kill/restart
-	// path. Empty keeps the spool in memory only.
+	// SpoolDir is the spool's directory. Set, it outlives the process, so
+	// resume tokens survive a restart — the chaos tier's kill/restart
+	// path. Empty (or unusable) selects a private temporary directory that
+	// Close removes: tokens then die with the process.
 	SpoolDir string
 	// Peers lists sibling replicas' base URLs ("http://10.0.0.2:8080").
 	// A draining server — or one told to POST /v1/handoff — pushes each
@@ -212,8 +216,12 @@ type Server struct {
 	compiler *sampling.Compiler
 	queue    *queue
 	met      *metrics
-	spool    *spool
 	log      *slog.Logger
+	// spool parks checkpoint envelopes under their resume tokens (nil
+	// when SpoolBudget < 0); spoolTmp is its private directory, if any,
+	// which Close removes.
+	spool    *store.Store
+	spoolTmp string
 	// parseGate bounds concurrent DIMACS body parses and compileGate
 	// bounds concurrent formula compilations: the two pre-admission
 	// memory costs. Without them a flood of limit-respecting bodies
@@ -250,20 +258,14 @@ type handoffSignal struct{ ch chan struct{} }
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
-	sp, err := newSpool(cfg.SpoolBudget, cfg.SpoolDir, cfg.Log)
-	if err != nil {
-		// An unusable spool directory degrades to a memory-only spool:
-		// resume tokens still work within this process's lifetime, they
-		// just don't survive a restart.
-		cfg.Log.Warn("spool directory unusable; falling back to memory-only spool", "err", err)
-		sp, _ = newSpool(cfg.SpoolBudget, "", cfg.Log)
-	}
+	sp, spoolTmp := openSpool(cfg)
 	s := &Server{
 		cfg:         cfg,
 		compiler:    cfg.Compiler,
 		queue:       newQueue(cfg.Workers, cfg.QueueDepth, cfg.TenantQueueDepth),
 		met:         newMetrics(),
 		spool:       sp,
+		spoolTmp:    spoolTmp,
 		log:         cfg.Log,
 		parseGate:   make(chan struct{}, max(2*cfg.Workers, 4)),
 		compileGate: make(chan struct{}, cfg.Workers),
@@ -281,10 +283,74 @@ func New(cfg Config) *Server {
 	return s
 }
 
+// openSpool opens the resume-token spool: a store of checkpoint envelopes
+// over SpoolDir, verified once at boot so an entry a crash left torn is
+// quarantined before any token is offered. Without a usable SpoolDir it
+// opens over a private temporary directory (returned for Close to remove):
+// resume tokens still work within this process's lifetime, they just
+// don't survive a restart. A negative SpoolBudget disables the spool.
+func openSpool(cfg Config) (*store.Store, string) {
+	if cfg.SpoolBudget < 0 {
+		return nil, ""
+	}
+	if cfg.SpoolDir != "" {
+		sp, err := store.OpenSuffix(cfg.SpoolDir, ".ckpt", cfg.SpoolBudget, cfg.Log)
+		if err == nil {
+			sp.Verify()
+			if st := sp.Stats(); st.Entries > 0 {
+				cfg.Log.Info("spool recovered", "entries", st.Entries, "bytes", st.Bytes)
+			}
+			return sp, ""
+		}
+		cfg.Log.Warn("spool directory unusable; falling back to a private spool", "err", err)
+	}
+	dir, err := os.MkdirTemp("", "satserved-spool-")
+	if err == nil {
+		sp, err := store.OpenSuffix(dir, ".ckpt", cfg.SpoolBudget, cfg.Log)
+		if err == nil {
+			return sp, dir
+		}
+		os.RemoveAll(dir)
+	}
+	cfg.Log.Warn("no spool directory; drains cancel without resume tokens", "err", err)
+	return nil, ""
+}
+
+// spoolToken names a checkpoint envelope in the spool: its SHA-256, hex —
+// the opaque resume token a drained stream's done line carries.
+func spoolToken(env []byte) string {
+	sum := sha256.Sum256(env)
+	return hex.EncodeToString(sum[:])
+}
+
+// spoolPut parks a checkpoint envelope and returns its resume token.
+func (s *Server) spoolPut(env []byte) (string, error) {
+	if s.spool == nil {
+		return "", errors.New("spool disabled")
+	}
+	token := spoolToken(env)
+	if err := s.spool.Put(token, env); err != nil {
+		return "", err
+	}
+	return token, nil
+}
+
+// spoolTake takes a token's envelope out of the spool. Tokens are
+// one-shot, and an entry whose bytes do not hash to its token — a file
+// planted under the wrong name — misses like an unknown token.
+func (s *Server) spoolTake(token string) ([]byte, bool) {
+	if s.spool == nil {
+		return nil, false
+	}
+	env, ok := s.spool.Take(token)
+	return env, ok && spoolToken(env) == token
+}
+
 // Close stops the server's background loops (peer prober, preemption
-// ticker) and cancels any remaining session contexts. It does not wait for
-// in-flight streams; for a graceful stop call StartDrain and
-// http.Server.Shutdown first, then Close. Idempotent.
+// ticker), cancels any remaining session contexts, and removes a private
+// spool directory with the tokens in it. It does not wait for in-flight
+// streams; for a graceful stop call StartDrain and http.Server.Shutdown
+// first, then Close. Idempotent.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
 		close(s.closed)
@@ -292,6 +358,9 @@ func (s *Server) Close() {
 			s.peers.Close()
 		}
 		s.sessCancel()
+		if s.spoolTmp != "" {
+			os.RemoveAll(s.spoolTmp)
+		}
 	})
 }
 
@@ -525,7 +594,7 @@ func (s *Server) parkEnvelope(id int64, env []byte) (token, addr string) {
 			return tok, peer
 		}
 	}
-	tok, err := s.spool.Put(env)
+	tok, err := s.spoolPut(env)
 	if err != nil {
 		s.log.Warn("checkpoint not spooled", "id", id, "err", err)
 		return "", ""
@@ -603,7 +672,7 @@ var errServerDraining = &stageError{status: http.StatusServiceUnavailable, msg: 
 // content hash), so the client's retry after backoff still resumes.
 func (s *Server) fail(w http.ResponseWriter, req *sampleRequest, e *stageError) {
 	if req != nil && req.ck != nil && !e.spent {
-		if _, err := s.spool.Put(req.envelope); err != nil {
+		if _, err := s.spoolPut(req.envelope); err != nil {
 			s.log.Warn("could not re-spool checkpoint after shed", "id", req.id, "err", err)
 		}
 	}
@@ -686,7 +755,7 @@ func (s *Server) parseRequest(r *http.Request) (*sampleRequest, *stageError) {
 	// resumption is a scheduling event, not a side door around admission
 	// control.
 	if token := q.Get("resume"); token != "" {
-		data, ok := s.spool.Take(token)
+		data, ok := s.spoolTake(token)
 		if !ok {
 			return nil, &stageError{status: http.StatusNotFound,
 				msg: "unknown or expired resume token", outcome: outcomeNotFound}
@@ -1135,7 +1204,7 @@ func (s *Server) runLegs(ctx, reqCtx context.Context, req *sampleRequest, prob *
 		s.met.inc(&s.met.preemptions)
 		// Spool before giving anything up: if the process dies while this
 		// request is parked in the queue, the checkpoint survives.
-		tok, perr := s.spool.Put(env)
+		tok, perr := s.spoolPut(env)
 		if perr != nil {
 			s.log.Warn("preempt checkpoint not spooled; held in memory only", "id", req.id, "err", perr)
 		}
@@ -1149,7 +1218,7 @@ func (s *Server) runLegs(ctx, reqCtx context.Context, req *sampleRequest, prob *
 		}
 		if tok != "" {
 			// The session continues here; reclaim the safety copy.
-			s.spool.Take(tok)
+			s.spoolTake(tok)
 		}
 		ck, derr := sampling.DecodeCheckpoint(env)
 		if derr == nil {
@@ -1194,14 +1263,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	reserved := s.reserved
 	s.memMu.Unlock()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	spoolEntries, spoolBytes, spoolEvictions, spoolCorrupt := s.spool.Stats()
-	var ss store.Stats
+	var ss, sp store.Stats
 	if s.cfg.Store != nil {
 		ss = s.cfg.Store.Stats()
 	}
+	if s.spool != nil {
+		sp = s.spool.Stats()
+	}
 	s.met.Write(w, s.queue.Depth(), s.queue.Active(), reserved, s.cfg.MemoryBudget,
-		s.compiler.Stats(), ss, s.draining.Load(),
-		spoolEntries, spoolBytes, spoolEvictions, spoolCorrupt)
+		s.compiler.Stats(), ss, s.draining.Load(), sp)
 }
 
 // bitString renders a dense assignment as the CLI-compatible 0/1 string.

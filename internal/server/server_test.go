@@ -330,6 +330,7 @@ func TestShedMemoryBudget(t *testing.T) {
 	const maxTarget = 1_000_000
 	compiler := sampling.NewCompiler(0)
 	s := New(Config{Compiler: compiler, Device: tensor.ParallelN(2), MaxTarget: maxTarget})
+	defer s.Close()
 	prob, err := compiler.Compile(manyVarsFormula(30))
 	if err != nil {
 		t.Fatal(err)

@@ -1,29 +1,29 @@
-// Package store implements the durable compile tier: a content-addressed
-// on-disk blob store holding GDSP-encoded compiled problems
-// (core.Problem.MarshalBinary), keyed by the formula's SHA-256 content
-// hash — the same key the compiler's memory LRU and the /v1/sample?key=
-// path already use.
+// Package store implements the repo's one disk tier: a content-addressed
+// on-disk blob store of SHA-256-sealed envelopes keyed by lowercase
+// SHA-256 hex. It backs the durable compile tier — GDSP-encoded compiled
+// problems (core.Problem.MarshalBinary, ".gdsp" entries) keyed by the
+// formula's content hash, the same key the compiler's memory LRU and the
+// /v1/sample?key= path already use — and satserved's resume-token spool
+// (GDSC checkpoint envelopes, ".ckpt" entries keyed by their token).
 //
-// The store is deliberately dumber than the spool it is modeled on: it
-// keeps NO authoritative in-memory index, because several processes share
-// one directory (every satserved replica behind a satsharded front mounts
-// the same -store dir). The directory IS the index. Get reads the file
-// and verifies its embedded SHA-256 trailer; Put writes a temp file and
-// renames it into place (atomic on POSIX, so readers only ever observe
-// whole blobs); eviction and Stats re-scan the directory. Recency is file
-// modification time: Get touches the file it serves, so eviction by
-// oldest mtime is LRU across every process sharing the directory.
+// The store keeps NO authoritative in-memory index, because several
+// processes share one directory (every satserved replica behind a
+// satsharded front mounts the same -store dir). The directory IS the
+// index. Get reads the file and verifies its SHA-256 trailer; Put writes
+// a temp file and renames it into place (atomic on POSIX, so readers only
+// ever observe whole blobs); eviction and Stats re-scan the directory.
+// Recency is file modification time: Get touches the file it serves, so
+// eviction by oldest mtime is LRU across every process sharing the
+// directory.
 //
 // A blob that fails its trailer — a torn write surviving a crash, bit
-// rot, manual tampering — is quarantined exactly like a torn spool entry:
-// renamed aside with a .corrupt suffix for forensics, counted, and
-// reported to the caller as a clean miss. The caller recompiles and
-// re-Puts; the store heals itself.
+// rot, manual tampering — is quarantined: renamed aside with a .corrupt
+// suffix for forensics, counted, and reported to the caller as a clean
+// miss. The caller recompiles and re-Puts; the store heals itself.
 package store
 
 import (
 	"crypto/sha256"
-	"crypto/subtle"
 	"fmt"
 	"log/slog"
 	"os"
@@ -32,11 +32,9 @@ import (
 	"strings"
 	"sync"
 	"time"
-)
 
-// blobExt names complete entries; only files with this suffix and a
-// valid-key stem are ever read, evicted, or counted.
-const blobExt = ".gdsp"
+	"repro/internal/envelope"
+)
 
 // tmpReapAge is how stale an orphaned temp file must be before Open
 // deletes it — generous enough that no live writer (writes take
@@ -47,7 +45,10 @@ const tmpReapAge = time.Hour
 // are safe for concurrent use from multiple goroutines AND multiple
 // processes sharing the directory.
 type Store struct {
-	dir    string
+	dir string
+	// suffix names complete entries: only files with it and a valid-key
+	// stem are ever read, evicted, or counted.
+	suffix string
 	budget int64 // bytes; <= 0 means unbounded
 
 	mu          sync.Mutex
@@ -67,12 +68,18 @@ type Stats struct {
 	Quarantined int64
 }
 
-// Open creates (if needed) and opens a store over dir with a byte budget
-// (<= 0 disables eviction). Stale temp files from crashed writers are
-// reaped; complete blobs are left alone — they verify lazily on Get, so
-// opening a large shared store costs one directory listing, not a re-hash
-// of every artifact.
+// Open creates (if needed) and opens a compile-tier store of ".gdsp"
+// entries over dir with a byte budget (<= 0 disables eviction). Stale temp
+// files from crashed writers are reaped; complete blobs are left alone —
+// they verify lazily on Get, so opening a large shared store costs one
+// directory listing, not a re-hash of every artifact.
 func Open(dir string, budget int64, log *slog.Logger) (*Store, error) {
+	return OpenSuffix(dir, ".gdsp", budget, log)
+}
+
+// OpenSuffix is Open for a store whose entries carry the given file
+// suffix, so stores of different envelopes never read each other's files.
+func OpenSuffix(dir, suffix string, budget int64, log *slog.Logger) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("store: empty directory")
 	}
@@ -82,7 +89,7 @@ func Open(dir string, budget int64, log *slog.Logger) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store dir: %w", err)
 	}
-	s := &Store{dir: dir, budget: budget, log: log}
+	s := &Store{dir: dir, suffix: suffix, budget: budget, log: log}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("store dir: %w", err)
@@ -117,7 +124,7 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	if err != nil {
 		return nil, false
 	}
-	if !selfVerifies(data) {
+	if !envelope.SHA256.Verify(data) {
 		s.Quarantine(key, "integrity trailer mismatch")
 		return nil, false
 	}
@@ -126,16 +133,39 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	return data, true
 }
 
+// Take is a one-shot Get: it reads the entry under key, verifies it (a
+// failure quarantines it and misses) and removes it. Of several callers
+// taking one key — in this process or any other sharing the directory —
+// only the one whose remove succeeds gets the bytes.
+func (s *Store) Take(key string) ([]byte, bool) {
+	data, ok := s.Get(key)
+	if !ok || os.Remove(s.path(key)) != nil {
+		return nil, false
+	}
+	return data, true
+}
+
+// Verify hash-checks every entry and quarantines the ones that fail — the
+// boot scan for a store whose entries must all be whole before any is
+// offered (a torn write surviving a crash).
+func (s *Store) Verify() {
+	for _, e := range s.scan() {
+		if data, err := os.ReadFile(s.path(e.key)); err == nil && !envelope.SHA256.Verify(data) {
+			s.Quarantine(e.key, "integrity trailer mismatch at startup")
+		}
+	}
+}
+
 // Put stores blob under key. The blob must end in a valid SHA-256 trailer
-// over its preceding bytes (every GDSP encoding does) — the store refuses
-// to file bytes it could not later vouch for. The write is atomic
-// (temp file + rename), then least-recently-used entries are evicted
-// until the directory fits the budget again.
+// over its preceding bytes (every GDSP and GDSC encoding does) — the store
+// refuses to file bytes it could not later vouch for. The write is atomic
+// (temp file + rename), then least-recently-used entries other than key
+// itself are evicted until the directory fits the budget again.
 func (s *Store) Put(key string, blob []byte) error {
 	if !ValidKey(key) {
 		return fmt.Errorf("store: invalid key %q", key)
 	}
-	if !selfVerifies(blob) {
+	if !envelope.SHA256.Verify(blob) {
 		return fmt.Errorf("store: blob for %s fails its own integrity trailer", key[:12])
 	}
 	if s.budget > 0 && int64(len(blob)) > s.budget {
@@ -159,7 +189,7 @@ func (s *Store) Put(key string, blob []byte) error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("store write: %w", err)
 	}
-	s.evict()
+	s.evict(key)
 	return nil
 }
 
@@ -211,7 +241,7 @@ func (s *Store) scan() []entry {
 	}
 	var out []entry
 	for _, de := range dirents {
-		key, ok := strings.CutSuffix(de.Name(), blobExt)
+		key, ok := strings.CutSuffix(de.Name(), s.suffix)
 		if !ok || !ValidKey(key) {
 			continue
 		}
@@ -235,10 +265,12 @@ func (s *Store) scan() []entry {
 	return out
 }
 
-// evict removes least-recently-used blobs until the directory fits the
-// budget. Races with peer processes are benign: a failed remove (the peer
-// evicted first) is simply not counted.
-func (s *Store) evict() {
+// evict removes least-recently-used blobs other than keep — the entry a
+// Put just wrote, which a peer's clock running ahead or an mtime tie could
+// otherwise rank oldest — until the directory fits the budget. Races with
+// peer processes are benign: a failed remove (the peer evicted first) is
+// simply not counted.
+func (s *Store) evict(keep string) {
 	if s.budget <= 0 {
 		return
 	}
@@ -250,6 +282,9 @@ func (s *Store) evict() {
 	for _, e := range entries {
 		if total <= s.budget {
 			break
+		}
+		if e.key == keep {
+			continue
 		}
 		if err := os.Remove(s.path(e.key)); err != nil {
 			continue
@@ -263,7 +298,7 @@ func (s *Store) evict() {
 }
 
 func (s *Store) path(key string) string {
-	return filepath.Join(s.dir, key+blobExt)
+	return filepath.Join(s.dir, key+s.suffix)
 }
 
 // ValidKey reports whether key is a lowercase SHA-256 hex string — the
@@ -280,16 +315,4 @@ func ValidKey(key string) bool {
 		}
 	}
 	return true
-}
-
-// selfVerifies reports whether data ends in a SHA-256 trailer over its
-// preceding bytes — the codec-agnostic integrity check shared by every
-// blob this store files.
-func selfVerifies(data []byte) bool {
-	if len(data) <= sha256.Size {
-		return false
-	}
-	body, tail := data[:len(data)-sha256.Size], data[len(data)-sha256.Size:]
-	sum := sha256.Sum256(body)
-	return subtle.ConstantTimeCompare(sum[:], tail) == 1
 }

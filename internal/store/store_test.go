@@ -5,7 +5,10 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -86,7 +89,7 @@ func TestStoreQuarantinesTornFiles(t *testing.T) {
 	if err := s.Put(key, blob); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(s.Dir(), key+blobExt)
+	path := s.path(key)
 	mut := append([]byte(nil), blob...)
 	mut[3] ^= 0x10
 	if err := os.WriteFile(path, mut, 0o644); err != nil {
@@ -110,7 +113,7 @@ func TestStoreQuarantinesTornFiles(t *testing.T) {
 	if err := s.Put(key2, blob); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(s.Dir(), key2+blobExt), blob[:10], 0o644); err != nil {
+	if err := os.WriteFile(s.path(key2), blob[:10], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := s.Get(key2); ok {
@@ -131,7 +134,7 @@ func TestStoreEvictsOldestFirst(t *testing.T) {
 		}
 		// mtime granularity on some filesystems is coarse; spread explicitly.
 		old := time.Now().Add(time.Duration(i-10) * time.Hour)
-		os.Chtimes(filepath.Join(s.Dir(), k+blobExt), old, old)
+		os.Chtimes(s.path(k), old, old)
 	}
 	// Touch key[0] so key[1] is now the oldest.
 	if _, ok := s.Get(keys[0]); !ok {
@@ -170,7 +173,7 @@ func TestStoreScanStableOnEqualMtimes(t *testing.T) {
 		if err := s.Put(k, blob); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.Chtimes(filepath.Join(s.Dir(), k+blobExt), when, when); err != nil {
+		if err := os.Chtimes(s.path(k), when, when); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -255,5 +258,139 @@ func TestStoreReapsStaleTempFiles(t *testing.T) {
 	}
 	if _, err := os.Stat(fresh); err != nil {
 		t.Fatal("fresh temp file was reaped")
+	}
+}
+
+// TestStorePutNeverEvictsItself: a Put over budget evicts other entries,
+// never the blob it just wrote — even when a peer's clock running ahead
+// (or an mtime tie) ranks that blob oldest.
+func TestStorePutNeverEvictsItself(t *testing.T) {
+	blob := sealed(make([]byte, 68)) // 100 bytes each
+	s := openTest(t, 150)            // room for one
+	a, b := keyFor("a"), keyFor("b")
+	if err := s.Put(a, blob); err != nil {
+		t.Fatal(err)
+	}
+	ahead := time.Now().Add(time.Hour)
+	if err := os.Chtimes(s.path(a), ahead, ahead); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(b, blob); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.Get(b); !ok {
+		t.Fatal("Put returned nil but evicted its own entry")
+	}
+	if _, ok := s.Get(a); ok {
+		t.Fatal("the other entry survived an over-budget Put")
+	}
+}
+
+// TestStoreTakeOneShot: Take hands each entry to exactly one caller, with
+// many goroutines taking the same keys through two Store values over one
+// directory (two processes sharing it), and leaves no file behind.
+func TestStoreTakeOneShot(t *testing.T) {
+	dir := t.TempDir()
+	log := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelError}))
+	var stores [2]*Store
+	for i := range stores {
+		s, err := OpenSuffix(dir, ".ckpt", 1<<20, log)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stores[i] = s
+	}
+	const entries, workers = 40, 8
+	keys := make([]string, entries)
+	blobs := map[string][]byte{}
+	for i := range keys {
+		keys[i] = keyFor(strconv.Itoa(i))
+		blobs[keys[i]] = sealed([]byte(strings.Repeat("x", i+1)))
+		if err := stores[i%2].Put(keys[i], blobs[keys[i]]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var taken [entries]atomic.Int32
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i, k := range keys {
+				data, ok := stores[(w+i)%2].Take(k)
+				if !ok {
+					continue
+				}
+				taken[i].Add(1)
+				if string(data) != string(blobs[k]) {
+					t.Errorf("Take(%s) returned different bytes", k[:12])
+				}
+				stores[w%2].Stats()
+			}
+		}(w)
+	}
+	wg.Wait()
+	for i := range taken {
+		if n := taken[i].Load(); n != 1 {
+			t.Errorf("entry %d taken %d times, want exactly once", i, n)
+		}
+	}
+	for _, s := range stores {
+		if st := s.Stats(); st.Entries != 0 || st.Quarantined != 0 {
+			t.Fatalf("stats after taking everything = %+v, want empty and nothing quarantined", st)
+		}
+	}
+	if _, ok := stores[0].Take(keys[0]); ok {
+		t.Fatal("a taken entry was taken again")
+	}
+}
+
+// TestStoreVerifyQuarantines: the boot scan quarantines an entry damaged
+// on disk (renamed to .corrupt and counted), keeps the whole ones, and
+// ignores files that are not entries of this store.
+func TestStoreVerifyQuarantines(t *testing.T) {
+	dir := t.TempDir()
+	log := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelError}))
+	s, err := OpenSuffix(dir, ".ckpt", 1<<20, log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, torn := keyFor("good"), keyFor("torn")
+	for _, k := range []string{good, torn} {
+		if err := s.Put(k, sealed([]byte(k))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(s.path(torn), []byte("torn envelope"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	os.WriteFile(filepath.Join(dir, "notes.txt"), []byte("x"), 0o644)
+	os.WriteFile(filepath.Join(dir, strings.Repeat("z", 64)+".ckpt"), []byte("x"), 0o644)
+	os.WriteFile(filepath.Join(dir, keyFor("other")+".gdsp"), []byte("x"), 0o644)
+
+	restarted, err := OpenSuffix(dir, ".ckpt", 1<<20, log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restarted.Verify()
+	if st := restarted.Stats(); st.Entries != 1 || st.Quarantined != 1 {
+		t.Fatalf("after Verify: %+v, want 1 entry / 1 quarantined", st)
+	}
+	if _, err := os.Stat(s.path(torn) + ".corrupt"); err != nil {
+		t.Fatalf("torn entry was not quarantined: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, keyFor("other")+".gdsp")); err != nil {
+		t.Fatalf("another store's file was touched: %v", err)
+	}
+	if data, ok := restarted.Take(good); !ok || string(data) != string(sealed([]byte(good))) {
+		t.Fatal("whole entry did not survive Verify")
+	}
+	if _, err := os.Stat(s.path(good)); !os.IsNotExist(err) {
+		t.Fatalf("taken entry still on disk: %v", err)
+	}
+	for _, bad := range []string{"", "short", strings.Repeat("A", 64), "../../../../etc/passwd"} {
+		if _, ok := restarted.Take(bad); ok {
+			t.Fatalf("malformed key %q hit", bad)
+		}
 	}
 }
