@@ -22,7 +22,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/extract"
 	"repro/internal/logic"
-	"repro/internal/metrics"
+	"repro/internal/quality"
 	"repro/internal/sampling"
 	"repro/internal/tensor"
 )
@@ -70,14 +70,23 @@ func main() {
 	timeout := 20 * time.Second
 
 	audit := func(name string, draw func() [][]bool) {
-		h := metrics.NewHistogram(nInputs)
-		sols := draw()
-		for _, s := range sols {
-			h.Add(s)
+		counts := map[string]int{}
+		for _, sol := range draw() {
+			key := make([]byte, len(sol))
+			for i, b := range sol {
+				if b {
+					key[i] = 1
+				}
+			}
+			counts[string(key)]++
 		}
-		chi, dof := h.ChiSquare(space)
-		fmt.Printf("%-14s distinct=%-5d coverage=%5.1f%%  chi2/dof=%6.2f  KL=%5.3f bits\n",
-			name, h.Distinct(), 100*h.Coverage(space), chi/float64(dof), h.KLFromUniform(space))
+		hits := make([]int, 0, len(counts))
+		for _, c := range counts {
+			hits = append(hits, c)
+		}
+		q := quality.Evaluate(hits, space)
+		fmt.Printf("%-14s distinct=%-5d coverage=%5.1f%%  chi2/dof=%6.2f  p=%.3g\n",
+			name, q.Distinct, 100*q.Coverage, q.ChiSquare/float64(q.DoF), q.P)
 	}
 
 	// This work: unique solutions only (the sampler dedupes), so the audit
@@ -117,5 +126,5 @@ func main() {
 	})
 
 	fmt.Println("\n(all samplers deduplicate, so chi2 reflects coverage balance over the")
-	fmt.Println(" observed support; a uniform sampler approaches 100% coverage with KL→0)")
+	fmt.Println(" observed support; a uniform sampler approaches 100% coverage with large p)")
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/bitblast"
@@ -258,11 +259,7 @@ func sortedVars(m map[int]circuit.NodeID) []int {
 	for v := range m {
 		vars = append(vars, v)
 	}
-	for i := 1; i < len(vars); i++ { // insertion sort: NodeOf is small-to-mid sized
-		for j := i; j > 0 && vars[j] < vars[j-1]; j-- {
-			vars[j], vars[j-1] = vars[j-1], vars[j]
-		}
-	}
+	slices.Sort(vars)
 	return vars
 }
 

@@ -3,7 +3,9 @@
 // the baseline samplers and the renderers together and produces the rows/series
 // the paper reports — Table II (throughput), Fig. 2 (latency vs unique
 // solutions), Fig. 3 (learning dynamics and memory) and Fig. 4 (device
-// ablation, ops reduction, transformation time).
+// ablation, ops reduction, transformation time) — and the ablations and
+// gates beside them: scheduler, scaling, compile tier, assumption
+// specialization, and sample quality against exact model counts.
 //
 // Every sampler — the core GD session and the three baselines — is driven
 // through the unified sampling.Sampler interface, and every experiment
@@ -15,6 +17,7 @@ package harness
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -436,7 +439,7 @@ type ScaleRow struct {
 }
 
 // RunScale measures the parallel tick's scaling on the given instances
-// (the multi-core PR's headline curve, and the -checkscale gate's data
+// (the multi-core tick's headline curve, and the scale gate's data
 // source). The batch is fixed across arms — adapting it to a memory
 // budget would grow per-worker scratch with the worker count and
 // confound the curve — and each repeat drives every arm with the same
@@ -527,7 +530,7 @@ type CacheRow struct {
 }
 
 // RunCache measures cold-compile vs store-load vs warm-hit on the given
-// instances (the durable-tier PR's headline numbers, and the -checkcache
+// instances (the durable tier's headline numbers, and the cache
 // gate's data source). dir hosts the content-addressed artifacts; each
 // instance compiles cold through a store-less compiler, is encoded into the
 // store, then loads back through a fresh compiler whose only warm tier is
@@ -638,12 +641,6 @@ func assumePins(p *core.Problem, f *cnf.Formula) []cnf.Lit {
 	return pins
 }
 
-// assumeQualityBudget is the conditioned uniformity checkpoint's sample
-// budget per exact model — the same bounded-budget design as the
-// unconditioned quality gate (chi-square scales linearly in samples for
-// fixed skew, so the bounded budget measures shape, not asymptotic bias).
-const assumeQualityBudget = 6
-
 // RunAssume measures assumption specialization on the given instances:
 // per instance, a cold compile is timed through a fresh compiler, pins are
 // derived from a SAT model, and core.Specialize is timed over the already
@@ -693,30 +690,100 @@ func RunAssume(ctx context.Context, instances []*benchgen.Instance, opt RunOptio
 		// Conditioned quality leg, where the oracle can count the space.
 		exact, err := quality.ExactCountAssume(in.Formula, in.Formula.Projection, pins, quality.CountLimits{})
 		if err == nil && exact > 0 {
-			s, serr := spec.NewSampler(core.Config{BatchSize: 64, Seed: opt.Seed + 1, Device: opt.Device})
-			if serr == nil {
-				budget := assumeQualityBudget * int(exact)
-				for s.Stats().Retired < budget && !s.Exhausted() && ctx.Err() == nil {
-					s.ContinuousStep(0)
-				}
-				uni := quality.Evaluate(s.SolutionHits(), exact)
-				satDeadline := time.Now().Add(30 * time.Second)
-				for !s.Exhausted() && ctx.Err() == nil && time.Now().Before(satDeadline) {
-					s.ContinuousStep(0)
-				}
-				cov := quality.Evaluate(s.SolutionHits(), exact)
+			if s, err := spec.NewSampler(opt.qualityConfig()); err == nil {
+				q := measureQuality(ctx, s, exact)
 				row.QualityMeasured = true
-				row.Exact = exact
-				row.Distinct = cov.Distinct
-				row.Coverage = cov.Coverage
-				row.ChiSquare = uni.ChiSquare
-				row.DoF = uni.DoF
-				row.P = uni.P
+				row.Exact, row.Distinct, row.Coverage = q.Exact, q.Distinct, q.Coverage
+				row.ChiSquare, row.DoF, row.P = q.ChiSquare, q.DoF, q.P
 			}
 		}
 		rows = append(rows, row)
 	}
 	return rows
+}
+
+// QualityRow is one instance's sample-quality measurement against the
+// exact BDD model count (see measureQuality for which checkpoint each
+// field comes from).
+type QualityRow struct {
+	Instance string `json:"instance"`
+	Vars     int    `json:"vars"`
+	ProjVars int    `json:"proj_vars"` // 0 = full-assignment identity
+	quality.Report
+	SolPerSec float64 `json:"sol_per_sec"`
+}
+
+// RunQuality measures the GD sampler against the exact-count oracle on the
+// given instances (benchgen.QualitySuite) — the -exp quality gate's data
+// source. Instances whose space exceeds the oracle's limits are skipped;
+// any other failure to count, compile or open a sampler is joined into the
+// returned error while the sweep goes on.
+func RunQuality(ctx context.Context, instances []*benchgen.Instance, opt RunOptions) ([]QualityRow, error) {
+	opt = opt.withDefaults()
+	var rows []QualityRow
+	var errs []error
+	for _, in := range instances {
+		if ctx.Err() != nil {
+			break
+		}
+		f := in.Formula
+		exact, err := quality.ExactCount(f, f.Projection, quality.CountLimits{})
+		if errors.Is(err, quality.ErrTooLarge) {
+			continue
+		}
+		var s *core.Sampler
+		if err == nil {
+			var p *sampling.Problem
+			if p, err = opt.Compiler.Compile(f); err == nil {
+				s, err = p.Core().NewSampler(opt.qualityConfig())
+			}
+		}
+		if err != nil {
+			errs = append(errs, fmt.Errorf("%s: %w", in.Name, err))
+			continue
+		}
+		q := measureQuality(ctx, s, exact)
+		rows = append(rows, QualityRow{
+			Instance: in.Name, Vars: f.NumVars, ProjVars: len(f.Projection),
+			Report: q, SolPerSec: s.Stats().Throughput(),
+		})
+	}
+	return rows, errors.Join(errs...)
+}
+
+// qualityConfig is the sampler both quality legs score: a small batch and
+// a fixed seed, so the measurement is deterministic.
+func (o RunOptions) qualityConfig() core.Config {
+	return core.Config{BatchSize: 64, Seed: o.Seed + 1, Device: o.Device}
+}
+
+// qualitySampleBudget is the uniformity checkpoint's budget in valid
+// retires per exact model. Chi-square scales linearly in samples for fixed
+// skew, so a bounded budget measures distributional shape, not the GD
+// sampler's asymptotic bias.
+const qualitySampleBudget = 6
+
+// measureQuality scores s against an exact model count in two checkpoints
+// of one session: uniformity (Samples, ChiSquare, DoF, P) once s has
+// retired qualitySampleBudget valid candidates per model, then coverage
+// (Distinct, Coverage) once it saturates. Stats().Retired is the
+// continuous scheduler's valid-retire count — exactly the sum of the
+// per-solution tallies — so the budget loop does not copy the tally slice
+// every tick. SIGINT is honoured between ticks; the 30 s saturation cap is
+// a backstop (the quality instances saturate in milliseconds).
+func measureQuality(ctx context.Context, s *core.Sampler, exact float64) quality.Report {
+	budget := qualitySampleBudget * int(exact)
+	for s.Stats().Retired < budget && !s.Exhausted() && ctx.Err() == nil {
+		s.ContinuousStep(0)
+	}
+	q := quality.Evaluate(s.SolutionHits(), exact)
+	deadline := time.Now().Add(30 * time.Second)
+	for !s.Exhausted() && ctx.Err() == nil && time.Now().Before(deadline) {
+		s.ContinuousStep(0)
+	}
+	sat := quality.Evaluate(s.SolutionHits(), exact)
+	q.Distinct, q.Coverage = sat.Distinct, sat.Coverage
+	return q
 }
 
 // InstanceSummary describes an instance the way Table II's left columns do.

@@ -96,6 +96,25 @@ func TestRunSchedComparesModes(t *testing.T) {
 	}
 }
 
+func TestRunQualityScoresBothCheckpoints(t *testing.T) {
+	rows, err := RunQuality(context.Background(), benchgen.QualitySuite(), fastOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != len(benchgen.QualitySuite()) {
+		t.Fatalf("%d rows, want one per quality instance", len(rows))
+	}
+	for _, r := range rows {
+		// Coverage is read at saturation, uniformity at the bounded budget.
+		if r.Exact <= 0 || r.Coverage != 1 || r.Distinct != int(r.Exact) {
+			t.Errorf("%s: distinct %d of %.0f models at saturation", r.Instance, r.Distinct, r.Exact)
+		}
+		if r.Samples < qualitySampleBudget*int(r.Exact) || r.DoF != int(r.Exact)-1 {
+			t.Errorf("%s: uniformity checkpoint at %d samples, dof %d", r.Instance, r.Samples, r.DoF)
+		}
+	}
+}
+
 func TestRunFig2ProducesMonotonePoints(t *testing.T) {
 	pts := RunFig2(context.Background(), benchgen.SmallSuite()[:2], []int{5, 15}, fastOpts())
 	if len(pts) == 0 {

@@ -207,6 +207,18 @@ func RenderAssume(w io.Writer, rows []AssumeRow) {
 	}
 }
 
+// RenderQuality prints the exact-count quality table: coverage at
+// saturation, chi-square uniformity at the bounded sample budget.
+func RenderQuality(w io.Writer, rows []QualityRow) {
+	fmt.Fprintf(w, "%-16s %6s %6s %8s %9s %9s %9s %8s %10s %12s\n",
+		"instance", "vars", "proj", "exact", "distinct", "coverage", "chi2", "dof", "p", "sol/s")
+	for _, r := range rows {
+		fmt.Fprintf(w, "%-16s %6d %6d %8.0f %9d %9.3f %9.1f %8d %10.3g %12.0f\n",
+			r.Instance, r.Vars, r.ProjVars, r.Exact, r.Distinct,
+			r.Coverage, r.ChiSquare, r.DoF, r.P, r.SolPerSec)
+	}
+}
+
 func humanRate(v float64) string {
 	switch {
 	case v <= 0:

@@ -3,6 +3,7 @@ package quality_test
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/cnf"
@@ -162,6 +163,46 @@ func TestChiSquareUniform(t *testing.T) {
 	// Degenerate inputs.
 	if _, _, p := quality.ChiSquareUniform(nil, 4); p != 1 {
 		t.Fatal("no samples must be p=1")
+	}
+}
+
+func TestChiSquareUniformIsSmall(t *testing.T) {
+	// Genuinely uniform draws over 8 cells: the statistic sits near dof.
+	r := rand.New(rand.NewSource(1))
+	counts := make([]int, 8)
+	for i := 0; i < 8000; i++ {
+		counts[r.Intn(8)]++
+	}
+	stat, dof, p := quality.ChiSquareUniform(counts, 8)
+	if dof != 7 {
+		t.Fatalf("dof = %d want 7", dof)
+	}
+	// 99.9th percentile of chi²(7) ≈ 24.3.
+	if stat > 24.3 || p < 1e-3 {
+		t.Errorf("chi² = %.1f (p=%.3g) too large for uniform data", stat, p)
+	}
+}
+
+func TestChiSquareSkewedIsLarge(t *testing.T) {
+	// Every draw lands on one of 8 cells.
+	stat, _, p := quality.ChiSquareUniform([]int{8000}, 8)
+	if stat < 1000 || p > 1e-20 {
+		t.Errorf("chi² = %.1f (p=%.3g) too small for fully-skewed data", stat, p)
+	}
+}
+
+func TestZeroSampleEdgeCases(t *testing.T) {
+	if stat, dof, p := quality.ChiSquareUniform(nil, 8); stat != 0 || dof != 0 || p != 1 {
+		t.Errorf("empty chi-square = (%v, %d, %v), want (0, 0, 1)", stat, dof, p)
+	}
+	if c := quality.Coverage(0, 8); c != 0 {
+		t.Errorf("empty coverage = %v", c)
+	}
+	if c := quality.Coverage(3, 0); c != 0 {
+		t.Errorf("coverage of an unknown space = %v, want 0", c)
+	}
+	if r := quality.Evaluate(nil, 8); r.Distinct != 0 || r.Samples != 0 || r.P != 1 {
+		t.Errorf("empty report %+v", r)
 	}
 }
 

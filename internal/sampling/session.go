@@ -63,10 +63,6 @@ type SessionConfig struct {
 	// compiled engine's tiled scratch is a fixed cost, so sizing solves
 	// fixed + perRow·batch <= budget.
 	MemoryBudget int64
-	// MaxBatch caps an adapted batch (default 8192: beyond ~8k rows per
-	// round the extra throughput is marginal on CPU but first-round
-	// latency grows linearly). Ignored when BatchSize is set explicitly.
-	MaxBatch int
 	// MaxAge is the continuous scheduler's restart cap, passed through to
 	// core.Config (0 takes core's default of 3×Iterations).
 	MaxAge int
@@ -131,19 +127,21 @@ func (p *Problem) NewSession(cfg SessionConfig) (*Session, error) {
 	return &Session{prob: p, core: s, name: name}, nil
 }
 
+// maxAdaptedBatch caps a budget-sized batch: beyond ~8k rows per round
+// the extra throughput is marginal on CPU but first-round latency grows
+// linearly.
+const maxAdaptedBatch = 8192
+
 // BatchFor returns the GD batch a session over p runs cfg at: BatchSize
 // when set; else, under a MemoryBudget, the largest batch that fits the
-// budget, clamped to [64, MaxBatch]; else 0, which takes core's default.
+// budget, clamped to [64, maxAdaptedBatch]; else 0, which takes core's
+// default.
 func (p *Problem) BatchFor(cfg SessionConfig) int {
 	if cfg.BatchSize != 0 || cfg.MemoryBudget <= 0 {
 		return cfg.BatchSize
 	}
-	maxBatch := cfg.MaxBatch
-	if maxBatch <= 0 {
-		maxBatch = 8192
-	}
 	batch := p.core.BatchForBudget(cfg.Device.Workers(), cfg.Momentum != 0, cfg.MemoryBudget)
-	return min(max(batch, 64), maxBatch)
+	return min(max(batch, 64), maxAdaptedBatch)
 }
 
 // Session is one sampling request over a shared Problem: a core sampler

@@ -441,7 +441,7 @@ func (s *Server) unreserve(est int64) {
 }
 
 // sessionShape derives the GD batch a session over prob will run with
-// (the same BatchForBudget sizing NewSession applies to SessionMemory) and
+// (the same BatchFor sizing NewSession applies to SessionMemory) and
 // the session's estimated resident bytes — the admission-control unit.
 // The estimate adds the dedup pool's worst case at the request's effective
 // target (packed primary-input rows plus hash/dedup overhead), and for a
@@ -451,13 +451,7 @@ func (s *Server) unreserve(est int64) {
 // stream that runs all the way to its cap is still inside its
 // reservation.
 func (s *Server) sessionShape(prob *sampling.Problem, target, projVars int) (batch int, est int64) {
-	batch = prob.Core().BatchForBudget(s.cfg.Device.Workers(), false, s.cfg.SessionMemory)
-	if batch < 64 {
-		batch = 64
-	}
-	if batch > 8192 {
-		batch = 8192
-	}
+	batch = prob.BatchFor(sampling.SessionConfig{Device: s.cfg.Device, MemoryBudget: s.cfg.SessionMemory})
 	return batch, s.estimateSession(prob, batch, target, projVars, false)
 }
 
