@@ -51,12 +51,18 @@ func FromPlan(c *circuit.Circuit, clauses [][]PlanLit, unsat bool) (*Program, er
 		return p, nil
 	}
 	n := int32(len(c.Nodes))
+	total := 0
+	for _, cl := range clauses {
+		total += len(cl)
+	}
+	flat := make([]blit, total)
 	p.clauses = make([][]blit, len(clauses))
 	for i, cl := range clauses {
 		if len(cl) == 0 {
 			return nil, fmt.Errorf("bitblast: clause %d of the plan is empty", i)
 		}
-		out := make([]blit, len(cl))
+		out := flat[:len(cl):len(cl)]
+		flat = flat[len(cl):]
 		for j, l := range cl {
 			if l.Node < 0 || l.Node >= n {
 				return nil, fmt.Errorf("bitblast: clause %d literal %d references node %d of %d", i, j, l.Node, n)

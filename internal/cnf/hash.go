@@ -19,11 +19,16 @@ import (
 // formula's hash unchanged and cannot collide — the clause section's
 // length is fully determined by its leading counts.
 func (f *Formula) ContentHash() string {
+	// Varints are staged in a block buffer: one hash Write per varint
+	// would cost more than the compression it feeds.
 	h := sha256.New()
-	var buf [binary.MaxVarintLen64]byte
+	buf := make([]byte, 0, 4096)
 	writeInt := func(v int64) {
-		n := binary.PutVarint(buf[:], v)
-		h.Write(buf[:n])
+		buf = binary.AppendVarint(buf, v)
+		if len(buf) > cap(buf)-binary.MaxVarintLen64 {
+			h.Write(buf)
+			buf = buf[:0]
+		}
 	}
 	writeInt(int64(f.NumVars))
 	writeInt(int64(len(f.Clauses)))
@@ -39,5 +44,6 @@ func (f *Formula) ContentHash() string {
 			writeInt(int64(v))
 		}
 	}
+	h.Write(buf)
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"slices"
+	"strconv"
 	"time"
 
 	"repro/internal/bitblast"
@@ -199,7 +201,7 @@ func DecodeProblem(data []byte) (*Problem, error) {
 	key := d.Str()
 	var assume []cnf.Lit
 	if d.Version == ProblemVersion {
-		if assume = decLits(d, "assumptions"); d.Err() == nil && len(assume) == 0 {
+		if assume = decInts[cnf.Lit](d, "assumptions", nil); d.Err() == nil && len(assume) == 0 {
 			d.Fail("version %d blob with no assumptions (canonical form is version %d)", ProblemVersion, problemVersionBase)
 		}
 	}
@@ -240,17 +242,46 @@ func encLits(e *envelope.Encoder, lits []cnf.Lit) {
 	}
 }
 
-// decLits reads a literal list written by encLits.
-func decLits(d *envelope.Decoder, what string) []cnf.Lit {
-	n := d.Count(4, what)
+// decInts reads a u32 count plus i32 values (encLits, Encoder.Ints) into
+// storage from sl.
+func decInts[T ~int](d *envelope.Decoder, what string, sl *slab[T]) []T {
+	raw := d.Take(4 * d.Count(4, what))
 	if d.Err() != nil {
 		return nil
 	}
-	lits := make([]cnf.Lit, n)
-	for i := range lits {
-		lits[i] = cnf.Lit(int32(d.U32()))
+	out := sl.take(len(raw) / 4)
+	for i := range out {
+		out[i] = T(int32(binary.LittleEndian.Uint32(raw[4*i:])))
 	}
-	return lits
+	return out
+}
+
+// slabChunk caps the element count of one slab block.
+const slabChunk = 1 << 14
+
+// slab hands out consecutive, capacity-capped windows of shared blocks,
+// so decoding tens of thousands of short slices (clause literals, fanins,
+// verifier clauses) costs a few block allocations instead of one per
+// slice. The windows never overlap, so appending to one cannot write into
+// its neighbour. Blocks double from 64 elements up to slabChunk, so a
+// small problem does not pay for a large block. A nil slab allocates each
+// slice on its own.
+type slab[T any] struct {
+	free []T
+	next int // element count of the next block
+}
+
+func (s *slab[T]) take(n int) []T {
+	if s == nil {
+		return make([]T, n)
+	}
+	if s.free == nil || n > len(s.free) {
+		s.next = min(max(2*s.next, 64), slabChunk)
+		s.free = make([]T, max(n, s.next))
+	}
+	out := s.free[:n:n]
+	s.free = s.free[n:]
+	return out
 }
 
 // sortedVars returns NodeOf's keys ascending (canonical encode order).
@@ -271,8 +302,9 @@ func decodeFormula(d *envelope.Decoder) *cnf.Formula {
 	ncl := d.Count(4, "clauses")
 	f := &cnf.Formula{NumVars: nv}
 	f.Clauses = make([]cnf.Clause, 0, ncl)
+	var lits slab[cnf.Lit]
 	for i := 0; i < ncl; i++ {
-		cl := decLits(d, "clause literals")
+		cl := decInts(d, "clause literals", &lits)
 		if d.Err() != nil {
 			return f
 		}
@@ -298,6 +330,7 @@ func decodeFormula(d *envelope.Decoder) *cnf.Formula {
 func decodeCircuit(d *envelope.Decoder, f *cnf.Formula) *circuit.Circuit {
 	nn := d.Count(10, "circuit nodes")
 	c := &circuit.Circuit{Nodes: make([]circuit.Node, 0, nn)}
+	var fanins slab[circuit.NodeID]
 	inputSeen := 0
 	for id := 0; id < nn; id++ {
 		t := circuit.GateType(d.U8())
@@ -334,9 +367,13 @@ func decodeCircuit(d *envelope.Decoder, f *cnf.Formula) *circuit.Circuit {
 		}
 		nd := circuit.Node{Type: t, Val: val != 0, Var: v}
 		if nf > 0 {
-			nd.Fanin = make([]circuit.NodeID, nf)
+			raw := d.Take(4 * nf)
+			if d.Err() != nil {
+				return c
+			}
+			nd.Fanin = fanins.take(nf)
 			for i := range nd.Fanin {
-				fid := int32(d.U32())
+				fid := int32(binary.LittleEndian.Uint32(raw[4*i:]))
 				if fid < 0 || fid >= int32(id) {
 					d.Fail("node %d fanin %d is %d (topological order violated)", id, i, fid)
 					return c
@@ -347,7 +384,7 @@ func decodeCircuit(d *envelope.Decoder, f *cnf.Formula) *circuit.Circuit {
 		if t == circuit.Input {
 			inputSeen++
 			if v > 0 {
-				nd.Name = fmt.Sprintf("x%d", v)
+				nd.Name = "x" + strconv.Itoa(v)
 			}
 		}
 		c.Nodes = append(c.Nodes, nd)
@@ -439,8 +476,9 @@ func decodeExtraction(d *envelope.Decoder, f *cnf.Formula, c *circuit.Circuit) *
 		return ext
 	}
 	ext.OutputSources = make([][]int, nsrc)
+	var srcSlab slab[int]
 	for i := range ext.OutputSources {
-		srcs := d.Ints("provenance clauses")
+		srcs := decInts(d, "provenance clauses", &srcSlab)
 		for _, ci := range srcs {
 			if d.Err() == nil && (ci < 0 || ci >= len(f.Clauses)) {
 				d.Fail("provenance clause %d of %d", ci, len(f.Clauses))
@@ -565,17 +603,16 @@ func decodeVerifyPlan(d *envelope.Decoder, c *circuit.Circuit) *bitblast.Program
 		return nil
 	}
 	plan := make([][]bitblast.PlanLit, ncl)
+	var lits slab[bitblast.PlanLit]
 	for i := range plan {
-		nl := d.Count(5, "verifier literals")
+		raw := d.Take(5 * d.Count(5, "verifier literals"))
 		if d.Err() != nil {
 			return nil
 		}
-		cl := make([]bitblast.PlanLit, nl)
+		cl := lits.take(len(raw) / 5)
 		for j := range cl {
-			cl[j] = bitblast.PlanLit{Node: int32(d.U32()), Neg: d.U8() != 0}
-		}
-		if d.Err() != nil {
-			return nil
+			r := raw[5*j:]
+			cl[j] = bitblast.PlanLit{Node: int32(binary.LittleEndian.Uint32(r)), Neg: r[4] != 0}
 		}
 		plan[i] = cl
 	}

@@ -59,6 +59,29 @@ func problemRoundTrip(t *testing.T, p *Problem) *Problem {
 	return dec
 }
 
+// TestCompileCNFDeterministic: compiling the same formula twice yields the
+// same GDSP bytes once the wall-clock TransformTime is zeroed, so a
+// compiled artifact is a function of its CNF alone.
+func TestCompileCNFDeterministic(t *testing.T) {
+	ins := append(benchgen.SmallSuite(), benchgen.Iscas("cold-0", 120, 1200, 4, 6001))
+	for _, inst := range ins {
+		var first []byte
+		for i := 0; i < 3; i++ {
+			p := mustCompile(t, inst.Formula)
+			p.Extraction().TransformTime = 0
+			blob, err := p.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				first = blob
+			} else if !bytes.Equal(blob, first) {
+				t.Fatalf("%s: compile %d encodes different bytes", inst.Name, i)
+			}
+		}
+	}
+}
+
 // TestProblemCodecDifferential is the durability invariant behind the
 // store tier: a Problem decoded from its GDSP encoding must be
 // indistinguishable from the freshly compiled original to the sampling

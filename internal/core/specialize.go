@@ -164,45 +164,43 @@ func Specialize(p *Problem, assume []cnf.Lit) (*Problem, error) {
 // sweep, falsified literals drop out of their clauses, and one unit clause
 // per pin on a live (non-constant) node keeps the pin enforced against
 // every candidate row. It mirrors bitblast.New's constant and nodeless
-// resolution, with the pin map taking precedence over both.
+// resolution, with the pins taking precedence over both.
 func specializedVerifier(f *cnf.Formula, ext *extract.Result, assume []cnf.Lit) (*bitblast.Program, error) {
-	pin := make(map[int]bool, len(assume))
-	for _, l := range assume {
-		pin[l.Var()] = l.Positive()
-	}
+	// Resolve every variable once: the node its literals sweep, or -1 with
+	// the value it is fixed at. Nodeless variables default to false (the
+	// bitblast.New convention shared with AssignmentFromInputs); pins are
+	// applied last so they take precedence over constants.
 	nodes := ext.Circuit.Nodes
-	var clauses [][]bitblast.PlanLit
+	node := make([]int32, f.NumVars+1)
+	val := make([]bool, f.NumVars+1)
+	for v := range node {
+		node[v] = -1
+	}
+	for v, id := range ext.NodeOf {
+		if nodes[id].Type == circuit.Const {
+			val[v] = nodes[id].Val
+		} else {
+			node[v] = int32(id)
+		}
+	}
+	for _, l := range assume {
+		node[l.Var()], val[l.Var()] = -1, l.Positive()
+	}
+	clauses := make([][]bitblast.PlanLit, 0, len(f.Clauses)+len(assume))
+	var lits slab[bitblast.PlanLit]
+	var out []bitblast.PlanLit
 	unsat := false
 	for _, c := range f.Clauses {
 		sat := false
-		var out []bitblast.PlanLit
+		out = out[:0]
 		for _, l := range c {
 			v := l.Var()
-			if val, ok := pin[v]; ok {
-				if l.Sat(val) {
-					sat = true
-					break
-				}
-				continue
+			if id := node[v]; id >= 0 {
+				out = append(out, bitblast.PlanLit{Node: id, Neg: !l.Positive()})
+			} else if l.Sat(val[v]) {
+				sat = true
+				break
 			}
-			id, ok := ext.NodeOf[v]
-			if !ok {
-				// Nodeless and unpinned: defaults to false (the
-				// bitblast.New convention shared with AssignmentFromInputs).
-				if !l.Positive() {
-					sat = true
-					break
-				}
-				continue
-			}
-			if nodes[id].Type == circuit.Const {
-				if nodes[id].Val == l.Positive() {
-					sat = true
-					break
-				}
-				continue
-			}
-			out = append(out, bitblast.PlanLit{Node: int32(id), Neg: !l.Positive()})
 		}
 		if sat {
 			continue
@@ -211,7 +209,7 @@ func specializedVerifier(f *cnf.Formula, ext *extract.Result, assume []cnf.Lit) 
 			unsat = true
 			break
 		}
-		clauses = append(clauses, out)
+		clauses = append(clauses, append(lits.take(len(out))[:0], out...))
 	}
 	if !unsat {
 		for _, l := range assume {

@@ -17,7 +17,7 @@ import (
 // the specialized instance is satisfiable by construction. Variables are
 // taken from the extraction's primary inputs (the pins that narrow the
 // engine), falling back to 1..k when fewer PIs exist.
-func pinFromModel(t *testing.T, p *Problem, k int) []cnf.Lit {
+func pinFromModel(t testing.TB, p *Problem, k int) []cnf.Lit {
 	t.Helper()
 	s := sat.NewSolver(p.Formula(), sat.Options{})
 	if st := s.Solve(); st != sat.Sat {
@@ -314,6 +314,24 @@ func TestSpecializeCodecRoundTrip(t *testing.T) {
 	for i := 0; i < a.UniqueCount(); i++ {
 		if fmt.Sprint(a.FullAssignmentAt(i)) != fmt.Sprint(b.FullAssignmentAt(i)) {
 			t.Fatalf("decoded stream diverges at %d", i)
+		}
+	}
+}
+
+// BenchmarkSpecialize measures re-specializing an s15850a-scale compiled
+// problem on three pins — the cost the assume experiment sets against a
+// cold compile of the same formula.
+func BenchmarkSpecialize(b *testing.B) {
+	inst := benchgen.Iscas("s15850a_mini", 600, 10300, 3, 15832)
+	p, err := CompileCNF(inst.Formula)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pins := pinFromModel(b, p, 3)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Specialize(p, pins); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -209,6 +209,11 @@ func Transform(f *cnf.Formula) (*Result, error) {
 	if len(window) > 0 {
 		t.fallback(window, winIdx)
 	}
+	// The bindings live as long as the compiled problem; their keys were
+	// only needed to build them.
+	for _, b := range t.res.Bindings {
+		logic.ForgetKeys(b.Expr)
+	}
 	t.res.TransformTime = time.Since(start)
 	return t.res, nil
 }
@@ -235,7 +240,10 @@ func (t *transformer) nodeFor(v int) circuit.NodeID {
 }
 
 // tryResolve scans the window's variables in order of first appearance and
-// returns the first (v, f) with f == ¬g per the paper's test.
+// returns the first (v, f) with f == ¬g per the paper's test. A derived f
+// is simplified; a signature match is not: it is a BUF/INV, n-ary AND/OR or
+// XOR2/XNOR2 built by the logic constructors, which logic.Simplify returns
+// unchanged because no two-level form of it is smaller.
 func (t *transformer) tryResolve(window []cnf.Clause) (int, *logic.Expr, bool) {
 	seen := map[int]bool{}
 	for _, c := range window {
@@ -245,6 +253,9 @@ func (t *transformer) tryResolve(window []cnf.Clause) (int, *logic.Expr, bool) {
 				continue
 			}
 			seen[v] = true
+			if !screen(window, v) {
+				continue
+			}
 			// Fast path: Eq. 1–4 signature pattern matching.
 			if expr, ok := recognizeSignature(window, v); ok {
 				t.res.SignatureHits++
@@ -255,7 +266,7 @@ func (t *transformer) tryResolve(window []cnf.Clause) (int, *logic.Expr, bool) {
 				continue
 			}
 			if complementary(fExpr, gExpr) {
-				return v, fExpr, true
+				return v, logic.Simplify(fExpr), true
 			}
 		}
 	}
@@ -308,6 +319,53 @@ func deriveExpressions(window []cnf.Clause, v int) (fExpr, gExpr *logic.Expr, ha
 	return logic.And(fTerms...), logic.And(gTerms...), true
 }
 
+// screen is a necessary condition for v to pass the complement test. It
+// evaluates the two cofactor clause sets deriveExpressions would build —
+// f from the clauses containing ¬v, g from those containing v, each clause
+// minus v — straight from the window on 64 assignments at once, one per
+// bit lane, and returns false when some lane has f == g: then f ≢ ¬g, and
+// the exact test would fail. It never rejects a complementary pair (a
+// signature match is one too), so it only spares the matching and
+// derive-and-check work on variables that are not gate outputs; it never
+// changes which variable resolves.
+func screen(window []cnf.Clause, v int) bool {
+	f, g := ^uint64(0), ^uint64(0)
+	for _, c := range window {
+		var rest uint64
+		hasPos, hasNeg := false, false
+		for _, l := range c {
+			switch {
+			case l.Var() != v:
+				rest |= laneWord(l)
+			case l.Positive():
+				hasPos = true
+			default:
+				hasNeg = true
+			}
+		}
+		if hasNeg {
+			f &= rest
+		}
+		if hasPos {
+			g &= rest
+		}
+	}
+	return f^g == ^uint64(0)
+}
+
+// laneWord is literal l's value on the screen's 64 lanes: a fixed
+// SplitMix64 hash of its variable, complemented for a negative literal.
+func laneWord(l cnf.Lit) uint64 {
+	z := uint64(l.Var()) * 0x9e3779b97f4a7c15
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	z ^= z >> 31
+	if !l.Positive() {
+		z = ^z
+	}
+	return z
+}
+
 // complementary decides f == ¬g, via truth tables for small supports and
 // BDDs otherwise.
 func complementary(f, g *logic.Expr) bool {
@@ -325,7 +383,6 @@ func complementary(f, g *logic.Expr) bool {
 // original index; consumed clauses become the provenance of a constant
 // (primary-output) resolution's circuit output.
 func (t *transformer) commit(window []cnf.Clause, winIdx []int, v int, expr *logic.Expr) ([]cnf.Clause, []int) {
-	expr = logic.Simplify(expr)
 	t.res.Bindings = append(t.res.Bindings, Binding{Var: v, Expr: expr})
 
 	// Partition first: clauses containing v are exactly the ones this

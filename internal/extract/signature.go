@@ -139,10 +139,13 @@ func matchAndOr(cs []cnf.Clause, v int) (*logic.Expr, bool) {
 		matched[-bw] = true
 	}
 	// vLit negative → OR of rest literals; positive → AND of their
-	// negations.
+	// negations. Operands follow the wide clause's literal order, so the
+	// gate's fanin order is a function of the CNF.
 	var lits []*logic.Expr
-	for l := range rest {
-		lits = append(lits, logic.Lit(l.Var(), l.Positive()))
+	for _, l := range wide {
+		if l.Var() != v {
+			lits = append(lits, logic.Lit(l.Var(), l.Positive()))
+		}
 	}
 	if !vLit.Positive() {
 		return logic.Or(lits...), true

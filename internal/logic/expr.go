@@ -10,7 +10,9 @@ package logic
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
+	"sync/atomic"
 )
 
 // Op enumerates the node kinds of a Boolean expression.
@@ -51,6 +53,8 @@ type Expr struct {
 	Val  bool    // valid when Op == OpConst
 	Var  int     // valid when Op == OpVar; always > 0
 	Args []*Expr // operands for OpNot/OpAnd/OpOr/OpXor
+
+	key atomic.Pointer[string] // memoized Key(e)
 }
 
 var (
@@ -297,43 +301,58 @@ func (e *Expr) IsConst() (value, ok bool) {
 // Key returns a canonical string key for structural comparison. Two
 // expressions with equal keys are structurally identical up to the
 // argument ordering normalization performed here.
+//
+// The key is memoized on the node: Expr is immutable, so it never goes
+// stale, and concurrent first calls at worst build the same string twice.
 func Key(e *Expr) string {
-	var b strings.Builder
-	writeKey(&b, e)
-	return b.String()
+	if k := e.key.Load(); k != nil {
+		return *k
+	}
+	k := buildKey(e)
+	e.key.Store(&k)
+	return k
 }
 
-func writeKey(b *strings.Builder, e *Expr) {
+// ForgetKeys clears the memoized keys of e and its operands. Keys serve
+// construction (operand dedup and Xor's operand order); a caller that
+// keeps finished expressions calls this so their strings do not stay
+// resident. A later Key call rebuilds them. The walk is a tree walk (a
+// shared operand is visited once per reference), meant for the small
+// expressions extraction binds.
+func ForgetKeys(e *Expr) {
+	e.key.Store(nil)
+	for _, a := range e.Args {
+		ForgetKeys(a)
+	}
+}
+
+func buildKey(e *Expr) string {
 	switch e.Op {
 	case OpConst:
 		if e.Val {
-			b.WriteString("T")
-		} else {
-			b.WriteString("F")
+			return "T"
 		}
+		return "F"
 	case OpVar:
-		fmt.Fprintf(b, "v%d", e.Var)
+		return "v" + strconv.Itoa(e.Var)
 	case OpNot:
-		b.WriteString("!(")
-		writeKey(b, e.Args[0])
-		b.WriteString(")")
-	default:
-		keys := make([]string, len(e.Args))
-		for i, a := range e.Args {
-			keys[i] = Key(a)
-		}
-		sort.Strings(keys)
-		switch e.Op {
-		case OpAnd:
-			b.WriteString("&(")
-		case OpOr:
-			b.WriteString("|(")
-		case OpXor:
-			b.WriteString("^(")
-		}
-		b.WriteString(strings.Join(keys, ","))
-		b.WriteString(")")
+		return "!(" + Key(e.Args[0]) + ")"
 	}
+	keys := make([]string, len(e.Args))
+	for i, a := range e.Args {
+		keys[i] = Key(a)
+	}
+	sort.Strings(keys)
+	var open string
+	switch e.Op {
+	case OpAnd:
+		open = "&("
+	case OpOr:
+		open = "|("
+	case OpXor:
+		open = "^("
+	}
+	return open + strings.Join(keys, ",") + ")"
 }
 
 // String renders e in a human-readable infix form.
