@@ -176,7 +176,7 @@ func run() (err error) {
 	var s sampling.Sampler
 	alreadyDelivered := 0
 	if ck != nil {
-		sess, rerr := sampling.RestoreSession(ck, dev)
+		sess, rerr := sampling.NewCompiler(1).Resume(ck, dev)
 		if rerr != nil {
 			return rerr
 		}

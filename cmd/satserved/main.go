@@ -74,6 +74,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/sampling"
 	"repro/internal/server"
+	"repro/internal/server/client"
 	"repro/internal/store"
 	"repro/internal/tensor"
 )
@@ -85,17 +86,6 @@ func spoolBytes(mib int64) int64 {
 		return mib
 	}
 	return mib << 20
-}
-
-// splitPeers parses the -peers comma list, dropping empty entries.
-func splitPeers(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 func main() {
@@ -179,7 +169,7 @@ func run() error {
 		DrainGrace:       *drainGrace,
 		SpoolDir:         *spoolDir,
 		SpoolBudget:      spoolBytes(*spoolBudget),
-		Peers:            splitPeers(*peers),
+		Peers:            client.Bases(strings.Split(*peers, ",")...),
 		PeerProbe:        *peerProbe,
 		PreemptThreshold: *preempt,
 		TenantQueueDepth: *tenantQueue,

@@ -64,6 +64,7 @@ import (
 
 	"repro/internal/cnf"
 	"repro/internal/server"
+	"repro/internal/server/client"
 )
 
 // vnodes is how many ring positions each replica occupies. 64 keeps the
@@ -289,7 +290,10 @@ func (p *proxy) handleSample(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	isResume := r.URL.Query().Get("resume") != ""
-	preferred := normalizeBase(r.URL.Query().Get("resume_addr"))
+	preferred := ""
+	if b := client.Bases(r.URL.Query().Get("resume_addr")); len(b) > 0 {
+		preferred = b[0]
+	}
 	key := p.routeKey(r, body)
 	order := p.candidates(key, preferred)
 	if len(order) == 0 {
@@ -503,29 +507,6 @@ func errorJSON(w http.ResponseWriter, status int, msg string) {
 	json.NewEncoder(w).Encode(map[string]string{"error": msg})
 }
 
-// normalizeBase canonicalizes a replica base URL the way the routing
-// table stores them: trimmed, scheme-defaulted, no trailing slash.
-func normalizeBase(b string) string {
-	b = strings.TrimRight(strings.TrimSpace(b), "/")
-	if b == "" {
-		return ""
-	}
-	if !strings.Contains(b, "://") {
-		b = "http://" + b
-	}
-	return b
-}
-
-func splitReplicas(s string) []string {
-	var out []string
-	for _, r := range strings.Split(s, ",") {
-		if r = normalizeBase(r); r != "" {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 func main() {
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "satsharded:", err)
@@ -544,7 +525,7 @@ func run() error {
 	)
 	flag.Parse()
 
-	bases := splitReplicas(*replicas)
+	bases := client.Bases(strings.Split(*replicas, ",")...)
 	if len(bases) == 0 {
 		return fmt.Errorf("-replicas is required")
 	}

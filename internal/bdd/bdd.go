@@ -1,6 +1,6 @@
 // Package bdd implements reduced ordered binary decision diagrams (ROBDDs)
-// with complement detection, equivalence checking, model counting, and model
-// enumeration. The extraction pass uses it as the exact semantic oracle for
+// with complement detection, model counting and existential quantification.
+// The extraction pass uses it as the exact semantic oracle for
 // Algorithm 1's "are f and g complements?" test, and tests use SatCount to
 // validate solution-space sizes.
 package bdd
@@ -271,10 +271,6 @@ func (m *Manager) fromExpr(e *logic.Expr) Ref {
 	panic("bdd: invalid expression op")
 }
 
-// Equivalent reports whether a and b denote the same function. Within one
-// Manager this is pointer equality thanks to hash-consing.
-func (m *Manager) Equivalent(a, b Ref) bool { return a == b }
-
 // Complementary reports whether a == ¬b.
 func (m *Manager) Complementary(a, b Ref) bool { return a == m.Not(b) }
 
@@ -366,71 +362,6 @@ func (n node) levelOrEnd(nvars int) int32 {
 }
 
 func pow2(k int) float64 { return math.Pow(2, float64(k)) }
-
-// AnySat returns one satisfying assignment of f as a map over the variables
-// on the path (other variables are free). ok is false when f is unsat.
-func (m *Manager) AnySat(f Ref) (assign map[int]bool, ok bool) {
-	if f == FalseRef {
-		return nil, false
-	}
-	assign = map[int]bool{}
-	for f != TrueRef {
-		n := m.nodes[f]
-		id := m.order[n.level]
-		if n.hi != FalseRef {
-			assign[id] = true
-			f = n.hi
-		} else {
-			assign[id] = false
-			f = n.lo
-		}
-	}
-	return assign, true
-}
-
-// AllSat calls fn for each satisfying assignment over the manager's full
-// variable order, up to limit assignments (limit <= 0 means no limit).
-// fn receives a full dense assignment indexed by order position; it must
-// not retain the slice. AllSat returns the number of assignments visited.
-func (m *Manager) AllSat(f Ref, limit int, fn func(assign []bool)) int {
-	nvars := len(m.order)
-	cur := make([]bool, nvars)
-	count := 0
-	var rec func(r Ref, level int) bool // returns false to stop
-	rec = func(r Ref, level int) bool {
-		if r == FalseRef {
-			return true
-		}
-		if level == nvars {
-			count++
-			fn(cur)
-			return limit <= 0 || count < limit
-		}
-		n := m.nodes[r]
-		if int32(level) < m.nodes[r].levelOrEnd(nvars) {
-			// Free variable at this level: branch both ways on the same r.
-			cur[level] = false
-			if !rec(r, level+1) {
-				return false
-			}
-			cur[level] = true
-			return rec(r, level+1)
-		}
-		cur[level] = false
-		if !rec(n.lo, level+1) {
-			return false
-		}
-		cur[level] = true
-		return rec(n.hi, level+1)
-	}
-	rec(f, 0)
-	return count
-}
-
-// Order returns a copy of the variable order (order[level] = id).
-func (m *Manager) Order() []int {
-	return append([]int(nil), m.order...)
-}
 
 // Support returns the sorted variable ids actually tested by f.
 func (m *Manager) Support(f Ref) []int {

@@ -111,48 +111,6 @@ func TestSatCountMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestAnySat(t *testing.T) {
-	m := New(1, 2, 3)
-	f := m.And(m.Var(1), m.NVar(3))
-	assign, ok := m.AnySat(f)
-	if !ok {
-		t.Fatal("satisfiable function reported unsat")
-	}
-	if !m.Eval(f, func(id int) bool { return assign[id] }) {
-		t.Errorf("AnySat returned non-model %v", assign)
-	}
-	if _, ok := m.AnySat(FalseRef); ok {
-		t.Error("false reported satisfiable")
-	}
-}
-
-func TestAllSat(t *testing.T) {
-	m := New(1, 2, 3)
-	f := m.Or(m.Var(1), m.Var(2)) // 6 of 8 assignments
-	var n int
-	visited := map[[3]bool]bool{}
-	m.AllSat(f, 0, func(a []bool) {
-		n++
-		var key [3]bool
-		copy(key[:], a)
-		if visited[key] {
-			t.Errorf("assignment %v visited twice", a)
-		}
-		visited[key] = true
-		if !(a[0] || a[1]) {
-			t.Errorf("non-model %v visited", a)
-		}
-	})
-	if n != 6 {
-		t.Errorf("AllSat visited %d assignments, want 6", n)
-	}
-	// Limit honored.
-	count := m.AllSat(f, 3, func([]bool) {})
-	if count != 3 {
-		t.Errorf("AllSat limit: visited %d want 3", count)
-	}
-}
-
 func TestRestrict(t *testing.T) {
 	m := New(1, 2)
 	f := m.And(m.Var(1), m.Var(2))

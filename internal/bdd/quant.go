@@ -1,37 +1,9 @@
 package bdd
 
-// Quantification and composition operations, used for don't-care analysis
-// and as general BDD-library completeness (the extraction oracle itself
-// needs only complement checks).
+// Existential quantification, used by the quality package to count the
+// models of a projected formula.
 
 // Exists returns ∃id. f  (the OR of both cofactors).
 func (m *Manager) Exists(f Ref, id int) Ref {
 	return m.Or(m.Restrict(f, id, false), m.Restrict(f, id, true))
-}
-
-// Forall returns ∀id. f  (the AND of both cofactors).
-func (m *Manager) Forall(f Ref, id int) Ref {
-	return m.And(m.Restrict(f, id, false), m.Restrict(f, id, true))
-}
-
-// ExistsAll existentially quantifies every variable in ids, in order.
-func (m *Manager) ExistsAll(f Ref, ids []int) Ref {
-	for _, id := range ids {
-		f = m.Exists(f, id)
-		if f == TrueRef || f == FalseRef {
-			break
-		}
-	}
-	return f
-}
-
-// Compose returns f with variable id replaced by the function g:
-// f[id := g] = (g ∧ f|id=1) ∨ (¬g ∧ f|id=0).
-func (m *Manager) Compose(f Ref, id int, g Ref) Ref {
-	return m.Ite(g, m.Restrict(f, id, true), m.Restrict(f, id, false))
-}
-
-// Implies reports whether f → g is a tautology.
-func (m *Manager) Implies(f, g Ref) bool {
-	return m.And(f, m.Not(g)) == FalseRef
 }

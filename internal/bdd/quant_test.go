@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/logic"
 )
 
 func TestExists(t *testing.T) {
@@ -15,50 +13,9 @@ func TestExists(t *testing.T) {
 	if got := m.Exists(f, 1); got != m.Var(2) {
 		t.Error("∃x1.(x1∧x2) != x2")
 	}
-	// ∃x2 too: whole thing becomes true.
-	if got := m.ExistsAll(f, []int{1, 2}); got != TrueRef {
-		t.Error("∃x1∃x2.(x1∧x2) != true")
-	}
 }
 
-func TestForall(t *testing.T) {
-	m := New(1, 2)
-	f := m.Or(m.Var(1), m.Var(2))
-	// ∀x1.(x1 ∨ x2) = x2
-	if got := m.Forall(f, 1); got != m.Var(2) {
-		t.Error("∀x1.(x1∨x2) != x2")
-	}
-	if got := m.Forall(m.Var(1), 1); got != FalseRef {
-		t.Error("∀x1.x1 != false")
-	}
-}
-
-func TestCompose(t *testing.T) {
-	m := New(1, 2, 3)
-	// f = x1 ∧ x2; compose x2 := x3 ∨ x1 gives x1 ∧ (x3 ∨ x1) = x1.
-	f := m.And(m.Var(1), m.Var(2))
-	g := m.Or(m.Var(3), m.Var(1))
-	if got := m.Compose(f, 2, g); got != m.Var(1) {
-		t.Error("compose result wrong")
-	}
-}
-
-func TestImplies(t *testing.T) {
-	m := New(1, 2)
-	a := m.And(m.Var(1), m.Var(2))
-	b := m.Var(1)
-	if !m.Implies(a, b) {
-		t.Error("x1∧x2 → x1 not detected")
-	}
-	if m.Implies(b, a) {
-		t.Error("x1 → x1∧x2 wrongly detected")
-	}
-}
-
-// Property: SatCount(∃x.f) >= SatCount(f)/2 ... more precisely,
-// ∃x.f has exactly as many models over the remaining variables as the
-// projection of f; check with the quantified count doubling rule:
-// count(∃x.f) >= count(f) and count(∀x.f) <= count(f).
+// Property: f ⊆ ∃x.f as sets of models, so count(∃x.f) >= count(f).
 func TestQuantifierCountMonotonicityProperty(t *testing.T) {
 	check := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -67,68 +24,9 @@ func TestQuantifierCountMonotonicityProperty(t *testing.T) {
 		f := m.FromExpr(e)
 		id := 1 + r.Intn(5)
 		ex := m.Exists(f, id)
-		fa := m.Forall(f, id)
-		cf, ce, ca := m.SatCount(f), m.SatCount(ex), m.SatCount(fa)
-		// Forall ⊆ f ⊆ Exists as sets of models.
-		return ca <= cf && cf <= ce &&
-			m.Implies(fa, f) && m.Implies(f, ex)
+		return m.SatCount(f) <= m.SatCount(ex) && m.And(f, m.Not(ex)) == FalseRef
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
-	}
-}
-
-// Property: Shannon expansion via Compose is the identity:
-// Compose(f, x, Var(x)) == f.
-func TestComposeIdentityProperty(t *testing.T) {
-	check := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		e := randomExpr(r, 4, 3)
-		m := New(1, 2, 3, 4)
-		f := m.FromExpr(e)
-		for _, id := range []int{1, 2, 3, 4} {
-			if m.Compose(f, id, m.Var(id)) != f {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: composing with a constant equals restricting.
-func TestComposeConstEqualsRestrictProperty(t *testing.T) {
-	check := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		e := randomExpr(r, 4, 3)
-		m := New(1, 2, 3, 4)
-		f := m.FromExpr(e)
-		id := 1 + r.Intn(4)
-		return m.Compose(f, id, TrueRef) == m.Restrict(f, id, true) &&
-			m.Compose(f, id, FalseRef) == m.Restrict(f, id, false)
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestExprRoundTripThroughBDD(t *testing.T) {
-	// logic.Expr → BDD → AllSat models → rebuild as SOP → equivalent.
-	e := logic.MustParse("(x1 & x2) ^ (x3 | !x1)")
-	m := New(1, 2, 3)
-	f := m.FromExpr(e)
-	var terms []*logic.Expr
-	m.AllSat(f, 0, func(a []bool) {
-		var lits []*logic.Expr
-		for i, v := range a {
-			lits = append(lits, logic.Lit(i+1, v))
-		}
-		terms = append(terms, logic.And(lits...))
-	})
-	rebuilt := logic.Or(terms...)
-	if !logic.Equivalent(e, rebuilt) {
-		t.Error("AllSat SOP not equivalent to original")
 	}
 }

@@ -305,37 +305,6 @@ func (e *Eval) projectWords(plan []int32, proj [][]uint64, ws *[sweepWidth]int, 
 	}
 }
 
-// OutputsMask evaluates the circuit on packed input columns and writes one
-// mask word per input word whose bit r is set iff lane r drives every
-// circuit output to its target — the packed analogue of
-// Circuit.OutputsSatisfied, used by tests and tools that check the
-// extracted function rather than the originating CNF.
-func (e *Eval) OutputsMask(cols [][]uint64, words int, ok []uint64) {
-	p := e.prog
-	var ws [sweepWidth]int
-	for w := 0; w < words; w += sweepWidth {
-		k := words - w
-		if k > sweepWidth {
-			k = sweepWidth
-		}
-		for j := 0; j < k; j++ {
-			ws[j] = w + j
-		}
-		e.evalWords(cols, &ws, k)
-		for j := 0; j < k; j++ {
-			m := ^uint64(0)
-			for _, o := range p.circ.Outputs {
-				v := e.vals[int(o.Node)*sweepWidth+j]
-				if !o.Target {
-					v = ^v
-				}
-				m &= v
-			}
-			ok[w+j] = m
-		}
-	}
-}
-
 // evalWords computes every node's packed values for the k (1..sweepWidth)
 // gathered input words ws[0..k-1] in one unrolled pass. Short groups pad by
 // repeating the last real word, so the body is branch-free over lanes: the
@@ -486,19 +455,4 @@ func Hash64(words []uint64) uint64 {
 		h ^= h >> 31
 	}
 	return h
-}
-
-// PackColumn sets bit r of col[r/64] to src[r] for r in [0, n), zeroing
-// the words it touches first. It is a convenience for callers packing
-// row-major bool data one column at a time.
-func PackColumn(col []uint64, src []bool) {
-	words := (len(src) + 63) / 64
-	for w := 0; w < words; w++ {
-		col[w] = 0
-	}
-	for r, b := range src {
-		if b {
-			col[r>>6] |= 1 << (uint(r) & 63)
-		}
-	}
 }

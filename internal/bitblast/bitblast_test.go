@@ -95,26 +95,6 @@ func TestVerifyMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestOutputsMaskMatchesEval checks the circuit-output mask against
-// Circuit.OutputsSatisfied per lane.
-func TestOutputsMaskMatchesEval(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 25; trial++ {
-		c := randomCircuit(r, 4, 12)
-		n := len(c.Inputs)
-		cols, rows := packInputs(r, n, 64)
-		p := bitblast.New(c, map[int]circuit.NodeID{}, cnf.New(0))
-		ok := make([]uint64, 1)
-		p.NewEval().OutputsMask(cols, 1, ok)
-		for b := 0; b < 64; b++ {
-			got := ok[0]>>(uint(b)&63)&1 == 1
-			if got != c.OutputsSatisfied(rows[b]) {
-				t.Fatalf("trial %d row %d: mask disagrees with Eval", trial, b)
-			}
-		}
-	}
-}
-
 // TestNodelessVariableConventions: variables with no circuit node default
 // to false, so a clause with a negative nodeless literal is always
 // satisfied and a positive nodeless literal contributes nothing.

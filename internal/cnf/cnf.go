@@ -242,48 +242,6 @@ func (s Stats) String() string {
 		s.NumVars, s.NumClauses, s.NumLits, s.MaxClause)
 }
 
-// UnitPropagate applies unit propagation to a copy of the partial
-// assignment. values maps variable -> assigned value for assigned variables.
-// It returns the extended assignment and conflict=true when propagation
-// derives a contradiction.
-func (f *Formula) UnitPropagate(values map[int]bool) (extended map[int]bool, conflict bool) {
-	ext := make(map[int]bool, len(values))
-	for k, v := range values {
-		ext[k] = v
-	}
-	for {
-		progress := false
-		for _, c := range f.Clauses {
-			var unassigned []Lit
-			sat := false
-			for _, l := range c {
-				if v, ok := ext[l.Var()]; ok {
-					if l.Sat(v) {
-						sat = true
-						break
-					}
-				} else {
-					unassigned = append(unassigned, l)
-				}
-			}
-			if sat {
-				continue
-			}
-			switch len(unassigned) {
-			case 0:
-				return ext, true
-			case 1:
-				l := unassigned[0]
-				ext[l.Var()] = l.Positive()
-				progress = true
-			}
-		}
-		if !progress {
-			return ext, false
-		}
-	}
-}
-
 // Project returns the sub-assignment of assign restricted to vars.
 func Project(assign []bool, vars []int) []bool {
 	out := make([]bool, len(vars))

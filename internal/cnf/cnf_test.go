@@ -198,33 +198,6 @@ func TestParseDIMACSMultiClauseLine(t *testing.T) {
 	}
 }
 
-func TestUnitPropagate(t *testing.T) {
-	f := New(4)
-	f.AddClause(1)
-	f.AddClause(-1, 2)
-	f.AddClause(-2, -3)
-	f.AddClause(3, 4)
-	ext, conflict := f.UnitPropagate(map[int]bool{})
-	if conflict {
-		t.Fatal("unexpected conflict")
-	}
-	want := map[int]bool{1: true, 2: true, 3: false, 4: true}
-	for v, val := range want {
-		if got, ok := ext[v]; !ok || got != val {
-			t.Errorf("var %d = %v,%v want %v", v, got, ok, val)
-		}
-	}
-}
-
-func TestUnitPropagateConflict(t *testing.T) {
-	f := New(2)
-	f.AddClause(1)
-	f.AddClause(-1)
-	if _, conflict := f.UnitPropagate(map[int]bool{}); !conflict {
-		t.Error("conflict not detected")
-	}
-}
-
 func TestProject(t *testing.T) {
 	assign := []bool{true, false, true, true}
 	got := Project(assign, []int{4, 2})

@@ -38,11 +38,6 @@ func (p *Problem) Assumptions() []cnf.Lit {
 	return append([]cnf.Lit(nil), p.assume...)
 }
 
-// BaseKey returns the content hash of the underlying formula — the
-// identity of the unspecialized artifact. For an unspecialized problem it
-// equals Key.
-func (p *Problem) BaseKey() string { return p.formula.ContentHash() }
-
 // Specialize conditions p on assumption literals, returning a new Problem
 // keyed by cnf.AssumeKey(base, assume). The input problem is not modified
 // and may itself be specialized — assumption sets merge (a contradiction

@@ -96,9 +96,6 @@ type Result struct {
 	SignatureHits int
 }
 
-// InputVars returns the primary-input CNF variables in circuit input order.
-func (r *Result) InputVars() []int { return append([]int(nil), r.PrimaryInputs...) }
-
 // GateHistogram counts the recovered circuit's nodes by gate type, keyed
 // by the gate name (INPUT/CONST/BUF/NOT/AND/OR/…).
 func (r *Result) GateHistogram() map[string]int {

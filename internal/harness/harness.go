@@ -785,9 +785,3 @@ func measureQuality(ctx context.Context, s *core.Sampler, exact float64) quality
 	q.Distinct, q.Coverage = sat.Distinct, sat.Coverage
 	return q
 }
-
-// InstanceSummary describes an instance the way Table II's left columns do.
-func InstanceSummary(in *benchgen.Instance) string {
-	pi, po, vars, clauses := in.Stats()
-	return fmt.Sprintf("%-22s PI=%-5d PO=%-4d vars=%-7d clauses=%d", in.Name, pi, po, vars, clauses)
-}

@@ -283,7 +283,9 @@ func TestSizeAndIsConst(t *testing.T) {
 }
 
 func TestTruthTable(t *testing.T) {
-	table, support := TruthTable(And(V(2), V(5)))
+	e := And(V(2), V(5))
+	support := e.Support()
+	table := truthTableOn(e, support)
 	if len(support) != 2 || support[0] != 2 || support[1] != 5 {
 		t.Fatalf("support = %v", support)
 	}

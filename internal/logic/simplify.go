@@ -66,13 +66,9 @@ func Substitute(e *Expr, id int, sub *Expr) *Expr {
 // inspects (a handful of variables).
 const maxTTVars = 20
 
-// TruthTable returns the truth table of e over its sorted support and the
-// support itself. It panics if the support exceeds maxTTVars variables.
-func TruthTable(e *Expr) (table []bool, support []int) {
-	support = e.Support()
-	return truthTableOn(e, support), support
-}
-
+// truthTableOn returns the truth table of e with row r assigning
+// support[i] the value of bit i of r. It panics if the support exceeds
+// maxTTVars variables.
 func truthTableOn(e *Expr, support []int) []bool {
 	if len(support) > maxTTVars {
 		panic("logic: support too large for truth table")

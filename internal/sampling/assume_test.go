@@ -156,58 +156,6 @@ func TestCompileAssumeRejectsBadPins(t *testing.T) {
 	}
 }
 
-// TestSessionAssumptions: SessionConfig.Assumptions over an unspecialized
-// problem specializes one-shot; over an already specialized problem it must
-// match; a mismatch is an error. Every delivered solution satisfies the
-// pins and the base formula.
-func TestSessionAssumptions(t *testing.T) {
-	f := benchgen.SmallSuite()[0].Formula
-	assume := satPins(t, f, 2)
-	base, err := CompileProblem(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := base.NewSession(SessionConfig{Seed: 3, BatchSize: 128, Assumptions: assume})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []string
-	if _, err := sess.Stream(context.Background(), 6, collectSink(&got, -1)); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) == 0 {
-		t.Fatal("no solutions under assumptions")
-	}
-	for _, bits := range got {
-		a := make([]bool, len(bits))
-		for i, ch := range bits {
-			a[i] = ch == '1'
-		}
-		if !f.Sat(a) {
-			t.Fatalf("solution %q does not satisfy the base formula", bits)
-		}
-		for _, l := range assume {
-			if !l.Sat(a[l.Var()-1]) {
-				t.Fatalf("solution %q violates assumption %d", bits, l)
-			}
-		}
-	}
-
-	spec, err := NewCompiler(4).CompileAssume(f, assume)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Matching assumptions on a specialized problem: fine.
-	if _, err := spec.NewSession(SessionConfig{Seed: 3, BatchSize: 128, Assumptions: assume}); err != nil {
-		t.Fatal(err)
-	}
-	// Mismatched assumptions: rejected, not silently resampled.
-	other := []cnf.Lit{assume[0].Neg()}
-	if _, err := spec.NewSession(SessionConfig{Seed: 3, BatchSize: 128, Assumptions: other}); err == nil {
-		t.Fatal("mismatched session assumptions were accepted")
-	}
-}
-
 // TestCheckpointAssumeRoundTrip: the v2 envelope carries the assumption
 // set; a cold compiler resumes by re-specializing (via CompileAssume on the
 // embedded formula), and the resumed stream concatenates with the prefix to
@@ -269,16 +217,4 @@ func TestCheckpointAssumeRoundTrip(t *testing.T) {
 		t.Fatalf("resumed stream diverges:\n  got  %v\n  want %v", got, want)
 	}
 
-	// RestoreSession (compiler-free) re-specializes from the envelope too.
-	direct, err := RestoreSession(ck, tensor.Device{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got2 := append([]string{}, first...)
-	if _, err := direct.Stream(context.Background(), len(want), collectSink(&got2, -1)); err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(got2) != fmt.Sprint(want) {
-		t.Fatal("RestoreSession stream diverges from the uninterrupted run")
-	}
 }

@@ -244,7 +244,8 @@ func (p *Problem) RestoreSession(ck *Checkpoint, dev tensor.Device) (*Session, e
 // the artifact is still resident, a fresh compile after a cold restart),
 // specialized under the envelope's assumption set when one is present,
 // then the snapshot restores onto the shared problem. This is the
-// server's re-admission path.
+// server's re-admission path; a one-shot caller such as a CLI resumes
+// through NewCompiler(1).
 func (c *Compiler) Resume(ck *Checkpoint, dev tensor.Device) (*Session, error) {
 	if ck == nil {
 		return nil, fmt.Errorf("%w: nil checkpoint", ErrBadCheckpoint)
@@ -252,28 +253,6 @@ func (c *Compiler) Resume(ck *Checkpoint, dev tensor.Device) (*Session, error) {
 	p, err := c.CompileAssume(ck.formula, ck.assume)
 	if err != nil {
 		return nil, fmt.Errorf("%w: recompiling embedded formula: %v", ErrBadCheckpoint, err)
-	}
-	return p.RestoreSession(ck, dev)
-}
-
-// RestoreSession is the cache-free one-shot resume: decode nothing, share
-// nothing, just recompile the embedded formula (re-specializing when the
-// envelope carries assumptions) and restore. CLI tools use it; services
-// should prefer Compiler.Resume.
-func RestoreSession(ck *Checkpoint, dev tensor.Device) (*Session, error) {
-	if ck == nil {
-		return nil, fmt.Errorf("%w: nil checkpoint", ErrBadCheckpoint)
-	}
-	p, err := CompileProblem(ck.formula)
-	if err != nil {
-		return nil, fmt.Errorf("%w: recompiling embedded formula: %v", ErrBadCheckpoint, err)
-	}
-	if len(ck.assume) > 0 {
-		cp, err := core.Specialize(p.core, ck.assume)
-		if err != nil {
-			return nil, fmt.Errorf("%w: re-specializing embedded formula: %v", ErrBadCheckpoint, err)
-		}
-		p = &Problem{key: cp.Key(), formula: cp.Formula(), core: cp}
 	}
 	return p.RestoreSession(ck, dev)
 }

@@ -225,7 +225,7 @@ func TestCheckpointExhaustionResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := RestoreSession(ck, tensor.Device{})
+	restored, err := NewCompiler(1).Resume(ck, tensor.Device{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,7 @@ func TestHashFormulaCoversProjection(t *testing.T) {
 }
 
 // TestConcurrentProjectedSessionsShareProblem: N projected sessions (with
-// differing per-session projections and clause weights) over one cached
+// differing per-session projections) over one cached
 // Problem must compile exactly once, run race-clean, and each produce only
 // verified witnesses with distinct projected signatures.
 func TestConcurrentProjectedSessionsShareProblem(t *testing.T) {
@@ -46,10 +46,6 @@ func TestConcurrentProjectedSessionsShareProblem(t *testing.T) {
 	prob, err := comp.Compile(f)
 	if err != nil {
 		t.Fatal(err)
-	}
-	weights := make([]float64, f.NumClauses())
-	for i := range weights {
-		weights[i] = float64(1 + i)
 	}
 	projections := [][]int{
 		nil,              // inherit the formula's c ind set
@@ -66,9 +62,6 @@ func TestConcurrentProjectedSessionsShareProblem(t *testing.T) {
 				BatchSize:  64,
 				Seed:       int64(100 + w),
 				Projection: projections[w%len(projections)],
-			}
-			if w%2 == 1 {
-				cfg.ClauseWeights = weights
 			}
 			sess, err := prob.NewSession(cfg)
 			if err != nil {

@@ -2,8 +2,6 @@ package sampling
 
 import (
 	"context"
-	"fmt"
-	"slices"
 	"time"
 
 	"repro/internal/cnf"
@@ -43,88 +41,48 @@ func (p *Problem) Assumptions() []cnf.Lit { return p.core.Assumptions() }
 
 // SessionConfig configures one sampling session. The GD fields mirror
 // core.Config (zero values take the same defaults); the service-level
-// fields control batch sizing and reporting.
+// fields control batch sizing.
 type SessionConfig struct {
-	// Name labels the session's sampler in reports. Default "this-work".
-	Name string
 	// BatchSize fixes the GD batch. When 0 and MemoryBudget is set, the
 	// batch adapts to the budget; when both are 0, core's default applies.
 	BatchSize int
-	// Iterations, LearningRate, Seed, Device, InitRange, Momentum are
-	// passed through to core.Config.
+	// Iterations, LearningRate, Seed and Device are passed through to
+	// core.Config.
 	Iterations   int
 	LearningRate float32
 	Seed         int64
 	Device       tensor.Device
-	InitRange    float32
-	Momentum     float32
 	// MemoryBudget bounds the session's tensor allocation in bytes; the
 	// batch size adapts to fit (only consulted when BatchSize == 0). The
 	// compiled engine's tiled scratch is a fixed cost, so sizing solves
 	// fixed + perRow·batch <= budget.
 	MemoryBudget int64
-	// MaxAge is the continuous scheduler's restart cap, passed through to
-	// core.Config (0 takes core's default of 3×Iterations).
-	MaxAge int
 	// Projection lists the CNF variables defining solution identity (the
 	// "c ind"/"p show" sampling set): the session counts and dedups
 	// projected-distinct solutions, streaming each projected class's first
 	// full-model witness. Nil inherits the formula's declared projection;
 	// see core.Config.Projection for validation rules.
 	Projection []int
-	// ClauseWeights scales each CNF clause's contribution to the GD loss
-	// (nil = uniform); see core.Config.ClauseWeights.
-	ClauseWeights []float64
-	// Assumptions pins literals for this session (every streamed solution
-	// satisfies them). The normal serving path resolves assumptions into a
-	// specialized Problem before session creation (Compiler.CompileAssume /
-	// LookupAssume), in which case this field must equal the problem's own
-	// assumption set (or be nil — the problem's pins always apply). On an
-	// unspecialized problem, a non-empty set triggers a one-shot
-	// core.Specialize scoped to this session — correct but uncached; prefer
-	// the compiler paths for serving.
-	Assumptions []cnf.Lit
 }
 
 // NewSession builds a sampling session over this problem. Sessions are
 // cheap — no transformation or engine compilation happens here — so a
-// service can create one per request.
+// service can create one per request. Assumptions are resolved before
+// this point: a Problem from Compiler.CompileAssume or LookupAssume
+// already carries its pins.
 func (p *Problem) NewSession(cfg SessionConfig) (*Session, error) {
-	if len(cfg.Assumptions) > 0 {
-		canon := cnf.CanonicalAssume(cfg.Assumptions)
-		switch have := p.core.Assumptions(); {
-		case slices.Equal(canon, have):
-			// Already specialized under exactly these pins.
-		case len(have) == 0:
-			cp, err := core.Specialize(p.core, canon)
-			if err != nil {
-				return nil, err
-			}
-			p = &Problem{key: cp.Key(), formula: cp.Formula(), core: cp}
-		default:
-			return nil, fmt.Errorf("sampling: session assumptions %v do not match problem assumptions %v (resolve through Compiler.CompileAssume)", canon, have)
-		}
-	}
 	s, err := p.core.NewSampler(core.Config{
-		BatchSize:     p.BatchFor(cfg),
-		Iterations:    cfg.Iterations,
-		LearningRate:  cfg.LearningRate,
-		Seed:          cfg.Seed,
-		Device:        cfg.Device,
-		InitRange:     cfg.InitRange,
-		Momentum:      cfg.Momentum,
-		MaxAge:        cfg.MaxAge,
-		Projection:    cfg.Projection,
-		ClauseWeights: cfg.ClauseWeights,
+		BatchSize:    p.BatchFor(cfg),
+		Iterations:   cfg.Iterations,
+		LearningRate: cfg.LearningRate,
+		Seed:         cfg.Seed,
+		Device:       cfg.Device,
+		Projection:   cfg.Projection,
 	})
 	if err != nil {
 		return nil, err
 	}
-	name := cfg.Name
-	if name == "" {
-		name = "this-work"
-	}
-	return &Session{prob: p, core: s, name: name}, nil
+	return &Session{prob: p, core: s, name: "this-work"}, nil
 }
 
 // maxAdaptedBatch caps a budget-sized batch: beyond ~8k rows per round
@@ -140,7 +98,7 @@ func (p *Problem) BatchFor(cfg SessionConfig) int {
 	if cfg.BatchSize != 0 || cfg.MemoryBudget <= 0 {
 		return cfg.BatchSize
 	}
-	batch := p.core.BatchForBudget(cfg.Device.Workers(), cfg.Momentum != 0, cfg.MemoryBudget)
+	batch := p.core.BatchForBudget(cfg.Device.Workers(), false, cfg.MemoryBudget)
 	return min(max(batch, 64), maxAdaptedBatch)
 }
 
@@ -304,35 +262,4 @@ func (s *Session) Solutions() [][]bool {
 		out[i] = s.core.FullAssignmentAt(i)
 	}
 	return out
-}
-
-// Channel is the channel adapter over Stream: it starts the stream in a
-// goroutine and delivers solutions on the returned channel, which is
-// closed when sampling ends. The returned wait function blocks until the
-// stream goroutine has finished and reports its final stats and error.
-// The session must not be used until wait returns, and a consumer that
-// stops reading before the channel closes must cancel ctx (e.g. hold a
-// `defer cancel()`) — the stream goroutine blocks on the channel send
-// and only ctx can release it.
-func (s *Session) Channel(ctx context.Context, target int) (<-chan []bool, func() (Stats, error)) {
-	ch := make(chan []bool, 64)
-	done := make(chan struct{})
-	var st Stats
-	var err error
-	go func() {
-		defer close(done)
-		defer close(ch)
-		st, err = s.Stream(ctx, target, func(sol []bool) error {
-			select {
-			case ch <- sol:
-				return nil
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-		})
-	}()
-	return ch, func() (Stats, error) {
-		<-done
-		return st, err
-	}
 }

@@ -310,67 +310,6 @@ func TestStreamResumesBacklogAcrossCalls(t *testing.T) {
 	}
 }
 
-func TestChannelAdapter(t *testing.T) {
-	in := benchgen.SmallSuite()[1]
-	p, err := CompileProblem(in.Formula)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := p.NewSession(sessionCfg(13))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	ch, wait := s.Channel(ctx, 20)
-	var got [][]bool
-	for sol := range ch {
-		if !in.Formula.Sat(sol) {
-			t.Fatal("channel delivered invalid solution")
-		}
-		got = append(got, sol)
-	}
-	st, err := wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != st.Unique {
-		t.Errorf("channel delivered %d, stats report %d", len(got), st.Unique)
-	}
-	if st.Unique < 20 && !st.Exhausted && !st.Timeout {
-		t.Errorf("target missed without a reason: %+v", st)
-	}
-}
-
-func TestChannelAdapterCancelledConsumer(t *testing.T) {
-	in := benchgen.SmallSuite()[0]
-	p, err := CompileProblem(in.Formula)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := p.NewSession(sessionCfg(17))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	ch, wait := s.Channel(ctx, 1<<30)
-	n := 0
-	for range ch {
-		n++
-		if n == 3 {
-			cancel() // stop consuming; the stream goroutine must exit
-		}
-	}
-	st, err := wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.Timeout {
-		t.Error("cancelled channel stream not marked Timeout")
-	}
-}
-
 func TestSolutionRowsAreCallerOwned(t *testing.T) {
 	in := benchgen.SmallSuite()[0]
 	p, err := CompileProblem(in.Formula)
@@ -419,6 +358,62 @@ func TestSessionMemoryBudgetAdaptsBatch(t *testing.T) {
 	}
 	if st := tight.SampleUntil(5, 2*time.Second); st.Unique == 0 {
 		t.Error("budgeted session found nothing")
+	}
+}
+
+// TestSessionConfigReachesCore: every SessionConfig field lands in the
+// core sampler's configuration — satsample's -iters/-lr/-seed/-batch and
+// the server's device and memory budget all depend on this pass-through.
+func TestSessionConfigReachesCore(t *testing.T) {
+	p, err := CompileProblem(benchgen.SmallSuite()[0].Formula)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := p.NewSession(SessionConfig{
+		BatchSize:    96,
+		Iterations:   7,
+		LearningRate: 0.25,
+		Seed:         41,
+		Device:       tensor.ParallelN(3),
+		MemoryBudget: 1, // ignored: BatchSize is set
+		Projection:   []int{2, 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	desc := s.Core().String()
+	for _, want := range []string{"batch=96 iters=7 lr=0.25 ", "device=parallel-3}"} {
+		if !strings.Contains(desc, want) {
+			t.Errorf("core sampler %q lacks %q", desc, want)
+		}
+	}
+	if got := s.Core().Snapshot().Seed(); got != 41 {
+		t.Errorf("core seed %d, want 41", got)
+	}
+	if got := s.Core().EngineStats().Workers; got != 3 {
+		t.Errorf("core workers %d, want 3", got)
+	}
+	if got := fmt.Sprint(s.Projection()); got != "[2 1]" {
+		t.Errorf("core projection %s, want [2 1]", got)
+	}
+
+	// MemoryBudget sizes the batch only when BatchSize is 0, clamped to
+	// [64, maxAdaptedBatch].
+	for _, c := range []struct {
+		budget int64
+		want   int
+	}{{1, 64}, {1 << 40, maxAdaptedBatch}} {
+		cfg := SessionConfig{Seed: 1, MemoryBudget: c.budget}
+		if got := p.BatchFor(cfg); got != c.want {
+			t.Errorf("BatchFor(budget %d) = %d, want %d", c.budget, got, c.want)
+		}
+		sess, err := p.NewSession(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := batchOf(t, sess); got != c.want {
+			t.Errorf("budget %d: core batch %d, want %d", c.budget, got, c.want)
+		}
 	}
 }
 

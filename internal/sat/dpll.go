@@ -153,31 +153,3 @@ func CountModels(f *cnf.Formula, limit int) int {
 		}
 	}
 }
-
-// EnumerateModels calls fn for each model of f until fn returns false or
-// limit models have been produced (limit <= 0 means unbounded).
-func EnumerateModels(f *cnf.Formula, limit int, fn func(model []bool) bool) int {
-	s := NewSolver(f, Options{})
-	count := 0
-	for {
-		if s.Solve() != Sat {
-			return count
-		}
-		model := s.Model()
-		count++
-		if !fn(model) || (limit > 0 && count >= limit) {
-			return count
-		}
-		block := make([]cnf.Lit, f.NumVars)
-		for v := 1; v <= f.NumVars; v++ {
-			if model[v-1] {
-				block[v-1] = cnf.Lit(-v)
-			} else {
-				block[v-1] = cnf.Lit(v)
-			}
-		}
-		if !s.AddClause(block...) {
-			return count
-		}
-	}
-}

@@ -1,7 +1,7 @@
 // Package sat implements Boolean satisfiability solvers: a CDCL solver with
 // two-watched-literal propagation, first-UIP clause learning, VSIDS
-// branching, phase saving and Luby restarts; a textbook DPLL solver used as
-// a cross-checking oracle in tests; and a WalkSAT local-search solver.
+// branching, phase saving and Luby restarts; and a textbook DPLL solver used
+// as a cross-checking oracle in tests.
 // The baseline samplers (UniGen3-like, CMSGen-like) and the solution
 // verifiers are built on this package.
 package sat

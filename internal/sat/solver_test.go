@@ -110,26 +110,6 @@ func TestCountModels(t *testing.T) {
 	}
 }
 
-func TestEnumerateModelsDistinct(t *testing.T) {
-	f := mustParse(t, "p cnf 3 1\n1 2 3 0\n")
-	seen := map[[3]bool]bool{}
-	n := EnumerateModels(f, 0, func(m []bool) bool {
-		var k [3]bool
-		copy(k[:], m)
-		if seen[k] {
-			t.Fatalf("duplicate model %v", m)
-		}
-		seen[k] = true
-		if !f.Sat(m) {
-			t.Fatalf("non-model %v", m)
-		}
-		return true
-	})
-	if n != 7 {
-		t.Errorf("enumerated %d models want 7", n)
-	}
-}
-
 func randomFormula(r *rand.Rand, nv, nc, maxLen int) *cnf.Formula {
 	f := cnf.New(nv)
 	for i := 0; i < nc; i++ {
@@ -234,37 +214,6 @@ func TestLuby(t *testing.T) {
 		if got := luby(int64(i)); got != w {
 			t.Errorf("luby(%d) = %d want %d", i, got, w)
 		}
-	}
-}
-
-func TestWalkSATFindsModels(t *testing.T) {
-	r := rand.New(rand.NewSource(21))
-	found := 0
-	for i := 0; i < 40; i++ {
-		nv := 5 + r.Intn(6)
-		f := randomFormula(r, nv, 3*nv, 3)
-		verdict, _ := DPLL(f)
-		st, model := WalkSAT(f, WalkSATOptions{Rand: rand.New(rand.NewSource(int64(i)))})
-		if st == Sat {
-			if verdict != Sat {
-				t.Fatalf("WalkSAT found a model for an UNSAT formula")
-			}
-			if !f.Sat(model) {
-				t.Fatalf("WalkSAT returned invalid model")
-			}
-			found++
-		}
-	}
-	if found == 0 {
-		t.Error("WalkSAT found no models across 40 satisfiable-leaning instances")
-	}
-}
-
-func TestWalkSATNeverClaimsUnsat(t *testing.T) {
-	f := mustParse(t, "p cnf 1 2\n1 0\n-1 0\n")
-	st, _ := WalkSAT(f, WalkSATOptions{MaxFlips: 100, MaxTries: 2})
-	if st != Unknown {
-		t.Errorf("WalkSAT on unsat = %v want UNKNOWN", st)
 	}
 }
 

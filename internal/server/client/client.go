@@ -114,7 +114,28 @@ type Client struct {
 	cur int // rotation cursor into bases for non-resume legs
 }
 
-// New builds a client for the server at base (e.g. "http://127.0.0.1:8080").
+// Bases canonicalizes server base URLs the one way every client, server
+// peer list and shard router stores and dials them: each entry is trimmed
+// of spaces and trailing slashes and given an "http://" scheme when it has
+// none ("127.0.0.1:8080" → "http://127.0.0.1:8080"); empty entries are
+// dropped.
+func Bases(raw ...string) []string {
+	out := make([]string, 0, len(raw))
+	for _, b := range raw {
+		b = strings.TrimRight(strings.TrimSpace(b), "/")
+		if b == "" {
+			continue
+		}
+		if !strings.Contains(b, "://") {
+			b = "http://" + b
+		}
+		out = append(out, b)
+	}
+	return out
+}
+
+// New builds a client for the server at base (e.g. "http://127.0.0.1:8080"
+// or "127.0.0.1:8080").
 func New(base string, cfg Config) *Client {
 	return NewFleet([]string{base}, cfg)
 }
@@ -135,12 +156,7 @@ func NewFleet(bases []string, cfg Config) *Client {
 	if cfg.MaxBackoff <= 0 {
 		cfg.MaxBackoff = 5 * time.Second
 	}
-	cleaned := make([]string, 0, len(bases))
-	for _, b := range bases {
-		if b = strings.TrimSuffix(strings.TrimSpace(b), "/"); b != "" {
-			cleaned = append(cleaned, b)
-		}
-	}
+	cleaned := Bases(bases...)
 	if len(cleaned) == 0 {
 		cleaned = []string{""}
 	}
@@ -244,10 +260,9 @@ func (c *Client) Sample(ctx context.Context, req Request) (*Result, error) {
 			// error, but backed off: the interruption usually means that
 			// process is restarting or rebalancing.
 			resume = res.Done.Resume
-			if res.Done.ResumeAddr != "" {
-				resumeBase = strings.TrimSuffix(res.Done.ResumeAddr, "/")
-			} else {
-				resumeBase = base
+			resumeBase = base
+			if adopter := Bases(res.Done.ResumeAddr); len(adopter) > 0 {
+				resumeBase = adopter[0]
 			}
 			res.Resumes++
 			if werr := c.backoff(ctx, attempt, status, 0, true); werr != nil {

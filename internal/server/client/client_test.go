@@ -167,6 +167,47 @@ func TestSampleFollowsResumeToken(t *testing.T) {
 	}
 }
 
+// TestSchemelessBaseURL: a base given as host:port (the form satserved
+// -peers and satsharded -replicas accept), with or without a trailing
+// slash, dials the server over http instead of failing URL parsing.
+func TestSchemelessBaseURL(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/sample" {
+			http.Error(w, "unexpected path "+r.URL.Path, http.StatusNotFound)
+			return
+		}
+		writeStream(w,
+			`{"type":"meta","key":"k","batch":64,"target":1}`,
+			`{"type":"solution","assignment":"01"}`,
+			`{"type":"done","unique":1,"delivered":1}`)
+	}))
+	defer ts.Close()
+	host := strings.TrimPrefix(ts.URL, "http://")
+	for _, base := range []string{host, host + "/", " " + host + " "} {
+		c := New(base, Config{MaxAttempts: 1})
+		res, err := c.Sample(context.Background(), Request{DIMACS: "p cnf 2 1\n1 2 0\n", Target: 1})
+		if err != nil {
+			t.Fatalf("base %q: %v", base, err)
+		}
+		if got := strings.Join(res.Solutions, ","); got != "01" {
+			t.Fatalf("base %q: stream %q, want 01", base, got)
+		}
+	}
+}
+
+// TestBases pins the one base-URL normalization shared by the client,
+// the server's peer list and the shard router.
+func TestBases(t *testing.T) {
+	got := Bases(" 10.0.0.1:8080/ ", "", "https://a.example//", "http://b:1", "  ")
+	want := []string{"http://10.0.0.1:8080", "https://a.example", "http://b:1"}
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("Bases = %q, want %q", got, want)
+	}
+	if got := Bases(); len(got) != 0 {
+		t.Fatalf("Bases() = %q, want empty", got)
+	}
+}
+
 // TestSampleRestartsBrokenFreshStream: a transport failure mid-stream on a
 // fresh request discards the partial leg and retries from scratch —
 // nothing is double-counted.

@@ -6,9 +6,10 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/server/client"
 )
 
 // peerHealth is the last probed state of one peer. The zero value means
@@ -40,19 +41,8 @@ type peerSet struct {
 }
 
 func newPeerSet(bases []string, interval time.Duration, log *slog.Logger) *peerSet {
-	cleaned := make([]string, 0, len(bases))
-	for _, b := range bases {
-		b = strings.TrimRight(strings.TrimSpace(b), "/")
-		if b == "" {
-			continue
-		}
-		if !strings.Contains(b, "://") {
-			b = "http://" + b
-		}
-		cleaned = append(cleaned, b)
-	}
 	ps := &peerSet{
-		bases:  cleaned,
+		bases:  client.Bases(bases...),
 		client: &http.Client{Timeout: 5 * time.Second},
 		log:    log,
 		health: map[string]peerHealth{},

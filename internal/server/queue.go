@@ -188,9 +188,6 @@ func (g *Grant) Release() {
 	})
 }
 
-// Tenant returns the tenant this grant was issued to.
-func (g *Grant) Tenant() string { return g.tenant }
-
 // newGrantLocked registers an active grant. Caller holds q.mu.
 func (q *queue) newGrantLocked(tenant string, finish float64) *Grant {
 	g := &Grant{

@@ -420,9 +420,6 @@ func (s *Server) StartDrain() {
 	time.AfterFunc(s.cfg.DrainGrace, s.sessCancel)
 }
 
-// Draining reports whether a drain is in progress.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // reserve admits est bytes against the aggregate memory budget.
 func (s *Server) reserve(est int64) bool {
 	s.memMu.Lock()
