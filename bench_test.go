@@ -152,7 +152,7 @@ func BenchmarkFig3Memory(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := core.New(in.Formula, ext, core.Config{BatchSize: 64})
+	p, err := core.Compile(in.Formula, ext)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -160,13 +160,13 @@ func BenchmarkFig3Memory(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, batch := range []int{100, 1000, 10000, 100000, 1000000} {
-			sink += s.MemoryEstimate(batch)
+			sink += p.MemoryEstimate(core.Shape{Workers: 1, Batch: batch})
 		}
 	}
 	if sink == 0 {
 		b.Fatal("memory model returned zero")
 	}
-	b.ReportMetric(float64(s.MemoryEstimate(1000000))/(1<<20), "MB@1M")
+	b.ReportMetric(float64(p.MemoryEstimate(core.Shape{Workers: 1, Batch: 1000000}))/(1<<20), "MB@1M")
 }
 
 // BenchmarkFig4Devices compares sequential and parallel execution of the

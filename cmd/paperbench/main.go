@@ -388,9 +388,12 @@ func (b *bench) engine(ctx context.Context) error {
 			continue
 		}
 		es := s.EngineStats()
+		mb := func(batch int) float64 {
+			return float64(p.Core().MemoryEstimate(core.Shape{Workers: b.opt.Device.Workers(), Batch: batch})) / (1 << 20)
+		}
 		fmt.Printf("%-22s %8d %8d %8d %8d %8d %6d %12.2f %12.1f\n",
 			in.Name, es.Inputs, p.Extraction().Circuit.NumGates(), es.Ops, es.ValSlots, es.GradRegs, es.Tile,
-			float64(s.MemoryEstimate(4096))/(1<<20), float64(s.MemoryEstimate(1_000_000))/(1<<20))
+			mb(4096), mb(1_000_000))
 	}
 	cs := compiler.Stats()
 	fmt.Printf("\ncompile cache: %d hits, %d misses, %d entries\n", cs.Hits, cs.Misses, cs.Entries)

@@ -156,8 +156,7 @@ func run() error {
 	}
 
 	srv := server.New(server.Config{
-		Compiler:         sampling.NewCompilerBudget(*cacheCap, *cacheBudget<<20),
-		Store:            problemStore,
+		Compiler:         sampling.NewCompilerBudget(*cacheCap, *cacheBudget<<20).WithStore(problemStore),
 		Device:           dev,
 		Workers:          *workers,
 		QueueDepth:       *queueDepth,

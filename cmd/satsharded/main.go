@@ -57,7 +57,6 @@ import (
 	"os/signal"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -72,13 +71,6 @@ import (
 // ring rebuilds noticeable.
 const vnodes = 64
 
-// replicaHealth is the last probed state of one replica.
-type replicaHealth struct {
-	ok        bool
-	freeSlots int
-	queueFree int
-}
-
 // proxy is the satsharded state: the consistent-hash ring over the
 // configured replicas plus their live health.
 type proxy struct {
@@ -88,18 +80,13 @@ type proxy struct {
 	limits   cnf.ParseLimits
 	log      *slog.Logger
 
-	ring []ringSlot // sorted by point
-
-	mu     sync.Mutex
-	health map[string]replicaHealth
+	ring   []ringSlot // sorted by point
+	prober *client.Prober
 
 	requests  atomic.Int64 // proxied /v1/sample requests
 	reroutes  atomic.Int64 // candidate failovers (connect failures, resume 404 probes)
 	exhausted atomic.Int64 // requests that ran out of candidates
 	rr        atomic.Int64 // round-robin cursor for keyless requests
-
-	stop     chan struct{}
-	stopOnce sync.Once
 }
 
 // ringSlot is one virtual node: a point on the hash circle owned by a
@@ -121,9 +108,8 @@ func newProxy(replicas []string, maxBody int64, log *slog.Logger) *proxy {
 		maxBody: maxBody,
 		limits:  cnf.LimitsForBytes(maxBody),
 		log:     log,
-		health:  map[string]replicaHealth{},
-		stop:    make(chan struct{}),
 	}
+	p.prober = client.NewProber(replicas, p.client, log)
 	for _, base := range replicas {
 		for v := 0; v < vnodes; v++ {
 			p.ring = append(p.ring, ringSlot{point: ringPoint(fmt.Sprintf("%s#%d", base, v)), base: base})
@@ -137,62 +123,6 @@ func newProxy(replicas []string, maxBody int64, log *slog.Logger) *proxy {
 func ringPoint(s string) uint64 {
 	sum := sha256.Sum256([]byte(s))
 	return binary.BigEndian.Uint64(sum[:8])
-}
-
-// probeLoop keeps the health map fresh, mirroring satserved's peerSet.
-func (p *proxy) probeLoop(interval time.Duration) {
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	p.probeAll()
-	for {
-		select {
-		case <-p.stop:
-			return
-		case <-t.C:
-			p.probeAll()
-		}
-	}
-}
-
-func (p *proxy) probeAll() {
-	for _, base := range p.replicas {
-		h := p.probe(base)
-		p.mu.Lock()
-		prev := p.health[base]
-		p.health[base] = h
-		p.mu.Unlock()
-		if prev.ok != h.ok {
-			p.log.Info("replica health changed", "replica", base, "healthy", h.ok)
-		}
-	}
-}
-
-func (p *proxy) probe(base string) replicaHealth {
-	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-	defer cancel()
-	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, base+"/healthz", nil)
-	resp, err := p.client.Do(req)
-	if err != nil {
-		return replicaHealth{}
-	}
-	defer resp.Body.Close()
-	var body struct {
-		Status    string `json:"status"`
-		FreeSlots int    `json:"free_slots"`
-		QueueFree int    `json:"queue_free"`
-	}
-	if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&body) != nil {
-		return replicaHealth{}
-	}
-	return replicaHealth{ok: body.Status == "ok", freeSlots: body.FreeSlots, queueFree: body.QueueFree}
-}
-
-// markDown records a replica failure observed in the request path, so
-// subsequent routing skips it before the next probe tick confirms.
-func (p *proxy) markDown(base string) {
-	p.mu.Lock()
-	p.health[base] = replicaHealth{}
-	p.mu.Unlock()
 }
 
 // owner returns the ring successor of key's point: the replica that owns
@@ -229,14 +159,12 @@ func (p *proxy) candidates(key, preferred string) []string {
 			walk = append(walk, base)
 		}
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	var healthy, down []string
 	for _, base := range walk {
 		if base == preferred {
 			continue
 		}
-		if p.health[base].ok {
+		if p.prober.Health(base).OK() {
 			healthy = append(healthy, base)
 		} else {
 			down = append(down, base)
@@ -313,7 +241,7 @@ func (p *proxy) handleSample(w http.ResponseWriter, r *http.Request) {
 		if derr != nil {
 			// Connect/transport failure before any response: the replica is
 			// gone — drop it from routing now and try the ring successor.
-			p.markDown(base)
+			p.prober.MarkDown(base)
 			p.reroutes.Add(1)
 			p.log.Warn("replica unreachable; rerouting", "replica", base, "err", derr)
 			continue
@@ -364,7 +292,7 @@ func (p *proxy) relay(w http.ResponseWriter, r *http.Request, resp *http.Respons
 			// replica's health.
 			if !errors.Is(rerr, io.EOF) && r.Context().Err() == nil {
 				p.log.Warn("replica stream ended abnormally", "replica", base, "err", rerr)
-				p.markDown(base)
+				p.prober.MarkDown(base)
 			}
 			return
 		}
@@ -382,15 +310,13 @@ func (p *proxy) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	reps := make([]rep, 0, len(p.replicas))
 	healthy := 0
-	p.mu.Lock()
 	for _, base := range p.replicas {
-		h := p.health[base]
-		if h.ok {
+		h := p.prober.Health(base)
+		if h.OK() {
 			healthy++
 		}
-		reps = append(reps, rep{Base: base, Healthy: h.ok, FreeSlots: h.freeSlots, QueueFree: h.queueFree})
+		reps = append(reps, rep{Base: base, Healthy: h.OK(), FreeSlots: h.FreeSlots, QueueFree: h.QueueFree})
 	}
-	p.mu.Unlock()
 	status, code := "ok", http.StatusOK
 	if healthy == 0 {
 		status, code = "unavailable", http.StatusServiceUnavailable
@@ -497,9 +423,7 @@ func (p *proxy) handler() http.Handler {
 }
 
 // Close stops the probe loop. Idempotent.
-func (p *proxy) Close() {
-	p.stopOnce.Do(func() { close(p.stop) })
-}
+func (p *proxy) Close() { p.prober.Close() }
 
 func errorJSON(w http.ResponseWriter, status int, msg string) {
 	w.Header().Set("Content-Type", "application/json")
@@ -537,7 +461,7 @@ func run() error {
 
 	p := newProxy(bases, *maxBody, log)
 	defer p.Close()
-	go p.probeLoop(*probe)
+	p.prober.Start(*probe)
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

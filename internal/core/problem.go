@@ -149,36 +149,87 @@ func (p *Problem) OutputWeights(clauseWeights []float64) ([]float32, error) {
 	return out, nil
 }
 
-// MemoryEstimate returns the resident bytes a sampler session over this
-// problem occupies for the given device worker count, batch size, and
-// momentum setting (the Fig. 3 right memory model). The engine's tiled
-// value/adjoint scratch is a fixed per-worker cost — batch rows stream
-// through it — so scaling the batch only grows the linear terms: the
-// soft-input matrix V (plus momentum when enabled), the packed hardened
-// columns, and the per-word validity masks. Pure arithmetic on the
-// compiled shape: no session needs to exist.
-func (p *Problem) MemoryEstimate(workers, batch int, momentum bool) int64 {
+// Shape is the session shape the memory model prices (DESIGN "Memory
+// model"): everything a session allocates is fixed per-worker scratch plus
+// terms linear in the batch and in the solutions its dedup pool retains.
+type Shape struct {
+	Workers    int  // device workers: per-worker engine and verifier scratch
+	Batch      int  // GD batch rows
+	Target     int  // unique solutions requested (0 = unbounded: prices no pool growth)
+	Retained   int  // solutions already pooled (a checkpoint's UniqueCount)
+	Projection int  // projection width (0 = full-assignment identity)
+	Momentum   bool // momentum accumulator beside V
+}
+
+// Pool returns the most solutions the session's dedup pool holds when its
+// final tick ends: a tick starts only below Target and retires at most one
+// new solution per batch row, so a stream ends at Target+Batch-1 at most —
+// or at what a restored checkpoint already holds, if that is more.
+func (sh Shape) Pool() int {
+	if sh.Target <= 0 {
+		return sh.Retained
+	}
+	return max(sh.Retained, sh.Target+sh.Batch-1)
+}
+
+// MemoryEstimate returns the resident bytes a sampler session of shape sh
+// over this problem occupies — the one memory model batch sizing and
+// admission control share. The engine's tiled value/adjoint scratch and
+// the verifier's sweep scratch are fixed per-worker costs (batch rows
+// stream through them); the soft-input matrix V (plus momentum), the
+// packed hardened and projection columns, the validity masks and the
+// scheduler's per-row arrays grow with the batch; the dedup pool grows by
+// solutionBytes per retained solution. Pure arithmetic on the compiled
+// shape: no session needs to exist.
+func (p *Problem) MemoryEstimate(sh Shape) int64 {
 	n := int64(p.eng.numInputs)
-	b := int64(batch)
-	fixed := int64(workers) * int64(p.tile) * int64(p.eng.numSlots+p.eng.numGregs) * 4
-	fixed += int64(workers) * p.verify.ScratchBytes() // per-worker bitblast Eval
-	linear := 4 * b * n                               // V
-	if momentum {
+	b := int64(sh.Batch)
+	fixed := int64(sh.Workers) * int64(p.tile) * int64(p.eng.numSlots+p.eng.numGregs) * 4
+	fixed += int64(sh.Workers) * p.verify.ScratchBytes() // per-worker bitblast Eval
+	linear := 4 * b * n                                  // V
+	if sh.Momentum {
 		linear += 4 * b * n
 	}
 	linear += b * n / 8 // packed hardened columns
 	linear += b / 8     // validity masks
 	linear += 10 * b    // continuous scheduler: ages, restart counters, change/retire flags
 	linear += b / 8     // continuous scheduler: dirty-word mask
-	return fixed + linear
+	if sh.Projection > 0 {
+		linear += int64(sh.Projection) * ((b + 63) / 64) * 8 // packed projection columns
+	}
+	return fixed + linear + int64(sh.Pool())*p.solutionBytes(sh.Projection)
 }
 
-// BatchForBudget returns the largest batch size whose MemoryEstimate fits
-// the given byte budget (at least 1): the fixed engine scratch is paid
-// first and the remainder is divided by the per-row cost.
-func (p *Problem) BatchForBudget(workers int, momentum bool, budget int64) int {
-	fixed := p.MemoryEstimate(workers, 0, momentum)
-	perRow := p.MemoryEstimate(workers, 1024, momentum) - fixed
+// solutionBytes bounds the heap recordSolution retains per pooled solution:
+// the []bool primary-input row, its sols slice header and hit tally (at the
+// 2× capacity slack append growth can leave), one hash-chain map entry and
+// its one-element chain, plus, under a projection, the packed signature and
+// its psigs header.
+func (p *Problem) solutionBytes(projection int) int64 {
+	b := allocBytes(int64(p.eng.numInputs)) + 2*(24+4)
+	// A map slot (8 B key + 24 B chain header + 1 control byte) at the 7/16
+	// occupancy a table drops to when it grows: 33·16/7 ≈ 76 B.
+	b += 76 + allocBytes(4)
+	if projection > 0 {
+		b += allocBytes(int64(projection+63)/64*8) + 2*24
+	}
+	return b
+}
+
+// allocBytes bounds the heap one pointer-free allocation of size bytes
+// occupies: the runtime rounds small objects up to a size class at most a
+// quarter larger (a 16-byte block below 16 B) and large ones to whole pages.
+func allocBytes(size int64) int64 {
+	return size + size/4 + 16
+}
+
+// BatchForBudget returns the largest batch whose MemoryEstimate (no
+// momentum, projection or pool) fits the byte budget, at least 1: the fixed
+// per-worker scratch is paid first and the remainder divided by the
+// per-row cost.
+func (p *Problem) BatchForBudget(workers int, budget int64) int {
+	fixed := p.MemoryEstimate(Shape{Workers: workers})
+	perRow := p.MemoryEstimate(Shape{Workers: workers, Batch: 1024}) - fixed
 	if perRow <= 0 {
 		return 1
 	}

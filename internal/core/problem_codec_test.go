@@ -101,7 +101,8 @@ func TestProblemCodecDifferential(t *testing.T) {
 				t.Fatalf("derived shape changed: inputs %d→%d tile %d→%d",
 					p.NumInputs(), dec.NumInputs(), p.Tile(), dec.Tile())
 			}
-			if got, want := dec.MemoryEstimate(4, 256, true), p.MemoryEstimate(4, 256, true); got != want {
+			sh := Shape{Workers: 4, Batch: 256, Target: 100, Projection: 3, Momentum: true}
+			if got, want := dec.MemoryEstimate(sh), p.MemoryEstimate(sh); got != want {
 				t.Fatalf("memory estimate changed: %d vs %d", got, want)
 			}
 			for _, workers := range []int{1, 7} {

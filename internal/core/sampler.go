@@ -813,20 +813,6 @@ func sigmoid32(v float32) float32 {
 	return float32(1 / (1 + math.Exp(-float64(v))))
 }
 
-// MemoryEstimate returns the resident bytes the sampler's state occupies
-// for a hypothetical batch size (the Fig. 3 right memory model), applying
-// the problem's affine model to this session's worker count and momentum
-// setting.
-func (s *Sampler) MemoryEstimate(batch int) int64 {
-	return s.prob.MemoryEstimate(len(s.scratch), batch, s.mmat != nil)
-}
-
-// BatchForBudget returns the largest batch size whose MemoryEstimate fits
-// the given byte budget (at least 1).
-func (s *Sampler) BatchForBudget(budget int64) int {
-	return s.prob.BatchForBudget(len(s.scratch), s.mmat != nil, budget)
-}
-
 // String describes the sampler configuration.
 func (s *Sampler) String() string {
 	return fmt.Sprintf("core.Sampler{inputs=%d slots=%d gregs=%d ops=%d batch=%d iters=%d lr=%g tile=%d device=%s}",

@@ -291,11 +291,13 @@ func TestMemoryEstimateAffineInBatch(t *testing.T) {
 	// packed hardened columns, and the validity masks scale with batch.
 	// The model must therefore be affine with a positive slope: equal
 	// batch increments add equal bytes.
-	f := mustFormula(t, paperExample)
-	s := newSampler(t, f, Config{BatchSize: 16})
-	m1 := s.MemoryEstimate(1024)
-	m2 := s.MemoryEstimate(2048)
-	m3 := s.MemoryEstimate(3072)
+	p, err := CompileCNF(mustFormula(t, paperExample))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m1 := p.MemoryEstimate(Shape{Workers: 1, Batch: 1024})
+	m2 := p.MemoryEstimate(Shape{Workers: 1, Batch: 2048})
+	m3 := p.MemoryEstimate(Shape{Workers: 1, Batch: 3072})
 	if m2-m1 != m3-m2 {
 		t.Errorf("memory model not affine in batch: %d %d %d", m1, m2, m3)
 	}
@@ -308,18 +310,20 @@ func TestMemoryEstimateAffineInBatch(t *testing.T) {
 }
 
 func TestBatchForBudgetRoundTrips(t *testing.T) {
-	f := mustFormula(t, paperExample)
-	s := newSampler(t, f, Config{BatchSize: 16})
+	p, err := CompileCNF(mustFormula(t, paperExample))
+	if err != nil {
+		t.Fatal(err)
+	}
 	budget := int64(1 << 20)
-	b := s.BatchForBudget(budget)
+	b := p.BatchForBudget(1, budget)
 	if b < 1 {
 		t.Fatalf("batch = %d", b)
 	}
-	if got := s.MemoryEstimate(b); got > budget+budget/64 {
+	if got := p.MemoryEstimate(Shape{Workers: 1, Batch: b}); got > budget+budget/64 {
 		t.Errorf("estimate %d exceeds budget %d at batch %d", got, budget, b)
 	}
 	// Doubling the budget should (roughly) double the affordable batch.
-	b2 := s.BatchForBudget(2 * budget)
+	b2 := p.BatchForBudget(1, 2*budget)
 	if b2 <= b {
 		t.Errorf("larger budget did not increase batch: %d vs %d", b, b2)
 	}

@@ -148,6 +148,14 @@ func (sn *Snapshot) UniqueCount() int { return sn.nsols }
 // Stats returns the session's accumulated statistics at checkpoint time.
 func (sn *Snapshot) Stats() Stats { return sn.stats }
 
+// Shape returns the shape a session restored from sn prices at on a device
+// with the given workers, streaming to target: the checkpoint fixes the
+// batch, projection, momentum and the pool it already holds.
+func (sn *Snapshot) Shape(workers, target int) Shape {
+	return Shape{Workers: workers, Batch: sn.batch, Target: target, Retained: sn.nsols,
+		Projection: len(sn.projection), Momentum: sn.mdata != nil}
+}
+
 // Snapshot captures the sampler's complete per-session state between
 // sampling calls. It must not run concurrently with Round/ContinuousStep/
 // SampleUntil on the same Sampler (a Sampler is single-caller by

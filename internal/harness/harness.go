@@ -282,7 +282,7 @@ func RunFig3(ctx context.Context, instances []*benchgen.Instance, iterations int
 		}
 		res.Curve = tracer.RoundTrace()
 		for _, b := range batches {
-			res.MemoryMB[b] = float64(tracer.MemoryEstimate(b)) / (1 << 20)
+			res.MemoryMB[b] = float64(p.Core().MemoryEstimate(core.Shape{Workers: opt.Device.Workers(), Batch: b})) / (1 << 20)
 		}
 		out = append(out, res)
 	}

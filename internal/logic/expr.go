@@ -253,11 +253,6 @@ func (e *Expr) Eval(value func(id int) bool) bool {
 	panic("logic: invalid op in Eval")
 }
 
-// EvalMap evaluates e under a map assignment; absent variables are false.
-func (e *Expr) EvalMap(m map[int]bool) bool {
-	return e.Eval(func(id int) bool { return m[id] })
-}
-
 // Support returns the sorted set of variable ids occurring in e.
 func (e *Expr) Support() []int {
 	set := map[int]struct{}{}

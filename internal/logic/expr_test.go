@@ -51,7 +51,7 @@ func TestEval(t *testing.T) {
 		{map[int]bool{1: false, 2: false, 3: false}, true},
 	}
 	for _, c := range cases {
-		if got := e.EvalMap(c.a); got != c.want {
+		if got := e.Eval(func(id int) bool { return c.a[id] }); got != c.want {
 			t.Errorf("Eval(%v) = %v want %v", c.a, got, c.want)
 		}
 	}

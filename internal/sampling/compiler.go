@@ -111,6 +111,15 @@ func (c *Compiler) WithStore(s *store.Store) *Compiler {
 	return c
 }
 
+// StoreStats returns the durable tier's own view of its directory (the
+// zero Stats when no store is attached).
+func (c *Compiler) StoreStats() store.Stats {
+	if c.store == nil {
+		return store.Stats{}
+	}
+	return c.store.Stats()
+}
+
 // evictLocked enforces both cache bounds, never evicting keep. Caller
 // holds c.mu.
 func (c *Compiler) evictLocked(keep *list.Element) {
@@ -280,7 +289,7 @@ func (c *Compiler) writeBack(p *Problem) {
 // adjoint slots, via the core memory model) — the dominant per-artifact
 // cost, since the program arrays scale with the same slot counts.
 func residentEstimate(p *Problem) int64 {
-	return p.core.MemoryEstimate(1, 0, false)
+	return p.core.MemoryEstimate(core.Shape{Workers: 1})
 }
 
 // Lookup returns the cached Problem for a content-hash key without

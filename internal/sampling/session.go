@@ -98,7 +98,7 @@ func (p *Problem) BatchFor(cfg SessionConfig) int {
 	if cfg.BatchSize != 0 || cfg.MemoryBudget <= 0 {
 		return cfg.BatchSize
 	}
-	batch := p.core.BatchForBudget(cfg.Device.Workers(), false, cfg.MemoryBudget)
+	batch := p.core.BatchForBudget(cfg.Device.Workers(), cfg.MemoryBudget)
 	return min(max(batch, 64), maxAdaptedBatch)
 }
 
@@ -129,7 +129,7 @@ func (s *Session) Name() string { return s.name }
 // Problem returns the shared compiled problem.
 func (s *Session) Problem() *Problem { return s.prob }
 
-// Core returns the underlying core sampler (engine stats, memory model).
+// Core returns the underlying core sampler (engine stats, dedup pool).
 func (s *Session) Core() *core.Sampler { return s.core }
 
 // Stats returns the session's accumulated unified stats.

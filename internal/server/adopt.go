@@ -65,9 +65,9 @@ func (s *Server) handleAdopt(w http.ResponseWriter, r *http.Request) {
 		reject(http.StatusBadRequest, "envelope compile: "+err.Error(), outcomeBadRequest, "compile")
 		return
 	}
-	sn := ck.Snapshot()
-	est := s.estimateSession(prob, sn.Batch(), sn.UniqueCount(), sn.ProjectionWidth(), sn.Momentum())
-	if est > s.cfg.MemoryBudget {
+	// The resume target is not known until the client presents the token,
+	// so the check prices the pool the envelope already holds.
+	if prob.Core().MemoryEstimate(ck.Snapshot().Shape(s.cfg.Device.Workers(), 0)) > s.cfg.MemoryBudget {
 		reject(http.StatusTooManyRequests, "envelope exceeds this server's session memory budget",
 			outcomeShedMemory, "memory")
 		return

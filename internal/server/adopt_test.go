@@ -164,3 +164,47 @@ func TestSpoolPrivateDir(t *testing.T) {
 		}
 	}
 }
+
+// TestAdoptRefusesOverBudgetEnvelope: /v1/adopt prices the envelope with
+// the core memory model and refuses one this server's whole budget could
+// never hold — 429 shed_memory and nothing spooled — while a budget of
+// exactly that price adopts it.
+func TestAdoptRefusesOverBudgetEnvelope(t *testing.T) {
+	env := checkpointEnvelope(t, 64)
+	ck, err := sampling.DecodeCheckpoint(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prob, err := sampling.CompileProblem(manyVarsFormula(30))
+	if err != nil {
+		t.Fatal(err)
+	}
+	price := prob.Core().MemoryEstimate(ck.Snapshot().Shape(2, 0)) // testServer's 2-worker device
+	for _, c := range []struct {
+		budget  int64
+		status  int
+		spooled int
+	}{
+		{price - 1, http.StatusTooManyRequests, 0},
+		{price, http.StatusOK, 1},
+	} {
+		s, ts := testServer(t, Config{MemoryBudget: c.budget})
+		resp, err := http.Post(ts.URL+"/v1/adopt", "application/octet-stream", bytes.NewReader(env))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != c.status {
+			t.Fatalf("budget %d for a %d-byte envelope: status %d, want %d", c.budget, price, resp.StatusCode, c.status)
+		}
+		if n := s.spool.Stats().Entries; n != c.spooled {
+			t.Fatalf("budget %d: spool holds %d envelopes, want %d", c.budget, n, c.spooled)
+		}
+		if c.status == http.StatusTooManyRequests {
+			if got := scrapeMetric(t, ts.URL, `satserved_requests_total{outcome="shed_memory"}`); got != 1 {
+				t.Fatalf("shed_memory outcomes = %v, want 1", got)
+			}
+		}
+	}
+}

@@ -6,21 +6,10 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"sync"
 	"time"
 
 	"repro/internal/server/client"
 )
-
-// peerHealth is the last probed state of one peer. The zero value means
-// "never probed successfully" — unreachable and unknown peers collapse to
-// the same bucket, which Handoff still tries last rather than never (a
-// drain racing the first probe round must not strand streams locally).
-type peerHealth struct {
-	ok        bool
-	adopt     bool
-	freeSlots int
-}
 
 // peerSet is the replica registry behind live handoff. Peers are probed on
 // an interval via GET /healthz, whose response carries capacity hints
@@ -32,12 +21,7 @@ type peerSet struct {
 	bases  []string
 	client *http.Client
 	log    *slog.Logger
-
-	mu     sync.Mutex
-	health map[string]peerHealth
-
-	stop     chan struct{}
-	stopOnce sync.Once
+	prober *client.Prober
 }
 
 func newPeerSet(bases []string, interval time.Duration, log *slog.Logger) *peerSet {
@@ -45,75 +29,31 @@ func newPeerSet(bases []string, interval time.Duration, log *slog.Logger) *peerS
 		bases:  client.Bases(bases...),
 		client: &http.Client{Timeout: 5 * time.Second},
 		log:    log,
-		health: map[string]peerHealth{},
-		stop:   make(chan struct{}),
 	}
-	go ps.probeLoop(interval)
+	ps.prober = client.NewProber(ps.bases, ps.client, log)
+	ps.prober.Start(interval)
 	return ps
-}
-
-func (ps *peerSet) probeLoop(interval time.Duration) {
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	ps.probeAll()
-	for {
-		select {
-		case <-ps.stop:
-			return
-		case <-t.C:
-			ps.probeAll()
-		}
-	}
-}
-
-func (ps *peerSet) probeAll() {
-	for _, base := range ps.bases {
-		h := ps.probe(base)
-		ps.mu.Lock()
-		prev := ps.health[base]
-		ps.health[base] = h
-		ps.mu.Unlock()
-		if prev.ok != h.ok {
-			ps.log.Info("peer health changed", "peer", base, "healthy", h.ok)
-		}
-	}
-}
-
-func (ps *peerSet) probe(base string) peerHealth {
-	resp, err := ps.client.Get(base + "/healthz")
-	if err != nil {
-		return peerHealth{}
-	}
-	defer resp.Body.Close()
-	var body struct {
-		Status    string `json:"status"`
-		FreeSlots int    `json:"free_slots"`
-		Adopt     bool   `json:"adopt"`
-	}
-	if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&body) != nil {
-		return peerHealth{}
-	}
-	return peerHealth{ok: body.Status == "ok", adopt: body.Adopt, freeSlots: body.FreeSlots}
 }
 
 // Handoff offers env to peers in preference order and returns the adopting
 // peer's token and base URL. ok is false when no peer accepted — the
 // caller falls back to its local spool.
 func (ps *peerSet) Handoff(env []byte) (token, addr string, ok bool) {
-	ps.mu.Lock()
+	// Unreachable and never-probed peers share the zero Health; they are
+	// still tried last rather than never (a drain racing the first probe
+	// round must not strand streams locally).
 	order := make([]string, 0, len(ps.bases))
 	var adopters, unknown []string
 	for _, b := range ps.bases {
-		switch h := ps.health[b]; {
-		case h.ok && h.adopt && h.freeSlots > 0:
+		switch h := ps.prober.Health(b); {
+		case h.OK() && h.Adopt && h.FreeSlots > 0:
 			order = append(order, b)
-		case h.ok && h.adopt:
+		case h.OK() && h.Adopt:
 			adopters = append(adopters, b)
-		case !h.ok:
+		case !h.OK():
 			unknown = append(unknown, b)
 		}
 	}
-	ps.mu.Unlock()
 	order = append(order, adopters...)
 	order = append(order, unknown...)
 	for _, base := range order {
@@ -146,6 +86,4 @@ func (ps *peerSet) offer(base string, env []byte) (string, error) {
 }
 
 // Close stops the probe loop. Idempotent.
-func (ps *peerSet) Close() {
-	ps.stopOnce.Do(func() { close(ps.stop) })
-}
+func (ps *peerSet) Close() { ps.prober.Close() }

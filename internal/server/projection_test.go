@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/cnf"
+	"repro/internal/core"
 	"repro/internal/sampling"
 )
 
@@ -150,8 +151,6 @@ func TestProjectionValidationErrors(t *testing.T) {
 // projected load cannot slip under the memory budget the unprojected
 // estimate was tuned for.
 func TestProjectedSessionPricedHigher(t *testing.T) {
-	s := New(Config{})
-	defer s.Close()
 	f, err := cnf.ParseDIMACSString(projBody)
 	if err != nil {
 		t.Fatal(err)
@@ -160,8 +159,10 @@ func TestProjectedSessionPricedHigher(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, plain := s.sessionShape(prob, 1000, 0)
-	_, proj := s.sessionShape(prob, 1000, 8)
+	shape := core.Shape{Workers: 1, Batch: 1024, Target: 1000}
+	plain := prob.Core().MemoryEstimate(shape)
+	shape.Projection = 8
+	proj := prob.Core().MemoryEstimate(shape)
 	if proj <= plain {
 		t.Fatalf("projected estimate %d <= unprojected %d", proj, plain)
 	}

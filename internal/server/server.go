@@ -18,10 +18,11 @@
 //     request then shares the "anon" tenant) and rely on the bounded
 //     queue, or set MaxWeight to 1 to neutralize client-chosen weights;
 //   - admission control driven by queue depth and the compiled memory
-//     model (MemoryEstimate/BatchForBudget): requests that would exceed
-//     the aggregate session-memory budget are shed with 429 + Retry-After
-//     instead of degrading in-flight streams or OOMing. The estimate
-//     prices the dedup pool against the request's effective target, and
+//     model: requests that would exceed the aggregate session-memory
+//     budget are shed with 429 + Retry-After instead of degrading
+//     in-flight streams or OOMing. Pricing lives in core — each request
+//     path makes one core.Problem.MemoryEstimate call, which bounds the
+//     dedup pool by the request's effective target plus one batch — and
 //     "unbounded" requests (target=0) are capped at MaxTarget, so every
 //     admitted stream is bounded by construction. Compilation of new
 //     formulas — the one memory cost that precedes admission — runs
@@ -59,6 +60,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/sampling"
 	"repro/internal/sat"
+	"repro/internal/server/client"
 	"repro/internal/store"
 	"repro/internal/tensor"
 )
@@ -67,15 +69,10 @@ import (
 // production-sane default.
 type Config struct {
 	// Compiler is the shared compile cache. Nil builds a fresh one with
-	// the default capacity.
-	Compiler *sampling.Compiler
-	// Store, when set, is the durable compile tier: the compiler falls
-	// through its memory LRU to this content-addressed artifact store
-	// before compiling, and writes freshly compiled artifacts back. Point
+	// the default capacity. A durable tier attached with WithStore (point
 	// every replica of a fleet at one shared directory and each formula
-	// compiles once fleet-wide; a restarted replica comes back warm. Store
-	// stats ride on /metrics as satserved_store_*.
-	Store *store.Store
+	// compiles once fleet-wide) reports on /metrics as satserved_store_*.
+	Compiler *sampling.Compiler
 	// Device executes GD batches (default: all CPUs).
 	Device tensor.Device
 	// Workers bounds concurrently streaming sessions (default 4). Each
@@ -87,10 +84,10 @@ type Config struct {
 	QueueDepth int
 	// MemoryBudget bounds the aggregate estimated bytes of admitted
 	// sessions (default 512 MiB). Admission reserves each session's
-	// MemoryEstimate against it; overflow is shed with 429.
+	// core.Problem.MemoryEstimate against it; overflow is shed with 429.
 	MemoryBudget int64
-	// SessionMemory is the per-session budget BatchForBudget sizes the GD
-	// batch against (default 64 MiB).
+	// SessionMemory is the per-session budget sampling.Problem.BatchFor
+	// sizes the GD batch against (default 64 MiB).
 	SessionMemory int64
 	// MaxTarget caps a request's solution target (default 100000). A
 	// request with target <= 0 gets exactly this cap: there are no
@@ -154,9 +151,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Compiler == nil {
 		c.Compiler = sampling.NewCompiler(0)
-	}
-	if c.Store != nil {
-		c.Compiler.WithStore(c.Store)
 	}
 	if c.Device == (tensor.Device{}) {
 		c.Device = tensor.Parallel()
@@ -435,36 +429,6 @@ func (s *Server) unreserve(est int64) {
 	s.memMu.Lock()
 	s.reserved -= est
 	s.memMu.Unlock()
-}
-
-// sessionShape derives the GD batch a session over prob will run with
-// (the same BatchFor sizing NewSession applies to SessionMemory) and
-// the session's estimated resident bytes — the admission-control unit.
-// The estimate adds the dedup pool's worst case at the request's effective
-// target (packed primary-input rows plus hash/dedup overhead), and for a
-// projected session (projVars > 0) the projection state the core memory
-// model does not know about: the packed projection columns (projVars ×
-// batch bits) and one stored signature per retained solution — so a
-// stream that runs all the way to its cap is still inside its
-// reservation.
-func (s *Server) sessionShape(prob *sampling.Problem, target, projVars int) (batch int, est int64) {
-	batch = prob.BatchFor(sampling.SessionConfig{Device: s.cfg.Device, MemoryBudget: s.cfg.SessionMemory})
-	return batch, s.estimateSession(prob, batch, target, projVars, false)
-}
-
-// estimateSession prices one session at an explicit batch — the shared
-// tail of sessionShape, called directly by the resume path, where the
-// batch is not derived from this server's budget but fixed by the
-// checkpoint (a resumed session runs at the batch it was snapshotted
-// with, so it must be re-priced at that batch against THIS ledger).
-func (s *Server) estimateSession(prob *sampling.Problem, batch, target, projVars int, momentum bool) int64 {
-	est := prob.Core().MemoryEstimate(s.cfg.Device.Workers(), batch, momentum)
-	est += int64(target) * int64(prob.NumInputs()/8+24)
-	if projVars > 0 {
-		est += int64(projVars) * int64(batch) / 8           // packed projection columns
-		est += int64(target) * int64((projVars+63)/64*8+24) // per-solution signatures + slice overhead
-	}
-	return est
 }
 
 // errorBody writes a single-line JSON error response.
@@ -910,7 +874,7 @@ func (s *Server) resolveBody(ctx context.Context, body io.Reader, spec ProblemSp
 // (reclaim); release frees whatever is still held.
 type admission struct {
 	s         *Server
-	batch     int
+	shape     core.Shape // what est priced: the session's batch, pool bound and projection
 	est       int64
 	memHeld   bool
 	grant     *Grant
@@ -952,14 +916,12 @@ func (a *admission) reclaim(ctx context.Context, req *sampleRequest) bool {
 // sessions so the budget can never be exceeded.
 func (s *Server) admit(ctx context.Context, req *sampleRequest, prob *sampling.Problem) (*admission, *stageError) {
 	a := &admission{s: s}
+	workers := s.cfg.Device.Workers()
 	if req.ck != nil {
 		// A resumed session's shape is fixed by its checkpoint — the batch
-		// it was snapshotted with is the batch it restores at — so it is
-		// priced at that batch, not at what this server would size a fresh
-		// session.
-		sn := req.ck.Snapshot()
-		a.batch = sn.Batch()
-		a.est = s.estimateSession(prob, a.batch, max(req.target, sn.UniqueCount()), sn.ProjectionWidth(), sn.Momentum())
+		// it was snapshotted with is the batch it restores at, whatever
+		// this server would size a fresh session at.
+		a.shape = req.ck.Snapshot().Shape(workers, req.target)
 	} else {
 		// The effective projection width is known pre-admission: the
 		// explicit spec, or the formula's declared set the session would
@@ -968,8 +930,10 @@ func (s *Server) admit(ctx context.Context, req *sampleRequest, prob *sampling.P
 		if effProj == 0 {
 			effProj = len(prob.Formula().Projection)
 		}
-		a.batch, a.est = s.sessionShape(prob, req.target, effProj)
+		batch := prob.BatchFor(sampling.SessionConfig{Device: s.cfg.Device, MemoryBudget: s.cfg.SessionMemory})
+		a.shape = core.Shape{Workers: workers, Batch: batch, Target: req.target, Projection: effProj}
 	}
+	a.est = prob.Core().MemoryEstimate(a.shape)
 	if !s.reserve(a.est) {
 		s.log.Warn("shed", "id", req.id, "tenant", req.tenant, "reason", "memory",
 			"estimate", a.est, "key", short(prob.Key()))
@@ -997,7 +961,7 @@ func (s *Server) admit(ctx context.Context, req *sampleRequest, prob *sampling.P
 		a.sess, err = prob.RestoreSession(req.ck, s.cfg.Device)
 	} else {
 		a.sess, err = prob.NewSession(sampling.SessionConfig{
-			BatchSize:  a.batch,
+			BatchSize:  a.shape.Batch,
 			Seed:       req.seed,
 			Device:     s.cfg.Device,
 			Projection: req.spec.Projection, // nil inherits the formula's declared set
@@ -1064,7 +1028,7 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request, req *sampleReque
 		return nil
 	}
 	if err := writeLine(metaLine{
-		Type: "meta", Key: prob.Key(), Batch: adm.batch, Target: req.target,
+		Type: "meta", Key: prob.Key(), Batch: adm.shape.Batch, Target: req.target,
 		ProjectedVars: projVars,
 		Assumptions:   litInts(prob.Assumptions()),
 		Resumed:       req.ck != nil,
@@ -1236,16 +1200,16 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	active, queued := s.queue.Active(), s.queue.Depth()
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]any{
-		"status":         status,
-		"active":         active,
-		"queued":         queued,
-		"free_slots":     max(0, s.cfg.Workers-active),
-		"queue_free":     max(0, s.cfg.QueueDepth-queued),
-		"mem_free_bytes": max(0, s.cfg.MemoryBudget-reserved),
-		"adopt":          !s.draining.Load() && s.cfg.SpoolBudget > 0,
-		"uptime":         time.Since(s.met.start).Round(time.Millisecond).String(),
-		"version":        "satserved/1",
+	json.NewEncoder(w).Encode(client.Health{
+		Status:       status,
+		Active:       active,
+		Queued:       queued,
+		FreeSlots:    max(0, s.cfg.Workers-active),
+		QueueFree:    max(0, s.cfg.QueueDepth-queued),
+		MemFreeBytes: max(0, s.cfg.MemoryBudget-reserved),
+		Adopt:        !s.draining.Load() && s.cfg.SpoolBudget > 0,
+		Uptime:       time.Since(s.met.start).Round(time.Millisecond).String(),
+		Version:      "satserved/1",
 	})
 }
 
@@ -1254,15 +1218,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	reserved := s.reserved
 	s.memMu.Unlock()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	var ss, sp store.Stats
-	if s.cfg.Store != nil {
-		ss = s.cfg.Store.Stats()
-	}
+	var sp store.Stats
 	if s.spool != nil {
 		sp = s.spool.Stats()
 	}
 	s.met.Write(w, s.queue.Depth(), s.queue.Active(), reserved, s.cfg.MemoryBudget,
-		s.compiler.Stats(), ss, s.draining.Load(), sp)
+		s.compiler.Stats(), s.compiler.StoreStats(), s.draining.Load(), sp)
 }
 
 // bitString renders a dense assignment as the CLI-compatible 0/1 string.

@@ -15,7 +15,9 @@ import (
 
 	"repro/internal/benchgen"
 	"repro/internal/cnf"
+	"repro/internal/core"
 	"repro/internal/sampling"
+	"repro/internal/store"
 	"repro/internal/tensor"
 )
 
@@ -337,7 +339,8 @@ func TestShedMemoryBudget(t *testing.T) {
 	}
 	// The estimate of one capped "unbounded" stream (target=0 -> cap),
 	// dedup pool included (no projection).
-	_, est := s.sessionShape(prob, maxTarget, 0)
+	batch := prob.BatchFor(sampling.SessionConfig{Device: s.cfg.Device, MemoryBudget: s.cfg.SessionMemory})
+	est := prob.Core().MemoryEstimate(core.Shape{Workers: s.cfg.Device.Workers(), Batch: batch, Target: maxTarget})
 
 	_, ts := testServer(t, Config{
 		Compiler:     sampling.NewCompiler(0),
@@ -398,6 +401,47 @@ func TestShedMemoryBudget(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
+}
+
+// TestStreamStaysInsidePricedPool: a finished stream's dedup pool never
+// holds more solutions than admission priced it for. The final tick can
+// retire most of a batch past a small target, and a resumed stream starts
+// from the pool its checkpoint holds; both stay inside the bound.
+func TestStreamStaysInsidePricedPool(t *testing.T) {
+	s, _ := testServer(t, Config{SessionMemory: 1 << 20, MaxTarget: 1_000_000})
+	body := manyVarsFormula(30).DIMACSString()
+	run := func(query string, rd io.Reader) {
+		t.Helper()
+		r := httptest.NewRequest(http.MethodPost, "/v1/sample?"+query, rd)
+		req, serr := s.parseRequest(r)
+		var prob *sampling.Problem
+		if serr == nil {
+			prob, serr = s.resolve(r, req)
+		}
+		var adm *admission
+		if serr == nil {
+			adm, serr = s.admit(r.Context(), req, prob)
+		}
+		if serr != nil {
+			t.Fatalf("%s: %s", query, serr.msg)
+		}
+		s.stream(httptest.NewRecorder(), r, req, prob, adm)
+		adm.release()
+		unique, pool := adm.sess.Core().UniqueCount(), adm.shape.Pool()
+		t.Logf("%s: batch %d, %d unique, priced for %d", query, adm.shape.Batch, unique, pool)
+		if unique > pool {
+			t.Errorf("%s: stream ended holding %d solutions, priced for %d", query, unique, pool)
+		}
+	}
+	for _, target := range []int{1, 7, 100, 1000} {
+		run(fmt.Sprintf("target=%d&seed=3", target), strings.NewReader(body))
+		run(fmt.Sprintf("target=%d&seed=3&project=1,3,5,7,9,11,13,15,17,19", target), strings.NewReader(body))
+	}
+	token, err := s.spoolPut(checkpointEnvelope(t, 64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run("resume="+token+"&target=100", nil)
 }
 
 // TestDrainPartialResults: drain cancels an unbounded in-flight stream
@@ -539,5 +583,29 @@ func TestMetricsEndpoint(t *testing.T) {
 	hresp.Body.Close()
 	if hresp.StatusCode != http.StatusOK || !strings.Contains(string(hbody), `"status":"ok"`) {
 		t.Errorf("healthz: %d %s", hresp.StatusCode, hbody)
+	}
+}
+
+// TestStoreMetricsFromCompiler: a durable tier attached only through
+// Compiler.WithStore reports its own view on /metrics once a compile has
+// written the artifact back to it.
+func TestStoreMetricsFromCompiler(t *testing.T) {
+	st, err := store.Open(t.TempDir(), 1<<30, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := testServer(t, Config{Compiler: sampling.NewCompiler(0).WithStore(st)})
+	resp, err := http.Post(ts.URL+"/v1/sample?target=5", "text/plain",
+		strings.NewReader(benchgen.SmallSuite()[0].Formula.DIMACSString()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	readStream(t, resp.Body)
+	resp.Body.Close()
+	if got := scrapeMetric(t, ts.URL, "satserved_store_entries"); got != 1 {
+		t.Errorf("satserved_store_entries = %v, want 1", got)
+	}
+	if got := scrapeMetric(t, ts.URL, "satserved_store_bytes"); got <= 0 {
+		t.Errorf("satserved_store_bytes = %v, want > 0", got)
 	}
 }

@@ -314,20 +314,6 @@ func Sigmoid(d Device, dst, src *Matrix) {
 	})
 }
 
-// Axpy computes y += alpha*x elementwise, striped by rows.
-func Axpy(d Device, alpha float32, x, y *Matrix) {
-	if x.Rows != y.Rows || x.Cols != y.Cols {
-		panic("tensor: Axpy shape mismatch")
-	}
-	d.Run(y.Rows, func(r0, r1 int) {
-		lo, hi := r0*y.Cols, r1*y.Cols
-		xs, ys := x.Data[lo:hi], y.Data[lo:hi]
-		for i := range ys {
-			ys[i] += alpha * xs[i]
-		}
-	})
-}
-
 // Harden writes dst[r][c] = (src[r][c] > threshold) as a row-major bool
 // slice: converting the learned soft inputs into hard binary assignments.
 func Harden(d Device, dst []bool, src *Matrix, threshold float32) {
@@ -340,26 +326,4 @@ func Harden(d Device, dst []bool, src *Matrix, threshold float32) {
 			dst[i] = src.Data[i] > threshold
 		}
 	})
-}
-
-// SumSquares returns Σ (a[i] - b[i])² — the ℓ2 loss between two matrices.
-func SumSquares(d Device, a, b *Matrix) float64 {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		panic("tensor: SumSquares shape mismatch")
-	}
-	partial := make([]float64, d.Workers())
-	d.RunIndexed(a.Rows, func(w, r0, r1 int) {
-		sum := 0.0
-		lo, hi := r0*a.Cols, r1*a.Cols
-		for i := lo; i < hi; i++ {
-			dv := float64(a.Data[i] - b.Data[i])
-			sum += dv * dv
-		}
-		partial[w] = sum
-	})
-	total := 0.0
-	for _, p := range partial {
-		total += p
-	}
-	return total
 }

@@ -175,19 +175,6 @@ func TestSigmoid(t *testing.T) {
 	}
 }
 
-func TestAxpy(t *testing.T) {
-	x := NewMatrix(2, 2)
-	y := NewMatrix(2, 2)
-	x.Fill(2)
-	y.Fill(1)
-	Axpy(ParallelN(2), -0.5, x, y)
-	for _, v := range y.Data {
-		if v != 0 {
-			t.Errorf("Axpy result %v want 0", v)
-		}
-	}
-}
-
 func TestHarden(t *testing.T) {
 	src := NewMatrix(1, 4)
 	src.Data = []float32{-1, 0.5, 0, 2}
@@ -201,24 +188,11 @@ func TestHarden(t *testing.T) {
 	}
 }
 
-func TestSumSquares(t *testing.T) {
-	a := NewMatrix(2, 2)
-	b := NewMatrix(2, 2)
-	a.Data = []float32{1, 2, 3, 4}
-	b.Data = []float32{1, 1, 1, 1}
-	got := SumSquares(ParallelN(2), a, b)
-	if math.Abs(got-(0+1+4+9)) > 1e-9 {
-		t.Errorf("SumSquares = %v want 14", got)
-	}
-}
-
 func TestShapeMismatchPanics(t *testing.T) {
 	a := NewMatrix(1, 2)
 	b := NewMatrix(2, 1)
 	for name, fn := range map[string]func(){
 		"sigmoid": func() { Sigmoid(Sequential(), a, b) },
-		"axpy":    func() { Axpy(Sequential(), 1, a, b) },
-		"sumsq":   func() { SumSquares(Sequential(), a, b) },
 		"harden":  func() { Harden(Sequential(), make([]bool, 1), a, 0) },
 	} {
 		func() {
