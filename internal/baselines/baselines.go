@@ -42,9 +42,9 @@ func (d *driver) Stats() sampling.Stats { return d.stats }
 // Solutions implements sampling.Sampler. Rows are copies: mutating them
 // cannot corrupt the dedup pool.
 func (d *driver) Solutions() [][]bool {
-	out := make([][]bool, len(d.pool.sols))
-	for i, sol := range d.pool.sols {
-		out[i] = append([]bool(nil), sol...)
+	out := make([][]bool, d.pool.size())
+	for i := range out {
+		out[i] = d.pool.model(i)
 	}
 	return out
 }
@@ -83,7 +83,7 @@ func (d *driver) flush(sink sampling.Sink) error {
 		return nil
 	}
 	for d.delivered < d.pool.size() {
-		sol := append([]bool(nil), d.pool.sols[d.delivered]...)
+		sol := d.pool.model(d.delivered)
 		d.delivered++
 		if err := sink(sol); err != nil {
 			return err
@@ -92,21 +92,18 @@ func (d *driver) flush(sink sampling.Sink) error {
 	return nil
 }
 
-// pool deduplicates models. Dedup keys are 64-bit SplitMix64 hashes of
-// the packed model bits with exact comparison on hash hits (so a
-// collision can never merge distinct models); unlike the former
-// string-key scheme this allocates nothing per candidate.
+// pool deduplicates verified models in a bitblast.RowSet, the dedup set
+// the core sampler uses.
 type pool struct {
 	formula *cnf.Formula
-	seen    map[uint64][]int32 // hash → indices into sols
-	rowbuf  []uint64           // packed model scratch
-	sols    [][]bool
+	set     *bitblast.RowSet
+	rowbuf  []uint64 // packed model scratch
 }
 
 func newPool(f *cnf.Formula) *pool {
 	return &pool{
 		formula: f,
-		seen:    map[uint64][]int32{},
+		set:     bitblast.NewRowSet(f.NumVars, 0),
 		rowbuf:  make([]uint64, (f.NumVars+63)/64),
 	}
 }
@@ -124,23 +121,13 @@ func (p *pool) add(model []bool) bool {
 			p.rowbuf[i>>6] |= 1 << (uint(i) & 63)
 		}
 	}
-	h := bitblast.Hash64(p.rowbuf)
-	for _, idx := range p.seen[h] {
-		prev := p.sols[idx]
-		same := len(prev) == len(model)
-		for i := range prev {
-			if !same {
-				break
-			}
-			same = prev[i] == model[i]
-		}
-		if same {
-			return false
-		}
-	}
-	p.seen[h] = append(p.seen[h], int32(len(p.sols)))
-	p.sols = append(p.sols, append([]bool(nil), model...))
-	return true
+	_, added := p.set.Insert(p.rowbuf)
+	return added
 }
 
-func (p *pool) size() int { return len(p.sols) }
+func (p *pool) size() int { return p.set.Len() }
+
+// model returns a copy of the i-th model.
+func (p *pool) model(i int) []bool {
+	return bitblast.UnpackRow(make([]bool, p.formula.NumVars), p.set.Row(i))
+}

@@ -440,19 +440,3 @@ func (e *Eval) checkWords() (uint64, uint64, uint64, uint64) {
 	}
 	return s0, s1, s2, s3
 }
-
-// Hash64 returns a SplitMix64-based hash of a packed bit vector — the
-// shared dedup key for solution pools (core sampler and baselines).
-// Callers must resolve 64-bit collisions with an exact comparison.
-func Hash64(words []uint64) uint64 {
-	h := uint64(0x9E3779B97F4A7C15)
-	for _, x := range words {
-		h ^= x
-		h ^= h >> 30
-		h *= 0xBF58476D1CE4E5B9
-		h ^= h >> 27
-		h *= 0x94D049BB133111EB
-		h ^= h >> 31
-	}
-	return h
-}

@@ -311,12 +311,13 @@ func TestEngineTrajectoryMatchesNaive(t *testing.T) {
 			}
 			ns.collect()
 			s.collect()
-			if len(ns.sols) != len(s.sols) {
-				t.Fatalf("trial %d round %d: %d naive sols vs %d engine sols", trial, round, len(ns.sols), len(s.sols))
+			sols := s.Solutions()
+			if len(ns.sols) != len(sols) {
+				t.Fatalf("trial %d round %d: %d naive sols vs %d engine sols", trial, round, len(ns.sols), len(sols))
 			}
 			for k := range ns.sols {
 				for i := range ns.sols[k] {
-					if ns.sols[k][i] != s.sols[k][i] {
+					if ns.sols[k][i] != sols[k][i] {
 						t.Fatalf("trial %d round %d: solution %d differs", trial, round, k)
 					}
 				}

@@ -16,6 +16,33 @@ func liveHeap() int64 {
 	return int64(ms.HeapAlloc)
 }
 
+// poolSampler opens a session that pools solutions fast: vars variables in
+// disjoint clauses (x ∨ y), with the first proj variables as its
+// projection (0 = full identity).
+func poolSampler(t *testing.T, vars, proj int) *Sampler {
+	t.Helper()
+	f := cnf.New(0)
+	for v := 1; v <= vars; v += 2 {
+		f.AddClause(cnf.Lit(v), cnf.Lit(v+1))
+	}
+	p, err := CompileCNF(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var projection []int
+	for v := 1; v <= proj; v++ {
+		projection = append(projection, v)
+	}
+	s, err := p.NewSampler(Config{BatchSize: 1024, Seed: 1, Projection: projection})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first tick allocates the scheduler's per-row arrays, so callers
+	// measure from after it.
+	s.ContinuousStep(0)
+	return s
+}
+
 // TestPoolTermBoundsRetainedHeap: the memory model's per-solution pool
 // term is a true bound on the heap a session retains per pooled solution,
 // and not a loose one. Over 20k solutions pooled by the continuous
@@ -33,25 +60,8 @@ func TestPoolTermBoundsRetainedHeap(t *testing.T) {
 		{"300-inputs-projected-100", 300, 100},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			f := cnf.New(0)
-			for v := 1; v <= c.vars; v += 2 {
-				f.AddClause(cnf.Lit(v), cnf.Lit(v+1))
-			}
-			p, err := CompileCNF(f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var proj []int
-			for v := 1; v <= c.proj; v++ {
-				proj = append(proj, v)
-			}
-			s, err := p.NewSampler(Config{BatchSize: 1024, Seed: 1, Projection: proj})
-			if err != nil {
-				t.Fatal(err)
-			}
-			// The first tick allocates the scheduler's per-row arrays, so
-			// the baseline is taken after it.
-			s.ContinuousStep(0)
+			s := poolSampler(t, c.vars, c.proj)
+			p := s.Problem()
 			h0, u0 := liveHeap(), s.UniqueCount()
 			for s.UniqueCount() < u0+window && !s.Exhausted() {
 				s.ContinuousStep(0)
@@ -76,5 +86,32 @@ func TestPoolTermBoundsRetainedHeap(t *testing.T) {
 				t.Errorf("retained %.0f B per solution < half the pool term %.0f B: the estimate is loose", got, term)
 			}
 		})
+	}
+}
+
+// TestRecordSolutionAllocs: folding solutions into the dedup pool
+// allocates only when the pool's arrays grow. Over 20k recorded solutions
+// at 300 inputs, with and without a projection, the continuous scheduler
+// makes at most 0.01 heap allocations per recorded solution.
+func TestRecordSolutionAllocs(t *testing.T) {
+	const window, maxPerSolution = 20_000, 0.01
+	for _, proj := range []int{0, 100} {
+		s := poolSampler(t, 300, proj)
+		var m0, m1 runtime.MemStats
+		u0 := s.UniqueCount()
+		runtime.ReadMemStats(&m0)
+		for s.UniqueCount() < u0+window && !s.Exhausted() {
+			s.ContinuousStep(0)
+		}
+		runtime.ReadMemStats(&m1)
+		u1 := s.UniqueCount()
+		if u1-u0 < window {
+			t.Fatalf("projection %d: pool saturated at %d solutions", proj, u1)
+		}
+		got := float64(m1.Mallocs-m0.Mallocs) / float64(u1-u0)
+		t.Logf("projection %d: %.4f allocations per recorded solution over %d solutions", proj, got, u1-u0)
+		if got > maxPerSolution {
+			t.Errorf("projection %d: %.4f allocations per recorded solution, want <= %g", proj, got, maxPerSolution)
+		}
 	}
 }

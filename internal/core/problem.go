@@ -200,27 +200,18 @@ func (p *Problem) MemoryEstimate(sh Shape) int64 {
 	return fixed + linear + int64(sh.Pool())*p.solutionBytes(sh.Projection)
 }
 
-// solutionBytes bounds the heap recordSolution retains per pooled solution:
-// the []bool primary-input row, its sols slice header and hit tally (at the
-// 2× capacity slack append growth can leave), one hash-chain map entry and
-// its one-element chain, plus, under a projection, the packed signature and
-// its psigs header.
+// solutionBytes bounds the heap the dedup pool retains per solution: its
+// packed key, stored hash and hit tally, and under a projection its packed
+// primary-input witness beside the packed signature key — each at the 2×
+// capacity slack append growth can leave — plus the open-addressing index,
+// which holds between 2 and 4 int32 slots per row. Half the term is the
+// least a pool can hold, so it is tight within a factor of two.
 func (p *Problem) solutionBytes(projection int) int64 {
-	b := allocBytes(int64(p.eng.numInputs)) + 2*(24+4)
-	// A map slot (8 B key + 24 B chain header + 1 control byte) at the 7/16
-	// occupancy a table drops to when it grows: 33·16/7 ≈ 76 B.
-	b += 76 + allocBytes(4)
+	words := int64(p.eng.numInputs+63) / 64
 	if projection > 0 {
-		b += allocBytes(int64(projection+63)/64*8) + 2*24
+		words += int64(projection+63) / 64
 	}
-	return b
-}
-
-// allocBytes bounds the heap one pointer-free allocation of size bytes
-// occupies: the runtime rounds small objects up to a size class at most a
-// quarter larger (a 16-byte block below 16 B) and large ones to whole pages.
-func allocBytes(size int64) int64 {
-	return size + size/4 + 16
+	return 2*(8*words+8+4) + 4*4
 }
 
 // BatchForBudget returns the largest batch whose MemoryEstimate (no

@@ -74,6 +74,15 @@ var ErrBadProblem = errors.New("core: invalid problem encoding")
 // products).
 const maxProblemDim = 1 << 26
 
+// b2u converts a bool to 0/1 without a data-dependent branch (the compiler
+// lowers it to a plain byte load — Go bools are 0/1 in memory).
+func b2u(v bool) byte {
+	if v {
+		return 1
+	}
+	return 0
+}
+
 // MarshalBinary encodes the compiled problem in the versioned GDSP binary
 // format, with a SHA-256 trailer over the whole encoding. The result is
 // self-contained: DecodeProblem rebuilds an equivalent Problem from it
@@ -167,7 +176,11 @@ func (p *Problem) MarshalBinary() ([]byte, error) {
 		e.U32(uint32(o.src))
 	}
 	e.F64(eng.constLoss)
-	packBools(e.Grow((len(eng.liveIn)+7)/8), eng.liveIn)
+	live := e.Grow((len(eng.liveIn) + 7) / 8) // LSB-first, eight inputs per byte
+	clear(live)
+	for i, v := range eng.liveIn {
+		live[i>>3] |= b2u(v) << (i & 7)
+	}
 	e.I32s(eng.liveInList)
 
 	// Verifier plan.
@@ -583,7 +596,9 @@ func decodeEngine(d *envelope.Decoder, c *circuit.Circuit) *engine {
 		return eng
 	}
 	eng.liveIn = make([]bool, eng.numInputs)
-	unpackBools(eng.liveIn, raw)
+	for i := range eng.liveIn {
+		eng.liveIn[i] = raw[i>>3]>>(i&7)&1 != 0
+	}
 	eng.liveInList = d.I32s("live input list")
 	prev := int32(-1)
 	for i, v := range eng.liveInList {

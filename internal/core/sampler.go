@@ -163,25 +163,28 @@ type Sampler struct {
 	cols   [][]uint64 // one packed column per input
 	valid  []uint64   // per-word validity masks
 	rowbuf []uint64   // one packed candidate row, for hashing/dedup
+	solbuf []bool     // one unpacked primary-input row (FullAssignmentAt)
 
 	// Projected-sampling state (nil projPlan = full-assignment identity).
 	// The verify sweep fills projCols with each lane's projected signature
 	// (bit r of projCols[k][r/64] is row r's value for projection variable
-	// k); dedup hashes prowbuf and compares against psigs on collision.
+	// k); the pool is keyed by prowbuf and each class keeps its first
+	// primary-input row in wit.
 	projection []int      // CNF variables defining solution identity
 	projPlan   []int32    // circuit node per projection variable (-1 = const false)
 	projbuf    []uint64   // backing store for projCols
 	projCols   [][]uint64 // one packed column per projection variable
 	prowbuf    []uint64   // one packed projected row, for hashing/dedup
-	psigs      [][]uint64 // packed projected signature per retained solution
+	wit        []uint64   // packed primary-input witness per class, rowbuf-sized rows
 
 	outW []float32 // per-engine-output loss weights (nil = uniform)
 
-	unique map[uint64][]int32 // signature hash → indices into sols (collision chain)
-	sols   [][]bool           // unique PI assignments in discovery order
-	hits   []int32            // retired-candidate observations per solution
-	round  int64
-	stats  Stats
+	// Dedup pool: unique keys (rowbuf, or prowbuf under a projection) in
+	// discovery order.
+	pool  *bitblast.RowSet
+	hits  []int32 // retired-candidate observations per solution
+	round int64
+	stats Stats
 
 	// Continuous-batch scheduler state (scheduler.go). The per-row arrays
 	// are allocated lazily on the first ContinuousStep so round-mode
@@ -241,9 +244,8 @@ func newSession(p *Problem, cfg Config) (*Sampler, error) {
 	}
 	cfg = cfg.withDefaults()
 	s := &Sampler{
-		cfg:    cfg,
-		prob:   p,
-		unique: map[uint64][]int32{},
+		cfg:  cfg,
+		prob: p,
 	}
 	n := p.eng.numInputs
 	batch := cfg.BatchSize
@@ -298,6 +300,8 @@ func newSession(p *Problem, cfg Config) (*Sampler, error) {
 	}
 	s.valid = make([]uint64, words)
 	s.rowbuf = make([]uint64, (n+63)/64)
+	s.solbuf = make([]bool, n)
+	keyWidth := n
 
 	// Projection: an explicit config wins; nil inherits the formula's
 	// declared sampling set ("c ind"/"p show"). Empty means full identity.
@@ -318,7 +322,9 @@ func newSession(p *Problem, cfg Config) (*Sampler, error) {
 			s.projCols[k] = s.projbuf[k*words : (k+1)*words]
 		}
 		s.prowbuf = make([]uint64, (np+63)/64)
+		keyWidth = np
 	}
+	s.pool = bitblast.NewRowSet(keyWidth, 0)
 
 	if cfg.ClauseWeights != nil {
 		w, err := p.OutputWeights(cfg.ClauseWeights)
@@ -377,19 +383,28 @@ func (s *Sampler) SolutionsFrom(from int) [][]bool {
 	if from < 0 {
 		from = 0
 	}
-	if from >= len(s.sols) {
+	if from >= s.pool.Len() {
 		return nil
 	}
-	out := make([][]bool, len(s.sols)-from)
-	for i, sol := range s.sols[from:] {
-		out[i] = append([]bool(nil), sol...)
+	out := make([][]bool, s.pool.Len()-from)
+	for i := range out {
+		out[i] = bitblast.UnpackRow(make([]bool, len(s.solbuf)), s.inputRow(from+i))
 	}
 	return out
 }
 
 // UniqueCount returns the number of unique solutions found so far
 // (projected-distinct when a projection is active).
-func (s *Sampler) UniqueCount() int { return len(s.sols) }
+func (s *Sampler) UniqueCount() int { return s.pool.Len() }
+
+// inputRow returns the i-th unique solution's packed primary-input row.
+func (s *Sampler) inputRow(i int) []uint64 {
+	if s.projPlan == nil {
+		return s.pool.Row(i)
+	}
+	w := len(s.rowbuf)
+	return s.wit[i*w : (i+1)*w]
+}
 
 // Projection returns the CNF variables defining solution identity for this
 // session (nil when sampling over the full assignment).
@@ -420,20 +435,15 @@ func (s *Sampler) ProjectedSolutionAt(i int) []bool {
 	if s.projection == nil {
 		return nil
 	}
-	sig := s.psigs[i]
-	out := make([]bool, len(s.projection))
-	for k := range out {
-		out[k] = sig[k>>6]>>(uint(k)&63)&1 == 1
-	}
-	return out
+	return bitblast.UnpackRow(make([]bool, len(s.projection)), s.pool.Row(i))
 }
 
 // FullAssignmentAt expands the i-th unique solution into a freshly
-// allocated dense CNF assignment without first copying the primary-input
-// row — the allocation-lean accessor streaming drivers iterate with
-// (indices [0, UniqueCount())).
+// allocated dense CNF assignment, unpacking the primary-input row into
+// session scratch rather than a copy — the allocation-lean accessor
+// streaming drivers iterate with (indices [0, UniqueCount())).
 func (s *Sampler) FullAssignmentAt(i int) []bool {
-	return s.prob.AssignmentFromInputs(s.sols[i])
+	return s.prob.AssignmentFromInputs(bitblast.UnpackRow(s.solbuf, s.inputRow(i)))
 }
 
 // FullAssignment expands a primary-input solution into a dense CNF
@@ -658,8 +668,7 @@ func (s *Sampler) stepTile(sc *stepScratch, r0, nt int) float64 {
 
 // collect hardens V into packed columns, verifies 64 candidate rows per
 // word sweep against the original CNF, and folds new unique solutions into
-// the pool using 64-bit row hashes (with exact comparison on collision).
-// It returns the number of new uniques.
+// the pool. It returns the number of new uniques.
 func (s *Sampler) collect() int {
 	batch := s.cfg.BatchSize
 	n := s.prob.eng.numInputs
@@ -698,115 +707,47 @@ func (s *Sampler) collect() int {
 			newUnique++
 		}
 	}
-	s.stats.Unique = len(s.sols)
+	s.stats.Unique = s.pool.Len()
 	return newUnique
 }
 
 // recordRow folds the hardened candidate at lane r of the packed columns
 // into the dedup pool, reporting whether it was new. Identity is the
 // projected signature when a projection is active (the full model at lane
-// r was already verified against the full CNF; it is retained as the
-// projected class's witness), the full primary-input row otherwise. Every
-// observation — new or duplicate — counts toward the matched solution's
-// hit tally.
+// r was already verified against the full CNF; a new class keeps it as its
+// witness), the full primary-input row otherwise. Every observation — new
+// or duplicate — counts toward the matched solution's hit tally.
 func (s *Sampler) recordRow(r int) bool {
+	key := s.rowbuf
 	if s.projPlan != nil {
-		return s.recordRowProjected(r)
+		key = s.prowbuf
+		packLane(key, s.projCols, r)
+	} else {
+		packLane(key, s.cols, r)
 	}
-	h := s.packRow(r)
-	if idx, dup := s.findDup(h); dup {
-		s.hits[idx]++
+	i, added := s.pool.Insert(key)
+	if !added {
+		s.hits[i]++
 		return false
 	}
-	s.recordSolution(h, r, nil)
-	return true
-}
-
-// recordRowProjected dedups lane r by its packed projected signature.
-func (s *Sampler) recordRowProjected(r int) bool {
-	h := s.packProjRow(r)
-	for _, idx := range s.unique[h] {
-		sig := s.psigs[idx]
-		same := true
-		for i, w := range s.prowbuf {
-			if sig[i] != w {
-				same = false
-				break
-			}
-		}
-		if same {
-			s.hits[idx]++
-			return false
-		}
+	if s.projPlan != nil {
+		packLane(s.rowbuf, s.cols, r)
+		s.wit = append(s.wit, s.rowbuf...)
 	}
-	s.recordSolution(h, r, append([]uint64(nil), s.prowbuf...))
-	return true
-}
-
-// recordSolution appends lane r's primary-input row as a new unique
-// solution under hash h, with psig as its projected signature (nil in
-// full-identity mode).
-func (s *Sampler) recordSolution(h uint64, r int, psig []uint64) {
 	s.stats.Valid++
-	n := s.prob.eng.numInputs
-	sol := make([]bool, n)
-	w, b := r>>6, uint(r)&63
-	for i := 0; i < n; i++ {
-		sol[i] = s.cols[i][w]>>b&1 == 1
-	}
-	s.unique[h] = append(s.unique[h], int32(len(s.sols)))
-	s.sols = append(s.sols, sol)
 	s.hits = append(s.hits, 1)
-	if psig != nil {
-		s.psigs = append(s.psigs, psig)
-	}
+	return true
 }
 
-// packRow gathers candidate row r from the packed columns into rowbuf and
-// returns its 64-bit hash.
-func (s *Sampler) packRow(r int) uint64 {
+// packLane gathers lane r of the packed columns into the packed row dst.
+func packLane(dst []uint64, cols [][]uint64, r int) {
 	w, b := r>>6, uint(r)&63
-	for i := range s.rowbuf {
-		s.rowbuf[i] = 0
+	for i := range dst {
+		dst[i] = 0
 	}
-	n := s.prob.eng.numInputs
-	for i := 0; i < n; i++ {
-		s.rowbuf[i>>6] |= (s.cols[i][w] >> b & 1) << (uint(i) & 63)
+	for i, col := range cols {
+		dst[i>>6] |= (col[w] >> b & 1) << (uint(i) & 63)
 	}
-	return bitblast.Hash64(s.rowbuf)
-}
-
-// packProjRow gathers candidate row r's projected signature from the
-// packed projection columns into prowbuf and returns its 64-bit hash.
-func (s *Sampler) packProjRow(r int) uint64 {
-	w, b := r>>6, uint(r)&63
-	for i := range s.prowbuf {
-		s.prowbuf[i] = 0
-	}
-	for k := range s.projCols {
-		s.prowbuf[k>>6] |= (s.projCols[k][w] >> b & 1) << (uint(k) & 63)
-	}
-	return bitblast.Hash64(s.prowbuf)
-}
-
-// findDup reports whether the candidate currently in rowbuf is already in
-// the pool (returning its index), comparing actual bits on hash hits so a
-// 64-bit collision can never merge distinct solutions.
-func (s *Sampler) findDup(h uint64) (int32, bool) {
-	for _, idx := range s.unique[h] {
-		sol := s.sols[idx]
-		same := true
-		for i, v := range sol {
-			if s.rowbuf[i>>6]>>(uint(i)&63)&1 == 1 != v {
-				same = false
-				break
-			}
-		}
-		if same {
-			return idx, true
-		}
-	}
-	return 0, false
 }
 
 func sigmoid32(v float32) float32 {

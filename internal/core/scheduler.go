@@ -99,7 +99,7 @@ func (s *Sampler) ContinuousStep(target int) int {
 		s.initContinuous()
 	}
 	gained := s.sweep(target)
-	if s.exhausted || (target > 0 && len(s.sols) >= target) {
+	if s.exhausted || (target > 0 && s.pool.Len() >= target) {
 		return gained
 	}
 	s.stepActive()
@@ -308,7 +308,7 @@ func (s *Sampler) sweep(target int) int {
 	s.stats.Retired += sat
 	s.stats.Stalled += stalled
 	s.stats.Candidates += retired
-	s.stats.Unique = len(s.sols)
+	s.stats.Unique = s.pool.Len()
 	s.activeRows -= retired
 
 	// Saturation guard: count retired-row gain, not rounds.
@@ -316,7 +316,7 @@ func (s *Sampler) sweep(target int) int {
 		s.staleRet = 0
 	} else {
 		s.staleRet += retired
-		if s.staleRet >= staleRetiresPerRow*batch && len(s.sols) > 0 {
+		if s.staleRet >= staleRetiresPerRow*batch && s.pool.Len() > 0 {
 			s.exhausted = true
 		}
 	}
@@ -433,7 +433,7 @@ func (s *Sampler) refill(target int) {
 	case s.exhausted:
 		want = 0
 	case target > 0:
-		remaining := target - len(s.sols)
+		remaining := target - s.pool.Len()
 		if remaining <= 0 {
 			want = 0
 		} else if remaining < batch/admissionOvercommit {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/bitblast"
 	"repro/internal/envelope"
 	"repro/internal/tensor"
 )
@@ -12,7 +13,7 @@ import (
 // This file implements session checkpoint/restore: Sampler.Snapshot
 // captures the complete per-session state — V and momentum matrices, the
 // per-slot SplitMix64 restart-stream cursors, row ages, the dedup pool
-// (solutions, projected signatures, hit tallies, hash chains), retired/
+// (solution rows, projected signatures, hit tallies, dedup hashes), retired/
 // saturation counters, and the continuous scheduler's per-tile active
 // regions with its packed verifier view — and RestoreSampler rebuilds a
 // Sampler that continues the *byte-identical* solution stream an
@@ -22,16 +23,19 @@ import (
 // The snapshot is an exact state capture, including state that is in
 // principle recomputable (the packed hardened columns, cached validity
 // masks, projected-signature columns, pending changed flags, and the
-// per-solution dedup hashes). Recomputing them on restore — one full
-// repack + bit-parallel verify plus a re-hash of every pooled solution —
-// costs tens of milliseconds on an s15850a-scale session, blowing the
-// checkpoint-on-every-drain budget; serializing them costs ~1% of the
-// snapshot's size (V dominates) and makes restore a plain copy. The
-// trade-off is that the codec trusts these derived sections: they are
-// CRC-covered like everything else, so corruption is detected, but a
-// deliberately forged token could desynchronize its own session's dedup
-// state. Resume tokens are server-generated opaque blobs with an outer
-// integrity digest; forging one only damages the forger's stream.
+// per-solution dedup hashes). The pool sections are verified, not
+// trusted: restore inserts every key through the live session's dedup
+// insert, one Hash64 per solution, and refuses a key seen twice, a stored
+// hash that differs from the key's, and a bit set past a row's or a
+// signature's width. The column sections are trusted: recomputing them on
+// restore — one full repack + bit-parallel verify — costs tens of
+// milliseconds on an s15850a-scale session, blowing the
+// checkpoint-on-every-drain budget, while serializing them costs ~1% of
+// the snapshot's size (V dominates) and makes their restore a plain copy.
+// They are CRC-covered like everything else, so corruption is detected,
+// but a deliberately forged token could desynchronize its own session's
+// verifier view. Resume tokens are server-generated opaque blobs with an
+// outer integrity digest; forging one only damages the forger's stream.
 //
 // Scratch that is dead between ticks — the per-word dirty mask, the
 // per-sweep retirement flags, the per-worker value/adjoint tiles — is NOT
@@ -60,11 +64,10 @@ const snapshotMagic = "GDSS"
 var ErrBadSnapshot = errors.New("core: invalid snapshot")
 
 // Snapshot is the decoded form of one session checkpoint. It is immutable
-// once created (restore aliases its pool arrays but never mutates them, so
-// one Snapshot may be restored any number of times); MarshalBinary and
-// DecodeSnapshot convert to and from the portable binary form, and
-// RestoreSampler turns it back into a live session over the identical
-// compiled Problem.
+// once created (restore copies it, so one Snapshot may be restored any
+// number of times); MarshalBinary and DecodeSnapshot convert to and from
+// the portable binary form, and RestoreSampler turns it back into a live
+// session over the identical compiled Problem.
 type Snapshot struct {
 	key       string // Problem.Key of the compiled artifact
 	numInputs int    // primary inputs of the compiled engine
@@ -104,17 +107,15 @@ type Snapshot struct {
 	projCols  []uint64 // packed projected-signature columns, flattened np×words
 	changed   []uint64 // pending changed-lane flags, packed 1 bit per lane
 
-	// Dedup pool: unique primary-input solutions in discovery order
-	// (bit-packed, one row of (numInputs+7)/8 bytes per solution — packed
-	// at capture so marshal and decode are plain copies), their retirement
-	// tallies, their 64-bit dedup hashes (the map keys, so the hash chains
-	// rebuild without re-hashing), and (under a projection) the packed
-	// projected signature per solution.
-	solPacked []byte // nsols × rowBytes
-	nsols     int
-	hits      []int32
-	hashes    []uint64
-	psigs     []uint64 // nsols × sigWords
+	// Dedup pool in discovery order: each solution's packed primary-input
+	// row, retirement tally and 64-bit dedup hash, and under a projection
+	// its packed projected signature (the pool key the hash is taken over).
+	// The codec stores each row as its (numInputs+7)/8 low bytes.
+	rows   []uint64 // nsols × rowWords
+	nsols  int
+	hits   []int32
+	hashes []uint64
+	psigs  []uint64 // nsols × sigWords
 }
 
 // Key returns the content hash of the compiled Problem this snapshot was
@@ -204,28 +205,15 @@ func (s *Sampler) Snapshot() *Snapshot {
 		// The live change bitmap is already in the codec's packed layout.
 		sn.changed = append([]uint64(nil), s.chg...)
 	}
-	sn.nsols = len(s.sols)
-	rowBytes := (n + 7) / 8
-	sn.solPacked = make([]byte, sn.nsols*rowBytes)
-	for i, sol := range s.sols {
-		packBools(sn.solPacked[i*rowBytes:(i+1)*rowBytes], sol)
+	sn.nsols = s.pool.Len()
+	keys := append([]uint64(nil), s.pool.Rows()...)
+	if s.projPlan != nil {
+		sn.psigs, sn.rows = keys, append([]uint64(nil), s.wit...)
+	} else {
+		sn.rows = keys
 	}
 	sn.hits = append([]int32(nil), s.hits...)
-	// The dedup hashes are the map keys: recover each solution's hash from
-	// its chain instead of re-hashing the pool.
-	sn.hashes = make([]uint64, sn.nsols)
-	for h, chain := range s.unique {
-		for _, idx := range chain {
-			sn.hashes[idx] = h
-		}
-	}
-	if s.projPlan != nil {
-		sigWords := (len(s.projection) + 63) / 64
-		sn.psigs = make([]uint64, sn.nsols*sigWords)
-		for i, sig := range s.psigs {
-			copy(sn.psigs[i*sigWords:], sig)
-		}
-	}
+	sn.hashes = append([]uint64(nil), s.pool.Hashes()...)
 	return sn
 }
 
@@ -308,32 +296,30 @@ func RestoreSamplerOn(p *Problem, sn *Snapshot, dev tensor.Device) (*Sampler, er
 			return nil, err
 		}
 	}
-	if s.stats.Unique != len(s.sols) {
-		return nil, fmt.Errorf("%w: stats report %d unique, pool holds %d", ErrBadSnapshot, s.stats.Unique, len(s.sols))
+	if s.stats.Unique != s.pool.Len() {
+		return nil, fmt.Errorf("%w: stats report %d unique, pool holds %d", ErrBadSnapshot, s.stats.Unique, s.pool.Len())
 	}
 	return s, nil
 }
 
-// restorePool rebuilds the dedup pool — solutions, hit tallies, projected
-// signatures, and the hash chains — from the snapshot, in discovery order
-// (so chain order, and therefore every future dedup probe, matches the
-// uninterrupted session exactly). The solution rows and signatures alias
-// the snapshot's backing arrays: both sides treat pooled entries as
-// immutable, so the alias is safe and restore stays O(pool) map inserts
-// instead of O(pool × inputs) re-hashing.
+// restorePool rebuilds the dedup pool — keys, witnesses and hit tallies —
+// from the snapshot, inserting each key in discovery order through the
+// insert a live session uses, into a set pre-sized to the pool. A forged
+// pool is refused: a key seen twice, a stored hash that is not the key's,
+// or a bit set past a row's or a signature's width.
 func (s *Sampler) restorePool(sn *Snapshot) error {
 	n := s.prob.eng.numInputs
-	rowBytes := (n + 7) / 8
+	rowWords := len(s.rowbuf)
 	nsols := sn.nsols
-	if len(sn.solPacked) != nsols*rowBytes || len(sn.hits) != nsols || len(sn.hashes) != nsols {
-		return fmt.Errorf("%w: pool arrays (%d sol bytes, %d hits, %d hashes) for %d solutions × %d inputs",
-			ErrBadSnapshot, len(sn.solPacked), len(sn.hits), len(sn.hashes), nsols, n)
+	if len(sn.rows) != nsols*rowWords || len(sn.hits) != nsols || len(sn.hashes) != nsols {
+		return fmt.Errorf("%w: pool arrays (%d row words, %d hits, %d hashes) for %d solutions × %d inputs",
+			ErrBadSnapshot, len(sn.rows), len(sn.hits), len(sn.hashes), nsols, n)
 	}
-	proj := s.projPlan != nil
-	sigWords := (len(s.projection) + 63) / 64
-	if proj {
-		if len(sn.psigs) != nsols*sigWords {
-			return fmt.Errorf("%w: %d projected-signature words for %d solutions × %d words", ErrBadSnapshot, len(sn.psigs), nsols, sigWords)
+	keys, keyWidth := sn.rows, n
+	if s.projPlan != nil {
+		keys, keyWidth = sn.psigs, len(s.projection)
+		if len(keys) != nsols*len(s.prowbuf) {
+			return fmt.Errorf("%w: %d projected-signature words for %d solutions × %d words", ErrBadSnapshot, len(keys), nsols, len(s.prowbuf))
 		}
 	} else if len(sn.psigs) != 0 {
 		return fmt.Errorf("%w: projected signatures without a projection", ErrBadSnapshot)
@@ -341,85 +327,34 @@ func (s *Sampler) restorePool(sn *Snapshot) error {
 	if nsols == 0 {
 		return nil
 	}
-	s.sols = make([][]bool, nsols)
-	s.hits = append([]int32(nil), sn.hits...)
-	if proj {
-		s.psigs = make([][]uint64, nsols)
-	}
-	flat := make([]bool, nsols*n)
-	// Hash chains come from one backing array (full-capacity sub-slices, so
-	// a future collision append copies out instead of clobbering a
-	// neighbor): the pool restores with two allocations, not one per
-	// solution — the map is presized for the same reason.
-	s.unique = make(map[uint64][]int32, nsols)
-	chainBuf := make([]int32, 0, nsols)
+	keyWords := (keyWidth + 63) / 64
+	s.pool = bitblast.NewRowSet(keyWidth, nsols)
 	for i := 0; i < nsols; i++ {
 		if sn.hits[i] < 1 {
 			return fmt.Errorf("%w: solution %d has hit tally %d", ErrBadSnapshot, i, sn.hits[i])
 		}
-		sol := flat[i*n : (i+1)*n]
-		unpackBools(sol, sn.solPacked[i*rowBytes:])
-		s.sols[i] = sol
-		if proj {
-			s.psigs[i] = sn.psigs[i*sigWords : (i+1)*sigWords]
+		key := keys[i*keyWords : (i+1)*keyWords]
+		if padded(sn.rows[i*rowWords:(i+1)*rowWords], n) || padded(key, keyWidth) {
+			return fmt.Errorf("%w: solution %d has a bit set past its width", ErrBadSnapshot, i)
 		}
-		h := sn.hashes[i]
-		if cur, ok := s.unique[h]; ok {
-			s.unique[h] = append(cur, int32(i))
-		} else {
-			chainBuf = append(chainBuf, int32(i))
-			s.unique[h] = chainBuf[len(chainBuf)-1 : len(chainBuf) : len(chainBuf)]
+		if _, added := s.pool.Insert(key); !added {
+			return fmt.Errorf("%w: solution %d repeats an earlier key", ErrBadSnapshot, i)
 		}
+		if s.pool.Hashes()[i] != sn.hashes[i] {
+			return fmt.Errorf("%w: solution %d has a stored hash that is not its key's", ErrBadSnapshot, i)
+		}
+	}
+	s.hits = append([]int32(nil), sn.hits...)
+	if s.projPlan != nil {
+		s.wit = append([]uint64(nil), sn.rows...)
 	}
 	return nil
 }
 
-// b2u converts a bool to 0/1 without a data-dependent branch (the compiler
-// lowers it to a plain byte load — Go bools are 0/1 in memory).
-func b2u(v bool) byte {
-	if v {
-		return 1
-	}
-	return 0
-}
-
-// packBools bit-packs src LSB-first into dst (len(dst) >= (len(src)+7)/8,
-// fully overwritten), eight bools per byte with no per-bit branches.
-func packBools(dst []byte, src []bool) {
-	n := len(src)
-	j := 0
-	for ; j+8 <= n; j += 8 {
-		dst[j>>3] = b2u(src[j]) | b2u(src[j+1])<<1 | b2u(src[j+2])<<2 | b2u(src[j+3])<<3 |
-			b2u(src[j+4])<<4 | b2u(src[j+5])<<5 | b2u(src[j+6])<<6 | b2u(src[j+7])<<7
-	}
-	if j < n {
-		var b byte
-		for ; j < n; j++ {
-			b |= b2u(src[j]) << (uint(j) & 7)
-		}
-		dst[(n-1)>>3] = b
-	}
-}
-
-// unpackBools expands LSB-first packed bits into dst (the inverse of
-// packBools; src must hold (len(dst)+7)/8 bytes).
-func unpackBools(dst []bool, src []byte) {
-	n := len(dst)
-	j := 0
-	for ; j+8 <= n; j += 8 {
-		b := src[j>>3]
-		dst[j] = b&1 != 0
-		dst[j+1] = b&2 != 0
-		dst[j+2] = b&4 != 0
-		dst[j+3] = b&8 != 0
-		dst[j+4] = b&16 != 0
-		dst[j+5] = b&32 != 0
-		dst[j+6] = b&64 != 0
-		dst[j+7] = b&128 != 0
-	}
-	for ; j < n; j++ {
-		dst[j] = src[j>>3]>>(uint(j)&7)&1 != 0
-	}
+// padded reports whether a packed row of width bits has a bit set past
+// its width.
+func padded(row []uint64, width int) bool {
+	return width&63 != 0 && row[len(row)-1]>>(uint(width)&63) != 0
 }
 
 // restoreScheduler rebuilds the continuous scheduler's live view from the
@@ -504,7 +439,7 @@ func (sn *Snapshot) MarshalBinary() ([]byte, error) {
 		return nil, fmt.Errorf("%w: oversized key", ErrBadSnapshot)
 	}
 	n := sn.numInputs
-	rowBytes := (n + 7) / 8
+	rowBytes, rowWords := (n+7)/8, (n+63)/64
 	est := 192 + len(sn.key) + 4*len(sn.projection) + 8*len(sn.clauseWeights) +
 		4*len(sn.vdata) + 4*len(sn.mdata) +
 		8*len(sn.ages) + 4*len(sn.active) +
@@ -576,7 +511,13 @@ func (sn *Snapshot) MarshalBinary() ([]byte, error) {
 	}
 
 	e.U32(uint32(sn.nsols))
-	copy(e.Grow(len(sn.solPacked)), sn.solPacked)
+	raw := e.Grow(sn.nsols * rowBytes)
+	for i := 0; i < sn.nsols; i++ {
+		row, out := sn.rows[i*rowWords:(i+1)*rowWords], raw[i*rowBytes:(i+1)*rowBytes]
+		for k := range out {
+			out[k] = byte(row[k>>3] >> (8 * (k & 7)))
+		}
+	}
 	e.I32s(sn.hits)
 	e.U64s(sn.hashes)
 	if sn.hasProj {
@@ -588,8 +529,8 @@ func (sn *Snapshot) MarshalBinary() ([]byte, error) {
 // DecodeSnapshot parses and validates an encoded snapshot. It never
 // panics: truncated, corrupted, or version-mismatched input returns an
 // error wrapping ErrBadSnapshot, and no partially decoded state escapes.
-// The returned Snapshot aliases data's pool section — the caller must not
-// mutate data while the Snapshot (or a session restored from it) is live.
+// The returned Snapshot holds copies: it does not alias data, and neither
+// does a session restored from it.
 func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	d, err := envelope.Open(data, snapshotMagic, envelope.CRC32, SnapshotVersion, SnapshotVersion, ErrBadSnapshot)
 	if err != nil {
@@ -690,13 +631,21 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 		}
 	}
 
-	rowBytes := (sn.numInputs + 7) / 8
+	rowBytes, rowWords := (sn.numInputs+7)/8, (sn.numInputs+63)/64
 	nsols := d.Count(rowBytes+12, "solutions")
 	if d.Err() == nil && nsols != sn.stats.Unique {
 		d.Fail("pool holds %d solutions, stats report %d", nsols, sn.stats.Unique)
 	}
 	sn.nsols = nsols
-	sn.solPacked = d.Take(nsols * rowBytes) // aliases data; see DecodeSnapshot's doc comment
+	if raw := d.Take(nsols * rowBytes); d.Err() == nil {
+		sn.rows = make([]uint64, nsols*rowWords)
+		for i := 0; i < nsols; i++ {
+			row := sn.rows[i*rowWords : (i+1)*rowWords]
+			for k, b := range raw[i*rowBytes : (i+1)*rowBytes] {
+				row[k>>3] |= uint64(b) << (8 * (k & 7))
+			}
+		}
+	}
 	sn.hits = d.I32s("hit tallies")
 	sn.hashes = d.U64s("dedup hashes")
 	if d.Err() == nil && (len(sn.hits) != nsols || len(sn.hashes) != nsols) {

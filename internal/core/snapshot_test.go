@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"testing"
 
 	"repro/internal/benchgen"
@@ -227,6 +229,85 @@ func TestDecodeSnapshotRejectsCorruption(t *testing.T) {
 	}
 	if _, err := DecodeSnapshot(nil); err == nil {
 		t.Fatal("nil input decoded successfully")
+	}
+}
+
+// TestRestoreRejectsForgedPool: a CRC-valid snapshot whose dedup pool is
+// inconsistent must not restore. Each forgery rewrites the pool section of
+// a real snapshot and re-seals its CRC, so it decodes cleanly; restore must
+// refuse it with ErrBadSnapshot instead of building a session that delivers
+// a solution twice or misses a dedup.
+func TestRestoreRejectsForgedPool(t *testing.T) {
+	for _, v := range []struct {
+		name    string
+		formula string
+	}{
+		{"full", "p cnf 10 5\n1 2 0\n3 4 0\n5 6 0\n7 8 0\n9 10 0\n"},
+		{"projected", projFormula},
+	} {
+		s := newSampler(t, mustFormula(t, v.formula), Config{BatchSize: 64, Seed: 1})
+		for i := 0; i < 4; i++ {
+			s.ContinuousStep(0)
+		}
+		blob, err := s.Snapshot().MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, np, nsols := s.NumInputs(), len(s.Projection()), s.UniqueCount()
+		if n%8 == 0 || nsols < 2 {
+			t.Fatalf("%s: fixture has %d inputs and %d solutions; it needs row padding bits and two solutions", v.name, n, nsols)
+		}
+		// The pool section ends the payload: u32 count, the packed rows,
+		// then u32-counted hit tallies, hashes and (projected) signatures,
+		// followed by the 4-byte CRC32 trailer.
+		rowBytes, sigWords := (n+7)/8, (np+63)/64
+		end := len(blob) - 4
+		sigs := end - 8*nsols*sigWords
+		hashes := end - 8*nsols
+		if np > 0 {
+			hashes = sigs - 4 - 8*nsols
+		}
+		rows := hashes - 4 - (4 + 4*nsols) - nsols*rowBytes
+
+		type forgery struct {
+			name  string
+			forge func(b []byte)
+		}
+		forgeries := []forgery{
+			{"row-copied-with-its-hash", func(b []byte) {
+				copy(b[rows:rows+rowBytes], b[rows+rowBytes:rows+2*rowBytes])
+				copy(b[hashes:hashes+8], b[hashes+8:hashes+16])
+				if np > 0 {
+					copy(b[sigs:sigs+8*sigWords], b[sigs+8*sigWords:sigs+16*sigWords])
+				}
+			}},
+			{"flipped-hash", func(b []byte) { b[hashes] ^= 1 }},
+			{"row-padding-bit", func(b []byte) { b[rows+rowBytes-1] |= 0x80 }},
+		}
+		if np > 0 {
+			forgeries = append(forgeries, forgery{"signature-padding-bit", func(b []byte) { b[sigs+8*sigWords-1] |= 0x80 }})
+		}
+		for _, fg := range forgeries {
+			t.Run(v.name+"/"+fg.name, func(t *testing.T) {
+				mut := append([]byte(nil), blob...)
+				fg.forge(mut)
+				binary.LittleEndian.PutUint32(mut[end:], crc32.ChecksumIEEE(mut[:end]))
+				sn, err := DecodeSnapshot(mut)
+				if err != nil {
+					t.Fatalf("forged snapshot does not decode: %v", err)
+				}
+				if _, err := RestoreSampler(s.Problem(), sn); !errors.Is(err, ErrBadSnapshot) {
+					t.Fatalf("restore of a forged pool: err = %v, want ErrBadSnapshot", err)
+				}
+			})
+		}
+		sn, err := DecodeSnapshot(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := RestoreSampler(s.Problem(), sn); err != nil {
+			t.Fatalf("%s: unforged snapshot: %v", v.name, err)
+		}
 	}
 }
 
