@@ -86,16 +86,15 @@ func SmallSuite() []*Instance {
 // are measured against exact model counts. The or/prod rows declare their
 // golden circuit's primary inputs as the sampling set — the natural
 // independent support of a Tseitin encoding and the standard projected-
-// sampling workload; the q row samples full-assignment identity. All rows
-// are Tseitin encodings on purpose: every variable is functionally
-// determined by the primary inputs, so the sampler's reachable set equals
-// the CNF's model set and the quality gate's 1.0 coverage floor is
-// attainable (see quality.ExactCount on why arbitrary CNFs may not be).
+// sampling workload; the q and iscas rows sample full-assignment
+// identity. The iscas row has variables the extracted function does not
+// depend on, so its 1.0 coverage floor holds only if the sampler draws
+// those free variables as well as the constrained ones.
 func QualitySuite() []*Instance {
 	or := OrChain("or-6-2-tiny", 6, 2, 21)
 	or.Formula.Projection = append([]int(nil), or.Enc.InputVar...)
 	q := QChain("8-2-q-tiny", 2, 4, 22)
 	pr := Prod("prod-5-2-tiny", 5, 2, 23)
 	pr.Formula.Projection = append([]int(nil), pr.Enc.InputVar...)
-	return []*Instance{or, q, pr}
+	return []*Instance{or, q, pr, Iscas("iscas-8-30-tiny", 8, 30, 2, 3)}
 }

@@ -16,10 +16,7 @@ import (
 )
 
 // blit is a compiled CNF literal: a circuit node index and a complement
-// flag. Literals of variables with no circuit node evaluate to constant
-// false (positive polarity) or true (negative polarity) and are resolved
-// at compile time, mirroring extract.Result.AssignmentFromInputs, which
-// defaults nodeless variables to false.
+// flag.
 type blit struct {
 	node int32
 	neg  bool
@@ -29,49 +26,84 @@ type blit struct {
 // It is immutable after New; obtain per-goroutine scratch with NewEval.
 type Program struct {
 	circ *circuit.Circuit
-	// clauses lists the clause plan after constant resolution: clauses
-	// made unconditionally true by a nodeless negative literal are
-	// dropped, constant-false literals are removed.
+	// clauses lists the clause plan after compile-time resolution: clauses
+	// satisfied by a pinned or constant variable are dropped, literals it
+	// falsifies are removed.
 	clauses [][]blit
-	// unsat is set when some clause lost every literal to constant-false
-	// resolution: no assignment reachable through the circuit satisfies
-	// the CNF, so Verify reports zero valid lanes.
+	// unsat is set when some clause lost every literal to that resolution
+	// (or a pin contradicts a constant node): no row satisfies the CNF, so
+	// Verify reports zero valid lanes.
 	unsat bool
 }
 
-// New compiles a verifier. nodeOf maps CNF variables to circuit nodes (the
-// extract.Result.NodeOf table); variables absent from it are treated as
-// constant false, matching AssignmentFromInputs.
-func New(c *circuit.Circuit, nodeOf map[int]circuit.NodeID, f *cnf.Formula) *Program {
-	p := &Program{circ: c}
-	for _, cl := range f.Clauses {
-		compiled := make([]blit, 0, len(cl))
-		sat := false
-		for _, l := range cl {
-			id, ok := nodeOf[l.Var()]
-			if !ok {
-				if !l.Positive() {
-					sat = true // ¬v with v defaulted false: always true
-					break
-				}
-				continue // v defaulted false: drop the literal
-			}
-			compiled = append(compiled, blit{node: int32(id), neg: !l.Positive()})
+// New compiles a verifier for f over circuit c. nodeOf maps every CNF
+// variable 1..NumVars to its circuit node (extract.Result.NodeOf); pins
+// are assumption literals resolved at compile time, nil for an
+// unconditioned problem. A variable that is pinned, or whose node is a
+// constant, is fixed before the sweep: its literals drop the clauses they
+// satisfy and drop out of the ones they falsify, pins taking precedence
+// over constants. Each pin on a live node adds a unit clause, so every
+// candidate row is held to it.
+func New(c *circuit.Circuit, nodeOf map[int]circuit.NodeID, f *cnf.Formula, pins []cnf.Lit) *Program {
+	if len(nodeOf) != f.NumVars {
+		panic(fmt.Sprintf("bitblast: node map covers %d of %d variables", len(nodeOf), f.NumVars))
+	}
+	// Resolve every variable once: the node its literals sweep, or -1 with
+	// the value it is fixed at.
+	node := make([]int32, f.NumVars+1)
+	val := make([]bool, f.NumVars+1)
+	for v, id := range nodeOf {
+		if nd := c.Nodes[id]; nd.Type == circuit.Const {
+			node[v], val[v] = -1, nd.Val
+		} else {
+			node[v] = int32(id)
 		}
-		if sat {
+	}
+	for _, l := range pins {
+		node[l.Var()], val[l.Var()] = -1, l.Positive()
+	}
+	total := len(pins)
+	for _, cl := range f.Clauses {
+		total += len(cl)
+	}
+	flat := make([]blit, 0, total)
+	p := &Program{circ: c, clauses: make([][]blit, 0, len(f.Clauses)+len(pins))}
+	for _, cl := range f.Clauses {
+		lo, sat := len(flat), false
+		for _, l := range cl {
+			v := l.Var()
+			if id := node[v]; id >= 0 {
+				flat = append(flat, blit{node: id, neg: !l.Positive()})
+			} else if l.Sat(val[v]) {
+				sat = true
+				break
+			}
+		}
+		switch {
+		case sat:
+			flat = flat[:lo]
+		case len(flat) == lo:
+			return &Program{circ: c, unsat: true}
+		default:
+			p.clauses = append(p.clauses, flat[lo:len(flat):len(flat)])
+		}
+	}
+	for _, l := range pins {
+		id := nodeOf[l.Var()]
+		if nd := c.Nodes[id]; nd.Type == circuit.Const {
+			if nd.Val != l.Positive() {
+				return &Program{circ: c, unsat: true}
+			}
 			continue
 		}
-		if len(compiled) == 0 {
-			p.unsat = true
-			p.clauses = nil
-			return p
-		}
-		p.clauses = append(p.clauses, compiled)
+		lo := len(flat)
+		flat = append(flat, blit{node: int32(id), neg: !l.Positive()})
+		p.clauses = append(p.clauses, flat[lo:len(flat):len(flat)])
 	}
 	return p
 }
 
-// NumClauses returns the number of clauses retained after constant
+// NumClauses returns the number of clauses retained after compile-time
 // resolution.
 func (p *Program) NumClauses() int { return len(p.clauses) }
 
@@ -187,9 +219,8 @@ func (e *Eval) VerifyMaskedRange(cols [][]uint64, lo, hi int, mask, valid []uint
 // word sweep: alongside valid, it fills one packed projection column per
 // plan entry — bit r of proj[k][w] is lane r's value for the k-th
 // projection variable. plan maps projection variables to circuit nodes
-// (extract.Result.ProjectionNodes); a negative entry is a nodeless
-// variable, constant false by the AssignmentFromInputs convention. Each
-// proj[k] must be at least words long. No allocations.
+// (extract.Result.ProjectionNodes). Each proj[k] must be at least words
+// long. No allocations.
 func (e *Eval) VerifyProject(cols [][]uint64, words int, valid []uint64, plan []int32, proj [][]uint64) {
 	p := e.prog
 	if len(cols) != len(p.circ.Inputs) {
@@ -292,15 +323,9 @@ func (e *Eval) flushGroup(cols [][]uint64, ws *[sweepWidth]int, k int, valid []u
 func (e *Eval) projectWords(plan []int32, proj [][]uint64, ws *[sweepWidth]int, k int) {
 	for pk, nd := range plan {
 		col := proj[pk]
-		if nd >= 0 {
-			b := int(nd) * sweepWidth
-			for j := 0; j < k; j++ {
-				col[ws[j]] = e.vals[b+j]
-			}
-		} else {
-			for j := 0; j < k; j++ {
-				col[ws[j]] = 0
-			}
+		b := int(nd) * sweepWidth
+		for j := 0; j < k; j++ {
+			col[ws[j]] = e.vals[b+j]
 		}
 	}
 }

@@ -82,7 +82,7 @@ func TestVerifyMatchesOracle(t *testing.T) {
 		cols, rows := packInputs(r, n, batch)
 		words := (batch + 63) / 64
 		valid := make([]uint64, words)
-		ev := ext.Verifier(enc.Formula).NewEval()
+		ev := bitblast.New(ext.Circuit, ext.NodeOf, enc.Formula, nil).NewEval()
 		ev.Verify(cols, words, valid)
 		for b := 0; b < batch; b++ {
 			got := valid[b>>6]>>(uint(b)&63)&1 == 1
@@ -92,39 +92,6 @@ func TestVerifyMatchesOracle(t *testing.T) {
 				t.Fatalf("trial %d row %d: packed=%v oracle=%v", trial, b, got, want)
 			}
 		}
-	}
-}
-
-// TestNodelessVariableConventions: variables with no circuit node default
-// to false, so a clause with a negative nodeless literal is always
-// satisfied and a positive nodeless literal contributes nothing.
-func TestNodelessVariableConventions(t *testing.T) {
-	c := circuit.NewCircuit()
-	x := c.AddInput("x")
-	c.MarkOutput(x, true)
-	nodeOf := map[int]circuit.NodeID{1: x}
-
-	f := cnf.New(2)
-	f.AddClause(cnf.Lit(1), cnf.Lit(-2)) // ¬v2 true by default: clause dropped
-	cols := [][]uint64{{0b10}}
-	valid := make([]uint64, 1)
-	bitblast.New(c, nodeOf, f).NewEval().Verify(cols, 1, valid)
-	if valid[0]&0b11 != 0b11 {
-		t.Errorf("negative nodeless literal should satisfy the clause, got %b", valid[0]&0b11)
-	}
-
-	g := cnf.New(2)
-	g.AddClause(cnf.Lit(1), cnf.Lit(2)) // v2 false by default: only x matters
-	bitblast.New(c, nodeOf, g).NewEval().Verify(cols, 1, valid)
-	if valid[0]&0b11 != 0b10 {
-		t.Errorf("positive nodeless literal must not satisfy the clause, got %b", valid[0]&0b11)
-	}
-
-	h := cnf.New(2)
-	h.AddClause(cnf.Lit(2)) // unsatisfiable through the circuit
-	bitblast.New(c, nodeOf, h).NewEval().Verify(cols, 1, valid)
-	if valid[0] != 0 {
-		t.Errorf("clause on a false-default variable should never verify, got %b", valid[0])
 	}
 }
 
@@ -148,7 +115,7 @@ func TestVerifyMaskedMatchesVerify(t *testing.T) {
 		batch := 70 + r.Intn(200) // covers tail lanes and multi-word batches
 		cols, _ := packInputs(r, n, batch)
 		words := (batch + 63) / 64
-		prog := ext.Verifier(enc.Formula)
+		prog := bitblast.New(ext.Circuit, ext.NodeOf, enc.Formula, nil)
 		full := make([]uint64, words)
 		prog.NewEval().Verify(cols, words, full)
 
@@ -188,30 +155,29 @@ func TestVerifyMaskedMatchesVerify(t *testing.T) {
 // TestVerifyProjectMatchesOracle: the packed projected signatures must
 // agree lane-by-lane (including tail lanes) with projecting the per-row
 // oracle's full assignment, for projections over every variable class (PI,
-// intermediate, PO, nodeless).
+// intermediate, PO, and a variable no clause mentions).
 func TestVerifyProjectMatchesOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 25; trial++ {
 		c := randomCircuit(r, 3+r.Intn(5), 5+r.Intn(15))
 		enc := c.Tseitin()
-		ext, err := extract.Transform(enc.Formula)
+		// One variable past the encoding's: no clause mentions it, so
+		// extraction gives it a free input with no fanout.
+		nv := enc.Formula.NumVars + 1
+		f := &cnf.Formula{NumVars: nv, Clauses: enc.Formula.Clauses}
+		ext, err := extract.Transform(f)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		n := len(ext.Circuit.Inputs)
-		if n == 0 {
-			continue
-		}
-		// Random projection over the CNF variables plus one past NumVars
-		// (nodeless, defaults false).
-		nv := enc.Formula.NumVars
+		// Random projection over the encoding's variables plus the free one.
 		var vars []int
-		for v := 1; v <= nv; v++ {
+		for v := 1; v < nv; v++ {
 			if r.Intn(3) == 0 {
 				vars = append(vars, v)
 			}
 		}
-		vars = append(vars, nv+1)
+		vars = append(vars, nv)
 		plan := ext.ProjectionNodes(vars)
 
 		batch := 70
@@ -222,11 +188,11 @@ func TestVerifyProjectMatchesOracle(t *testing.T) {
 		for k := range proj {
 			proj[k] = make([]uint64, words)
 		}
-		ev := ext.Verifier(enc.Formula).NewEval()
+		ev := bitblast.New(ext.Circuit, ext.NodeOf, f, nil).NewEval()
 		ev.VerifyProject(cols, words, valid, plan, proj)
 
 		fullValid := make([]uint64, words)
-		ext.Verifier(enc.Formula).NewEval().Verify(cols, words, fullValid)
+		bitblast.New(ext.Circuit, ext.NodeOf, f, nil).NewEval().Verify(cols, words, fullValid)
 		for b := 0; b < batch; b++ {
 			if valid[b>>6] != fullValid[b>>6] {
 				t.Fatalf("trial %d: VerifyProject changed validity word %d", trial, b>>6)
@@ -234,7 +200,7 @@ func TestVerifyProjectMatchesOracle(t *testing.T) {
 			assign := ext.AssignmentFromInputs(nv, rows[b])
 			for k, v := range vars {
 				got := proj[k][b>>6]>>(uint(b)&63)&1 == 1
-				want := v <= nv && assign[v-1]
+				want := assign[v-1]
 				if got != want {
 					t.Fatalf("trial %d row %d var %d: projected=%v oracle=%v", trial, b, v, got, want)
 				}
@@ -295,7 +261,7 @@ func TestVerifyProjectZeroAllocs(t *testing.T) {
 	}
 	valid := make([]uint64, words)
 	mask := []uint64{^uint64(0), 0, 1, 0}
-	ev := ext.Verifier(enc.Formula).NewEval()
+	ev := bitblast.New(ext.Circuit, ext.NodeOf, enc.Formula, nil).NewEval()
 	if allocs := testing.AllocsPerRun(100, func() {
 		ev.VerifyProject(cols, words, valid, plan, proj)
 	}); allocs != 0 {
@@ -321,7 +287,7 @@ func TestVerifyMaskedZeroAllocs(t *testing.T) {
 	words := 4
 	mask := []uint64{^uint64(0), 0, 1, 0}
 	valid := make([]uint64, words)
-	ev := ext.Verifier(enc.Formula).NewEval()
+	ev := bitblast.New(ext.Circuit, ext.NodeOf, enc.Formula, nil).NewEval()
 	allocs := testing.AllocsPerRun(100, func() { ev.VerifyMasked(cols, words, mask, valid) })
 	if allocs != 0 {
 		t.Errorf("VerifyMasked allocates %.1f times per call, want 0", allocs)
@@ -341,7 +307,7 @@ func TestVerifyZeroAllocs(t *testing.T) {
 	cols, _ := packInputs(r, n, 256)
 	words := 4
 	valid := make([]uint64, words)
-	ev := ext.Verifier(enc.Formula).NewEval()
+	ev := bitblast.New(ext.Circuit, ext.NodeOf, enc.Formula, nil).NewEval()
 	ev.Verify(cols, words, valid)
 	allocs := testing.AllocsPerRun(100, func() { ev.Verify(cols, words, valid) })
 	if allocs != 0 {
@@ -366,7 +332,7 @@ func BenchmarkVerify(b *testing.B) {
 	words := batch / 64
 	valid := make([]uint64, words)
 	b.Run("packed64", func(b *testing.B) {
-		ev := ext.Verifier(enc.Formula).NewEval()
+		ev := bitblast.New(ext.Circuit, ext.NodeOf, enc.Formula, nil).NewEval()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			ev.Verify(cols, words, valid)

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/bitblast"
 	"repro/internal/extract"
 )
 
@@ -27,7 +28,7 @@ func TestVerifyMaskedRangeMatchesFull(t *testing.T) {
 		batch := 64*9 + 17 // 10 words, ragged tail
 		words := (batch + 63) / 64
 		cols, _ := packInputs(r, n, batch)
-		prog := ext.Verifier(enc.Formula)
+		prog := bitblast.New(ext.Circuit, ext.NodeOf, enc.Formula, nil)
 
 		want := make([]uint64, words)
 		prog.NewEval().Verify(cols, words, want)
@@ -95,13 +96,12 @@ func TestVerifyMaskedProjectRangeMatchesFull(t *testing.T) {
 				vars = append(vars, v)
 			}
 		}
-		vars = append(vars, nv+1)
 		plan := ext.ProjectionNodes(vars)
 
 		batch := 64*6 + 5
 		words := (batch + 63) / 64
 		cols, _ := packInputs(r, n, batch)
-		prog := ext.Verifier(enc.Formula)
+		prog := bitblast.New(ext.Circuit, ext.NodeOf, enc.Formula, nil)
 
 		wantV := make([]uint64, words)
 		wantP := make([][]uint64, len(vars))
@@ -175,7 +175,7 @@ func TestVerifyMaskedRangeZeroAllocs(t *testing.T) {
 	for k := range proj {
 		proj[k] = make([]uint64, words)
 	}
-	ev := ext.Verifier(enc.Formula).NewEval()
+	ev := bitblast.New(ext.Circuit, ext.NodeOf, enc.Formula, nil).NewEval()
 	if allocs := testing.AllocsPerRun(100, func() {
 		ev.VerifyMaskedRange(cols, 2, 7, mask, valid)
 	}); allocs != 0 {

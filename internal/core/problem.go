@@ -41,7 +41,7 @@ func Compile(f *cnf.Formula, ext *extract.Result) (*Problem, error) {
 		formula: f,
 		ext:     ext,
 		eng:     compileEngine(ext.Circuit),
-		verify:  ext.Verifier(f),
+		verify:  bitblast.New(ext.Circuit, ext.NodeOf, f, nil),
 		key:     f.ContentHash(),
 	}
 	p.tile = tileFor(p.eng)
@@ -95,21 +95,6 @@ func (p *Problem) Tile() int { return p.tile }
 // V/momentum matrices, per-worker scratch, verifier state and dedup pool.
 func (p *Problem) NewSampler(cfg Config) (*Sampler, error) {
 	return newSession(p, cfg)
-}
-
-// AssignmentFromInputs expands a primary-input solution into a dense CNF
-// assignment (assign[v-1] = value of CNF variable v). On a specialized
-// problem, assumptions on variables without circuit support override the
-// nodeless default-false convention — everything with a node is already
-// forced by the folded constants and constraints.
-func (p *Problem) AssignmentFromInputs(sol []bool) []bool {
-	assign := p.ext.AssignmentFromInputs(p.formula.NumVars, sol)
-	for _, l := range p.assume {
-		if _, ok := p.ext.NodeOf[l.Var()]; !ok {
-			assign[l.Var()-1] = l.Positive()
-		}
-	}
-	return assign
 }
 
 // OutputWeights aggregates per-clause loss weights onto the engine's

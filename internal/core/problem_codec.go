@@ -461,7 +461,12 @@ func decodeExtraction(d *envelope.Decoder, f *cnf.Formula, c *circuit.Circuit) *
 	if d.Err() != nil {
 		return ext
 	}
+	// Every variable 1..NumVars has a node: with entries ascending and in
+	// range, the count alone proves the map complete.
 	nmap := d.Count(8, "node map")
+	if d.Err() == nil && nmap != f.NumVars {
+		d.Fail("node map lists %d of %d variables", nmap, f.NumVars)
+	}
 	if d.Err() != nil {
 		return ext
 	}

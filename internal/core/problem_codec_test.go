@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"errors"
+	"maps"
 	"testing"
 
 	"repro/internal/benchgen"
@@ -12,8 +13,8 @@ import (
 )
 
 // codecProblems returns compiled problems covering the codec's section
-// variety: the paper example (plain), a projected formula (projection +
-// nodeless projected vars), and the benchgen small suite (or-chains,
+// variety: the paper example (plain), a projected formula (projection
+// section), and the benchgen small suite (or-chains,
 // q-chains — window extraction, fallbacks, multi-clause provenance).
 func codecProblems(t *testing.T) map[string]*Problem {
 	t.Helper()
@@ -229,6 +230,29 @@ func TestDecodeProblemRejectsKeyMismatch(t *testing.T) {
 	mut = resealProblem(mut)
 	if _, err := DecodeProblem(mut); err == nil {
 		t.Fatal("key/formula mismatch decoded successfully")
+	} else if !errors.Is(err, ErrBadProblem) {
+		t.Fatalf("error does not wrap ErrBadProblem: %v", err)
+	}
+}
+
+// TestDecodeProblemRejectsIncompleteNodeMap: a sealed blob whose node map
+// misses a variable — the shape of an artifact compiled while variables
+// the function does not depend on went without a node — is refused, so
+// the compiler quarantines it and recompiles instead of serving a stream
+// that holds that variable fixed.
+func TestDecodeProblemRejectsIncompleteNodeMap(t *testing.T) {
+	p := mustCompile(t, mustFormula(t, paperExample))
+	ext := *p.ext
+	ext.NodeOf = maps.Clone(ext.NodeOf)
+	delete(ext.NodeOf, p.formula.NumVars)
+	q := *p
+	q.ext = &ext
+	blob, err := q.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeProblem(blob); err == nil {
+		t.Fatal("node map missing a variable decoded successfully")
 	} else if !errors.Is(err, ErrBadProblem) {
 		t.Fatalf("error does not wrap ErrBadProblem: %v", err)
 	}

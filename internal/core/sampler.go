@@ -443,13 +443,15 @@ func (s *Sampler) ProjectedSolutionAt(i int) []bool {
 // session scratch rather than a copy — the allocation-lean accessor
 // streaming drivers iterate with (indices [0, UniqueCount())).
 func (s *Sampler) FullAssignmentAt(i int) []bool {
-	return s.prob.AssignmentFromInputs(bitblast.UnpackRow(s.solbuf, s.inputRow(i)))
+	return s.FullAssignment(bitblast.UnpackRow(s.solbuf, s.inputRow(i)))
 }
 
 // FullAssignment expands a primary-input solution into a dense CNF
-// assignment (assign[v-1] = value of CNF variable v).
+// assignment (assign[v-1] = value of CNF variable v). On a specialized
+// problem the pins are already folded into the circuit's constants and
+// constraints.
 func (s *Sampler) FullAssignment(sol []bool) []bool {
-	return s.prob.AssignmentFromInputs(sol)
+	return s.prob.ext.AssignmentFromInputs(s.prob.formula.NumVars, sol)
 }
 
 // Round runs one batch round: initialize V, run Config.Iterations GD steps,

@@ -45,11 +45,11 @@ func (p *Problem) Assumptions() []cnf.Lit {
 // pinned (or an empty set) returns p unchanged.
 //
 // Semantics: the specialized problem samples exactly the models of
-// p.Formula().Condition(assume) that the base problem's circuit can
-// reach. Pins on variables the transformation proved constant are honored
-// through the verify plan — a pin contradicting such a constant yields a
-// problem whose verifier accepts nothing (UNSAT under assumptions), not
-// an error, matching what a SAT precheck would report.
+// p.Formula().Condition(assume). Pins on variables the transformation
+// proved constant are honored through the verify plan — a pin
+// contradicting such a constant yields a problem whose verifier accepts
+// nothing (UNSAT under assumptions), not an error, matching what a SAT
+// precheck would report.
 func Specialize(p *Problem, assume []cnf.Lit) (*Problem, error) {
 	canon := cnf.CanonicalAssume(assume)
 	if err := cnf.ValidateAssumptions(p.formula.NumVars, canon); err != nil {
@@ -80,12 +80,7 @@ func Specialize(p *Problem, assume []cnf.Lit) (*Problem, error) {
 	srcs := append([][]int(nil), ext.OutputSources...)
 	pinnedNode := make(map[circuit.NodeID]bool, len(fresh))
 	for _, l := range fresh {
-		id, ok := ext.NodeOf[l.Var()]
-		if !ok {
-			// No circuit support: enforced by the assignment override in
-			// AssignmentFromInputs and resolved in the verify plan below.
-			continue
-		}
+		id := ext.NodeOf[l.Var()]
 		switch nodes[id].Type {
 		case circuit.Input:
 			nd := nodes[id]
@@ -138,92 +133,14 @@ func Specialize(p *Problem, assume []cnf.Lit) (*Problem, error) {
 		Fallbacks:      ext.Fallbacks,
 		SignatureHits:  ext.SignatureHits,
 	}
-	verify, err := specializedVerifier(p.formula, next, merged)
-	if err != nil {
-		return nil, err
-	}
 	q := &Problem{
 		formula: p.formula,
 		ext:     next,
 		eng:     compileEngine(spec),
-		verify:  verify,
+		verify:  bitblast.New(spec, ext.NodeOf, p.formula, merged),
 		key:     cnf.AssumeKey(p.formula.ContentHash(), merged),
 		assume:  merged,
 	}
 	q.tile = tileFor(q.eng)
 	return q, nil
-}
-
-// specializedVerifier rebuilds the bit-parallel verify plan from the CNF
-// with the assumption pins resolved: satisfied clauses drop out of the
-// sweep, falsified literals drop out of their clauses, and one unit clause
-// per pin on a live (non-constant) node keeps the pin enforced against
-// every candidate row. It mirrors bitblast.New's constant and nodeless
-// resolution, with the pins taking precedence over both.
-func specializedVerifier(f *cnf.Formula, ext *extract.Result, assume []cnf.Lit) (*bitblast.Program, error) {
-	// Resolve every variable once: the node its literals sweep, or -1 with
-	// the value it is fixed at. Nodeless variables default to false (the
-	// bitblast.New convention shared with AssignmentFromInputs); pins are
-	// applied last so they take precedence over constants.
-	nodes := ext.Circuit.Nodes
-	node := make([]int32, f.NumVars+1)
-	val := make([]bool, f.NumVars+1)
-	for v := range node {
-		node[v] = -1
-	}
-	for v, id := range ext.NodeOf {
-		if nodes[id].Type == circuit.Const {
-			val[v] = nodes[id].Val
-		} else {
-			node[v] = int32(id)
-		}
-	}
-	for _, l := range assume {
-		node[l.Var()], val[l.Var()] = -1, l.Positive()
-	}
-	clauses := make([][]bitblast.PlanLit, 0, len(f.Clauses)+len(assume))
-	var lits slab[bitblast.PlanLit]
-	var out []bitblast.PlanLit
-	unsat := false
-	for _, c := range f.Clauses {
-		sat := false
-		out = out[:0]
-		for _, l := range c {
-			v := l.Var()
-			if id := node[v]; id >= 0 {
-				out = append(out, bitblast.PlanLit{Node: id, Neg: !l.Positive()})
-			} else if l.Sat(val[v]) {
-				sat = true
-				break
-			}
-		}
-		if sat {
-			continue
-		}
-		if len(out) == 0 {
-			unsat = true
-			break
-		}
-		clauses = append(clauses, append(lits.take(len(out))[:0], out...))
-	}
-	if !unsat {
-		for _, l := range assume {
-			id, ok := ext.NodeOf[l.Var()]
-			if !ok {
-				continue
-			}
-			if nodes[id].Type == circuit.Const {
-				if nodes[id].Val != l.Positive() {
-					unsat = true
-					break
-				}
-				continue
-			}
-			clauses = append(clauses, []bitblast.PlanLit{{Node: int32(id), Neg: !l.Positive()}})
-		}
-	}
-	if unsat {
-		clauses = nil
-	}
-	return bitblast.FromPlan(ext.Circuit, clauses, unsat)
 }

@@ -63,16 +63,22 @@ func exhaustSet(t *testing.T, s *Sampler) []string {
 
 // TestSpecializeMatchesConditioned is the conditioning differential: the
 // specialized problem must sample exactly the models of the hand-
-// conditioned CNF. Run on tiny exhaustible instances, projected included.
+// conditioned CNF. Run on tiny exhaustible instances, projected included,
+// plus a positive pin that satisfies a whole clause and so leaves that
+// clause's other variables in no clause of the conditioned CNF.
 func TestSpecializeMatchesConditioned(t *testing.T) {
-	for _, in := range benchgen.QualitySuite() {
+	orphan := &benchgen.Instance{Name: "orphaning-positive-pin", Formula: mustFormula(t, "p cnf 6 2\n1 2 3 0\n4 5 6 0\n")}
+	for _, in := range append(benchgen.QualitySuite(), orphan) {
 		in := in
 		t.Run(in.Name, func(t *testing.T) {
 			base, err := CompileCNF(in.Formula)
 			if err != nil {
 				t.Fatal(err)
 			}
-			assume := pinFromModel(t, base, 2)
+			assume := []cnf.Lit{1}
+			if in != orphan {
+				assume = pinFromModel(t, base, 2)
+			}
 			spec, err := Specialize(base, assume)
 			if err != nil {
 				t.Fatal(err)
@@ -107,6 +113,9 @@ func TestSpecializeMatchesConditioned(t *testing.T) {
 				if got[i] != want[i] {
 					t.Fatalf("solution sets diverge at %d:\n  spec %s\n  cond %s", i, got[i], want[i])
 				}
+			}
+			if in == orphan && len(got) != 28 {
+				t.Fatalf("orphaning pin: %d solutions, want 4×7 = 28", len(got))
 			}
 			// Every specialized solution satisfies the original formula and
 			// the pins.

@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"repro/internal/bdd"
-	"repro/internal/bitblast"
 	"repro/internal/circuit"
 	"repro/internal/cnf"
 	"repro/internal/logic"
@@ -74,7 +73,7 @@ type Result struct {
 	PrimaryOutputs []int
 	// Bindings lists the recovered expressions in recovery order.
 	Bindings []Binding
-	// NodeOf maps a CNF variable to its circuit node.
+	// NodeOf maps every CNF variable 1..NumVars to its circuit node.
 	NodeOf map[int]circuit.NodeID
 	// OutputSources records, for each Circuit.Outputs entry (same order),
 	// the indices of the original CNF clauses whose constraints produced
@@ -108,24 +107,18 @@ func (r *Result) GateHistogram() map[string]int {
 
 // ProjectionNodes maps projection variables to circuit nodes for the
 // bit-parallel projected-signature path (bitblast.Eval.VerifyProject):
-// out[k] is the node of vars[k], or -1 when the variable never received a
-// node and defaults to false, matching AssignmentFromInputs.
+// out[k] is the node of vars[k]. Every variable 1..NumVars has a node.
 func (r *Result) ProjectionNodes(vars []int) []int32 {
 	out := make([]int32, len(vars))
 	for i, v := range vars {
-		if id, ok := r.NodeOf[v]; ok {
-			out[i] = int32(id)
-		} else {
-			out[i] = -1
-		}
+		out[i] = int32(r.NodeOf[v])
 	}
 	return out
 }
 
 // AssignmentFromInputs evaluates the extracted circuit under the given
 // primary-input values (in circuit input order) and returns a dense CNF
-// assignment (assign[v-1] = value of CNF variable v) covering every
-// variable that received a node.
+// assignment (assign[v-1] = value of CNF variable v).
 func (r *Result) AssignmentFromInputs(numVars int, inputs []bool) []bool {
 	vals := r.Circuit.Eval(inputs)
 	assign := make([]bool, numVars)
@@ -133,15 +126,6 @@ func (r *Result) AssignmentFromInputs(numVars int, inputs []bool) []bool {
 		assign[v-1] = vals[id]
 	}
 	return assign
-}
-
-// Verifier compiles a bit-parallel checker for this transformation: it
-// reconstructs the full CNF assignment of 64 candidate primary-input rows
-// per uint64 word sweep and reports which rows satisfy f — the packed
-// analogue of AssignmentFromInputs + Formula.Sat, sharing the same
-// nodeless-variables-default-false convention through NodeOf.
-func (r *Result) Verifier(f *cnf.Formula) *bitblast.Program {
-	return bitblast.New(r.Circuit, r.NodeOf, f)
 }
 
 // Transform runs Algorithm 1 on f.
@@ -205,6 +189,13 @@ func Transform(f *cnf.Formula) (*Result, error) {
 	}
 	if len(window) > 0 {
 		t.fallback(window, winIdx)
+	}
+	// A variable the recovered function does not depend on — one no clause
+	// mentions, or one simplification dropped — is a free primary input
+	// with no fanout: the engine leaves it out of the gradient, so its
+	// hardened bit is its uniform init draw and every model stays reachable.
+	for v := 1; v <= f.NumVars; v++ {
+		t.nodeFor(v)
 	}
 	// The bindings live as long as the compiled problem; their keys were
 	// only needed to build them.

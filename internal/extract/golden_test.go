@@ -66,27 +66,30 @@ func goldenCorpus() []*benchgen.Instance {
 
 // goldenDigests were recorded when extraction was made deterministic
 // (AND/OR operands in clause order) and before any extraction speedup:
-// every later optimisation must reproduce these circuits exactly.
+// every later optimisation must reproduce these circuits exactly. The
+// iscas-family digests were re-recorded when extraction began giving each
+// variable the recovered function does not depend on a free input.
 var goldenDigests = map[string]string{
 	"or-50-10-7-UC-10": "e678e7f8c09206cbb5d6b59a755559ebb02bf9118d718c5f83a61a6bb6289d2a",
 	"90-10-10-q":       "7fd37c3cf5468424f6cf8fdeb6cb1498d9f7ba95bb6d68fd89540c258cdcb1bb",
-	"s15850a-mini":     "439838592316897ad0a3818134c4814e788785b60cbced770cca34746306764c",
+	"s15850a-mini":     "cf9eb2b95d14e2ce5ecb46a8af1c83996a09b823b58aeca663debda40d0706d0",
 	"Prod-mini":        "042c21457629f4d2d3142adceddfd6983820e3a50a9a42c6d6b4661aa0a23fcc",
 	"or-12-3-small":    "ae6d9d1460d0c85cdb8b82a7e9acf69d2a15dcfa45085988654c196aa407e2ce",
 	"20-3-q-small":     "3a3d0cb341899bd2ef729c404405cea8f8d5c3db6a635c1082c7a150150352c6",
-	"iscas-small":      "c14471be7b54a10391d4116bd1ee5f1bb178e36283216af68fa5892d3802f583",
+	"iscas-small":      "ec49b89519f0433e4ea411e13f4dd7f80fb2f7157cdc30dace4363e3f0a65550",
 	"prod-small":       "4bc96b05e58df49ccd02d3a2d50d56184feb7008e95156e73b50ac352c243d7a",
 	"or-6-2-tiny":      "08667c504e27ad6caa98cb09685e30c79ee6ab195a7bd2148bacb83a2ef5f3a5",
 	"8-2-q-tiny":       "9b9b5dea66a14fbaf4c6751110550fbb97936d5bf63ebde743c8710108f960eb",
 	"prod-5-2-tiny":    "8a5f9e409c38f809749fbb4e51fad2443700fdfb4aff3cc9d2812bb9679fe67c",
-	"cold-0":           "45a1322e9db4907ec295df339db7237e70368c89360ea828a581e7f3198e82a3",
-	"cold-1":           "9787cc085083caa639503e99ec55160fb79cb13fc406b204c64abc0e228a58b3",
-	"cold-2":           "4fe588c61e62da1c5004ca75d87430fc4fae73365ed42c73ace263989d88ff32",
+	"iscas-8-30-tiny":  "c2a9d1a7ca39b1e3d3a1c8d50def0584c8a240421f85eb4a932950ff5367e377",
+	"cold-0":           "152934ea5ce2962ec756c75a774dc77abdd0dd8b91f8f1bb56e05c26a424865a",
+	"cold-1":           "177ed851676397eb6ad1f28872f6aee2f7bd160c795e530ecb3b2a8a581dde7e",
+	"cold-2":           "ca76364cdf5467a503e31ff09f689d26163b78ef66331eb6d1cc3f8c4db1aed2",
 	"or-400-80-4001":   "f7434ca431ebfdf0f1f910574921e6a66adec15d94597c59558ae15b805f6aa2",
 	"or-400-80-4002":   "341678eefcd05656282d08857fb7e344ef06d2d960f45366b30fdf25387d47c3",
 	"or-400-80-4003":   "017df8fb713385312a19994d9b11b52ffc485afda92d37464cd6ab84cb0bc995",
 	"or-400-80-4004":   "7d80479e6cff9b0d474239401101d595b375db988fbca76cc18614e4e4b3fb59",
-	"s15850a_15_7":     "d23744ec869b9133f20bf00e0549f16ab3f3160c97da92364a635bd7a86737dc",
+	"s15850a_15_7":     "c3ac36376097063999efc18ff33b9367cd8e5ae1c7f91e8e35ab8915539b8009",
 	"Prod-8":           "3cfd2b99fd9fe79500e01714462b4cb985b19fbef5ab77167c405eadafb27cd0",
 }
 

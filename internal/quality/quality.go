@@ -58,16 +58,10 @@ var ErrTooLarge = fmt.Errorf("quality: formula exceeds exact-count limits")
 // below 2^53.
 //
 // The oracle counts models of the CNF itself — ground truth, not the
-// sampler's reachable set. The GD sampler samples through the extracted
-// circuit: variables with no circuit node are pinned to false and full
-// identity is the primary-input row, so on formulas where those diverge
-// from CNF semantics (e.g. a variable declared in the problem line but
-// used in no clause is a free ×2 to the oracle and a constant to the
-// sampler) coverage below 1.0 is a finding about the sampler, not an
-// oracle bug. The CI gate's suite (benchgen.QualitySuite) is Tseitin
-// encodings, where every variable is functionally determined by the
-// primary inputs and the two identities coincide — which is what makes
-// the 1.0 coverage floor enforceable there.
+// sampler's reachable set. Extraction gives every variable a circuit node
+// (a variable the recovered function does not depend on is a free primary
+// input), so the two coincide on any formula: coverage below 1.0 at
+// exhaustion is a finding about the sampler, not an oracle bug.
 func ExactCount(f *cnf.Formula, projection []int, lim CountLimits) (float64, error) {
 	lim = lim.withDefaults()
 	if f.NumVars > lim.MaxVars {

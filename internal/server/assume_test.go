@@ -13,13 +13,10 @@ import (
 	"repro/internal/sampling"
 )
 
-// assumeDIMACS: (x1∨x2∨x3)(x4∨x5∨x6) — 49 models; under x1 pinned FALSE
+// assumeDIMACS: (x1∨x2∨x3)(x4∨x5∨x6) — 49 models. Under x1 pinned FALSE
 // the first clause strips to (x2∨x3) — 3 settings — and the second keeps
-// its 7, so the conditioned space has exactly 21 models. The negative pin
-// matters for the differential leg: a positive pin would satisfy the whole
-// clause and orphan x2,x3 from the conditioned CNF, and the sampler pins
-// clause-free variables to false (see internal/quality), which would make
-// the two streams legitimately diverge.
+// its 7: 21 models. Under x1 pinned TRUE the first clause is satisfied and
+// x2,x3 occur in no clause of the conditioned CNF: 4×7 = 28 models.
 const assumeDIMACS = "p cnf 6 2\n1 2 3 0\n4 5 6 0\n"
 
 func postSample(t *testing.T, url, body string) (*http.Response, error) {
@@ -48,56 +45,62 @@ func TestAssumeEndToEnd(t *testing.T) {
 		return readStream(t, resp.Body)
 	}
 
-	got := exhaust("target=100&seed=9&timeout=30s&assume=-1", assumeDIMACS)
-	if got.done == nil || !got.done.Exhausted {
-		t.Fatal("assumed stream did not exhaust")
-	}
-	if fmt.Sprint(got.meta.Assumptions) != "[-1]" {
-		t.Fatalf("meta assumptions = %v, want [-1]", got.meta.Assumptions)
-	}
 	f, err := cnf.ParseDIMACSString(assumeDIMACS)
 	if err != nil {
 		t.Fatal(err)
 	}
 	baseKey := sampling.HashFormula(f)
 	specKey := cnf.AssumeKey(baseKey, []cnf.Lit{-1})
-	if got.meta.Key != specKey {
-		t.Fatalf("meta key %.12s, want specialized key %.12s", got.meta.Key, specKey)
-	}
-	for _, bits := range got.sols {
-		a := parseBits(t, bits)
-		if a[0] {
-			t.Fatalf("solution %q violates assumption -1", bits)
+	for _, leg := range []struct {
+		pin  cnf.Lit
+		want int
+	}{{-1, 21}, {1, 28}} {
+		got := exhaust(fmt.Sprintf("target=100&seed=9&timeout=30s&assume=%d", leg.pin), assumeDIMACS)
+		if got.done == nil || !got.done.Exhausted {
+			t.Fatalf("assume=%d: stream did not exhaust", leg.pin)
 		}
-		if !f.Sat(a) {
-			t.Fatalf("solution %q does not satisfy the formula", bits)
+		if fmt.Sprint(got.meta.Assumptions) != fmt.Sprintf("[%d]", leg.pin) {
+			t.Fatalf("meta assumptions = %v, want [%d]", got.meta.Assumptions, leg.pin)
 		}
-	}
+		if key := cnf.AssumeKey(baseKey, []cnf.Lit{leg.pin}); got.meta.Key != key {
+			t.Fatalf("meta key %.12s, want specialized key %.12s", got.meta.Key, key)
+		}
+		for _, bits := range got.sols {
+			a := parseBits(t, bits)
+			if !leg.pin.Sat(a[0]) {
+				t.Fatalf("solution %q violates assumption %d", bits, leg.pin)
+			}
+			if !f.Sat(a) {
+				t.Fatalf("solution %q does not satisfy the formula", bits)
+			}
+		}
 
-	// Differential: the conditioned CNF, posted plainly, spans the same
-	// solution set (order may differ — the circuits are different).
-	cond, err := f.Condition([]cnf.Lit{-1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	cond.WriteDIMACS(&sb)
-	want := exhaust("target=100&seed=9&timeout=30s", sb.String())
-	if want.done == nil || !want.done.Exhausted {
-		t.Fatal("conditioned stream did not exhaust")
-	}
-	a, b := append([]string{}, got.sols...), append([]string{}, want.sols...)
-	sort.Strings(a)
-	sort.Strings(b)
-	if fmt.Sprint(a) != fmt.Sprint(b) {
-		t.Fatalf("assumed solutions (%d) differ from conditioned CNF's (%d)", len(a), len(b))
-	}
-	if len(a) != 21 {
-		t.Fatalf("conditioned space has %d solutions, want 21", len(a))
+		// Differential: the conditioned CNF, posted plainly, spans the same
+		// solution set (order may differ — the circuits are different).
+		cond, err := f.Condition([]cnf.Lit{leg.pin})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sb strings.Builder
+		cond.WriteDIMACS(&sb)
+		want := exhaust("target=100&seed=9&timeout=30s", sb.String())
+		if want.done == nil || !want.done.Exhausted {
+			t.Fatalf("assume=%d: conditioned stream did not exhaust", leg.pin)
+		}
+		a, b := append([]string{}, got.sols...), append([]string{}, want.sols...)
+		sort.Strings(a)
+		sort.Strings(b)
+		if len(a) != leg.want || len(b) != leg.want {
+			t.Fatalf("assume=%d: specialized stream has %d solutions, conditioned %d, want %d", leg.pin, len(a), len(b), leg.want)
+		}
+		if fmt.Sprint(a) != fmt.Sprint(b) {
+			t.Fatalf("assume=%d: specialized solutions differ from the conditioned CNF's", leg.pin)
+		}
 	}
 
 	// The specialized artifact is now addressable by base key + pins and
-	// by its own key — no body either way.
+	// by its own key — no body either way — without a recompile.
+	misses := s.Compiler().Stats().Misses
 	byKey := exhaust("target=5&seed=3&key="+baseKey+"&assume=-1", "")
 	if byKey.meta.Key != specKey {
 		t.Fatalf("key+assume routed to %.12s, want %.12s", byKey.meta.Key, specKey)
@@ -106,7 +109,7 @@ func TestAssumeEndToEnd(t *testing.T) {
 	if direct.meta.Key != specKey {
 		t.Fatal("specialized key is not directly addressable")
 	}
-	if st := s.Compiler().Stats(); st.Misses > 3 {
+	if st := s.Compiler().Stats(); st.Misses != misses {
 		t.Fatalf("key-addressed assume requests recompiled: %+v", st)
 	}
 }
