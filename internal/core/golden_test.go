@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"strings"
 	"testing"
@@ -12,12 +13,14 @@ import (
 )
 
 // The GDSS and GDSP fixtures under testdata/ were written over benchgen's
-// or-12-3-small on a sequential device: gdsp_v1.bin is the compiled
-// problem, gdsp_v2.bin the problem specialized under pins -1 -2, and
-// gdss.bin a continuous session (batch 64, seed 7, momentum 0.5,
-// projection onto variables 1-8, clause weights 1/1.5/2 repeating) cut
-// after 3 ticks. gdss.stream holds that session's streamSig after
-// goldenSnapshotRun more ticks.
+// or-12-3-small on a sequential device: gdsp_v3.bin is the compiled
+// problem (TransformTime zeroed), gdsp_v3_pins.bin the problem specialized
+// under pins -1 -2, and gdss.bin a continuous session (batch 64, seed 7,
+// momentum 0.5, projection onto variables 1-8, clause weights 1/1.5/2
+// repeating) cut after 3 ticks. gdss.stream holds that session's streamSig after
+// goldenSnapshotRun more ticks. gdsp_v1.bin and gdsp_v2.bin are the same
+// two problems in the earlier layouts that also stored the engine tape and
+// verify plan; decode refuses them.
 const goldenSnapshotRun = 6
 
 func readFixture(t *testing.T, name string) []byte {
@@ -39,9 +42,11 @@ func goldenInstance(t *testing.T) *Problem {
 	return mustCompile(t, inst.Formula)
 }
 
-// TestGoldenProblem: the committed GDSP blobs decode, re-encode byte for
-// byte, and stream the same solutions as a fresh compile of the same
-// (specialized) problem.
+// TestGoldenProblem: the committed current-layout GDSP blobs decode,
+// re-encode byte for byte, and stream the same solutions as a fresh
+// compile of the same (specialized) problem. The earlier-layout blobs,
+// sealed and otherwise intact, fail decode with ErrBadProblem, so the
+// store quarantines them and the compiler recompiles.
 func TestGoldenProblem(t *testing.T) {
 	fresh := goldenInstance(t)
 	for _, g := range []struct {
@@ -51,11 +56,19 @@ func TestGoldenProblem(t *testing.T) {
 	}{
 		{"gdsp_v1.bin", 1, nil},
 		{"gdsp_v2.bin", 2, []cnf.Lit{-1, -2}},
+		{"gdsp_v3.bin", 3, nil},
+		{"gdsp_v3_pins.bin", 3, []cnf.Lit{-1, -2}},
 	} {
 		t.Run(g.name, func(t *testing.T) {
 			blob := readFixture(t, g.name)
 			if blob[4] != g.version || blob[5] != 0 {
 				t.Fatalf("fixture is version %d, want %d", blob[4], g.version)
+			}
+			if g.version != ProblemVersion {
+				if _, err := DecodeProblem(blob); !errors.Is(err, ErrBadProblem) {
+					t.Fatalf("earlier layout: decode error %v, want ErrBadProblem", err)
+				}
+				return
 			}
 			dec, err := DecodeProblem(blob)
 			if err != nil {

@@ -37,15 +37,24 @@ func Compile(f *cnf.Formula, ext *extract.Result) (*Problem, error) {
 	if len(ext.Circuit.Inputs) == 0 {
 		return nil, errors.New("core: transformed circuit has no primary inputs")
 	}
+	return newProblem(f, ext, f.ContentHash(), nil), nil
+}
+
+// newProblem compiles the engine, the verifier (with assume resolved as
+// pins) and the cache tile from ext's circuit — the one construction
+// Compile, Specialize and DecodeProblem share. key must be
+// cnf.AssumeKey(f.ContentHash(), assume), which each caller already holds.
+func newProblem(f *cnf.Formula, ext *extract.Result, key string, assume []cnf.Lit) *Problem {
 	p := &Problem{
 		formula: f,
 		ext:     ext,
 		eng:     compileEngine(ext.Circuit),
-		verify:  bitblast.New(ext.Circuit, ext.NodeOf, f, nil),
-		key:     f.ContentHash(),
+		verify:  bitblast.New(ext.Circuit, ext.NodeOf, f, assume),
+		key:     key,
+		assume:  assume,
 	}
 	p.tile = tileFor(p.eng)
-	return p, nil
+	return p
 }
 
 // tileFor sizes the cache tile (rows per worker pass) so one worker's full

@@ -4,12 +4,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"strconv"
 	"time"
 
-	"repro/internal/bitblast"
 	"repro/internal/circuit"
 	"repro/internal/cnf"
 	"repro/internal/envelope"
@@ -19,12 +17,15 @@ import (
 // This file implements the durable-compile-tier codec: a compiled Problem
 // — the expensive, immutable artifact behind every sampling session — is
 // serialized to a versioned "GDSP" binary blob and rebuilt without
-// re-running extract.Transform (the dominant compile cost on large
-// instances), the engine fusion passes, or the bitblast constant
-// resolution. Decode is a linear parse + validate over the sections, so a
-// fleet replica can load a peer-compiled artifact from the shared
-// content-addressed store orders of magnitude faster than recompiling it
-// (the `paperbench -exp cache` row measures exactly this).
+// re-running extract.Transform, the dominant compile cost. The blob holds
+// the formula, the assumption list, the extracted circuit and the
+// extraction tables; decode parses and validates them, then compiles the
+// engine and the verifier from them with the calls Compile and Specialize
+// make. So a loaded Problem verifies against the formula whose hash is
+// its key, whatever the blob's writer compiled, and a fleet replica loads
+// a peer-compiled artifact from the shared content-addressed store far
+// faster than recompiling it (the `paperbench -exp cache` row measures
+// exactly this).
 //
 // The format follows GDSS/GDSC over the shared internal/envelope codec:
 // little-endian, length-prefixed sections, every length bounds-checked
@@ -36,28 +37,23 @@ import (
 // the embedded key, so a blob filed under the wrong key in the store can
 // never serve the wrong problem.
 //
-// Sections that are cheap to recompute are NOT serialized: the cache tile
-// derives from the engine dimensions exactly as Compile derives it, input
-// node names rebuild from their CNF variables, and extract.Result.Bindings
-// (logic.Expr trees used only by offline tooling) are dropped — a decoded
-// Problem carries a nil Bindings slice. Everything the sampling runtime
-// reads (engine tape, verifier plan, NodeOf, projection provenance,
-// OutputSources) round-trips exactly, which is what makes store-loaded
-// Problems stream bit-identical solutions to freshly compiled ones (the
-// differential test in problem_codec_test.go and e2e shard tier).
+// Derived state is NOT serialized: the engine tape, the verify plan and
+// the cache tile compile from the circuit, input node names rebuild from
+// their CNF variables, and extract.Result.Bindings (logic.Expr trees used
+// only by offline tooling) are dropped — a decoded Problem carries a nil
+// Bindings slice. Everything else the sampling runtime reads (circuit,
+// NodeOf, projection provenance, OutputSources) round-trips exactly,
+// which is what makes store-loaded Problems stream bit-identical
+// solutions to freshly compiled ones (the differential test in
+// problem_codec_test.go and e2e shard tier).
 
-// ProblemVersion is the current problem codec version. Version 1 is the
-// unspecialized format; version 2 adds an assumption section directly
-// after the key (see specialize.go) and is only written when the problem
-// carries assumptions, so every unspecialized artifact stays byte-for-byte
-// a version-1 blob that older readers accept. Decode accepts both; any
-// other version is rejected — stored artifacts outlive the process that
-// wrote them, so silent cross-version reinterpretation is never
-// acceptable.
-const ProblemVersion = 2
-
-// problemVersionBase is the assumption-free encoding version.
-const problemVersionBase = 1
+// ProblemVersion is the problem codec version: one layout whose
+// assumption list is empty for an unspecialized problem. Any other
+// version — including the earlier layouts that also stored the engine
+// tape and verify plan — is rejected: stored artifacts outlive the
+// process that wrote them, and the store quarantines what fails decode
+// and recompiles it.
+const ProblemVersion = 3
 
 // problemMagic opens every encoded problem.
 const problemMagic = "GDSP"
@@ -67,8 +63,8 @@ const problemMagic = "GDSP"
 // string matching.
 var ErrBadProblem = errors.New("core: invalid problem encoding")
 
-// maxProblemDim is a sanity bound on decoded section counts — far past
-// any real compiled instance, but small enough that a forged length field
+// maxProblemDim is a sanity bound on the decoded variable count — far
+// past any real compiled instance, but small enough that a forged field
 // can never drive a multi-gigabyte allocation (Decoder.Count bounds
 // allocations by the remaining input anyway; this bounds derived
 // products).
@@ -91,23 +87,16 @@ func (p *Problem) MarshalBinary() ([]byte, error) {
 	if len(p.key) > 0xFFFF {
 		return nil, fmt.Errorf("%w: oversized key", ErrBadProblem)
 	}
-	f, ext, eng := p.formula, p.ext, p.eng
+	f, ext := p.formula, p.ext
 	c := ext.Circuit
-	est := 256 + len(p.key) + 8*len(f.Clauses) + 4*len(f.Projection) +
-		14*len(c.Nodes) + 4*len(c.Inputs) + 5*len(c.Outputs) +
-		8*len(ext.NodeOf) + 25*len(eng.code) + 16*len(eng.outputs)
+	est := 256 + len(p.key) + 4*len(p.assume) + 8*len(f.Clauses) + 4*len(f.Projection) +
+		14*len(c.Nodes) + 4*len(c.Inputs) + 5*len(c.Outputs) + 8*len(ext.NodeOf)
 	for _, cl := range f.Clauses {
 		est += 4 * len(cl)
 	}
-	version := uint16(problemVersionBase)
-	if len(p.assume) > 0 {
-		version = ProblemVersion
-	}
-	e := envelope.NewEncoder(problemMagic, version, est)
+	e := envelope.NewEncoder(problemMagic, ProblemVersion, est)
 	e.Str(p.key)
-	if len(p.assume) > 0 {
-		encLits(e, p.assume)
-	}
+	encLits(e, p.assume)
 
 	// Formula.
 	e.U32(uint32(f.NumVars))
@@ -117,7 +106,8 @@ func (p *Problem) MarshalBinary() ([]byte, error) {
 	}
 	e.Ints(f.Projection)
 
-	// Circuit. Names are not stored: input nodes rebuild theirs from Var.
+	// Circuit. Names are not stored: input and pinned nodes rebuild theirs
+	// from Var.
 	e.U32(uint32(len(c.Nodes)))
 	for _, nd := range c.Nodes {
 		e.U8(uint8(nd.Type))
@@ -157,43 +147,6 @@ func (p *Problem) MarshalBinary() ([]byte, error) {
 	e.U32(uint32(ext.Fallbacks))
 	e.U32(uint32(ext.SignatureHits))
 
-	// Engine.
-	e.U32(uint32(eng.numInputs))
-	e.U32(uint32(eng.numSlots))
-	e.U32(uint32(eng.numGregs))
-	e.U32(uint32(len(eng.code)))
-	for _, in := range eng.code {
-		e.U8(uint8(in.op))
-		for _, v := range [6]int32{in.dst, in.a, in.b, in.gd, in.ga, in.gb} {
-			e.U32(uint32(v))
-		}
-	}
-	e.U32(uint32(len(eng.outputs)))
-	for _, o := range eng.outputs {
-		e.U32(uint32(o.slot))
-		e.U32(uint32(o.greg))
-		e.F32(o.target)
-		e.U32(uint32(o.src))
-	}
-	e.F64(eng.constLoss)
-	live := e.Grow((len(eng.liveIn) + 7) / 8) // LSB-first, eight inputs per byte
-	clear(live)
-	for i, v := range eng.liveIn {
-		live[i>>3] |= b2u(v) << (i & 7)
-	}
-	e.I32s(eng.liveInList)
-
-	// Verifier plan.
-	plan, unsat := p.verify.Plan()
-	e.U8(b2u(unsat))
-	e.U32(uint32(len(plan)))
-	for _, cl := range plan {
-		e.U32(uint32(len(cl)))
-		for _, l := range cl {
-			e.U32(uint32(l.Node))
-			e.U8(b2u(l.Neg))
-		}
-	}
 	return e.Seal(envelope.SHA256), nil
 }
 
@@ -201,31 +154,25 @@ func (p *Problem) MarshalBinary() ([]byte, error) {
 // Problem. It never panics: truncated, corrupted, or version-mismatched
 // input returns an error wrapping ErrBadProblem. Validation is structural
 // (every index bounds-checked, circuit topology and arity re-checked, the
-// embedded formula re-hashed against the embedded key), so a decoded
-// Problem is safe to run sessions over; semantic agreement between the
-// engine tape and the circuit is the writer's responsibility — the store
-// only ever reads blobs this process family wrote (see DESIGN.md, trust
-// model).
+// embedded formula re-hashed against the embedded key); the engine and
+// the verifier then compile from the decoded circuit, formula and
+// assumptions exactly as Compile and Specialize build them, so nothing
+// the sampler executes is taken on the writer's word.
 func DecodeProblem(data []byte) (*Problem, error) {
-	d, err := envelope.Open(data, problemMagic, envelope.SHA256, problemVersionBase, ProblemVersion, ErrBadProblem)
+	d, err := envelope.Open(data, problemMagic, envelope.SHA256, ProblemVersion, ProblemVersion, ErrBadProblem)
 	if err != nil {
 		return nil, err
 	}
 	key := d.Str()
-	var assume []cnf.Lit
-	if d.Version == ProblemVersion {
-		if assume = decInts[cnf.Lit](d, "assumptions", nil); d.Err() == nil && len(assume) == 0 {
-			d.Fail("version %d blob with no assumptions (canonical form is version %d)", ProblemVersion, problemVersionBase)
-		}
-	}
-
+	assume := decInts[cnf.Lit](d, "assumptions", nil)
 	f := decodeFormula(d)
 	circ := decodeCircuit(d, f)
 	ext := decodeExtraction(d, f, circ)
-	eng := decodeEngine(d, circ)
-	verify := decodeVerifyPlan(d, circ)
 	if err := d.Close(); err != nil {
 		return nil, err
+	}
+	if len(assume) == 0 {
+		assume = nil
 	}
 	// Assumptions must arrive in canonical, validated form — decode refuses
 	// to "fix" a non-canonical set because the key cross-check below hashes
@@ -236,15 +183,14 @@ func DecodeProblem(data []byte) (*Problem, error) {
 	// The content-address cross-check: the blob serves exactly the formula
 	// (specialized under exactly the assumptions) its key names, or it
 	// serves nothing. AssumeKey degenerates to the content hash when the
-	// assumption set is empty, so one check covers both versions.
+	// assumption set is empty.
 	if h := cnf.AssumeKey(f.ContentHash(), assume); h != key {
 		return nil, fmt.Errorf("%w: embedded content hashes to %s, key says %s", ErrBadProblem, abbrev(h), abbrev(key))
 	}
-
-	p := &Problem{formula: f, ext: ext, eng: eng, verify: verify, key: key, assume: assume}
-	// The tile is derived state: recompute it exactly as Compile does.
-	p.tile = tileFor(eng)
-	return p, nil
+	if len(circ.Inputs) == 0 {
+		return nil, fmt.Errorf("%w: circuit has no primary inputs", ErrBadProblem)
+	}
+	return newProblem(f, ext, key, assume), nil
 }
 
 // encLits writes a literal list as a u32 count plus i32 values.
@@ -274,7 +220,7 @@ const slabChunk = 1 << 14
 
 // slab hands out consecutive, capacity-capped windows of shared blocks,
 // so decoding tens of thousands of short slices (clause literals, fanins,
-// verifier clauses) costs a few block allocations instead of one per
+// provenance lists) costs a few block allocations instead of one per
 // slice. The windows never overlap, so appending to one cannot write into
 // its neighbour. Blocks double from 64 elements up to slabChunk, so a
 // small problem does not pay for a large block. A nil slab allocates each
@@ -396,9 +342,12 @@ func decodeCircuit(d *envelope.Decoder, f *cnf.Formula) *circuit.Circuit {
 		}
 		if t == circuit.Input {
 			inputSeen++
-			if v > 0 {
-				nd.Name = "x" + strconv.Itoa(v)
-			}
+		}
+		// Extraction names each input after its variable, and
+		// specialization keeps that name on the constant a pin turns the
+		// input into.
+		if v > 0 && (t == circuit.Input || t == circuit.Const) {
+			nd.Name = "x" + strconv.Itoa(v)
 		}
 		c.Nodes = append(c.Nodes, nd)
 	}
@@ -512,134 +461,4 @@ func decodeExtraction(d *envelope.Decoder, f *cnf.Formula, c *circuit.Circuit) *
 	ext.Fallbacks = int(d.U32())
 	ext.SignatureHits = int(d.U32())
 	return ext
-}
-
-func decodeEngine(d *envelope.Decoder, c *circuit.Circuit) *engine {
-	eng := &engine{
-		numInputs: int(d.U32()),
-		numSlots:  int(d.U32()),
-		numGregs:  int(d.U32()),
-	}
-	if d.Err() != nil {
-		return eng
-	}
-	if eng.numInputs != len(c.Inputs) || eng.numInputs < 1 {
-		d.Fail("engine has %d inputs, circuit has %d", eng.numInputs, len(c.Inputs))
-		return eng
-	}
-	if eng.numSlots < eng.numInputs || eng.numSlots > maxProblemDim ||
-		eng.numGregs < eng.numInputs || eng.numGregs > maxProblemDim {
-		d.Fail("implausible engine shape slots=%d gregs=%d inputs=%d", eng.numSlots, eng.numGregs, eng.numInputs)
-		return eng
-	}
-	ncode := d.Count(25, "engine code")
-	if d.Err() != nil {
-		return eng
-	}
-	eng.code = make([]einstr, ncode)
-	for i := range eng.code {
-		in := einstr{
-			op:  eop(d.U8()),
-			dst: int32(d.U32()),
-			a:   int32(d.U32()),
-			b:   int32(d.U32()),
-			gd:  int32(d.U32()),
-			ga:  int32(d.U32()),
-			gb:  int32(d.U32()),
-		}
-		if in.op > eNot {
-			d.Fail("instruction %d has unknown op %d", i, in.op)
-			return eng
-		}
-		ns, ng, ni := int32(eng.numSlots), int32(eng.numGregs), int32(eng.numInputs)
-		if in.dst < ni || in.dst >= ns || in.a < 0 || in.a >= ns || in.b < 0 || in.b >= ns {
-			d.Fail("instruction %d slots out of range (dst=%d a=%d b=%d over %d)", i, in.dst, in.a, in.b, ns)
-			return eng
-		}
-		if in.gd < 0 || in.gd >= ng || in.ga < 0 || in.ga >= ng || in.gb < 0 || in.gb >= ng {
-			d.Fail("instruction %d registers out of range (gd=%d ga=%d gb=%d over %d)", i, in.gd, in.ga, in.gb, ng)
-			return eng
-		}
-		eng.code[i] = in
-	}
-	nouts := d.Count(16, "engine outputs")
-	if d.Err() != nil {
-		return eng
-	}
-	eng.outputs = make([]eout, nouts)
-	for i := range eng.outputs {
-		o := eout{
-			slot:   int32(d.U32()),
-			greg:   int32(d.U32()),
-			target: d.F32(),
-			src:    int32(d.U32()),
-		}
-		if d.Err() != nil {
-			return eng
-		}
-		if o.slot < 0 || o.slot >= int32(eng.numSlots) || o.greg < 0 || o.greg >= int32(eng.numGregs) {
-			d.Fail("output %d slot/register out of range (slot=%d greg=%d)", i, o.slot, o.greg)
-			return eng
-		}
-		if o.src < 0 || o.src >= int32(len(c.Outputs)) {
-			d.Fail("output %d provenance index %d of %d", i, o.src, len(c.Outputs))
-			return eng
-		}
-		if o.target != 0 && o.target != 1 {
-			d.Fail("output %d target %v (want 0 or 1)", i, o.target)
-			return eng
-		}
-		eng.outputs[i] = o
-	}
-	eng.constLoss = d.F64()
-	if d.Err() == nil && (math.IsNaN(eng.constLoss) || math.IsInf(eng.constLoss, 0) || eng.constLoss < 0) {
-		d.Fail("constant loss %v (want finite, >= 0)", eng.constLoss)
-		return eng
-	}
-	raw := d.Take((eng.numInputs + 7) / 8)
-	if d.Err() != nil {
-		return eng
-	}
-	eng.liveIn = make([]bool, eng.numInputs)
-	for i := range eng.liveIn {
-		eng.liveIn[i] = raw[i>>3]>>(i&7)&1 != 0
-	}
-	eng.liveInList = d.I32s("live input list")
-	prev := int32(-1)
-	for i, v := range eng.liveInList {
-		if d.Err() == nil && (v <= prev || v >= int32(eng.numInputs) || !eng.liveIn[v]) {
-			d.Fail("live input list entry %d is %d (want ascending live inputs)", i, v)
-			return eng
-		}
-		prev = v
-	}
-	return eng
-}
-
-func decodeVerifyPlan(d *envelope.Decoder, c *circuit.Circuit) *bitblast.Program {
-	unsat := d.U8() != 0
-	ncl := d.Count(4, "verifier clauses")
-	if d.Err() != nil {
-		return nil
-	}
-	plan := make([][]bitblast.PlanLit, ncl)
-	var lits slab[bitblast.PlanLit]
-	for i := range plan {
-		raw := d.Take(5 * d.Count(5, "verifier literals"))
-		if d.Err() != nil {
-			return nil
-		}
-		cl := lits.take(len(raw) / 5)
-		for j := range cl {
-			r := raw[5*j:]
-			cl[j] = bitblast.PlanLit{Node: int32(binary.LittleEndian.Uint32(r)), Neg: r[4] != 0}
-		}
-		plan[i] = cl
-	}
-	prog, err := bitblast.FromPlan(c, plan, unsat)
-	if err != nil {
-		d.Fail("%v", err)
-		return nil
-	}
-	return prog
 }

@@ -5,22 +5,31 @@ import (
 	"crypto/sha256"
 	"errors"
 	"maps"
+	"slices"
 	"testing"
 
 	"repro/internal/benchgen"
+	"repro/internal/circuit"
 	"repro/internal/cnf"
+	"repro/internal/extract"
 	"repro/internal/tensor"
 )
 
+// aliasFormula defines x2 as the bare literal x1, so extraction maps both
+// variables to x1's input node.
+const aliasFormula = "p cnf 3 3\n-2 1 0\n2 -1 0\n2 3 0\n"
+
 // codecProblems returns compiled problems covering the codec's section
 // variety: the paper example (plain), a projected formula (projection
-// section), and the benchgen small suite (or-chains,
-// q-chains — window extraction, fallbacks, multi-clause provenance).
+// section), a bare-literal definition (two variables on one node), and
+// the benchgen small suite (or-chains, q-chains — window extraction,
+// fallbacks, multi-clause provenance).
 func codecProblems(t *testing.T) map[string]*Problem {
 	t.Helper()
 	out := map[string]*Problem{
 		"paper":     mustCompile(t, mustFormula(t, paperExample)),
 		"projected": mustCompile(t, mustFormula(t, projFormula)),
+		"alias":     mustCompile(t, mustFormula(t, aliasFormula)),
 	}
 	for _, inst := range benchgen.SmallSuite() {
 		out[inst.Name] = mustCompile(t, inst.Formula)
@@ -60,6 +69,26 @@ func problemRoundTrip(t *testing.T, p *Problem) *Problem {
 	return dec
 }
 
+// sameCircuit fails t unless got equals want node for node — type,
+// constant value, variable, name and fanin — with the same inputs and
+// outputs.
+func sameCircuit(t *testing.T, got, want *circuit.Circuit) {
+	t.Helper()
+	if len(got.Nodes) != len(want.Nodes) {
+		t.Fatalf("circuit has %d nodes, want %d", len(got.Nodes), len(want.Nodes))
+	}
+	for i, g := range got.Nodes {
+		w := want.Nodes[i]
+		if g.Type != w.Type || g.Val != w.Val || g.Var != w.Var || g.Name != w.Name || !slices.Equal(g.Fanin, w.Fanin) {
+			t.Fatalf("node %d is %v val=%t var=%d name=%q fanin=%v, want %v val=%t var=%d name=%q fanin=%v",
+				i, g.Type, g.Val, g.Var, g.Name, g.Fanin, w.Type, w.Val, w.Var, w.Name, w.Fanin)
+		}
+	}
+	if !slices.Equal(got.Inputs, want.Inputs) || !slices.Equal(got.Outputs, want.Outputs) {
+		t.Fatalf("inputs %v outputs %v, want %v and %v", got.Inputs, got.Outputs, want.Inputs, want.Outputs)
+	}
+}
+
 // TestCompileCNFDeterministic: compiling the same formula twice yields the
 // same GDSP bytes once the wall-clock TransformTime is zeroed, so a
 // compiled artifact is a function of its CNF alone.
@@ -86,9 +115,9 @@ func TestCompileCNFDeterministic(t *testing.T) {
 // TestProblemCodecDifferential is the durability invariant behind the
 // store tier: a Problem decoded from its GDSP encoding must be
 // indistinguishable from the freshly compiled original to the sampling
-// runtime — same key, same derived shape, and for a fixed seed the
-// byte-identical solution stream (order, witnesses, projected signatures,
-// hit tallies) at 1 and 7 workers. Without this, a replica loading a
+// runtime — same key, the same circuit node for node, same derived shape,
+// and for a fixed seed the byte-identical solution stream (order,
+// witnesses, projected signatures, hit tallies) at 1 and 7 workers. Without this, a replica loading a
 // peer-compiled artifact from the shared store could serve a different
 // stream than the replica that compiled it, breaking resume determinism.
 func TestProblemCodecDifferential(t *testing.T) {
@@ -98,6 +127,7 @@ func TestProblemCodecDifferential(t *testing.T) {
 			if dec.Key() != p.Key() {
 				t.Fatalf("key changed across codec: %s vs %s", abbrev(dec.Key()), abbrev(p.Key()))
 			}
+			sameCircuit(t, dec.Extraction().Circuit, p.Extraction().Circuit)
 			if dec.NumInputs() != p.NumInputs() || dec.Tile() != p.Tile() {
 				t.Fatalf("derived shape changed: inputs %d→%d tile %d→%d",
 					p.NumInputs(), dec.NumInputs(), p.Tile(), dec.Tile())
@@ -242,15 +272,7 @@ func TestDecodeProblemRejectsKeyMismatch(t *testing.T) {
 // that holds that variable fixed.
 func TestDecodeProblemRejectsIncompleteNodeMap(t *testing.T) {
 	p := mustCompile(t, mustFormula(t, paperExample))
-	ext := *p.ext
-	ext.NodeOf = maps.Clone(ext.NodeOf)
-	delete(ext.NodeOf, p.formula.NumVars)
-	q := *p
-	q.ext = &ext
-	blob, err := q.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
+	blob := forgedBlob(t, p, func(ext *extract.Result) { delete(ext.NodeOf, p.formula.NumVars) })
 	if _, err := DecodeProblem(blob); err == nil {
 		t.Fatal("node map missing a variable decoded successfully")
 	} else if !errors.Is(err, ErrBadProblem) {
@@ -258,11 +280,83 @@ func TestDecodeProblemRejectsIncompleteNodeMap(t *testing.T) {
 	}
 }
 
+// forgedBlob encodes p with its extraction replaced by edit's copy (the
+// circuit's nodes and NodeOf are cloned, so edit may change them) and a
+// freshly valid seal: the key still matches the formula, so decode
+// reaches everything past the content-address check.
+func forgedBlob(t *testing.T, p *Problem, edit func(ext *extract.Result)) []byte {
+	t.Helper()
+	c := *p.ext.Circuit
+	c.Nodes = slices.Clone(c.Nodes)
+	ext := *p.ext
+	ext.Circuit = &c
+	ext.NodeOf = maps.Clone(ext.NodeOf)
+	edit(&ext)
+	q := *p
+	q.ext = &ext
+	blob, err := q.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
+// TestDecodeProblemRejectsNoInputs: a circuit with no primary inputs is
+// refused, as Compile refuses one — a session over it has nothing to
+// sample.
+func TestDecodeProblemRejectsNoInputs(t *testing.T) {
+	p := mustCompile(t, mustFormula(t, paperExample))
+	blob := forgedBlob(t, p, func(ext *extract.Result) {
+		c := ext.Circuit
+		for _, id := range c.Inputs {
+			c.Nodes[id].Type = circuit.Const
+		}
+		c.Inputs = nil
+	})
+	if _, err := DecodeProblem(blob); !errors.Is(err, ErrBadProblem) {
+		t.Fatalf("circuit without inputs: decode error %v, want ErrBadProblem", err)
+	}
+}
+
+// TestDecodedProblemVerifiesAgainstItsFormula: a sealed blob whose node
+// map swaps two primary inputs no longer describes its formula, yet it is
+// structurally sound and decodes. Its sessions must still return only
+// models of the embedded formula: decode compiles the verifier from that
+// CNF over the decoded node map, not from anything the writer supplied.
+func TestDecodedProblemVerifiesAgainstItsFormula(t *testing.T) {
+	f := mustFormula(t, paperExample)
+	blob := forgedBlob(t, mustCompile(t, f), func(ext *extract.Result) {
+		a, b := ext.PrimaryInputs[0], ext.PrimaryInputs[1]
+		ext.NodeOf[a], ext.NodeOf[b] = ext.NodeOf[b], ext.NodeOf[a]
+	})
+	dec, err := DecodeProblem(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := dec.NewSampler(Config{BatchSize: 256, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		s.ContinuousStep(0)
+	}
+	if s.UniqueCount() == 0 {
+		t.Fatal("no solutions; the check exercises nothing")
+	}
+	for i := 0; i < s.UniqueCount(); i++ {
+		if !f.Sat(s.FullAssignmentAt(i)) {
+			t.Fatalf("solution %d of %d is not a model of the formula", i, s.UniqueCount())
+		}
+	}
+}
+
 // FuzzDecodeProblem: arbitrary input must either decode into a problem
-// that re-encodes canonically and still matches its content address, or
-// fail wrapping ErrBadProblem — and must never panic. Seeded from
-// benchgen formulas (the real artifact shapes the store holds) plus
-// structured mutations, mirroring FuzzDecodeSnapshot/FuzzDecodeCheckpoint.
+// that re-encodes canonically, still matches its content address and runs
+// a sampler tick over the engine and verifier decode compiled from the
+// fuzzed circuit, or fail wrapping ErrBadProblem — and must never panic.
+// Seeded from benchgen formulas (the real artifact shapes the store holds)
+// plus structured mutations, mirroring FuzzDecodeSnapshot and
+// FuzzDecodeCheckpoint.
 func FuzzDecodeProblem(f *testing.F) {
 	seed := func(cf *cnf.Formula) {
 		p, err := CompileCNF(cf)
@@ -301,6 +395,11 @@ func FuzzDecodeProblem(f *testing.F) {
 		if p.Formula().ContentHash() != p.Key() {
 			t.Fatal("decoded problem violates its content address")
 		}
+		s, err := p.NewSampler(Config{BatchSize: 64, Iterations: 2, Seed: 1, Device: tensor.Sequential()})
+		if err != nil {
+			t.Fatalf("decoded problem refuses a sampler: %v", err)
+		}
+		s.ContinuousStep(0)
 		blob, err := p.MarshalBinary()
 		if err != nil {
 			t.Fatalf("decoded problem fails to re-encode: %v", err)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/bitblast"
 	"repro/internal/circuit"
 	"repro/internal/cnf"
 	"repro/internal/extract"
@@ -133,14 +132,5 @@ func Specialize(p *Problem, assume []cnf.Lit) (*Problem, error) {
 		Fallbacks:      ext.Fallbacks,
 		SignatureHits:  ext.SignatureHits,
 	}
-	q := &Problem{
-		formula: p.formula,
-		ext:     next,
-		eng:     compileEngine(spec),
-		verify:  bitblast.New(spec, ext.NodeOf, p.formula, merged),
-		key:     cnf.AssumeKey(p.formula.ContentHash(), merged),
-		assume:  merged,
-	}
-	q.tile = tileFor(q.eng)
-	return q, nil
+	return newProblem(p.formula, next, cnf.AssumeKey(p.formula.ContentHash(), merged), merged), nil
 }

@@ -278,7 +278,7 @@ func TestSpecializeUnsat(t *testing.T) {
 
 // TestSpecializeCodecRoundTrip: a specialized problem is a first-class
 // GDSP artifact — encode/decode preserves the key, the assumption set,
-// and the solution stream.
+// the circuit (pinned inputs included) and the solution stream.
 func TestSpecializeCodecRoundTrip(t *testing.T) {
 	in := benchgen.SmallSuite()[1]
 	base, err := CompileCNF(in.Formula)
@@ -303,6 +303,7 @@ func TestSpecializeCodecRoundTrip(t *testing.T) {
 	if fmt.Sprint(got.Assumptions()) != fmt.Sprint(spec.Assumptions()) {
 		t.Fatalf("decoded assumptions %v, want %v", got.Assumptions(), spec.Assumptions())
 	}
+	sameCircuit(t, got.Extraction().Circuit, spec.Extraction().Circuit)
 	for _, p := range []*Problem{spec, got} {
 		s, err := p.NewSampler(Config{BatchSize: 256, Seed: 5})
 		if err != nil {

@@ -410,8 +410,13 @@ func (t *transformer) commit(window []cnf.Clause, winIdx []int, v int, expr *log
 		for _, sv := range expr.Support() {
 			env[sv] = t.nodeFor(sv)
 		}
+		fresh := len(t.res.Circuit.Nodes)
 		id := t.res.Circuit.InstantiateExpr(expr, env)
-		t.res.Circuit.Nodes[id].Var = v
+		// A bare-literal definition (v = x) returns x's own node, which
+		// keeps naming x; only a node built here takes v's name.
+		if int(id) >= fresh {
+			t.res.Circuit.Nodes[id].Var = v
+		}
 		t.res.NodeOf[v] = id
 		t.kind[v] = Intermediate
 		t.classed[v] = true

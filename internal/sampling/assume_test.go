@@ -141,6 +141,36 @@ func TestLookupAssumeBaseOnly(t *testing.T) {
 	}
 }
 
+// TestLookupAssumeOnSpecializedKey: pins added on top of an already
+// specialized key merge into one assumption set, and the write-back files
+// the result under its own content key, where a fresh compiler over the
+// same store finds it (rather than under a derived key its blob does not
+// match, which the next reader would quarantine).
+func TestLookupAssumeOnSpecializedKey(t *testing.T) {
+	dir := t.TempDir()
+	f := benchgen.SmallSuite()[0].Formula
+	pins := satPins(t, f, 2)
+	c := NewCompiler(4).WithStore(testStore(t, dir))
+	first, err := c.CompileAssume(f, pins[:1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, ok, err := c.LookupAssume(first.Key(), pins[1:])
+	if err != nil || !ok {
+		t.Fatalf("lookup on a specialized key = (%v, %v), want specialize hit", ok, err)
+	}
+	if want := cnf.AssumeKey(HashFormula(f), pins); p.Key() != want {
+		t.Fatalf("merged problem keyed %s, want %s", p.Key(), want)
+	}
+	fresh := NewCompiler(4).WithStore(testStore(t, dir))
+	if _, ok := fresh.Lookup(p.Key()); !ok {
+		t.Fatalf("fresh compiler misses the written-back artifact: %+v", fresh.Stats())
+	}
+	if st := fresh.StoreStats(); st.Quarantined != 0 {
+		t.Fatalf("store quarantined %d entries", st.Quarantined)
+	}
+}
+
 // TestCompileAssumeRejectsBadPins: validation happens before any cache or
 // store work, wrapping core.ErrBadAssume.
 func TestCompileAssumeRejectsBadPins(t *testing.T) {

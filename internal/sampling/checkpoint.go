@@ -107,7 +107,7 @@ func (s *Session) Checkpoint() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	text := s.prob.formula.DIMACSString()
+	text := s.prob.Formula().DIMACSString()
 	assume := s.prob.core.Assumptions()
 	version := uint16(checkpointVersionBase)
 	if len(assume) > 0 {

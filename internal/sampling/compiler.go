@@ -165,15 +165,15 @@ func (c *Compiler) Compile(f *cnf.Formula) (*Problem, error) {
 	key := HashFormula(f)
 	return c.getOrBuild(key, func() (*Problem, error) {
 		// Second tier: a peer (or a previous life of this process) may have
-		// already paid for this compile. Decode skips extraction and fusion,
-		// so a disk hit is a small fraction of a compile (see the -exp cache
-		// bench row).
+		// already paid for this compile. Decode skips extraction, so a disk
+		// hit is a small fraction of a compile (see the -exp cache bench
+		// row).
 		if c.store != nil {
 			if prob, ok := c.loadFromStore(key); ok {
 				return prob, nil
 			}
 		}
-		prob, err := compileProblem(f, key)
+		prob, err := CompileProblem(f)
 		if err == nil {
 			c.writeBack(prob)
 		}
@@ -216,7 +216,7 @@ func (c *Compiler) CompileAssume(f *cnf.Formula, assume []cnf.Lit) (*Problem, er
 		if err != nil {
 			return nil, err
 		}
-		prob := &Problem{key: key, formula: cp.Formula(), core: cp}
+		prob := &Problem{core: cp}
 		c.writeBack(prob)
 		return prob, nil
 	})
@@ -280,7 +280,7 @@ func (c *Compiler) writeBack(p *Problem) {
 		return
 	}
 	if blob, err := p.core.MarshalBinary(); err == nil {
-		c.store.Put(p.key, blob)
+		c.store.Put(p.Key(), blob)
 	}
 }
 
@@ -353,7 +353,7 @@ func (c *Compiler) LookupAssume(baseKey string, assume []cnf.Lit) (*Problem, boo
 	if err != nil {
 		return nil, false, err
 	}
-	prob := &Problem{key: specKey, formula: cp.Formula(), core: cp}
+	prob := &Problem{core: cp}
 	c.installLoaded(specKey, prob)
 	c.writeBack(prob)
 	return prob, true, nil
@@ -387,7 +387,7 @@ func (c *Compiler) loadFromStore(key string) (*Problem, bool) {
 	c.diskHits++
 	c.diskBytes += int64(len(blob))
 	c.mu.Unlock()
-	return &Problem{key: key, formula: cp.Formula(), core: cp}, true
+	return &Problem{core: cp}, true
 }
 
 // installLoaded caches a store-loaded Problem as a completed entry so
@@ -426,9 +426,10 @@ func (c *Compiler) Stats() CompilerStats {
 	}
 }
 
-// compileProblem runs the uncached pipeline: extract.Transform then the
+// CompileProblem compiles f without a cache — the one-shot path for
+// callers that don't need sharing: extract.Transform then the
 // engine/verifier compile.
-func compileProblem(f *cnf.Formula, key string) (*Problem, error) {
+func CompileProblem(f *cnf.Formula) (*Problem, error) {
 	ext, err := extract.Transform(f)
 	if err != nil {
 		return nil, err
@@ -437,11 +438,5 @@ func compileProblem(f *cnf.Formula, key string) (*Problem, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Problem{key: key, formula: f, core: cp}, nil
-}
-
-// CompileProblem compiles f without a cache — the one-shot path for
-// callers that don't need sharing.
-func CompileProblem(f *cnf.Formula) (*Problem, error) {
-	return compileProblem(f, HashFormula(f))
+	return &Problem{core: cp}, nil
 }

@@ -15,16 +15,14 @@ import (
 // engine + bitblast verifier). Any number of Sessions may run over one
 // Problem concurrently with zero recompilation.
 type Problem struct {
-	key     string
-	formula *cnf.Formula
-	core    *core.Problem
+	core *core.Problem
 }
 
 // Key returns the content hash this problem is cached under.
-func (p *Problem) Key() string { return p.key }
+func (p *Problem) Key() string { return p.core.Key() }
 
 // Formula returns the CNF this problem was compiled from.
-func (p *Problem) Formula() *cnf.Formula { return p.formula }
+func (p *Problem) Formula() *cnf.Formula { return p.core.Formula() }
 
 // Extraction returns the transformation result backing this problem.
 func (p *Problem) Extraction() *extract.Result { return p.core.Extraction() }

@@ -145,46 +145,60 @@ func TestCompilerLookupFallsThroughToDisk(t *testing.T) {
 }
 
 // TestCompilerQuarantinesUndecodableArtifact: a stored blob that passes
-// no integrity check (torn) or passes the trailer but fails GDSP decode
-// must read as a clean miss, be quarantined, and be healed by the
-// recompile's write-back.
+// no integrity check (torn), or passes the trailer but fails GDSP decode
+// (an intact artifact in an earlier codec layout), must read as a clean
+// miss, be quarantined, and be healed by the recompile's write-back.
 func TestCompilerQuarantinesUndecodableArtifact(t *testing.T) {
-	dir := t.TempDir()
-	f := benchgen.SmallSuite()[0].Formula
-	warm := NewCompiler(4).WithStore(testStore(t, dir))
-	p, err := warm.Compile(f)
+	// gdsp_v1.bin is the same formula compiled in the first codec layout.
+	oldLayout, err := os.ReadFile("../core/testdata/gdsp_v1.bin")
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, p.Key()+".gdsp")
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mut := append([]byte(nil), blob...)
-	mut[10] ^= 0x04
-	if err := os.WriteFile(path, mut, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	for name, spoil := range map[string]func(blob []byte) []byte{
+		"torn": func(blob []byte) []byte {
+			mut := append([]byte(nil), blob...)
+			mut[10] ^= 0x04
+			return mut
+		},
+		"old-layout": func([]byte) []byte { return oldLayout },
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			f := benchgen.SmallSuite()[0].Formula
+			warm := NewCompiler(4).WithStore(testStore(t, dir))
+			p, err := warm.Compile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, p.Key()+".gdsp")
+			blob, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, spoil(blob), 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	cold := NewCompiler(4).WithStore(testStore(t, dir))
-	if _, err := cold.Compile(f); err != nil {
-		t.Fatalf("compile with a corrupt artifact on disk: %v", err)
-	}
-	st := cold.Stats()
-	if st.DiskHits != 0 || st.DiskMisses != 1 {
-		t.Fatalf("stats = %+v, want the corrupt blob to read as a miss", st)
-	}
-	// The recompile's write-back healed the store: a third compiler hits.
-	healed := NewCompiler(4).WithStore(testStore(t, dir))
-	if _, err := healed.Compile(f); err != nil {
-		t.Fatal(err)
-	}
-	if hs := healed.Stats(); hs.DiskHits != 1 {
-		t.Fatalf("store not healed after recompile: %+v", hs)
-	}
-	if _, err := os.Stat(path + ".corrupt"); err != nil {
-		t.Fatalf("corrupt artifact not quarantined: %v", err)
+			cold := NewCompiler(4).WithStore(testStore(t, dir))
+			if _, err := cold.Compile(f); err != nil {
+				t.Fatalf("compile with a bad artifact on disk: %v", err)
+			}
+			st := cold.Stats()
+			if st.DiskHits != 0 || st.DiskMisses != 1 {
+				t.Fatalf("stats = %+v, want the bad blob to read as a miss", st)
+			}
+			// The recompile's write-back healed the store: a third compiler hits.
+			healed := NewCompiler(4).WithStore(testStore(t, dir))
+			if _, err := healed.Compile(f); err != nil {
+				t.Fatal(err)
+			}
+			if hs := healed.Stats(); hs.DiskHits != 1 {
+				t.Fatalf("store not healed after recompile: %+v", hs)
+			}
+			if _, err := os.Stat(path + ".corrupt"); err != nil {
+				t.Fatalf("bad artifact not quarantined: %v", err)
+			}
+		})
 	}
 }
 
