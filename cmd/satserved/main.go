@@ -101,7 +101,7 @@ func run() error {
 		workers     = flag.Int("workers", 4, "concurrent streaming sessions")
 		queueDepth  = flag.Int("queue", 64, "bounded wait-queue depth")
 		cacheCap    = flag.Int("cache", 0, "compile-cache capacity in entries (0 = default)")
-		cacheBudget = flag.Int64("cachebudget", 256, "compile-cache resident-byte budget (MiB; 0 = entry bound only)")
+		cacheBudget = flag.Int64("cachebudget", 256, "compile-cache budget in MiB of retained heap, each problem priced from its array lengths (0 = entry bound only)")
 		memBudget   = flag.Int64("membudget", 512, "aggregate session memory budget (MiB)")
 		sessionMem  = flag.Int64("sessionmem", 64, "per-session memory budget for batch sizing (MiB)")
 		maxTarget   = flag.Int("maxtarget", 100000, "maximum per-request solution target (target=0 requests get exactly this cap)")

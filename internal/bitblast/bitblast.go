@@ -10,6 +10,7 @@ package bitblast
 
 import (
 	"fmt"
+	"unsafe"
 
 	"repro/internal/circuit"
 	"repro/internal/cnf"
@@ -26,13 +27,15 @@ type blit struct {
 // It is immutable after New; obtain per-goroutine scratch with NewEval.
 type Program struct {
 	circ *circuit.Circuit
-	// clauses lists the clause plan after compile-time resolution: clauses
-	// satisfied by a pinned or constant variable are dropped, literals it
-	// falsifies are removed.
-	clauses [][]blit
+	// lits holds the clause plan after compile-time resolution, one clause
+	// after another: clauses satisfied by a pinned or constant variable are
+	// dropped, literals it falsifies are removed. Clause i is
+	// lits[starts[i]:starts[i+1]].
+	lits   []blit
+	starts []int32
 	// unsat is set when some clause lost every literal to that resolution
 	// (or a pin contradicts a constant node): no row satisfies the CNF, so
-	// Verify reports zero valid lanes.
+	// Sweep reports zero valid lanes.
 	unsat bool
 }
 
@@ -66,14 +69,17 @@ func New(c *circuit.Circuit, nodeOf map[int]circuit.NodeID, f *cnf.Formula, pins
 	for _, cl := range f.Clauses {
 		total += len(cl)
 	}
-	flat := make([]blit, 0, total)
-	p := &Program{circ: c, clauses: make([][]blit, 0, len(f.Clauses)+len(pins))}
+	p := &Program{
+		circ:   c,
+		lits:   make([]blit, 0, total),
+		starts: make([]int32, 1, len(f.Clauses)+len(pins)+1),
+	}
 	for _, cl := range f.Clauses {
-		lo, sat := len(flat), false
+		lo, sat := len(p.lits), false
 		for _, l := range cl {
 			v := l.Var()
 			if id := node[v]; id >= 0 {
-				flat = append(flat, blit{node: id, neg: !l.Positive()})
+				p.lits = append(p.lits, blit{node: id, neg: !l.Positive()})
 			} else if l.Sat(val[v]) {
 				sat = true
 				break
@@ -81,11 +87,11 @@ func New(c *circuit.Circuit, nodeOf map[int]circuit.NodeID, f *cnf.Formula, pins
 		}
 		switch {
 		case sat:
-			flat = flat[:lo]
-		case len(flat) == lo:
+			p.lits = p.lits[:lo]
+		case len(p.lits) == lo:
 			return &Program{circ: c, unsat: true}
 		default:
-			p.clauses = append(p.clauses, flat[lo:len(flat):len(flat)])
+			p.starts = append(p.starts, int32(len(p.lits)))
 		}
 	}
 	for _, l := range pins {
@@ -96,16 +102,17 @@ func New(c *circuit.Circuit, nodeOf map[int]circuit.NodeID, f *cnf.Formula, pins
 			}
 			continue
 		}
-		lo := len(flat)
-		flat = append(flat, blit{node: int32(id), neg: !l.Positive()})
-		p.clauses = append(p.clauses, flat[lo:len(flat):len(flat)])
+		p.lits = append(p.lits, blit{node: int32(id), neg: !l.Positive()})
+		p.starts = append(p.starts, int32(len(p.lits)))
 	}
 	return p
 }
 
-// NumClauses returns the number of clauses retained after compile-time
-// resolution.
-func (p *Program) NumClauses() int { return len(p.clauses) }
+// Bytes returns the heap the compiled clause plan retains: the literal
+// slab and the clause starts at their allocated capacity.
+func (p *Program) Bytes() int64 {
+	return int64(cap(p.lits))*int64(unsafe.Sizeof(blit{})) + int64(cap(p.starts))*4
+}
 
 // sweepWidth is how many packed words one pass over the node/clause tape
 // evaluates: 4 words = 256 candidate lanes per pass. The unrolled kernels
@@ -132,154 +139,46 @@ func (p *Program) ScratchBytes() int64 {
 	return int64(len(p.circ.Nodes)) * sweepWidth * 8
 }
 
-// Verify evaluates the circuit on packed input columns and checks every
-// CNF clause, writing one validity mask word per input word: bit r of
-// valid[w] is set iff the full assignment induced by lane r of word w
-// satisfies the formula. cols holds one packed column per primary input
-// (in circuit input order), each at least words long; valid must be at
-// least words long. Lanes beyond the caller's batch carry whatever bits
-// the caller packed there — mask them off in valid before use.
+// Sweep evaluates the circuit on packed input columns and checks every
+// CNF clause for the words w in [lo, hi) with mask[w] != 0 (every word of
+// the range when mask is nil), writing one validity mask word per swept
+// word: bit r of valid[w] is set iff the full assignment induced by lane r
+// of word w satisfies the formula. cols holds one packed column per
+// primary input (in circuit input order), each at least hi words long.
+// Lanes beyond the caller's batch carry whatever bits the caller packed
+// there — mask them off in valid before use.
 //
-// The sweep is word-major: all nodes and clauses are evaluated for one
-// word before moving to the next, so the working set is one uint64 per
-// node regardless of batch size. Verify performs no allocations.
-func (e *Eval) Verify(cols [][]uint64, words int, valid []uint64) {
+// A non-nil plan also extracts projected signatures in the same sweep: it
+// maps projection variables to circuit nodes
+// (extract.Result.ProjectionNodes), and bit r of proj[k][w] becomes lane
+// r's value for the k-th projection variable.
+//
+// Words outside the range, or with mask[w] == 0, keep their valid and
+// proj words untouched. A lane's validity and signature are pure functions
+// of its packed bits, so the continuous-batch scheduler keeps both across
+// sweeps, marks every changed lane's word in mask, and sweeps each worker's
+// tile range with that worker's own Eval. Dirty words are gathered into
+// groups of sweepWidth, so a sparse mask still fills wide passes.
+//
+// The sweep is word-major: every node and clause is evaluated for one
+// group before the next, so the working set is sweepWidth uint64s per node
+// regardless of batch size. Sweep performs no allocations.
+func (e *Eval) Sweep(cols [][]uint64, lo, hi int, mask, valid []uint64, plan []int32, proj [][]uint64) {
 	p := e.prog
 	if len(cols) != len(p.circ.Inputs) {
 		panic(fmt.Sprintf("bitblast: got %d input columns for %d inputs", len(cols), len(p.circ.Inputs)))
-	}
-	if p.unsat {
-		for w := 0; w < words; w++ {
-			valid[w] = 0
-		}
-		return
-	}
-	var ws [sweepWidth]int
-	for w := 0; w < words; w += sweepWidth {
-		k := words - w
-		if k > sweepWidth {
-			k = sweepWidth
-		}
-		for j := 0; j < k; j++ {
-			ws[j] = w + j
-		}
-		e.flushGroup(cols, &ws, k, valid, nil, nil)
-	}
-}
-
-// VerifyMasked is the incremental form of Verify used by the continuous-
-// batch scheduler: it re-runs the node evaluation and clause sweep only for
-// words w with mask[w] != 0 (words holding at least one lane whose packed
-// bits changed since the caller's last sweep) and leaves valid[w] untouched
-// for clean words. Because a lane's validity is a pure function of its
-// packed bits, a caller that keeps valid[] across sweeps and marks every
-// changed lane's word dirty reads exact results at a fraction of the full
-// sweep's cost. Like Verify, it performs no allocations.
-func (e *Eval) VerifyMasked(cols [][]uint64, words int, mask, valid []uint64) {
-	e.VerifyMaskedRange(cols, 0, words, mask, valid)
-}
-
-// VerifyMaskedRange is VerifyMasked restricted to words [lo, hi) — the
-// per-tile form the parallel scheduler uses: each worker sweeps only the
-// word range its tiles own, with its own Eval scratch. Dirty words are
-// gathered into groups of sweepWidth so a sparse mask still fills wide
-// passes. No allocations.
-func (e *Eval) VerifyMaskedRange(cols [][]uint64, lo, hi int, mask, valid []uint64) {
-	p := e.prog
-	if len(cols) != len(p.circ.Inputs) {
-		panic(fmt.Sprintf("bitblast: got %d input columns for %d inputs", len(cols), len(p.circ.Inputs)))
-	}
-	if p.unsat {
-		for w := lo; w < hi; w++ {
-			if mask[w] != 0 {
-				valid[w] = 0
-			}
-		}
-		return
 	}
 	var ws [sweepWidth]int
 	k := 0
 	for w := lo; w < hi; w++ {
-		if mask[w] == 0 {
+		if mask != nil && mask[w] == 0 {
 			continue
 		}
-		ws[k] = w
-		k++
-		if k == sweepWidth {
-			e.flushGroup(cols, &ws, sweepWidth, valid, nil, nil)
-			k = 0
-		}
-	}
-	if k > 0 {
-		e.flushGroup(cols, &ws, k, valid, nil, nil)
-	}
-}
-
-// VerifyProject is Verify plus projected-signature extraction in the same
-// word sweep: alongside valid, it fills one packed projection column per
-// plan entry — bit r of proj[k][w] is lane r's value for the k-th
-// projection variable. plan maps projection variables to circuit nodes
-// (extract.Result.ProjectionNodes). Each proj[k] must be at least words
-// long. No allocations.
-func (e *Eval) VerifyProject(cols [][]uint64, words int, valid []uint64, plan []int32, proj [][]uint64) {
-	p := e.prog
-	if len(cols) != len(p.circ.Inputs) {
-		panic(fmt.Sprintf("bitblast: got %d input columns for %d inputs", len(cols), len(p.circ.Inputs)))
-	}
-	if p.unsat {
-		for w := 0; w < words; w++ {
+		if p.unsat {
 			valid[w] = 0
-			for k := range plan {
-				proj[k][w] = 0
+			for j := range plan {
+				proj[j][w] = 0
 			}
-		}
-		return
-	}
-	var ws [sweepWidth]int
-	for w := 0; w < words; w += sweepWidth {
-		k := words - w
-		if k > sweepWidth {
-			k = sweepWidth
-		}
-		for j := 0; j < k; j++ {
-			ws[j] = w + j
-		}
-		e.flushGroup(cols, &ws, k, valid, plan, proj)
-	}
-}
-
-// VerifyMaskedProject is the incremental form of VerifyProject: words with
-// mask[w] == 0 keep both their cached validity and their cached projection
-// columns (a lane's projected signature, like its validity, is a pure
-// function of its packed bits). The continuous-batch scheduler's projected
-// dedup relies on this caching contract. No allocations.
-func (e *Eval) VerifyMaskedProject(cols [][]uint64, words int, mask, valid []uint64, plan []int32, proj [][]uint64) {
-	e.VerifyMaskedProjectRange(cols, 0, words, mask, valid, plan, proj)
-}
-
-// VerifyMaskedProjectRange is VerifyMaskedProject restricted to words
-// [lo, hi) — the per-tile form for parallel projected sessions. No
-// allocations.
-func (e *Eval) VerifyMaskedProjectRange(cols [][]uint64, lo, hi int, mask, valid []uint64, plan []int32, proj [][]uint64) {
-	p := e.prog
-	if len(cols) != len(p.circ.Inputs) {
-		panic(fmt.Sprintf("bitblast: got %d input columns for %d inputs", len(cols), len(p.circ.Inputs)))
-	}
-	if p.unsat {
-		for w := lo; w < hi; w++ {
-			if mask[w] != 0 {
-				valid[w] = 0
-				for k := range plan {
-					proj[k][w] = 0
-				}
-			}
-		}
-		return
-	}
-	var ws [sweepWidth]int
-	k := 0
-	for w := lo; w < hi; w++ {
-		if mask[w] == 0 {
 			continue
 		}
 		ws[k] = w
@@ -441,10 +340,14 @@ func (e *Eval) evalWords(cols [][]uint64, ws *[sweepWidth]int, k int) {
 // only when all four lanes are dead.
 func (e *Eval) checkWords() (uint64, uint64, uint64, uint64) {
 	s0, s1, s2, s3 := ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)
-	vals := e.vals
-	for _, cl := range e.prog.clauses {
+	vals, lits, starts := e.vals, e.prog.lits, e.prog.starts
+	j := 0
+	for _, end := range starts[1:] {
 		c0, c1, c2, c3 := uint64(0), uint64(0), uint64(0), uint64(0)
-		for _, l := range cl {
+		// An index walk, not a range over lits[lo:end]: re-slicing per
+		// clause costs checkWords about a fifth of its time.
+		for ; j < int(end); j++ {
+			l := lits[j]
 			b := int(l.node) * sweepWidth
 			v0, v1, v2, v3 := vals[b], vals[b+1], vals[b+2], vals[b+3]
 			if l.neg {

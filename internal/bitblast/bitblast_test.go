@@ -61,258 +61,287 @@ func packInputs(r *rand.Rand, n, batch int) (cols [][]uint64, rows [][]bool) {
 	return cols, rows
 }
 
-// TestVerifyMatchesOracle is the verifier's core differential property:
-// on random Tseitin-encoded circuits run through the paper's
-// transformation, the packed word sweep must agree with the per-row
-// oracle (AssignmentFromInputs + Formula.Sat) on every lane.
-func TestVerifyMatchesOracle(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 25; trial++ {
-		c := randomCircuit(r, 3+r.Intn(5), 5+r.Intn(15))
-		enc := c.Tseitin()
-		ext, err := extract.Transform(enc.Formula)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
+// sweepCase is one way of calling Eval.Sweep. The differentials below run
+// every case against the per-row oracle, so each form of the sweep —
+// full, masked, split across workers, partial range, with or without a
+// projection plan, over a satisfiable or an unsat program — is checked
+// by the same code.
+type sweepCase struct {
+	name    string
+	mask    string // "" sweeps every word (nil mask); "random" or "all" dirty words
+	ranges  string // "" one Eval over [0, words); "split" two Evals at a cut; "tail" only [cut, words)
+	project bool   // pass a projection plan
+	unsat   bool   // sweep a program whose pins empty a clause
+}
+
+// sweepFixture is one random problem, run through the paper's
+// transformation with packed random rows: a Tseitin-encoded circuit plus
+// one variable no clause mentions, which extraction gives a free input
+// (so there is always at least one input).
+type sweepFixture struct {
+	f     *cnf.Formula
+	ext   *extract.Result
+	vars  []int // projection variables (a random subset plus the free one)
+	plan  []int32
+	cols  [][]uint64
+	words int
+	// The oracle's answer for every lane of every word: validity, and one
+	// projection column per projection variable.
+	valid     []uint64
+	projWords [][]uint64
+}
+
+func newSweepFixture(t testing.TB, r *rand.Rand) *sweepFixture {
+	t.Helper()
+	c := randomCircuit(r, 3+r.Intn(6), 5+r.Intn(20))
+	enc := c.Tseitin()
+	nv := enc.Formula.NumVars + 1
+	f := &cnf.Formula{NumVars: nv, Clauses: enc.Formula.Clauses}
+	ext, err := extract.Transform(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := &sweepFixture{f: f, ext: ext}
+	for v := 1; v < nv; v++ {
+		if r.Intn(3) == 0 {
+			x.vars = append(x.vars, v)
 		}
-		n := len(ext.Circuit.Inputs)
-		if n == 0 {
-			continue
+	}
+	x.vars = append(x.vars, nv)
+	x.plan = ext.ProjectionNodes(x.vars)
+	// At least two words, a ragged tail: covers tail lanes, word cuts
+	// and partial sweep groups.
+	batch := 65 + r.Intn(640)
+	var rows [][]bool
+	x.cols, rows = packInputs(r, len(ext.Circuit.Inputs), batch)
+	x.words = (batch + 63) / 64
+	x.valid = make([]uint64, x.words)
+	x.projWords = make([][]uint64, len(x.vars))
+	for k := range x.projWords {
+		x.projWords[k] = make([]uint64, x.words)
+	}
+	// Lanes past the batch are all-false rows; the oracle checks them too.
+	for b := 0; b < 64*x.words; b++ {
+		row := make([]bool, len(ext.Circuit.Inputs))
+		if b < batch {
+			row = rows[b]
 		}
-		batch := 70 // deliberately not a multiple of 64: exercises tail lanes
-		cols, rows := packInputs(r, n, batch)
-		words := (batch + 63) / 64
-		valid := make([]uint64, words)
-		ev := bitblast.New(ext.Circuit, ext.NodeOf, enc.Formula, nil).NewEval()
-		ev.Verify(cols, words, valid)
-		for b := 0; b < batch; b++ {
-			got := valid[b>>6]>>(uint(b)&63)&1 == 1
-			assign := ext.AssignmentFromInputs(enc.Formula.NumVars, rows[b])
-			want := enc.Formula.Sat(assign)
-			if got != want {
-				t.Fatalf("trial %d row %d: packed=%v oracle=%v", trial, b, got, want)
+		assign := ext.AssignmentFromInputs(nv, row)
+		bit := uint64(1) << (uint(b) & 63)
+		if f.Sat(assign) {
+			x.valid[b>>6] |= bit
+		}
+		for k, v := range x.vars {
+			if assign[v-1] {
+				x.projWords[k][b>>6] |= bit
 			}
 		}
 	}
+	return x
+}
+
+// program compiles the fixture's verifier; under unsat, a unit clause on
+// x1 with the pin ¬x1 empties a clause at compile time.
+func (x *sweepFixture) program(unsat bool) *bitblast.Program {
+	if !unsat {
+		return bitblast.New(x.ext.Circuit, x.ext.NodeOf, x.f, nil)
+	}
+	f := &cnf.Formula{NumVars: x.f.NumVars, Clauses: append([]cnf.Clause{{1}}, x.f.Clauses...)}
+	return bitblast.New(x.ext.Circuit, x.ext.NodeOf, f, []cnf.Lit{-1})
+}
+
+// run sweeps the fixture as c says into valid and proj (proj ignored
+// without a plan) and returns which words the call was asked to sweep.
+func (x *sweepFixture) run(r *rand.Rand, c sweepCase, valid []uint64, proj [][]uint64) []bool {
+	prog := x.program(c.unsat)
+	var mask []uint64
+	switch c.mask {
+	case "random":
+		mask = make([]uint64, x.words)
+		for w := range mask {
+			if r.Intn(2) == 0 {
+				mask[w] = 1 << uint(r.Intn(64)) // any dirty lane marks the word
+			}
+		}
+	case "all":
+		mask = make([]uint64, x.words)
+		for w := range mask {
+			mask[w] = ^uint64(0)
+		}
+	}
+	var plan []int32
+	if c.project {
+		plan = x.plan
+	}
+	cut := 1 + r.Intn(x.words-1)
+	switch c.ranges {
+	case "split": // two workers, each with its own Eval
+		prog.NewEval().Sweep(x.cols, 0, cut, mask, valid, plan, proj)
+		prog.NewEval().Sweep(x.cols, cut, x.words, mask, valid, plan, proj)
+	case "tail": // dirty words before the cut are out of range
+		prog.NewEval().Sweep(x.cols, cut, x.words, mask, valid, plan, proj)
+	default:
+		prog.NewEval().Sweep(x.cols, 0, x.words, mask, valid, plan, proj)
+	}
+	swept := make([]bool, x.words)
+	for w := range swept {
+		swept[w] = (mask == nil || mask[w] != 0) && (c.ranges != "tail" || w >= cut)
+	}
+	return swept
+}
+
+// checkSweep runs each case over trials random fixtures: every swept word
+// must equal the oracle (zero for an unsat program), and every other
+// word — valid and projection alike — must keep the stale value it held.
+func checkSweep(t *testing.T, seed int64, trials int, cases ...sweepCase) {
+	t.Helper()
+	r := rand.New(rand.NewSource(seed))
+	for trial := 0; trial < trials; trial++ {
+		x := newSweepFixture(t, r)
+		for _, c := range cases {
+			stale := func() []uint64 {
+				s := make([]uint64, x.words)
+				for w := range s {
+					s[w] = r.Uint64()
+				}
+				return s
+			}
+			valid, proj := stale(), make([][]uint64, len(x.vars))
+			for k := range proj {
+				proj[k] = stale()
+			}
+			wantValid := append([]uint64(nil), valid...)
+			wantProj := make([][]uint64, len(proj))
+			for k := range proj {
+				wantProj[k] = append([]uint64(nil), proj[k]...)
+			}
+			swept := x.run(r, c, valid, proj)
+			for w, s := range swept {
+				if !s {
+					continue
+				}
+				wantValid[w] = 0
+				if !c.unsat {
+					wantValid[w] = x.valid[w]
+				}
+				if c.project {
+					for k := range wantProj {
+						wantProj[k][w] = 0
+						if !c.unsat {
+							wantProj[k][w] = x.projWords[k][w]
+						}
+					}
+				}
+			}
+			for w := range valid {
+				if valid[w] != wantValid[w] {
+					t.Fatalf("%s trial %d word %d (swept %t): valid %x, want %x", c.name, trial, w, swept[w], valid[w], wantValid[w])
+				}
+				for k := range proj {
+					if proj[k][w] != wantProj[k][w] {
+						t.Fatalf("%s trial %d word %d var %d (swept %t): projection %x, want %x",
+							c.name, trial, w, x.vars[k], swept[w], proj[k][w], wantProj[k][w])
+					}
+				}
+			}
+		}
+	}
+}
+
+// checkSweepAllocs: every case's sweep runs without allocating — it runs
+// inside the scheduler's steady-state tick.
+func checkSweepAllocs(t *testing.T, seed int64, cases ...sweepCase) {
+	t.Helper()
+	r := rand.New(rand.NewSource(seed))
+	x := newSweepFixture(t, r)
+	mask := make([]uint64, x.words)
+	for w := range mask {
+		mask[w] = uint64(w % 3) // a mix of clean and dirty words
+	}
+	valid := make([]uint64, x.words)
+	proj := make([][]uint64, len(x.vars))
+	for k := range proj {
+		proj[k] = make([]uint64, x.words)
+	}
+	for _, c := range cases {
+		ev := x.program(c.unsat).NewEval()
+		var m []uint64
+		if c.mask != "" {
+			m = mask
+		}
+		var plan []int32
+		if c.project {
+			plan = x.plan
+		}
+		lo := 0
+		if c.ranges != "" {
+			lo = 1
+		}
+		if allocs := testing.AllocsPerRun(100, func() {
+			ev.Sweep(x.cols, lo, x.words, m, valid, plan, proj)
+		}); allocs != 0 {
+			t.Errorf("%s: Sweep allocates %.1f times per call, want 0", c.name, allocs)
+		}
+	}
+}
+
+// TestVerifyMatchesOracle is the verifier's core differential property:
+// on random Tseitin-encoded circuits run through the paper's
+// transformation, the full packed word sweep must agree with the per-row
+// oracle (AssignmentFromInputs + Formula.Sat) on every lane, tail lanes
+// included; a program whose pins empty a clause accepts no lane.
+func TestVerifyMatchesOracle(t *testing.T) {
+	checkSweep(t, 7, 25,
+		sweepCase{name: "full"},
+		sweepCase{name: "full-unsat", unsat: true})
 }
 
 // TestVerifyMaskedMatchesVerify: the masked incremental sweep must agree
 // with the full sweep on every dirty word and must not touch the cached
 // validity of clean words — the contract the continuous-batch scheduler's
-// per-iteration verification relies on.
+// per-iteration verification relies on. An all-dirty mask is the full
+// sweep.
 func TestVerifyMaskedMatchesVerify(t *testing.T) {
-	r := rand.New(rand.NewSource(19))
-	for trial := 0; trial < 20; trial++ {
-		c := randomCircuit(r, 3+r.Intn(5), 5+r.Intn(15))
-		enc := c.Tseitin()
-		ext, err := extract.Transform(enc.Formula)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		n := len(ext.Circuit.Inputs)
-		if n == 0 {
-			continue
-		}
-		batch := 70 + r.Intn(200) // covers tail lanes and multi-word batches
-		cols, _ := packInputs(r, n, batch)
-		words := (batch + 63) / 64
-		prog := bitblast.New(ext.Circuit, ext.NodeOf, enc.Formula, nil)
-		full := make([]uint64, words)
-		prog.NewEval().Verify(cols, words, full)
-
-		mask := make([]uint64, words)
-		cached := make([]uint64, words)
-		ev := prog.NewEval()
-		for w := 0; w < words; w++ {
-			if r.Intn(2) == 0 {
-				mask[w] = 1 << uint(r.Intn(64)) // any dirty lane marks the word
-			}
-			cached[w] = r.Uint64() // stale garbage the sweep must preserve
-		}
-		want := append([]uint64(nil), cached...)
-		ev.VerifyMasked(cols, words, mask, cached)
-		for w := 0; w < words; w++ {
-			if mask[w] != 0 {
-				if cached[w] != full[w] {
-					t.Fatalf("trial %d word %d: masked=%x full=%x", trial, w, cached[w], full[w])
-				}
-			} else if cached[w] != want[w] {
-				t.Fatalf("trial %d word %d: clean word rewritten %x -> %x", trial, w, want[w], cached[w])
-			}
-		}
-		// All-dirty masked sweep == full sweep.
-		for w := range mask {
-			mask[w] = ^uint64(0)
-		}
-		ev.VerifyMasked(cols, words, mask, cached)
-		for w := 0; w < words; w++ {
-			if cached[w] != full[w] {
-				t.Fatalf("trial %d word %d: all-dirty masked sweep diverged", trial, w)
-			}
-		}
-	}
+	checkSweep(t, 19, 20,
+		sweepCase{name: "masked", mask: "random"},
+		sweepCase{name: "all-dirty", mask: "all"},
+		sweepCase{name: "masked-unsat", mask: "random", unsat: true})
 }
 
 // TestVerifyProjectMatchesOracle: the packed projected signatures must
-// agree lane-by-lane (including tail lanes) with projecting the per-row
-// oracle's full assignment, for projections over every variable class (PI,
-// intermediate, PO, and a variable no clause mentions).
+// agree lane by lane (tail lanes included) with projecting the per-row
+// oracle's full assignment, over every variable class (PI, intermediate,
+// PO, and a variable no clause mentions); a plan leaves validity as it is
+// without one; a masked sweep keeps stale projection bits in clean words;
+// an unsat program zeroes the swept projection words.
 func TestVerifyProjectMatchesOracle(t *testing.T) {
-	r := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 25; trial++ {
-		c := randomCircuit(r, 3+r.Intn(5), 5+r.Intn(15))
-		enc := c.Tseitin()
-		// One variable past the encoding's: no clause mentions it, so
-		// extraction gives it a free input with no fanout.
-		nv := enc.Formula.NumVars + 1
-		f := &cnf.Formula{NumVars: nv, Clauses: enc.Formula.Clauses}
-		ext, err := extract.Transform(f)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		n := len(ext.Circuit.Inputs)
-		// Random projection over the encoding's variables plus the free one.
-		var vars []int
-		for v := 1; v < nv; v++ {
-			if r.Intn(3) == 0 {
-				vars = append(vars, v)
-			}
-		}
-		vars = append(vars, nv)
-		plan := ext.ProjectionNodes(vars)
-
-		batch := 70
-		cols, rows := packInputs(r, n, batch)
-		words := (batch + 63) / 64
-		valid := make([]uint64, words)
-		proj := make([][]uint64, len(vars))
-		for k := range proj {
-			proj[k] = make([]uint64, words)
-		}
-		ev := bitblast.New(ext.Circuit, ext.NodeOf, f, nil).NewEval()
-		ev.VerifyProject(cols, words, valid, plan, proj)
-
-		fullValid := make([]uint64, words)
-		bitblast.New(ext.Circuit, ext.NodeOf, f, nil).NewEval().Verify(cols, words, fullValid)
-		for b := 0; b < batch; b++ {
-			if valid[b>>6] != fullValid[b>>6] {
-				t.Fatalf("trial %d: VerifyProject changed validity word %d", trial, b>>6)
-			}
-			assign := ext.AssignmentFromInputs(nv, rows[b])
-			for k, v := range vars {
-				got := proj[k][b>>6]>>(uint(b)&63)&1 == 1
-				want := assign[v-1]
-				if got != want {
-					t.Fatalf("trial %d row %d var %d: projected=%v oracle=%v", trial, b, v, got, want)
-				}
-			}
-		}
-
-		// Masked variant: clean words keep stale projection bits, dirty
-		// words match the full sweep.
-		mask := make([]uint64, words)
-		cachedV := make([]uint64, words)
-		cachedP := make([][]uint64, len(vars))
-		for k := range cachedP {
-			cachedP[k] = make([]uint64, words)
-			for w := range cachedP[k] {
-				cachedP[k][w] = r.Uint64()
-			}
-		}
-		wantP := make([][]uint64, len(vars))
-		for k := range wantP {
-			wantP[k] = append([]uint64(nil), cachedP[k]...)
-		}
-		for w := 0; w < words; w++ {
-			if r.Intn(2) == 0 {
-				mask[w] = 1
-			}
-		}
-		ev.VerifyMaskedProject(cols, words, mask, cachedV, plan, cachedP)
-		for w := 0; w < words; w++ {
-			for k := range vars {
-				if mask[w] != 0 {
-					if cachedP[k][w] != proj[k][w] {
-						t.Fatalf("trial %d word %d var %d: masked projection diverged", trial, w, k)
-					}
-				} else if cachedP[k][w] != wantP[k][w] {
-					t.Fatalf("trial %d word %d var %d: clean projection word rewritten", trial, w, k)
-				}
-			}
-		}
-	}
+	checkSweep(t, 23, 25,
+		sweepCase{name: "project", project: true},
+		sweepCase{name: "masked-project", mask: "random", project: true},
+		sweepCase{name: "project-unsat", project: true, unsat: true},
+		sweepCase{name: "masked-project-unsat", mask: "random", project: true, unsat: true})
 }
 
-// TestVerifyProjectZeroAllocs: the projected sweep must not allocate.
+// TestVerifyProjectZeroAllocs: the projected sweeps must not allocate.
 func TestVerifyProjectZeroAllocs(t *testing.T) {
-	r := rand.New(rand.NewSource(37))
-	c := randomCircuit(r, 6, 20)
-	enc := c.Tseitin()
-	ext, err := extract.Transform(enc.Formula)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cols, _ := packInputs(r, len(ext.Circuit.Inputs), 256)
-	words := 4
-	vars := []int{1, 2, enc.Formula.NumVars}
-	plan := ext.ProjectionNodes(vars)
-	proj := make([][]uint64, len(vars))
-	for k := range proj {
-		proj[k] = make([]uint64, words)
-	}
-	valid := make([]uint64, words)
-	mask := []uint64{^uint64(0), 0, 1, 0}
-	ev := bitblast.New(ext.Circuit, ext.NodeOf, enc.Formula, nil).NewEval()
-	if allocs := testing.AllocsPerRun(100, func() {
-		ev.VerifyProject(cols, words, valid, plan, proj)
-	}); allocs != 0 {
-		t.Errorf("VerifyProject allocates %.1f times per call, want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		ev.VerifyMaskedProject(cols, words, mask, valid, plan, proj)
-	}); allocs != 0 {
-		t.Errorf("VerifyMaskedProject allocates %.1f times per call, want 0", allocs)
-	}
+	checkSweepAllocs(t, 37,
+		sweepCase{name: "project", project: true},
+		sweepCase{name: "masked-project", mask: "random", project: true},
+		sweepCase{name: "project-unsat", project: true, unsat: true})
 }
 
 // TestVerifyMaskedZeroAllocs: the incremental sweep must not allocate.
 func TestVerifyMaskedZeroAllocs(t *testing.T) {
-	r := rand.New(rand.NewSource(31))
-	c := randomCircuit(r, 6, 20)
-	enc := c.Tseitin()
-	ext, err := extract.Transform(enc.Formula)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cols, _ := packInputs(r, len(ext.Circuit.Inputs), 256)
-	words := 4
-	mask := []uint64{^uint64(0), 0, 1, 0}
-	valid := make([]uint64, words)
-	ev := bitblast.New(ext.Circuit, ext.NodeOf, enc.Formula, nil).NewEval()
-	allocs := testing.AllocsPerRun(100, func() { ev.VerifyMasked(cols, words, mask, valid) })
-	if allocs != 0 {
-		t.Errorf("VerifyMasked allocates %.1f times per call, want 0", allocs)
-	}
+	checkSweepAllocs(t, 31,
+		sweepCase{name: "masked", mask: "random"},
+		sweepCase{name: "masked-unsat", mask: "random", unsat: true})
 }
 
-// TestVerifyZeroAllocs: the word sweep must not allocate.
+// TestVerifyZeroAllocs: the full word sweep must not allocate.
 func TestVerifyZeroAllocs(t *testing.T) {
-	r := rand.New(rand.NewSource(13))
-	c := randomCircuit(r, 6, 20)
-	enc := c.Tseitin()
-	ext, err := extract.Transform(enc.Formula)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := len(ext.Circuit.Inputs)
-	cols, _ := packInputs(r, n, 256)
-	words := 4
-	valid := make([]uint64, words)
-	ev := bitblast.New(ext.Circuit, ext.NodeOf, enc.Formula, nil).NewEval()
-	ev.Verify(cols, words, valid)
-	allocs := testing.AllocsPerRun(100, func() { ev.Verify(cols, words, valid) })
-	if allocs != 0 {
-		t.Errorf("Verify allocates %.1f times per call, want 0", allocs)
-	}
+	checkSweepAllocs(t, 13,
+		sweepCase{name: "full"},
+		sweepCase{name: "full-unsat", unsat: true})
 }
 
 // BenchmarkVerify compares the packed 64-lane sweep against the per-row
@@ -335,7 +364,7 @@ func BenchmarkVerify(b *testing.B) {
 		ev := bitblast.New(ext.Circuit, ext.NodeOf, enc.Formula, nil).NewEval()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			ev.Verify(cols, words, valid)
+			ev.Sweep(cols, 0, words, nil, valid, nil, nil)
 		}
 		b.ReportMetric(float64(batch)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 	})

@@ -4,8 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"unsafe"
 
 	"repro/internal/bitblast"
+	"repro/internal/circuit"
 	"repro/internal/cnf"
 	"repro/internal/extract"
 )
@@ -32,12 +34,17 @@ type Problem struct {
 
 // Compile lowers a transformation result into a shareable Problem: it
 // compiles the fused engine, the bitblast verifier, and the cache tile.
-// The returned Problem is read-only and safe for concurrent use.
+// The Problem keeps a copy of ext without its Bindings, which no sampler
+// reads and GDSP does not store, so a compiled Problem holds the same
+// data as its decode. The returned Problem is read-only and safe for
+// concurrent use.
 func Compile(f *cnf.Formula, ext *extract.Result) (*Problem, error) {
 	if len(ext.Circuit.Inputs) == 0 {
 		return nil, errors.New("core: transformed circuit has no primary inputs")
 	}
-	return newProblem(f, ext, f.ContentHash(), nil), nil
+	kept := *ext
+	kept.Bindings = nil
+	return newProblem(f, &kept, f.ContentHash(), nil), nil
 }
 
 // newProblem compiles the engine, the verifier (with assume resolved as
@@ -193,6 +200,62 @@ func (p *Problem) MemoryEstimate(sh Shape) int64 {
 	}
 	return fixed + linear + int64(sh.Pool())*p.solutionBytes(sh.Projection)
 }
+
+// RetainedBytes prices the heap this Problem retains from the lengths of
+// the arrays it holds: the formula's clauses and literals, the circuit's
+// nodes, fanins and input names, the extraction's variable lists, node
+// map and clause provenance, the engine's code and the verifier's clause
+// slab. The sum is scaled by retainSlack for the append growth and
+// size-class rounding that compiling leaves and decoding's exact-size
+// allocations do not. A compiled Problem and its GDSP decode price the
+// same bytes, and the heap either retains lies within
+// [RetainedBytes/2, RetainedBytes] (TestRetainedBytesBoundsHeap in
+// internal/sampling). A specialized Problem shares its base's formula and
+// node map, so it is charged them again: the price stays a bound.
+func (p *Problem) RetainedBytes() int64 {
+	f, ext, e := p.formula, p.ext, p.eng
+	c := ext.Circuit
+	lits := len(f.Projection) + len(p.assume)
+	for _, cl := range f.Clauses {
+		lits += len(cl)
+	}
+	fanins := len(c.Inputs)
+	for _, nd := range c.Nodes {
+		fanins += len(nd.Fanin)
+	}
+	ints := len(ext.PrimaryInputs) + len(ext.Intermediates) + len(ext.PrimaryOutputs)
+	for _, srcs := range ext.OutputSources {
+		ints += len(srcs)
+	}
+	b := int64(len(f.Clauses)+len(ext.OutputSources))*int64(unsafe.Sizeof([]int(nil))) +
+		int64(lits)*int64(unsafe.Sizeof(cnf.Lit(0))) +
+		int64(len(c.Nodes))*int64(unsafe.Sizeof(circuit.Node{})) +
+		int64(fanins)*int64(unsafe.Sizeof(circuit.NodeID(0))) +
+		int64(len(c.Outputs))*int64(unsafe.Sizeof(circuit.Output{})) +
+		int64(len(c.Inputs))*inputNameBytes +
+		int64(ints)*int64(unsafe.Sizeof(0)) +
+		int64(len(ext.NodeOf))*nodeOfEntryBytes +
+		int64(len(e.code))*int64(unsafe.Sizeof(einstr{})) +
+		int64(len(e.outputs))*int64(unsafe.Sizeof(eout{})) +
+		int64(e.numInputs)*int64(unsafe.Sizeof(false)+unsafe.Sizeof(int32(0))) + // liveIn, liveInList
+		p.verify.Bytes()
+	return b * retainSlackNum / retainSlackDen
+}
+
+// RetainedBytes prices for what no element size shows.
+const (
+	// inputNameBytes is an input's "x<var>" name: one 8-byte size class
+	// below 10^7 variables.
+	inputNameBytes = 8
+	// nodeOfEntryBytes is one NodeOf entry: a 16-byte slot and its
+	// control byte, at the 7/16 to 7/8 load a map keeps as it grows.
+	nodeOfEntryBytes = 32
+	// retainSlackNum/retainSlackDen (11/8) covers growth and rounding.
+	// Measured, a fresh compile retains 0.66-0.89 of the price and a
+	// decode 0.56-0.67 (TestRetainedBytesBoundsHeap logs both).
+	retainSlackNum = 11
+	retainSlackDen = 8
+)
 
 // solutionBytes bounds the heap the dedup pool retains per solution: its
 // packed key, stored hash and hit tally, and under a projection its packed

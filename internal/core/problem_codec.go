@@ -31,21 +31,22 @@ import (
 // little-endian, length-prefixed sections, every length bounds-checked
 // against the remaining input before allocation, and a SHA-256 trailer
 // over all preceding bytes checked before any field parse — a torn or
-// corrupted file is a clean error, never a panic (FuzzDecodeProblem
-// guards this). Beyond the trailer, decode cross-checks the content
-// address: the embedded formula must hash (cnf.Formula.ContentHash) to
-// the embedded key, so a blob filed under the wrong key in the store can
-// never serve the wrong problem.
+// corrupted file is a clean error, never a panic (FuzzOpen guards the
+// envelope; FuzzDecodeProblem seals fuzzed bodies, so it guards every
+// field past the trailer). Beyond the trailer, decode cross-checks the
+// content address: the embedded formula must hash
+// (cnf.Formula.ContentHash) to the embedded key, so a blob filed under
+// the wrong key in the store can never serve the wrong problem.
 //
 // Derived state is NOT serialized: the engine tape, the verify plan and
 // the cache tile compile from the circuit, input node names rebuild from
-// their CNF variables, and extract.Result.Bindings (logic.Expr trees used
-// only by offline tooling) are dropped — a decoded Problem carries a nil
-// Bindings slice. Everything else the sampling runtime reads (circuit,
-// NodeOf, projection provenance, OutputSources) round-trips exactly,
-// which is what makes store-loaded Problems stream bit-identical
-// solutions to freshly compiled ones (the differential test in
-// problem_codec_test.go and e2e shard tier).
+// their CNF variables. extract.Result.Bindings (logic.Expr trees used
+// only by offline tooling) is not stored, and Compile drops it too, so a
+// decoded Problem holds the same data as a compiled one. Everything the
+// sampling runtime reads (circuit, NodeOf, projection provenance,
+// OutputSources) round-trips exactly, which is what makes store-loaded
+// Problems stream bit-identical solutions to freshly compiled ones (the
+// differential test in problem_codec_test.go and e2e shard tier).
 
 // ProblemVersion is the problem codec version: one layout whose
 // assumption list is empty for an unspecialized problem. Any other

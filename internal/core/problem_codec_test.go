@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"maps"
+	"os"
 	"slices"
 	"testing"
 
@@ -257,7 +258,7 @@ func TestDecodeProblemRejectsKeyMismatch(t *testing.T) {
 	// The key is the first str field: u16 length at offset 6, bytes after.
 	mut := append([]byte(nil), blob...)
 	copy(mut[8:], q.Key())
-	mut = resealProblem(mut)
+	mut = sealProblem(mut[:len(mut)-sha256.Size])
 	if _, err := DecodeProblem(mut); err == nil {
 		t.Fatal("key/formula mismatch decoded successfully")
 	} else if !errors.Is(err, ErrBadProblem) {
@@ -350,15 +351,42 @@ func TestDecodedProblemVerifiesAgainstItsFormula(t *testing.T) {
 	}
 }
 
-// FuzzDecodeProblem: arbitrary input must either decode into a problem
-// that re-encodes canonically, still matches its content address and runs
-// a sampler tick over the engine and verifier decode compiled from the
-// fuzzed circuit, or fail wrapping ErrBadProblem — and must never panic.
-// Seeded from benchgen formulas (the real artifact shapes the store holds)
-// plus structured mutations, mirroring FuzzDecodeSnapshot and
-// FuzzDecodeCheckpoint.
+// FuzzDecodeProblem: an arbitrary GDSP body, sealed with a valid SHA-256
+// trailer inside the target, must either decode into a problem that still
+// matches its content address, runs a sampler tick over the engine and
+// verifier decode compiled from the fuzzed circuit, and re-encodes
+// canonically, or fail wrapping ErrBadProblem — and must never panic.
+// Sealing in the target is what lets mutations of the circuit and
+// extraction sections reach decode, bitblast.New and the tick: a mutated
+// sealed blob would fail its trailer check first. FuzzOpen covers the
+// trailer, magic and version checks. Seeds are the committed GDSP
+// fixtures and benchgen compiles (the artifact shapes the store holds),
+// minus their trailers, plus structured mutations.
 func FuzzDecodeProblem(f *testing.F) {
-	seed := func(cf *cnf.Formula) {
+	seed := func(blob []byte) {
+		body := blob[:len(blob)-sha256.Size]
+		f.Add(body)
+		f.Add(body[:len(body)/2])
+		bumped := append([]byte(nil), body...)
+		bumped[4] ^= 0xFF // version field
+		f.Add(bumped)
+	}
+	for _, name := range []string{"gdsp_v3.bin", "gdsp_v3_pins.bin"} {
+		blob, err := os.ReadFile("testdata/" + name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		seed(blob)
+	}
+	proj, err := cnf.ParseDIMACSString(projFormula)
+	if err != nil {
+		f.Fatal(err)
+	}
+	formulas := []*cnf.Formula{proj}
+	for _, inst := range benchgen.SmallSuite()[1:] { // [0] is the fixtures' formula
+		formulas = append(formulas, inst.Formula)
+	}
+	for _, cf := range formulas {
 		p, err := CompileCNF(cf)
 		if err != nil {
 			f.Fatal(err)
@@ -367,32 +395,20 @@ func FuzzDecodeProblem(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(blob)
-		f.Add(blob[:len(blob)/2])
-		bumped := append([]byte(nil), blob...)
-		bumped[4] ^= 0xFF // version field
-		f.Add(bumped)
+		seed(blob)
 	}
-	for _, inst := range benchgen.SmallSuite() {
-		seed(inst.Formula)
-	}
-	proj, err := cnf.ParseDIMACSString(projFormula)
-	if err != nil {
-		f.Fatal(err)
-	}
-	seed(proj)
 	f.Add([]byte{})
 	f.Add([]byte("GDSP"))
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := DecodeProblem(data)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		p, err := DecodeProblem(sealProblem(body))
 		if err != nil {
 			if !errors.Is(err, ErrBadProblem) {
 				t.Fatalf("decode error does not wrap ErrBadProblem: %v", err)
 			}
 			return
 		}
-		if p.Formula().ContentHash() != p.Key() {
+		if cnf.AssumeKey(p.Formula().ContentHash(), p.Assumptions()) != p.Key() {
 			t.Fatal("decoded problem violates its content address")
 		}
 		s, err := p.NewSampler(Config{BatchSize: 64, Iterations: 2, Seed: 1, Device: tensor.Sequential()})
@@ -418,10 +434,9 @@ func FuzzDecodeProblem(f *testing.F) {
 	})
 }
 
-// resealProblem recomputes the SHA-256 trailer over a (possibly tampered)
-// body so tests can target semantic validation past the checksum.
-func resealProblem(blob []byte) []byte {
-	body := blob[:len(blob)-sha256.Size]
+// sealProblem appends a valid SHA-256 trailer to a GDSP body, so tests
+// reach the semantic validation past the checksum.
+func sealProblem(body []byte) []byte {
 	sum := sha256.Sum256(body)
 	return append(append([]byte(nil), body...), sum[:]...)
 }

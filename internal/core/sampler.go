@@ -171,7 +171,7 @@ type Sampler struct {
 	// k); the pool is keyed by prowbuf and each class keeps its first
 	// primary-input row in wit.
 	projection []int      // CNF variables defining solution identity
-	projPlan   []int32    // circuit node per projection variable (-1 = const false)
+	projPlan   []int32    // circuit node per projection variable
 	projbuf    []uint64   // backing store for projCols
 	projCols   [][]uint64 // one packed column per projection variable
 	prowbuf    []uint64   // one packed projected row, for hashing/dedup
@@ -690,11 +690,7 @@ func (s *Sampler) collect() int {
 		}
 	}
 
-	if s.projPlan != nil {
-		s.veval.VerifyProject(s.cols, words, s.valid, s.projPlan, s.projCols)
-	} else {
-		s.veval.Verify(s.cols, words, s.valid)
-	}
+	s.veval.Sweep(s.cols, 0, words, nil, s.valid, s.projPlan, s.projCols)
 	if tail := uint(batch) & 63; tail != 0 {
 		s.valid[words-1] &= (1 << tail) - 1
 	}

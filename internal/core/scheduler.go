@@ -20,7 +20,7 @@ import (
 //   - Every tick starts with a sweep: lanes whose hardened signs may have
 //     flipped since the last sweep (tracked for free inside the GD update)
 //     are repacked into the bit-parallel columns, and only words holding a
-//     dirty lane re-run the CNF clause sweep (bitblast.VerifyMasked) —
+//     dirty lane re-run the CNF clause sweep (bitblast.Eval.Sweep) —
 //     validity is a pure function of the packed bits, so cached masks stay
 //     exact for clean lanes.
 //   - Satisfied rows retire immediately: their solution folds into the
@@ -365,12 +365,7 @@ func (s *Sampler) sweepTile(w, t int) {
 	// Masked verify: clean words keep their cached masks (validity — and,
 	// under projection, the projected signature — is a pure function of the
 	// packed bits).
-	ev := s.vevals[w]
-	if s.projPlan != nil {
-		ev.VerifyMaskedProjectRange(s.cols, w0, w1, s.dirty, s.valid, s.projPlan, s.projCols)
-	} else {
-		ev.VerifyMaskedRange(s.cols, w0, w1, s.dirty, s.valid)
-	}
+	s.vevals[w].Sweep(s.cols, w0, w1, s.dirty, s.valid, s.projPlan, s.projCols)
 
 	// Retire scan: satisfied rows queue for the merge and recycle;
 	// unsatisfied rows age, and rows at the restart cap recycle without

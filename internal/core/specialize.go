@@ -124,7 +124,6 @@ func Specialize(p *Problem, assume []cnf.Lit) (*Problem, error) {
 		PrimaryInputs:  pis,
 		Intermediates:  ext.Intermediates,
 		PrimaryOutputs: ext.PrimaryOutputs,
-		Bindings:       ext.Bindings,
 		NodeOf:         ext.NodeOf,
 		OutputSources:  srcs,
 		TransformTime:  ext.TransformTime,

@@ -106,7 +106,7 @@ func (r *Result) GateHistogram() map[string]int {
 }
 
 // ProjectionNodes maps projection variables to circuit nodes for the
-// bit-parallel projected-signature path (bitblast.Eval.VerifyProject):
+// bit-parallel projected-signature path (bitblast.Eval.Sweep):
 // out[k] is the node of vars[k]. Every variable 1..NumVars has a node.
 func (r *Result) ProjectionNodes(vars []int) []int32 {
 	out := make([]int32, len(vars))

@@ -22,15 +22,15 @@ func HashFormula(f *cnf.Formula) string {
 
 // CompilerStats snapshots the cache counters. The snapshot is taken under
 // one lock acquisition, so its fields are mutually consistent even while
-// concurrent Compile calls run: ResidentBytes is exactly the sum over the
-// Entries whose compile has completed (in-flight entries contribute zero
-// until their artifact exists).
+// concurrent Compile calls run: ResidentBytes is exactly the sum of
+// core.Problem.RetainedBytes over the Entries whose compile has completed
+// (in-flight entries contribute zero until their artifact exists).
 type CompilerStats struct {
 	Hits          int64 // Compile calls served from the memory cache (or an in-flight compile)
 	Misses        int64 // Compile calls that fell past the memory tier (disk load or full compile)
 	Evictions     int64 // entries dropped by the LRU policy
 	Entries       int   // problems currently cached (including in-flight)
-	ResidentBytes int64 // approximate bytes held by completed cached problems
+	ResidentBytes int64 // retained heap of completed cached problems, priced by RetainedBytes (a bound within 2×)
 	DiskHits      int64 // artifacts decoded from the durable store instead of compiled
 	DiskMisses    int64 // store consultations that fell through to a full compile
 	DiskBytes     int64 // cumulative encoded bytes loaded from the durable store
@@ -74,7 +74,7 @@ type cacheEntry struct {
 	ready chan struct{}
 	prob  *Problem
 	err   error
-	bytes int64 // resident estimate, set (under the Compiler lock) on success
+	bytes int64 // RetainedBytes, set (under the Compiler lock) on success
 }
 
 // NewCompiler returns a Compiler whose cache holds up to capacity compiled
@@ -83,8 +83,11 @@ func NewCompiler(capacity int) *Compiler {
 	return NewCompilerBudget(capacity, 0)
 }
 
-// NewCompilerBudget additionally bounds the cache by approximate resident
-// bytes: entries are evicted (LRU first) while the completed entries' total
+// NewCompilerBudget additionally bounds the cache by retained heap: each
+// completed entry is charged core.Problem.RetainedBytes, which prices its
+// formula, circuit, extraction tables, engine code and verifier slab from
+// their array lengths and bounds the heap it retains within a factor of
+// two. Entries are evicted (LRU first) while the completed entries' total
 // exceeds byteBudget, so a cache full of large artifacts cannot pin
 // unbounded memory no matter how generous the entry-count capacity is.
 // byteBudget <= 0 disables the byte bound. A single entry larger than the
@@ -255,14 +258,14 @@ func (c *Compiler) getOrBuild(key string, build func() (*Problem, error)) (*Prob
 			delete(c.byKey, key)
 		}
 	default:
-		// Record the artifact's resident estimate, but only while the entry
+		// Record the artifact's retained bytes, but only while the entry
 		// is still cached — a concurrent burst may have evicted it in
 		// flight, and an evicted entry must not count toward residency.
 		// Sizes are only known at completion, so the byte bound is
 		// re-enforced here (the just-completed entry survives even when it
 		// alone exceeds the budget).
 		if cur, ok := c.byKey[key]; ok && cur == el {
-			e.bytes = residentEstimate(prob)
+			e.bytes = prob.core.RetainedBytes()
 			c.resident += e.bytes
 			c.evictLocked(el)
 		}
@@ -282,14 +285,6 @@ func (c *Compiler) writeBack(p *Problem) {
 	if blob, err := p.core.MarshalBinary(); err == nil {
 		c.store.Put(p.Key(), blob)
 	}
-}
-
-// residentEstimate approximates the bytes a cached Problem keeps resident:
-// the compiled engine's fixed single-worker working set (tile × value/
-// adjoint slots, via the core memory model) — the dominant per-artifact
-// cost, since the program arrays scale with the same slot counts.
-func residentEstimate(p *Problem) int64 {
-	return p.core.MemoryEstimate(core.Shape{Workers: 1})
 }
 
 // Lookup returns the cached Problem for a content-hash key without
@@ -405,7 +400,7 @@ func (c *Compiler) installLoaded(key string, prob *Problem) {
 	}
 	el := c.lru.PushFront(e)
 	c.byKey[key] = el
-	e.bytes = residentEstimate(prob)
+	e.bytes = prob.core.RetainedBytes()
 	c.resident += e.bytes
 	c.evictLocked(el)
 }

@@ -1,11 +1,13 @@
 package sampling
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
 	"repro/internal/benchgen"
 	"repro/internal/cnf"
+	"repro/internal/core"
 )
 
 func smallFormula() *cnf.Formula { return benchgen.SmallSuite()[0].Formula }
@@ -200,7 +202,7 @@ func TestCompilerResidentBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return residentEstimate(p)
+		return p.core.RetainedBytes()
 	}
 	e0, e1, e2 := est(ins[0].Formula), est(ins[1].Formula), est(ins[2].Formula)
 
@@ -228,6 +230,78 @@ func TestCompilerResidentBytes(t *testing.T) {
 	}
 }
 
+// liveHeap returns the heap bytes still reachable after a full collection.
+func liveHeap() int64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// TestRetainedBytesBoundsHeap: the compile cache's per-entry charge,
+// core.Problem.RetainedBytes, is a true bound on the heap a compiled
+// Problem retains, and not a loose one. On the Fig. 4 instances, the
+// live-heap growth of parsing and compiling a DIMACS body, and of decoding
+// its GDSP blob, must each lie in [estimate/2, estimate], and the fresh
+// Problem and its decode must price the same bytes. Prod-32 runs at the
+// 20 tree copies perfbench's table2 uses: at its full 170 it retains
+// about 30 MB, which the race-detector job would multiply.
+func TestRetainedBytesBoundsHeap(t *testing.T) {
+	if _, err := CompileProblem(smallFormula()); err != nil { // one-time package state
+		t.Fatal(err)
+	}
+	for _, inst := range []*benchgen.Instance{
+		benchgen.OrChain("or-100-20-8-UC-10", 98, 10, 10020),
+		benchgen.QChain("90-10-10-q", 15, 24, 9020),
+		benchgen.Iscas("s15850a_15_7", 600, 10390, 15, 15857),
+		benchgen.Prod("Prod-32-c20", 1061, 20, 32),
+	} {
+		t.Run(inst.Name, func(t *testing.T) {
+			text := inst.Formula.DIMACSString()
+			h0 := liveHeap()
+			f, err := cnf.ParseDIMACSString(text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := CompileProblem(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh := liveHeap() - h0
+			blob, err := p.core.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			h0 = liveHeap()
+			dec, err := core.DecodeProblem(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			decoded := liveHeap() - h0
+			est := p.core.RetainedBytes()
+			runtime.KeepAlive(p)
+			runtime.KeepAlive(dec)
+			t.Logf("estimate %d B; retained fresh %d B (%.2f), decoded %d B (%.2f)",
+				est, fresh, float64(fresh)/float64(est), decoded, float64(decoded)/float64(est))
+			if got := dec.RetainedBytes(); got != est {
+				t.Errorf("decoded problem prices %d B, fresh %d B", got, est)
+			}
+			for _, m := range []struct {
+				name string
+				heap int64
+			}{{"fresh", fresh}, {"decoded", decoded}} {
+				if m.heap > est {
+					t.Errorf("%s problem retains %d B > estimate %d B: the estimate is not a bound", m.name, m.heap, est)
+				}
+				if m.heap < est/2 {
+					t.Errorf("%s problem retains %d B < half the estimate %d B: the estimate is loose", m.name, m.heap, est)
+				}
+			}
+		})
+	}
+}
+
 // TestCompilerByteBudget: the cache evicts LRU entries once completed
 // residency exceeds the byte budget, even with entry-count headroom, and
 // never evicts its way below one entry.
@@ -238,7 +312,7 @@ func TestCompilerByteBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return residentEstimate(p)
+		return p.core.RetainedBytes()
 	}
 	e0, e1 := est(ins[0].Formula), est(ins[1].Formula)
 
@@ -307,7 +381,7 @@ func TestCompilerStatsConsistentUnderRace(t *testing.T) {
 	var want int64
 	for _, in := range ins {
 		if p, ok := c.Lookup(HashFormula(in.Formula)); ok {
-			want += residentEstimate(p)
+			want += p.core.RetainedBytes()
 		}
 	}
 	if st2 := c.Stats(); st2.ResidentBytes != want {
