@@ -2,8 +2,7 @@ package repro
 
 // Ablation benchmarks for the design choices DESIGN.md calls out:
 // GD iteration count (paper fixes 5), batch size (paper sweeps 100…10⁶),
-// classical momentum (optimizer extension; paper uses plain GD), and the
-// structural sweep pass (the paper's "can be further optimized" hook,
+// the structural sweep pass (the paper's "can be further optimized" hook,
 // measured as a second transform stage).
 
 import (
@@ -64,38 +63,6 @@ func BenchmarkAblationBatch(b *testing.B) {
 					b.Fatal(err)
 				}
 				st := s.SampleUntil(500, 5*time.Second)
-				total += st.Unique
-			}
-			b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "sol/s")
-		})
-	}
-}
-
-// BenchmarkAblationMomentum compares plain GD (the paper's optimizer)
-// against classical momentum.
-func BenchmarkAblationMomentum(b *testing.B) {
-	in := benchgen.Iscas("s15850a-mini", 300, 3000, 7, 15874)
-	ext, err := extract.Transform(in.Formula)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, mom := range []float32{0, 0.5, 0.9} {
-		mom := mom
-		name := "plain"
-		if mom > 0 {
-			name = "momentum=0." + itoa(int(mom*10))
-		}
-		b.Run(name, func(b *testing.B) {
-			total := 0
-			for i := 0; i < b.N; i++ {
-				s, err := core.New(in.Formula, ext, core.Config{
-					BatchSize: 2048, Momentum: mom, Seed: int64(i + 1),
-					Device: tensor.Parallel(),
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				st := s.SampleUntil(300, 5*time.Second)
 				total += st.Unique
 			}
 			b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "sol/s")

@@ -76,15 +76,12 @@ type einstr struct {
 	gd, ga, gb int32
 }
 
-// eout is one constrained output: value slot, gradient register, target,
-// and the circuit-output index it lowered from (src indexes
-// Circuit.Outputs / extract.Result.OutputSources — the provenance hook
-// clause-weighted sessions aggregate over).
+// eout is one constrained output: value slot, gradient register and
+// target.
 type eout struct {
 	slot   int32
 	greg   int32
 	target float32
-	src    int32
 }
 
 // engine is the compiled fused pipeline for one circuit.
@@ -241,7 +238,7 @@ func compileEngine(c *circuit.Circuit) *engine {
 		}
 		return 0
 	}
-	for oi, o := range c.Outputs {
+	for _, o := range c.Outputs {
 		r := refs[o.Node]
 		tgt := b2f(o.Target)
 		if r.isConst {
@@ -253,7 +250,7 @@ func compileEngine(c *circuit.Circuit) *engine {
 		if r.neg {
 			slot = mkNot(slot)
 		}
-		e.outputs = append(e.outputs, eout{slot: slot, target: tgt, src: int32(oi)})
+		e.outputs = append(e.outputs, eout{slot: slot, target: tgt})
 	}
 
 	// Dead-code elimination: only ops in some output cone execute. Ops on

@@ -21,7 +21,6 @@ type naiveSampler struct {
 	s       *Sampler // for the shared extraction only
 	prog    *program
 	vmat    *tensor.Matrix
-	mmat    *tensor.Matrix
 	vals    []float32
 	grads   []float32
 	hard    []bool
@@ -45,9 +44,6 @@ func newNaiveSampler(t *testing.T, f *cnf.Formula, cfg Config) *naiveSampler {
 		hard:   make([]bool, cfg.BatchSize*n),
 		unique: map[string]struct{}{},
 	}
-	if cfg.Momentum != 0 {
-		ns.mmat = tensor.NewMatrix(cfg.BatchSize, n)
-	}
 	return ns
 }
 
@@ -55,15 +51,12 @@ func (ns *naiveSampler) initRound() {
 	seed := ns.cfg.Seed + 0x5DEECE66D*ns.round
 	ns.round++
 	ns.vmat.Randomize(tensor.Sequential(), seed, -ns.cfg.InitRange, ns.cfg.InitRange)
-	if ns.mmat != nil {
-		ns.mmat.Fill(0)
-	}
 }
 
 func (ns *naiveSampler) step() {
 	batch := ns.cfg.BatchSize
 	n := len(ns.prog.inputs)
-	lr, mom := ns.cfg.LearningRate, ns.cfg.Momentum
+	lr := ns.cfg.LearningRate
 	for i := 0; i < n; i++ {
 		col := ns.vals[int(ns.prog.inputs[i])*batch:]
 		for r := 0; r < batch; r++ {
@@ -91,10 +84,6 @@ func (ns *naiveSampler) step() {
 		g := ns.grads[sl*batch:]
 		for r := 0; r < batch; r++ {
 			dv := g[r] * p[r] * (1 - p[r])
-			if ns.mmat != nil {
-				dv += mom * ns.mmat.At(r, i)
-				ns.mmat.Set(r, i, dv)
-			}
 			ns.vmat.Set(r, i, ns.vmat.At(r, i)-lr*dv)
 		}
 	}
@@ -383,26 +372,5 @@ func TestCollectSteadyStateZeroAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(50, func() { s.collect() })
 	if allocs != 0 {
 		t.Errorf("steady-state collect allocates %.1f times per call, want 0", allocs)
-	}
-}
-
-// TestEngineMomentumTrajectoryMatchesNaive exercises the fused momentum
-// update against the naive one.
-func TestEngineMomentumTrajectoryMatchesNaive(t *testing.T) {
-	f := mustFormula(t, paperExample)
-	cfg := Config{BatchSize: 64, Seed: 13, Momentum: 0.5}
-	ns := newNaiveSampler(t, f, cfg)
-	s := ns.s
-	ns.initRound()
-	s.initRound()
-	for it := 0; it < 5; it++ {
-		ns.step()
-		s.step()
-	}
-	for i := range ns.vmat.Data {
-		d := math.Abs(float64(ns.vmat.Data[i] - s.vmat.Data[i]))
-		if d > 1e-3*(1+math.Abs(float64(ns.vmat.Data[i]))) {
-			t.Fatalf("momentum V[%d] diverged: %g vs %g", i, ns.vmat.Data[i], s.vmat.Data[i])
-		}
 	}
 }

@@ -13,14 +13,17 @@ import (
 )
 
 // The GDSS and GDSP fixtures under testdata/ were written over benchgen's
-// or-12-3-small on a sequential device: gdsp_v3.bin is the compiled
-// problem (TransformTime zeroed), gdsp_v3_pins.bin the problem specialized
+// or-12-3-small on a sequential device: gdsp_v4.bin is the compiled
+// problem (TransformTime zeroed), gdsp_v4_pins.bin the problem specialized
 // under pins -1 -2, and gdss.bin a continuous session (batch 64, seed 7,
-// momentum 0.5, projection onto variables 1-8, clause weights 1/1.5/2
-// repeating) cut after 3 ticks. gdss.stream holds that session's streamSig after
-// goldenSnapshotRun more ticks. gdsp_v1.bin and gdsp_v2.bin are the same
-// two problems in the earlier layouts that also stored the engine tape and
-// verify plan; decode refuses them.
+// projection onto variables 1-8, Elapsed zeroed) cut after 3 ticks.
+// gdss.stream holds that session's streamSig after goldenSnapshotRun more
+// ticks. gdsp_v1.bin and gdsp_v2.bin are the same two problems in the
+// earlier layouts that also stored the engine tape and verify plan, and
+// gdsp_v3.bin and gdsp_v3_pins.bin in the layout that also stored a
+// clause-provenance table; decode refuses them all. gdss_momentum.bin is
+// the same session run with momentum 0.5 and clause weights 1/1.5/2
+// repeating, which decode refuses.
 const goldenSnapshotRun = 6
 
 func readFixture(t *testing.T, name string) []byte {
@@ -58,6 +61,8 @@ func TestGoldenProblem(t *testing.T) {
 		{"gdsp_v2.bin", 2, []cnf.Lit{-1, -2}},
 		{"gdsp_v3.bin", 3, nil},
 		{"gdsp_v3_pins.bin", 3, []cnf.Lit{-1, -2}},
+		{"gdsp_v4.bin", 4, nil},
+		{"gdsp_v4_pins.bin", 4, []cnf.Lit{-1, -2}},
 	} {
 		t.Run(g.name, func(t *testing.T) {
 			blob := readFixture(t, g.name)
@@ -111,8 +116,10 @@ func TestGoldenProblem(t *testing.T) {
 }
 
 // TestGoldenSnapshot: the committed GDSS blob decodes, re-encodes byte for
-// byte, carries every optional section, and restores onto a fresh compile
-// to continue exactly the recorded stream.
+// byte, carries the projection and scheduler sections, and restores onto a
+// fresh compile to continue exactly the recorded stream. A momentum and
+// clause-weight session's blob, sealed and otherwise intact, fails decode
+// with ErrBadSnapshot.
 func TestGoldenSnapshot(t *testing.T) {
 	blob := readFixture(t, "gdss.bin")
 	sn, err := DecodeSnapshot(blob)
@@ -126,10 +133,10 @@ func TestGoldenSnapshot(t *testing.T) {
 	if !bytes.Equal(again, blob) {
 		t.Fatal("decoded fixture re-encodes different bytes")
 	}
-	if !sn.Momentum() || sn.ProjectionWidth() == 0 || len(sn.clauseWeights) == 0 || !sn.contReady {
-		t.Fatal("fixture lacks a momentum, projection, clause-weight or scheduler section")
+	if sn.ProjectionWidth() == 0 || !sn.contReady {
+		t.Fatal("fixture lacks a projection or scheduler section")
 	}
-	s, err := RestoreSampler(goldenInstance(t), sn)
+	s, err := RestoreSampler(goldenInstance(t), sn, tensor.Sequential())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,5 +146,8 @@ func TestGoldenSnapshot(t *testing.T) {
 	want := strings.Fields(string(readFixture(t, "gdss.stream")))
 	if got := streamSig(s); strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("restored session streams %d solutions, recorded %d, or the streams differ", len(got), len(want))
+	}
+	if _, err := DecodeSnapshot(readFixture(t, "gdss_momentum.bin")); !errors.Is(err, ErrBadSnapshot) {
+		t.Fatalf("momentum session: decode error %v, want ErrBadSnapshot", err)
 	}
 }

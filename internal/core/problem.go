@@ -2,8 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
-	"math"
 	"unsafe"
 
 	"repro/internal/bitblast"
@@ -108,58 +106,20 @@ func (p *Problem) Tile() int { return p.tile }
 
 // NewSampler builds a sampler session over this compiled problem. Any
 // number of samplers may run concurrently over one Problem; each owns its
-// V/momentum matrices, per-worker scratch, verifier state and dedup pool.
+// soft-input matrix V, per-worker scratch, verifier state and dedup pool.
 func (p *Problem) NewSampler(cfg Config) (*Sampler, error) {
 	return newSession(p, cfg)
-}
-
-// OutputWeights aggregates per-clause loss weights onto the engine's
-// constrained outputs through the extraction's provenance table
-// (extract.Result.OutputSources): an output's weight is the mean weight of
-// the CNF clauses its constraint consumed. Outputs without recorded
-// provenance (or compiled from a pre-provenance extraction result) keep
-// weight 1, as do clauses absorbed into intermediate resolutions — the
-// weighting is a loss-shaping knob, not an exact clause decomposition.
-// clauseWeights must have one finite, non-negative entry per CNF clause.
-func (p *Problem) OutputWeights(clauseWeights []float64) ([]float32, error) {
-	if len(clauseWeights) != p.formula.NumClauses() {
-		return nil, fmt.Errorf("core: %d clause weights for %d clauses",
-			len(clauseWeights), p.formula.NumClauses())
-	}
-	for i, w := range clauseWeights {
-		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-			return nil, fmt.Errorf("core: clause weight %d is %v (want finite, >= 0)", i, w)
-		}
-	}
-	out := make([]float32, len(p.eng.outputs))
-	for k, o := range p.eng.outputs {
-		out[k] = 1
-		if int(o.src) >= len(p.ext.OutputSources) {
-			continue
-		}
-		srcs := p.ext.OutputSources[o.src]
-		if len(srcs) == 0 {
-			continue
-		}
-		sum := 0.0
-		for _, ci := range srcs {
-			sum += clauseWeights[ci]
-		}
-		out[k] = float32(sum / float64(len(srcs)))
-	}
-	return out, nil
 }
 
 // Shape is the session shape the memory model prices (DESIGN "Memory
 // model"): everything a session allocates is fixed per-worker scratch plus
 // terms linear in the batch and in the solutions its dedup pool retains.
 type Shape struct {
-	Workers    int  // device workers: per-worker engine and verifier scratch
-	Batch      int  // GD batch rows
-	Target     int  // unique solutions requested (0 = unbounded: prices no pool growth)
-	Retained   int  // solutions already pooled (a checkpoint's UniqueCount)
-	Projection int  // projection width (0 = full-assignment identity)
-	Momentum   bool // momentum accumulator beside V
+	Workers    int // device workers: per-worker engine and verifier scratch
+	Batch      int // GD batch rows
+	Target     int // unique solutions requested (0 = unbounded: prices no pool growth)
+	Retained   int // solutions already pooled (a checkpoint's UniqueCount)
+	Projection int // projection width (0 = full-assignment identity)
 }
 
 // Pool returns the most solutions the session's dedup pool holds when its
@@ -177,7 +137,7 @@ func (sh Shape) Pool() int {
 // over this problem occupies — the one memory model batch sizing and
 // admission control share. The engine's tiled value/adjoint scratch and
 // the verifier's sweep scratch are fixed per-worker costs (batch rows
-// stream through them); the soft-input matrix V (plus momentum), the
+// stream through them); the soft-input matrix V, the
 // packed hardened and projection columns, the validity masks and the
 // scheduler's per-row arrays grow with the batch; the dedup pool grows by
 // solutionBytes per retained solution. Pure arithmetic on the compiled
@@ -188,9 +148,7 @@ func (p *Problem) MemoryEstimate(sh Shape) int64 {
 	fixed := int64(sh.Workers) * int64(p.tile) * int64(p.eng.numSlots+p.eng.numGregs) * 4
 	fixed += int64(sh.Workers) * p.verify.ScratchBytes() // per-worker bitblast Eval
 	linear := 4 * b * n                                  // V
-	if sh.Momentum {
-		linear += 4 * b * n
-	}
+
 	linear += b * n / 8 // packed hardened columns
 	linear += b / 8     // validity masks
 	linear += 10 * b    // continuous scheduler: ages, restart counters, change/retire flags
@@ -204,10 +162,9 @@ func (p *Problem) MemoryEstimate(sh Shape) int64 {
 // RetainedBytes prices the heap this Problem retains from the lengths of
 // the arrays it holds: the formula's clauses and literals, the circuit's
 // nodes, fanins and input names, the extraction's variable lists, node
-// map and clause provenance, the engine's code and the verifier's clause
-// slab. The sum is scaled by retainSlack for the append growth and
-// size-class rounding that compiling leaves and decoding's exact-size
-// allocations do not. A compiled Problem and its GDSP decode price the
+// map, the engine's code and the verifier's clause slab. The sum is
+// scaled by retainSlack for the append growth and size-class rounding
+// that compiling leaves and decoding's exact-size allocations do not. A compiled Problem and its GDSP decode price the
 // same bytes, and the heap either retains lies within
 // [RetainedBytes/2, RetainedBytes] (TestRetainedBytesBoundsHeap in
 // internal/sampling). A specialized Problem shares its base's formula and
@@ -224,10 +181,7 @@ func (p *Problem) RetainedBytes() int64 {
 		fanins += len(nd.Fanin)
 	}
 	ints := len(ext.PrimaryInputs) + len(ext.Intermediates) + len(ext.PrimaryOutputs)
-	for _, srcs := range ext.OutputSources {
-		ints += len(srcs)
-	}
-	b := int64(len(f.Clauses)+len(ext.OutputSources))*int64(unsafe.Sizeof([]int(nil))) +
+	b := int64(len(f.Clauses))*int64(unsafe.Sizeof([]int(nil))) +
 		int64(lits)*int64(unsafe.Sizeof(cnf.Lit(0))) +
 		int64(len(c.Nodes))*int64(unsafe.Sizeof(circuit.Node{})) +
 		int64(fanins)*int64(unsafe.Sizeof(circuit.NodeID(0))) +
@@ -272,7 +226,7 @@ func (p *Problem) solutionBytes(projection int) int64 {
 }
 
 // BatchForBudget returns the largest batch whose MemoryEstimate (no
-// momentum, projection or pool) fits the byte budget, at least 1: the fixed
+// projection or pool) fits the byte budget, at least 1: the fixed
 // per-worker scratch is paid first and the remainder divided by the
 // per-row cost.
 func (p *Problem) BatchForBudget(workers int, budget int64) int {

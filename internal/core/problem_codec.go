@@ -43,18 +43,18 @@ import (
 // their CNF variables. extract.Result.Bindings (logic.Expr trees used
 // only by offline tooling) is not stored, and Compile drops it too, so a
 // decoded Problem holds the same data as a compiled one. Everything the
-// sampling runtime reads (circuit, NodeOf, projection provenance,
-// OutputSources) round-trips exactly, which is what makes store-loaded
+// sampling runtime reads (circuit, NodeOf, projection provenance)
+// round-trips exactly, which is what makes store-loaded
 // Problems stream bit-identical solutions to freshly compiled ones (the
 // differential test in problem_codec_test.go and e2e shard tier).
 
 // ProblemVersion is the problem codec version: one layout whose
 // assumption list is empty for an unspecialized problem. Any other
 // version — including the earlier layouts that also stored the engine
-// tape and verify plan — is rejected: stored artifacts outlive the
-// process that wrote them, and the store quarantines what fails decode
-// and recompiles it.
-const ProblemVersion = 3
+// tape and verify plan (1, 2) or a per-output clause-provenance table
+// (3) — is rejected: stored artifacts outlive the process that wrote
+// them, and the store quarantines what fails decode and recompiles it.
+const ProblemVersion = 4
 
 // problemMagic opens every encoded problem.
 const problemMagic = "GDSP"
@@ -139,10 +139,6 @@ func (p *Problem) MarshalBinary() ([]byte, error) {
 		e.U32(uint32(int32(v)))
 		e.U32(uint32(ext.NodeOf[v]))
 	}
-	e.U32(uint32(len(ext.OutputSources)))
-	for _, srcs := range ext.OutputSources {
-		e.Ints(srcs)
-	}
 	e.U64(uint64(ext.TransformTime.Nanoseconds()))
 	e.U32(uint32(ext.Windows))
 	e.U32(uint32(ext.Fallbacks))
@@ -220,9 +216,9 @@ func decInts[T ~int](d *envelope.Decoder, what string, sl *slab[T]) []T {
 const slabChunk = 1 << 14
 
 // slab hands out consecutive, capacity-capped windows of shared blocks,
-// so decoding tens of thousands of short slices (clause literals, fanins,
-// provenance lists) costs a few block allocations instead of one per
-// slice. The windows never overlap, so appending to one cannot write into
+// so decoding tens of thousands of short slices (clause literals and
+// fanins) costs a few block allocations instead of one per slice. The
+// windows never overlap, so appending to one cannot write into
 // its neighbour. Blocks double from 64 elements up to slabChunk, so a
 // small problem does not pay for a large block. A nil slab allocates each
 // slice on its own.
@@ -435,27 +431,6 @@ func decodeExtraction(d *envelope.Decoder, f *cnf.Formula, c *circuit.Circuit) *
 		}
 		ext.NodeOf[v] = circuit.NodeID(id)
 		prev = v
-	}
-	nsrc := d.Count(4, "output provenance")
-	if d.Err() == nil && nsrc != len(c.Outputs) {
-		d.Fail("provenance for %d outputs, circuit has %d", nsrc, len(c.Outputs))
-	}
-	if d.Err() != nil {
-		return ext
-	}
-	ext.OutputSources = make([][]int, nsrc)
-	var srcSlab slab[int]
-	for i := range ext.OutputSources {
-		srcs := decInts(d, "provenance clauses", &srcSlab)
-		for _, ci := range srcs {
-			if d.Err() == nil && (ci < 0 || ci >= len(f.Clauses)) {
-				d.Fail("provenance clause %d of %d", ci, len(f.Clauses))
-			}
-		}
-		if d.Err() != nil {
-			return ext
-		}
-		ext.OutputSources[i] = srcs
 	}
 	ext.TransformTime = time.Duration(d.U64())
 	ext.Windows = int(d.U32())

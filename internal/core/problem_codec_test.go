@@ -23,8 +23,8 @@ const aliasFormula = "p cnf 3 3\n-2 1 0\n2 -1 0\n2 3 0\n"
 // codecProblems returns compiled problems covering the codec's section
 // variety: the paper example (plain), a projected formula (projection
 // section), a bare-literal definition (two variables on one node), and
-// the benchgen small suite (or-chains, q-chains — window extraction,
-// fallbacks, multi-clause provenance).
+// the benchgen small suite (or-chains, q-chains — window extraction and
+// fallbacks).
 func codecProblems(t *testing.T) map[string]*Problem {
 	t.Helper()
 	out := map[string]*Problem{
@@ -133,7 +133,7 @@ func TestProblemCodecDifferential(t *testing.T) {
 				t.Fatalf("derived shape changed: inputs %d→%d tile %d→%d",
 					p.NumInputs(), dec.NumInputs(), p.Tile(), dec.Tile())
 			}
-			sh := Shape{Workers: 4, Batch: 256, Target: 100, Projection: 3, Momentum: true}
+			sh := Shape{Workers: 4, Batch: 256, Target: 100, Projection: 3}
 			if got, want := dec.MemoryEstimate(sh), p.MemoryEstimate(sh); got != want {
 				t.Fatalf("memory estimate changed: %d vs %d", got, want)
 			}
@@ -192,7 +192,7 @@ func TestProblemCodecSnapshotInterop(t *testing.T) {
 		s.ContinuousStep(0)
 	}
 	sn := roundTrip(t, s.Snapshot())
-	r, err := RestoreSampler(dec, sn)
+	r, err := RestoreSampler(dec, sn, tensor.Sequential())
 	if err != nil {
 		t.Fatalf("snapshot refuses the store-loaded problem: %v", err)
 	}
@@ -371,7 +371,7 @@ func FuzzDecodeProblem(f *testing.F) {
 		bumped[4] ^= 0xFF // version field
 		f.Add(bumped)
 	}
-	for _, name := range []string{"gdsp_v3.bin", "gdsp_v3_pins.bin"} {
+	for _, name := range []string{"gdsp_v4.bin", "gdsp_v4_pins.bin"} {
 		blob, err := os.ReadFile("testdata/" + name)
 		if err != nil {
 			f.Fatal(err)

@@ -160,63 +160,6 @@ func TestSolutionHitsAccounting(t *testing.T) {
 	}
 }
 
-// TestClauseWeightsUniformIsIdentity: all-ones clause weights must
-// reproduce the unweighted float path bit-for-bit — same solution stream,
-// same loss.
-func TestClauseWeightsUniformIsIdentity(t *testing.T) {
-	f := mustFormula(t, paperExample)
-	w := make([]float64, f.NumClauses())
-	for i := range w {
-		w[i] = 1
-	}
-	plain := newSampler(t, f, Config{BatchSize: 128, Seed: 13})
-	weighted := newSampler(t, f, Config{BatchSize: 128, Seed: 13, ClauseWeights: w})
-	plain.SampleUntil(20, 10*time.Second)
-	weighted.SampleUntil(20, 10*time.Second)
-	ps, ws := plain.Solutions(), weighted.Solutions()
-	if len(ps) != len(ws) {
-		t.Fatalf("pools diverged: %d vs %d", len(ps), len(ws))
-	}
-	for i := range ps {
-		if fmtBits(ps[i]) != fmtBits(ws[i]) {
-			t.Fatalf("solution %d differs under uniform weights", i)
-		}
-	}
-}
-
-// TestClauseWeightsStillVerify: arbitrary positive weights reshape the
-// loss, never the acceptance test — every solution still satisfies every
-// clause.
-func TestClauseWeightsStillVerify(t *testing.T) {
-	f := mustFormula(t, paperExample)
-	w := make([]float64, f.NumClauses())
-	for i := range w {
-		w[i] = float64(1 + i%5)
-	}
-	s := newSampler(t, f, Config{BatchSize: 128, Seed: 17, ClauseWeights: w})
-	st := s.SampleUntil(10, 10*time.Second)
-	if st.Unique == 0 {
-		t.Fatal("weighted sampler found nothing")
-	}
-	for _, sol := range s.Solutions() {
-		if !f.Sat(s.FullAssignment(sol)) {
-			t.Fatal("weighted sampler produced an invalid solution")
-		}
-	}
-}
-
-// TestClauseWeightsValidation: mismatched length and non-finite or
-// negative weights fail session construction.
-func TestClauseWeightsValidation(t *testing.T) {
-	f := mustFormula(t, "p cnf 3 2\n1 2 0\n-1 3 0\n")
-	if _, err := NewFromCNF(f, Config{ClauseWeights: []float64{1}}); err == nil {
-		t.Fatal("accepted wrong-length clause weights")
-	}
-	if _, err := NewFromCNF(f, Config{ClauseWeights: []float64{1, -2}}); err == nil {
-		t.Fatal("accepted negative clause weight")
-	}
-}
-
 // TestProjectedSteadyStateZeroAllocs: the projected scheduler tick must
 // stay allocation-free once the projected space is saturated (the dedup
 // path only allocates when a new unique is retained).

@@ -30,11 +30,6 @@ type Config struct {
 	// InitRange bounds the uniform initialization of the soft inputs V in
 	// [-InitRange, +InitRange]. Default 2.
 	InitRange float32
-	// Momentum adds classical momentum to the GD update
-	// (m ← Momentum·m + g; V ← V − lr·m). The paper uses plain GD
-	// (Momentum = 0); this is an optimizer extension evaluated by the
-	// ablation benchmarks.
-	Momentum float32
 	// MaxAge is the continuous scheduler's restart cap: a row that has run
 	// MaxAge GD steps since its last (re)start without satisfying the
 	// formula is recycled with fresh noise instead of left spinning.
@@ -57,16 +52,6 @@ type Config struct {
 	// no projection (full-assignment identity). Variables must be within
 	// 1..NumVars and duplicate-free.
 	Projection []int
-	// ClauseWeights scales each CNF clause's contribution to the GD loss
-	// (one finite, non-negative entry per clause): the weights aggregate
-	// onto the engine's constrained outputs through the extraction's
-	// clause-provenance table (Problem.OutputWeights) and reshape the
-	// descent — the knob that trades raw throughput for coverage of
-	// under-sampled regions. Verification is unaffected: a solution must
-	// still satisfy every clause. Nil means uniform weights. The constant
-	// loss term of outputs folded at compile time stays unweighted (it
-	// carries no gradient).
-	ClauseWeights []float64
 }
 
 func (c Config) withDefaults() Config {
@@ -138,7 +123,7 @@ type stepScratch struct {
 
 // Sampler is one sampling session over a compiled Problem: it learns
 // diverse satisfying assignments for one transformed SAT instance. The
-// Problem is shared and read-only; everything else (V/momentum matrices,
+// Problem is shared and read-only; everything else (the soft-input matrix V,
 // per-worker scratch, verifier state, dedup pool, stats) is owned by the
 // session, so concurrent Samplers over one Problem never interfere. A
 // single Sampler is not safe for concurrent use; the batch rows themselves
@@ -148,7 +133,6 @@ type Sampler struct {
 	prob *Problem
 
 	vmat *tensor.Matrix // soft inputs V ∈ R^{batch×n}
-	mmat *tensor.Matrix // momentum accumulator (nil when Momentum == 0)
 
 	scratch []stepScratch       // one per device worker
 	loss    []float64           // per-worker loss accumulators
@@ -176,8 +160,6 @@ type Sampler struct {
 	projCols   [][]uint64 // one packed column per projection variable
 	prowbuf    []uint64   // one packed projected row, for hashing/dedup
 	wit        []uint64   // packed primary-input witness per class, rowbuf-sized rows
-
-	outW []float32 // per-engine-output loss weights (nil = uniform)
 
 	// Dedup pool: unique keys (rowbuf, or prowbuf under a projection) in
 	// discovery order.
@@ -250,9 +232,6 @@ func newSession(p *Problem, cfg Config) (*Sampler, error) {
 	n := p.eng.numInputs
 	batch := cfg.BatchSize
 	s.vmat = tensor.NewMatrix(batch, n)
-	if cfg.Momentum != 0 {
-		s.mmat = tensor.NewMatrix(batch, n)
-	}
 
 	workers := cfg.Device.Workers()
 	s.scratch = make([]stepScratch, workers)
@@ -325,14 +304,6 @@ func newSession(p *Problem, cfg Config) (*Sampler, error) {
 		keyWidth = np
 	}
 	s.pool = bitblast.NewRowSet(keyWidth, 0)
-
-	if cfg.ClauseWeights != nil {
-		w, err := p.OutputWeights(cfg.ClauseWeights)
-		if err != nil {
-			return nil, err
-		}
-		s.outW = w
-	}
 	return s, nil
 }
 
@@ -559,9 +530,6 @@ func (s *Sampler) initRound() {
 	seed := s.cfg.Seed + 0x5DEECE66D*s.round
 	s.round++
 	s.vmat.Randomize(s.cfg.Device, seed, -s.cfg.InitRange, s.cfg.InitRange)
-	if s.mmat != nil {
-		s.mmat.Fill(0)
-	}
 }
 
 // step performs one GD iteration as a single fused pass: each worker walks
@@ -589,7 +557,7 @@ func (s *Sampler) stepTile(sc *stepScratch, r0, nt int) float64 {
 	e := s.prob.eng
 	tile := s.prob.tile
 	vals, grads := sc.vals, sc.grads
-	lr, mom := s.cfg.LearningRate, s.cfg.Momentum
+	lr := s.cfg.LearningRate
 
 	// Embedding: P = σ(V) for inputs on constrained paths; dead inputs
 	// receive no gradient, so their soft values are never read.
@@ -603,32 +571,17 @@ func (s *Sampler) stepTile(sc *stepScratch, r0, nt int) float64 {
 
 	// Loss and output-adjoint seeding: dL/dY = 2(Y − T). Registers hold
 	// zero between steps, so seeding accumulates without a clearing pass.
-	// Clause-weighted sessions scale each output's contribution (L =
-	// Σ w·(Y−T)², dL/dY = 2w(Y−T)); the unweighted loop stays branch-free
-	// for the common case.
 	sum := 0.0
-	if s.outW == nil {
-		for t := 0; t < nt; t++ {
-			for _, o := range e.outputs {
-				diff := vals[int(o.slot)*tile+t] - o.target
-				sum += float64(diff) * float64(diff)
-				grads[int(o.greg)*tile+t] += 2 * diff
-			}
-		}
-	} else {
-		for t := 0; t < nt; t++ {
-			for oi, o := range e.outputs {
-				w := s.outW[oi]
-				diff := vals[int(o.slot)*tile+t] - o.target
-				sum += float64(w) * float64(diff) * float64(diff)
-				grads[int(o.greg)*tile+t] += 2 * w * diff
-			}
+	for t := 0; t < nt; t++ {
+		for _, o := range e.outputs {
+			diff := vals[int(o.slot)*tile+t] - o.target
+			sum += float64(diff) * float64(diff)
+			grads[int(o.greg)*tile+t] += 2 * diff
 		}
 	}
 	e.backwardTile(vals, grads, tile, nt)
 
-	// Input update through the sigmoid embedding (optionally with
-	// classical momentum). Reading an input's adjoint re-zeroes it,
+	// Input update through the sigmoid embedding. Reading an input's adjoint re-zeroes it,
 	// restoring the engine's register invariant for the next step. In
 	// continuous mode (track) the update also records whether any input's
 	// hardened sign flipped, so the next sweep repacks and re-verifies only
@@ -637,10 +590,6 @@ func (s *Sampler) stepTile(sc *stepScratch, r0, nt int) float64 {
 	for t := 0; t < nt; t++ {
 		r := r0 + t
 		vrow := s.vmat.Row(r)
-		var mrow []float32
-		if s.mmat != nil {
-			mrow = s.mmat.Row(r)
-		}
 		flipped := false
 		for i := 0; i < n; i++ {
 			var dv float32
@@ -649,10 +598,6 @@ func (s *Sampler) stepTile(sc *stepScratch, r0, nt int) float64 {
 				grads[i*tile+t] = 0
 				p := vals[i*tile+t]
 				dv = g * p * (1 - p)
-			}
-			if mrow != nil {
-				dv += mom * mrow[i]
-				mrow[i] = dv
 			}
 			old := vrow[i]
 			nv := old - lr*dv

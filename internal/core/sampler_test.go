@@ -432,36 +432,6 @@ func randomCircuit(r *rand.Rand, inputs, gates int) *circuit.Circuit {
 	return c
 }
 
-func TestMomentumStillFindsValidSolutions(t *testing.T) {
-	f := mustFormula(t, paperExample)
-	s := newSampler(t, f, Config{BatchSize: 256, Seed: 6, Momentum: 0.9})
-	s.SampleUntil(10, 0)
-	if s.Stats().Unique == 0 {
-		t.Fatal("momentum sampler found nothing")
-	}
-	for _, sol := range s.Solutions() {
-		if !f.Sat(s.FullAssignment(sol)) {
-			t.Fatal("momentum sampler produced invalid solution")
-		}
-	}
-}
-
-func TestMomentumResetBetweenRounds(t *testing.T) {
-	// Two samplers with the same seed, one run for two rounds: the second
-	// round must be unaffected by the first round's momentum state (it is
-	// reset in initRound), so a fresh sampler skipping to round 2's seed
-	// stream is not required — we just check rounds remain productive.
-	f := mustFormula(t, paperExample)
-	s := newSampler(t, f, Config{BatchSize: 128, Seed: 8, Momentum: 0.5})
-	first := s.Round()
-	_ = first
-	second := s.Round()
-	_ = second
-	if s.Stats().Rounds != 2 {
-		t.Fatal("round accounting broken with momentum")
-	}
-}
-
 func TestSolutionsReturnsCopies(t *testing.T) {
 	// Mutating rows returned by Solutions must not corrupt the dedup pool:
 	// the sampler owns its pool, callers own what they are handed.

@@ -406,9 +406,6 @@ func (s *Sampler) compactTile(t, base, end int) {
 		}
 		if live != r {
 			copy(s.vmat.Row(live), s.vmat.Row(r))
-			if s.mmat != nil {
-				copy(s.mmat.Row(live), s.mmat.Row(r))
-			}
 			s.ages[live] = s.ages[r]
 			s.chg[live>>6] |= 1 << (uint(live) & 63)
 		}
@@ -477,7 +474,7 @@ func (s *Sampler) refillTile(_, t int) {
 }
 
 // restartRow recycles lane r: the next draw of its per-slot SplitMix64
-// restart stream fills V's row, momentum clears, the age resets, and the
+// restart stream fills V's row, the age resets, and the
 // lane is flagged for repacking, so the next sweep (which follows one GD
 // step on the fresh noise) re-verifies it.
 func (s *Sampler) restartRow(r int) {
@@ -490,12 +487,6 @@ func (s *Sampler) restartRow(r int) {
 	for i := range row {
 		state += tensor.DrawIncrement
 		row[i] = lo + (hi-lo)*tensor.Uniform01(tensor.SplitMix64(state))
-	}
-	if s.mmat != nil {
-		mrow := s.mmat.Row(r)
-		for i := range mrow {
-			mrow[i] = 0
-		}
 	}
 	s.ages[r] = 0
 	s.chg[r>>6] |= 1 << (uint(r) & 63)

@@ -316,23 +316,6 @@ func TestContinuousMaxAgeOneIsSingleStepSearch(t *testing.T) {
 	}
 }
 
-// TestContinuousMomentumClearsOnRestart: momentum sessions must reset the
-// accumulator when a lane recycles; a stale momentum row would drag fresh
-// noise toward the previous trajectory and break seed determinism.
-func TestContinuousMomentumClearsOnRestart(t *testing.T) {
-	f := mustFormula(t, paperExample)
-	s := newSampler(t, f, Config{BatchSize: 128, Seed: 8, Momentum: 0.5, MaxAge: 3})
-	st := s.SampleUntil(10, 10*time.Second)
-	if st.Unique == 0 {
-		t.Fatal("momentum scheduler found nothing")
-	}
-	for _, sol := range s.Solutions() {
-		if !f.Sat(s.FullAssignment(sol)) {
-			t.Fatal("momentum scheduler produced invalid solution")
-		}
-	}
-}
-
 // TestSolutionsSupersetOfRoundMode: same seed, same instance — after equal
 // iteration budgets the continuous pool must contain every solution the
 // first round-mode round found (the trajectories coincide until the first

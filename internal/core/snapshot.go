@@ -11,7 +11,7 @@ import (
 )
 
 // This file implements session checkpoint/restore: Sampler.Snapshot
-// captures the complete per-session state — V and momentum matrices, the
+// captures the complete per-session state — the soft-input matrix V, the
 // per-slot SplitMix64 restart-stream cursors, row ages, the dedup pool
 // (solution rows, projected signatures, hit tallies, dedup hashes), retired/
 // saturation counters, and the continuous scheduler's per-tile active
@@ -49,6 +49,12 @@ import (
 // whole payload is covered by a trailing CRC32, so a truncated or
 // corrupted snapshot yields a clean error — never a panic, never a
 // half-restored session (FuzzDecodeSnapshot guards this).
+//
+// Three fields of the layout are always zero: the momentum f32 after the
+// init range, the momentum flag bit, and the clause-weight count after
+// the projection. They carried optimizer hooks the sampler no longer has
+// and stay in the layout so every checkpoint a session writes keeps its
+// bytes; decode refuses a snapshot with any of them non-zero.
 
 // SnapshotVersion is the current snapshot codec version. Decode rejects
 // any other version: a checkpoint outlives the process that wrote it, so
@@ -76,19 +82,17 @@ type Snapshot struct {
 	// streams are deterministic across worker counts, so a snapshot may be
 	// restored onto any device).
 	batch, iterations, maxAge int
-	lr, initRange, momentum   float32
+	lr, initRange             float32
 	seed                      int64
 	workers                   int
 	roundMode                 bool
 	hasProj                   bool
 	projection                []int
-	clauseWeights             []float64
 
 	round int64
 	stats Stats
 
 	vdata []float32 // V matrix, row-major batch×n
-	mdata []float32 // momentum matrix (nil when Momentum == 0)
 
 	// Continuous scheduler state (zero-valued when the session was in
 	// round mode or never started the scheduler). cols/valid/projCols/
@@ -132,9 +136,6 @@ func (sn *Snapshot) Workers() int { return sn.workers }
 // Seed returns the session's base seed.
 func (sn *Snapshot) Seed() int64 { return sn.seed }
 
-// Momentum reports whether the session carries a momentum matrix.
-func (sn *Snapshot) Momentum() bool { return sn.mdata != nil }
-
 // RoundMode reports whether the session ran the round-synchronous loop.
 func (sn *Snapshot) RoundMode() bool { return sn.roundMode }
 
@@ -151,10 +152,10 @@ func (sn *Snapshot) Stats() Stats { return sn.stats }
 
 // Shape returns the shape a session restored from sn prices at on a device
 // with the given workers, streaming to target: the checkpoint fixes the
-// batch, projection, momentum and the pool it already holds.
+// batch, projection and the pool it already holds.
 func (sn *Snapshot) Shape(workers, target int) Shape {
 	return Shape{Workers: workers, Batch: sn.batch, Target: target, Retained: sn.nsols,
-		Projection: len(sn.projection), Momentum: sn.mdata != nil}
+		Projection: len(sn.projection)}
 }
 
 // Snapshot captures the sampler's complete per-session state between
@@ -172,7 +173,6 @@ func (s *Sampler) Snapshot() *Snapshot {
 		maxAge:     s.cfg.MaxAge,
 		lr:         s.cfg.LearningRate,
 		initRange:  s.cfg.InitRange,
-		momentum:   s.cfg.Momentum,
 		seed:       s.cfg.Seed,
 		workers:    s.cfg.Device.Workers(),
 		roundMode:  s.cfg.RoundMode,
@@ -186,12 +186,6 @@ func (s *Sampler) Snapshot() *Snapshot {
 	}
 	if s.projection != nil {
 		sn.projection = append([]int(nil), s.projection...)
-	}
-	if s.cfg.ClauseWeights != nil {
-		sn.clauseWeights = append([]float64(nil), s.cfg.ClauseWeights...)
-	}
-	if s.mmat != nil {
-		sn.mdata = append([]float32(nil), s.mmat.Data...)
 	}
 	if s.contReady {
 		sn.ages = append([]int32(nil), s.ages...)
@@ -218,21 +212,13 @@ func (s *Sampler) Snapshot() *Snapshot {
 }
 
 // RestoreSampler rebuilds a sampler session from a snapshot over the
-// identical compiled Problem, on a device with the snapshot's worker
-// count. The restored session continues the byte-identical solution
-// stream of an uninterrupted run for the same seed.
-func RestoreSampler(p *Problem, sn *Snapshot) (*Sampler, error) {
-	dev := tensor.Sequential()
-	if sn != nil && sn.workers > 1 {
-		dev = tensor.ParallelN(sn.workers)
-	}
-	return RestoreSamplerOn(p, sn, dev)
-}
-
-// RestoreSamplerOn is RestoreSampler on an explicit device: solution
-// streams are deterministic across worker counts, so a snapshot taken on
-// one device restores onto any other without changing the stream.
-func RestoreSamplerOn(p *Problem, sn *Snapshot, dev tensor.Device) (*Sampler, error) {
+// identical compiled Problem, on dev (the zero Device runs on one
+// worker). The restored session continues the byte-identical solution
+// stream of an uninterrupted run for the same seed: streams are
+// deterministic across worker counts, so a snapshot taken on one device
+// restores onto any other. The snapshot's own worker count is decoded
+// input and never sizes the device.
+func RestoreSampler(p *Problem, sn *Snapshot, dev tensor.Device) (*Sampler, error) {
 	if p == nil {
 		return nil, fmt.Errorf("%w: nil problem", ErrBadSnapshot)
 	}
@@ -247,16 +233,14 @@ func RestoreSamplerOn(p *Problem, sn *Snapshot, dev tensor.Device) (*Sampler, er
 		return nil, fmt.Errorf("%w: snapshot has %d inputs, problem has %d", ErrBadSnapshot, sn.numInputs, p.eng.numInputs)
 	}
 	cfg := Config{
-		BatchSize:     sn.batch,
-		Iterations:    sn.iterations,
-		LearningRate:  sn.lr,
-		Seed:          sn.seed,
-		Device:        dev,
-		InitRange:     sn.initRange,
-		Momentum:      sn.momentum,
-		MaxAge:        sn.maxAge,
-		RoundMode:     sn.roundMode,
-		ClauseWeights: sn.clauseWeights,
+		BatchSize:    sn.batch,
+		Iterations:   sn.iterations,
+		LearningRate: sn.lr,
+		Seed:         sn.seed,
+		Device:       dev,
+		InitRange:    sn.initRange,
+		MaxAge:       sn.maxAge,
+		RoundMode:    sn.roundMode,
 	}
 	// An effective projection restores explicitly; its absence must also be
 	// explicit (an empty non-nil slice), or newSession would re-inherit the
@@ -276,17 +260,9 @@ func RestoreSamplerOn(p *Problem, sn *Snapshot, dev tensor.Device) (*Sampler, er
 		return nil, fmt.Errorf("%w: V data has %d values for batch %d × %d inputs", ErrBadSnapshot, len(sn.vdata), sn.batch, n)
 	}
 	copy(s.vmat.Data, sn.vdata)
-	if (sn.mdata != nil) != (s.mmat != nil) {
-		return nil, fmt.Errorf("%w: momentum data/config mismatch", ErrBadSnapshot)
-	}
-	if s.mmat != nil {
-		if len(sn.mdata) != sn.batch*n {
-			return nil, fmt.Errorf("%w: momentum data has %d values, want %d", ErrBadSnapshot, len(sn.mdata), sn.batch*n)
-		}
-		copy(s.mmat.Data, sn.mdata)
-	}
 	s.round = sn.round
 	s.stats = sn.stats
+	s.exhausted = sn.exhausted
 
 	if err := s.restorePool(sn); err != nil {
 		return nil, err
@@ -379,6 +355,11 @@ func (s *Sampler) restoreScheduler(sn *Snapshot) error {
 		return fmt.Errorf("%w: verifier view (%d col words, %d valid words, %d changed words) for %d inputs × %d words",
 			ErrBadSnapshot, len(sn.cols), len(sn.valid), len(sn.changed), n, words)
 	}
+	// A changed flag past the batch would send the next sweep to repack a
+	// row V does not have.
+	if padded(sn.changed, batch) {
+		return fmt.Errorf("%w: changed flags set past batch %d", ErrBadSnapshot, batch)
+	}
 	if s.projPlan != nil {
 		if want := len(s.projection) * words; len(sn.projCols) != want {
 			return fmt.Errorf("%w: %d projected column words, want %d", ErrBadSnapshot, len(sn.projCols), want)
@@ -401,7 +382,6 @@ func (s *Sampler) restoreScheduler(sn *Snapshot) error {
 		s.activeRows += int(a)
 	}
 	s.staleRet = sn.staleRet
-	s.exhausted = sn.exhausted
 	s.contReady = true
 	s.track = true
 	return nil
@@ -422,7 +402,8 @@ func abbrev(key string) string {
 // Binary codec
 // ---------------------------------------------------------------------------
 
-// snapshot flag bits.
+// snapshot flag bits. The momentum bit is always clear (see the file
+// comment).
 const (
 	snapFlagRoundMode = 1 << iota
 	snapFlagMomentum
@@ -440,8 +421,7 @@ func (sn *Snapshot) MarshalBinary() ([]byte, error) {
 	}
 	n := sn.numInputs
 	rowBytes, rowWords := (n+7)/8, (n+63)/64
-	est := 192 + len(sn.key) + 4*len(sn.projection) + 8*len(sn.clauseWeights) +
-		4*len(sn.vdata) + 4*len(sn.mdata) +
+	est := 192 + len(sn.key) + 4*len(sn.projection) + 4*len(sn.vdata) +
 		8*len(sn.ages) + 4*len(sn.active) +
 		8*(len(sn.cols)+len(sn.valid)+len(sn.changed)+len(sn.projCols)) +
 		sn.nsols*(rowBytes+12) + 8*len(sn.psigs)
@@ -452,16 +432,13 @@ func (sn *Snapshot) MarshalBinary() ([]byte, error) {
 	e.U32(uint32(sn.maxAge))
 	e.F32(sn.lr)
 	e.F32(sn.initRange)
-	e.F32(sn.momentum)
+	e.F32(0) // momentum
 	e.U64(uint64(sn.seed))
 	e.U32(uint32(sn.workers))
 	e.U32(uint32(n))
 	var flags uint8
 	if sn.roundMode {
 		flags |= snapFlagRoundMode
-	}
-	if sn.mdata != nil {
-		flags |= snapFlagMomentum
 	}
 	if sn.contReady {
 		flags |= snapFlagContReady
@@ -476,10 +453,7 @@ func (sn *Snapshot) MarshalBinary() ([]byte, error) {
 	if sn.hasProj {
 		e.Ints(sn.projection)
 	}
-	e.U32(uint32(len(sn.clauseWeights)))
-	for _, w := range sn.clauseWeights {
-		e.F64(w)
-	}
+	e.U32(0) // clause-weight count
 	e.U64(uint64(sn.round))
 	st := sn.stats
 	e.U64(uint64(st.Rounds))
@@ -494,9 +468,6 @@ func (sn *Snapshot) MarshalBinary() ([]byte, error) {
 	e.F64(st.FinalLoss)
 
 	e.F32s(sn.vdata)
-	if sn.mdata != nil {
-		e.F32s(sn.mdata)
-	}
 	if sn.contReady {
 		e.I32s(sn.ages)
 		e.U32s(sn.restarts)
@@ -543,13 +514,16 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	sn.maxAge = int(d.U32())
 	sn.lr = d.F32()
 	sn.initRange = d.F32()
-	sn.momentum = d.F32()
+	momentum := d.U32() // f32 bits: only +0 is canonical
 	sn.seed = int64(d.U64())
 	sn.workers = int(d.U32())
 	sn.numInputs = int(d.U32())
 	flags := d.U8()
 	if err := d.Err(); err != nil {
 		return nil, err
+	}
+	if momentum != 0 || flags&snapFlagMomentum != 0 {
+		return nil, fmt.Errorf("%w: momentum session (the sampler runs plain gradient descent)", ErrBadSnapshot)
 	}
 	sn.roundMode = flags&snapFlagRoundMode != 0
 	sn.contReady = flags&snapFlagContReady != 0
@@ -560,8 +534,10 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	if sn.batch < 1 || sn.batch > maxDim || sn.numInputs < 1 || sn.numInputs > maxDim {
 		return nil, fmt.Errorf("%w: implausible shape batch=%d inputs=%d", ErrBadSnapshot, sn.batch, sn.numInputs)
 	}
-	if sn.iterations < 1 || sn.maxAge < 1 || sn.workers < 1 || sn.workers > maxDim {
-		return nil, fmt.Errorf("%w: implausible config iters=%d maxAge=%d workers=%d", ErrBadSnapshot, sn.iterations, sn.maxAge, sn.workers)
+	// A session's config is post-default: no field the defaults fill is 0.
+	if sn.iterations < 1 || sn.maxAge < 1 || sn.lr == 0 || sn.initRange == 0 || sn.workers < 1 || sn.workers > maxDim {
+		return nil, fmt.Errorf("%w: implausible config iters=%d maxAge=%d lr=%g init=%g workers=%d",
+			ErrBadSnapshot, sn.iterations, sn.maxAge, sn.lr, sn.initRange, sn.workers)
 	}
 
 	if sn.hasProj {
@@ -570,11 +546,8 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 			d.Fail("projection flag set with zero variables")
 		}
 	}
-	if ncw := d.Count(8, "clause weights"); ncw > 0 {
-		sn.clauseWeights = make([]float64, ncw)
-		for i := range sn.clauseWeights {
-			sn.clauseWeights[i] = d.F64()
-		}
+	if ncw := d.U32(); ncw != 0 {
+		d.Fail("%d clause weights (the sampler runs unweighted gradient descent)", ncw)
 	}
 	sn.round = int64(d.U64())
 	sn.stats.Rounds = int(d.U64())
@@ -595,12 +568,6 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	sn.vdata = d.F32s("V data")
 	if d.Err() == nil && len(sn.vdata) != sn.batch*sn.numInputs {
 		d.Fail("V data has %d values for batch %d × %d inputs", len(sn.vdata), sn.batch, sn.numInputs)
-	}
-	if flags&snapFlagMomentum != 0 {
-		sn.mdata = d.F32s("momentum data")
-		if d.Err() == nil && len(sn.mdata) != len(sn.vdata) {
-			d.Fail("momentum data has %d values, want %d", len(sn.mdata), len(sn.vdata))
-		}
 	}
 	if err := d.Err(); err != nil {
 		return nil, err

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"os"
 	"testing"
 
 	"repro/internal/benchgen"
@@ -68,8 +69,7 @@ func roundTrip(t *testing.T, sn *Snapshot) *Snapshot {
 // with a different worker count — must produce the byte-identical solution
 // stream (order, witnesses, projected signatures, hit tallies) and
 // identical stats that the uninterrupted run produces. Continuous and
-// round mode, 1 and 7 workers, unprojected and projected, with and
-// without momentum.
+// round mode, 1 and 7 workers, unprojected and projected.
 func TestSnapshotResumeEquivalence(t *testing.T) {
 	type variant struct {
 		name    string
@@ -80,7 +80,6 @@ func TestSnapshotResumeEquivalence(t *testing.T) {
 	variants := []variant{
 		{"continuous-seq", paperExample, Config{BatchSize: 128, Seed: 11, MaxAge: 4}, 24},
 		{"continuous-7w", paperExample, Config{BatchSize: 192, Seed: 5, MaxAge: 4, Device: tensor.ParallelN(7)}, 24},
-		{"continuous-momentum", paperExample, Config{BatchSize: 128, Seed: 3, Momentum: 0.5}, 20},
 		{"continuous-projected", projFormula, Config{BatchSize: 128, Seed: 9}, 20},
 		{"round-seq", paperExample, Config{BatchSize: 128, Seed: 7, RoundMode: true}, 6},
 		{"round-7w", paperExample, Config{BatchSize: 128, Seed: 7, RoundMode: true, Device: tensor.ParallelN(7)}, 6},
@@ -124,7 +123,7 @@ func TestSnapshotResumeEquivalence(t *testing.T) {
 				if v.cfg.Device.Workers() > 1 {
 					dev = tensor.Sequential()
 				}
-				r, err := RestoreSamplerOn(prob, sn, dev)
+				r, err := RestoreSampler(prob, sn, dev)
 				if err != nil {
 					t.Fatalf("cut %d: restore: %v", cut, err)
 				}
@@ -165,7 +164,7 @@ func TestSnapshotExhaustedSurvivesResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := RestoreSampler(prob, sn)
+	r, err := RestoreSampler(prob, sn, tensor.Sequential())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +193,7 @@ func TestSnapshotRejectsWrongProblem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = RestoreSampler(pg, sn)
+	_, err = RestoreSampler(pg, sn, tensor.Sequential())
 	if !errors.Is(err, ErrBadSnapshot) {
 		t.Fatalf("restore onto a different problem: err = %v, want ErrBadSnapshot", err)
 	}
@@ -207,7 +206,7 @@ func TestSnapshotRejectsWrongProblem(t *testing.T) {
 // zero-loss contract.
 func TestDecodeSnapshotRejectsCorruption(t *testing.T) {
 	f := mustFormula(t, projFormula)
-	s := newSampler(t, f, Config{BatchSize: 64, Seed: 2, Momentum: 0.3})
+	s := newSampler(t, f, Config{BatchSize: 64, Seed: 2})
 	for i := 0; i < 8; i++ {
 		s.ContinuousStep(0)
 	}
@@ -229,6 +228,47 @@ func TestDecodeSnapshotRejectsCorruption(t *testing.T) {
 	}
 	if _, err := DecodeSnapshot(nil); err == nil {
 		t.Fatal("nil input decoded successfully")
+	}
+}
+
+// TestDecodeSnapshotRefusesOptimizerFields: the momentum f32, the momentum
+// flag and the clause-weight count stay in the layout as zeros; a sealed
+// snapshot with any one of them set is refused with ErrBadSnapshot.
+func TestDecodeSnapshotRefusesOptimizerFields(t *testing.T) {
+	blob := readFixture(t, "gdss.bin")
+	// magic, version, key; batch, iterations, max age, lr, init range.
+	mom := 8 + int(binary.LittleEndian.Uint16(blob[6:])) + 5*4
+	// momentum, seed, workers, inputs; then flags and the projection.
+	flags := mom + 4 + 8 + 4 + 4
+	cw := flags + 1 + 4 + 4*int(binary.LittleEndian.Uint32(blob[flags+1:]))
+	end := len(blob) - crc32.Size
+	for name, forge := range map[string]func(b []byte){
+		"momentum":       func(b []byte) { b[mom+3] = 0x3f }, // 0.5
+		"momentum-flag":  func(b []byte) { b[flags] |= snapFlagMomentum },
+		"clause-weights": func(b []byte) { b[cw] = 1 },
+	} {
+		mut := append([]byte(nil), blob...)
+		forge(mut)
+		binary.LittleEndian.PutUint32(mut[end:], crc32.ChecksumIEEE(mut[:end]))
+		if _, err := DecodeSnapshot(mut); !errors.Is(err, ErrBadSnapshot) {
+			t.Errorf("%s: decode error %v, want ErrBadSnapshot", name, err)
+		}
+	}
+}
+
+// TestRestoreRejectsChangedPastBatch: a changed flag on a lane past the
+// batch would send the next sweep to repack a row V does not have, so
+// restore refuses it (FuzzDecodeSnapshot found the panic it caused).
+func TestRestoreRejectsChangedPastBatch(t *testing.T) {
+	s := newSampler(t, mustFormula(t, paperExample), Config{BatchSize: 16, Seed: 1})
+	s.ContinuousStep(0)
+	sn := roundTrip(t, s.Snapshot())
+	if _, err := RestoreSampler(s.Problem(), sn, tensor.Sequential()); err != nil {
+		t.Fatal(err)
+	}
+	sn.changed[0] |= 1 << 20
+	if _, err := RestoreSampler(s.Problem(), sn, tensor.Sequential()); !errors.Is(err, ErrBadSnapshot) {
+		t.Fatalf("changed flag past the batch: err = %v, want ErrBadSnapshot", err)
 	}
 }
 
@@ -296,7 +336,7 @@ func TestRestoreRejectsForgedPool(t *testing.T) {
 				if err != nil {
 					t.Fatalf("forged snapshot does not decode: %v", err)
 				}
-				if _, err := RestoreSampler(s.Problem(), sn); !errors.Is(err, ErrBadSnapshot) {
+				if _, err := RestoreSampler(s.Problem(), sn, tensor.Sequential()); !errors.Is(err, ErrBadSnapshot) {
 					t.Fatalf("restore of a forged pool: err = %v, want ErrBadSnapshot", err)
 				}
 			})
@@ -305,23 +345,45 @@ func TestRestoreRejectsForgedPool(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := RestoreSampler(s.Problem(), sn); err != nil {
+		if _, err := RestoreSampler(s.Problem(), sn, tensor.Sequential()); err != nil {
 			t.Fatalf("%s: unforged snapshot: %v", v.name, err)
 		}
 	}
 }
 
-// FuzzDecodeSnapshot: arbitrary input must either decode into a snapshot
-// that re-encodes canonically or fail with an error wrapping ErrBadSnapshot
-// — and must never panic. Seeded with real snapshots (plain, momentum,
-// projected, round-mode) plus structured mutations of them.
+// FuzzDecodeSnapshot fuzzes the GDSS body and seals it with a valid
+// CRC-32 inside the target, so mutations reach the field parsers past the
+// trailer (FuzzOpen covers the trailer, magic and version checks). Every
+// input must either fail with an error wrapping ErrBadSnapshot or decode
+// into a snapshot that re-encodes canonically — never panic. A decoded
+// snapshot keyed to one of the seed formulas is restored onto that
+// Problem on a sequential device: a refusal must wrap ErrBadSnapshot, and
+// an accepted restore must snapshot back to the same bytes (restore is an
+// exact state capture) and survive a tick. Seeded with real snapshots
+// (plain, projected, round-mode), the momentum and clause-weight fixture
+// decode must refuse, and structured mutations of them.
 func FuzzDecodeSnapshot(f *testing.F) {
+	probs := map[string]*Problem{}
+	seed := func(blob []byte) {
+		body := blob[:len(blob)-crc32.Size]
+		f.Add(body)
+		// A truncation and a version bump as structured seeds.
+		f.Add(body[:len(body)/2])
+		bumped := append([]byte(nil), body...)
+		bumped[4] ^= 0xFF
+		f.Add(bumped)
+	}
 	seedFrom := func(formula string, cfg Config, ticks int) {
 		cf, err := cnf.ParseDIMACSString(formula)
 		if err != nil {
 			f.Fatal(err)
 		}
-		s, err := NewFromCNF(cf, cfg)
+		p, err := CompileCNF(cf)
+		if err != nil {
+			f.Fatal(err)
+		}
+		probs[p.Key()] = p
+		s, err := p.NewSampler(cfg)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -336,21 +398,28 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(blob)
-		// Truncations and a version bump as structured seeds.
-		f.Add(blob[:len(blob)/2])
-		bumped := append([]byte(nil), blob...)
-		bumped[4] ^= 0xFF
-		f.Add(bumped)
+		seed(blob)
 	}
-	seedFrom(paperExample, Config{BatchSize: 64, Seed: 1}, 6)
-	seedFrom(paperExample, Config{BatchSize: 64, Seed: 2, Momentum: 0.4}, 4)
-	seedFrom(projFormula, Config{BatchSize: 64, Seed: 3}, 6)
-	seedFrom(paperExample, Config{BatchSize: 64, Seed: 4, RoundMode: true}, 2)
+	// Small batches keep the bodies short, so more mutations land on the
+	// scheduler and pool fields than on V.
+	seedFrom(paperExample, Config{BatchSize: 16, Seed: 1}, 6)
+	seedFrom(projFormula, Config{BatchSize: 16, Seed: 3}, 6)
+	seedFrom(paperExample, Config{BatchSize: 16, Seed: 4, RoundMode: true}, 2)
+	golden, err := CompileCNF(benchgen.SmallSuite()[0].Formula)
+	if err != nil {
+		f.Fatal(err)
+	}
+	probs[golden.Key()] = golden
+	momentum, err := os.ReadFile("testdata/gdss_momentum.bin")
+	if err != nil {
+		f.Fatal(err)
+	}
+	seed(momentum)
 	f.Add([]byte{})
 	f.Add([]byte("GDSS"))
 
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		data := binary.LittleEndian.AppendUint32(append([]byte(nil), body...), crc32.ChecksumIEEE(body))
 		sn, err := DecodeSnapshot(data)
 		if err != nil {
 			if !errors.Is(err, ErrBadSnapshot) {
@@ -373,6 +442,27 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		if !bytes.Equal(blob, blob2) {
 			t.Fatal("codec is not canonical under fuzzed input")
 		}
+		p := probs[sn.Key()]
+		if p == nil {
+			return
+		}
+		s, err := RestoreSampler(p, sn, tensor.Sequential())
+		if err != nil {
+			if !errors.Is(err, ErrBadSnapshot) {
+				t.Fatalf("restore error does not wrap ErrBadSnapshot: %v", err)
+			}
+			return
+		}
+		back := s.Snapshot()
+		back.workers = sn.workers // the device is the caller's, not the snapshot's
+		again, err := back.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, blob) {
+			t.Fatal("restored session snapshots to different bytes")
+		}
+		s.ContinuousStep(0)
 	})
 }
 
@@ -407,7 +497,7 @@ func BenchmarkSnapshot(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := RestoreSampler(prob, dec); err != nil {
+		if _, err := RestoreSampler(prob, dec, tensor.Sequential()); err != nil {
 			b.Fatal(err)
 		}
 		b.SetBytes(int64(len(blob)))

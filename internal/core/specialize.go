@@ -76,7 +76,6 @@ func Specialize(p *Problem, assume []cnf.Lit) (*Problem, error) {
 	base := ext.Circuit
 	nodes := append([]circuit.Node(nil), base.Nodes...)
 	outputs := append([]circuit.Output(nil), base.Outputs...)
-	srcs := append([][]int(nil), ext.OutputSources...)
 	pinnedNode := make(map[circuit.NodeID]bool, len(fresh))
 	for _, l := range fresh {
 		id := ext.NodeOf[l.Var()]
@@ -91,10 +90,8 @@ func Specialize(p *Problem, assume []cnf.Lit) (*Problem, error) {
 			// unsat. Either way the plan derivation settles it.
 		default:
 			// Derived variable: constrain its gate to the pinned value. The
-			// engine folds the constraint into the loss; provenance stays
-			// empty so OutputWeights defaults the new output to weight 1.
+			// engine folds the constraint into the loss.
 			outputs = append(outputs, circuit.Output{Node: id, Target: l.Positive()})
-			srcs = append(srcs, nil)
 		}
 	}
 
@@ -125,7 +122,6 @@ func Specialize(p *Problem, assume []cnf.Lit) (*Problem, error) {
 		Intermediates:  ext.Intermediates,
 		PrimaryOutputs: ext.PrimaryOutputs,
 		NodeOf:         ext.NodeOf,
-		OutputSources:  srcs,
 		TransformTime:  ext.TransformTime,
 		Windows:        ext.Windows,
 		Fallbacks:      ext.Fallbacks,

@@ -75,14 +75,6 @@ type Result struct {
 	Bindings []Binding
 	// NodeOf maps every CNF variable 1..NumVars to its circuit node.
 	NodeOf map[int]circuit.NodeID
-	// OutputSources records, for each Circuit.Outputs entry (same order),
-	// the indices of the original CNF clauses whose constraints produced
-	// that output: the clauses consumed by a primary-output resolution, or
-	// the whole window of a fallback. It is the provenance table behind
-	// clause-weighted GD — per-clause weights aggregate onto the engine
-	// outputs they constrain. Clauses consumed by intermediate resolutions
-	// feed no output directly; their weights are absorbed structurally.
-	OutputSources [][]int
 	// TransformTime is the wall-clock cost of the transformation (the
 	// paper's Fig. 4 right).
 	TransformTime time.Duration
@@ -148,20 +140,18 @@ func Transform(f *cnf.Formula) (*Result, error) {
 	}
 
 	var window []cnf.Clause
-	var winIdx []int // original clause index of each window clause (provenance)
 	for i, c := range f.Clauses {
 		if len(c) == 0 {
 			return nil, fmt.Errorf("extract: clause %d is empty (formula unsatisfiable)", i)
 		}
 		window = append(window, c)
-		winIdx = append(winIdx, i)
 		// Try resolutions until the window is stable.
 		for {
 			v, expr, ok := t.tryResolve(window)
 			if !ok {
 				break
 			}
-			window, winIdx = t.commit(window, winIdx, v, expr)
+			window = t.commit(window, v, expr)
 			t.res.Windows++
 			if len(window) == 0 {
 				break
@@ -182,13 +172,13 @@ func Transform(f *cnf.Formula) (*Result, error) {
 				}
 			}
 			if flush {
-				t.fallback(window, winIdx)
-				window, winIdx = nil, nil
+				t.fallback(window)
+				window = nil
 			}
 		}
 	}
 	if len(window) > 0 {
-		t.fallback(window, winIdx)
+		t.fallback(window)
 	}
 	// A variable the recovered function does not depend on — one no clause
 	// mentions, or one simplification dropped — is a free primary input
@@ -367,19 +357,15 @@ func complementary(f, g *logic.Expr) bool {
 
 // commit applies a successful resolution: record the binding, classify v,
 // instantiate the expression as gates, and drop exactly the clauses
-// containing v from the window. winIdx carries each window clause's
-// original index; consumed clauses become the provenance of a constant
-// (primary-output) resolution's circuit output.
-func (t *transformer) commit(window []cnf.Clause, winIdx []int, v int, expr *logic.Expr) ([]cnf.Clause, []int) {
+// containing v from the window.
+func (t *transformer) commit(window []cnf.Clause, v int, expr *logic.Expr) []cnf.Clause {
 	t.res.Bindings = append(t.res.Bindings, Binding{Var: v, Expr: expr})
 
 	// Partition first: clauses containing v are exactly the ones this
 	// resolution consumes (in-place compaction is safe — the write index
 	// never passes the read index).
 	out := window[:0]
-	outIdx := winIdx[:0]
-	var consumed []int
-	for k, c := range window {
+	for _, c := range window {
 		drop := false
 		for _, l := range c {
 			if l.Var() == v {
@@ -387,11 +373,8 @@ func (t *transformer) commit(window []cnf.Clause, winIdx []int, v int, expr *log
 				break
 			}
 		}
-		if drop {
-			consumed = append(consumed, winIdx[k])
-		} else {
+		if !drop {
 			out = append(out, c)
-			outIdx = append(outIdx, winIdx[k])
 		}
 	}
 
@@ -401,7 +384,6 @@ func (t *transformer) commit(window []cnf.Clause, winIdx []int, v int, expr *log
 		// free input carrying the constraint directly.
 		id := t.nodeForOutput(v)
 		t.res.Circuit.MarkOutput(id, val)
-		t.res.OutputSources = append(t.res.OutputSources, consumed)
 		t.kind[v] = PrimaryOutput
 		t.classed[v] = true
 		t.res.PrimaryOutputs = append(t.res.PrimaryOutputs, v)
@@ -422,7 +404,7 @@ func (t *transformer) commit(window []cnf.Clause, winIdx []int, v int, expr *log
 		t.classed[v] = true
 		t.res.Intermediates = append(t.res.Intermediates, v)
 	}
-	return out, outIdx
+	return out
 }
 
 // nodeForOutput returns v's node for an output constraint without forcing a
@@ -439,9 +421,8 @@ func (t *transformer) nodeForOutput(v int) circuit.NodeID {
 
 // fallback converts an unresolvable window into an auxiliary output: the
 // conjunction of its clauses, constrained to 1 (the paper's under-specified
-// case, e.g. the trailing "10 0" unit clause in Fig. 1). The whole window
-// is the output's clause provenance.
-func (t *transformer) fallback(window []cnf.Clause, winIdx []int) {
+// case, e.g. the trailing "10 0" unit clause in Fig. 1).
+func (t *transformer) fallback(window []cnf.Clause) {
 	var terms []*logic.Expr
 	for _, c := range window {
 		var lits []*logic.Expr
@@ -456,7 +437,6 @@ func (t *transformer) fallback(window []cnf.Clause, winIdx []int) {
 	}
 	t.res.Bindings = append(t.res.Bindings, Binding{Var: 0, Expr: expr})
 	t.res.Fallbacks++
-	srcs := append([]int(nil), winIdx...)
 
 	if val, isConst := expr.IsConst(); isConst {
 		if !val {
@@ -465,7 +445,6 @@ func (t *transformer) fallback(window []cnf.Clause, winIdx []int) {
 			// an unsatisfiable function rather than a silent drop.
 			id := t.res.Circuit.AddConst(false)
 			t.res.Circuit.MarkOutput(id, true)
-			t.res.OutputSources = append(t.res.OutputSources, srcs)
 		}
 		return
 	}
@@ -475,5 +454,4 @@ func (t *transformer) fallback(window []cnf.Clause, winIdx []int) {
 	}
 	id := t.res.Circuit.InstantiateExpr(expr, env)
 	t.res.Circuit.MarkOutput(id, true)
-	t.res.OutputSources = append(t.res.OutputSources, srcs)
 }

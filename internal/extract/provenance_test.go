@@ -8,35 +8,6 @@ import (
 	"repro/internal/extract"
 )
 
-// TestOutputSourcesAligned: the clause-provenance table must carry exactly
-// one entry per circuit output, each listing valid, duplicate-free original
-// clause indices — the invariant clause-weighted GD aggregates over.
-func TestOutputSourcesAligned(t *testing.T) {
-	for _, in := range benchgen.SmallSuite() {
-		ext, err := extract.Transform(in.Formula)
-		if err != nil {
-			t.Fatalf("%s: %v", in.Name, err)
-		}
-		if got, want := len(ext.OutputSources), len(ext.Circuit.Outputs); got != want {
-			t.Fatalf("%s: %d provenance entries for %d outputs", in.Name, got, want)
-		}
-		seen := map[int]bool{}
-		for oi, srcs := range ext.OutputSources {
-			for _, ci := range srcs {
-				if ci < 0 || ci >= in.Formula.NumClauses() {
-					t.Fatalf("%s output %d: clause index %d out of range", in.Name, oi, ci)
-				}
-				// A clause constrains at most one output: commit consumes
-				// its clauses and fallback windows are disjoint.
-				if seen[ci] {
-					t.Fatalf("%s output %d: clause %d attributed twice", in.Name, oi, ci)
-				}
-				seen[ci] = true
-			}
-		}
-	}
-}
-
 // TestProjectionNodes: every variable 1..NumVars has a node, and the plan
 // maps each projection variable to it.
 func TestProjectionNodes(t *testing.T) {

@@ -11,8 +11,8 @@
 // BDD of the full CNF (ExactCount enforces variable and node budgets).
 // That is the point: statistical correctness is established on an
 // exhaustively checkable suite and the mechanisms it certifies —
-// projected dedup, clause weighting, the continuous scheduler — are the
-// same code paths production instances run.
+// projected dedup and the continuous scheduler — are the same code paths
+// production instances run.
 package quality
 
 import (

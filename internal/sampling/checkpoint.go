@@ -207,22 +207,14 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 // RestoreSession rebuilds a session from a checkpoint on this problem,
 // which must be the compiled form of the checkpoint's formula (the warm
 // cache path: the server looked the key up before decoding the formula at
-// all). A zero dev restores on the device implied by the snapshot's
-// worker count; streams are deterministic across devices, so any explicit
-// dev resumes the identical stream.
+// all). The session runs on dev (the zero Device runs on one worker);
+// streams are deterministic across devices, so any dev resumes the
+// identical stream.
 func (p *Problem) RestoreSession(ck *Checkpoint, dev tensor.Device) (*Session, error) {
 	if ck == nil {
 		return nil, fmt.Errorf("%w: nil checkpoint", ErrBadCheckpoint)
 	}
-	var (
-		s   *core.Sampler
-		err error
-	)
-	if dev == (tensor.Device{}) {
-		s, err = core.RestoreSampler(p.core, ck.snap)
-	} else {
-		s, err = core.RestoreSamplerOn(p.core, ck.snap, dev)
-	}
+	s, err := core.RestoreSampler(p.core, ck.snap, dev)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
 	}

@@ -337,9 +337,11 @@ func TestDecodeCheckpointRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestRestoreZeroDeviceUsesSnapshotWorkers: a zero Device restores on the
-// worker count the snapshot was taken with, as RestoreSession documents.
-func TestRestoreZeroDeviceUsesSnapshotWorkers(t *testing.T) {
+// TestRestoreZeroDeviceRunsOneWorker: a resume token's worker count is
+// decoded input and never sizes the device. A checkpoint whose snapshot
+// claims 1<<24 workers restores with a zero Device — through
+// RestoreSession and through Compiler.Resume — on one worker.
+func TestRestoreZeroDeviceRunsOneWorker(t *testing.T) {
 	p, err := CompileProblem(mustParseCk(t, ckptProjDIMACS))
 	if err != nil {
 		t.Fatal(err)
@@ -355,16 +357,28 @@ func TestRestoreZeroDeviceUsesSnapshotWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	env = resealSnapshot(t, env, func(blob []byte) {
+		binary.LittleEndian.PutUint32(blob[snapshotWorkers(blob):], 1<<24)
+	})
 	ck, err := DecodeCheckpoint(env)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if w := ck.Snapshot().Workers(); w != 1<<24 {
+		t.Fatalf("forged snapshot claims %d workers, want 1<<24", w)
 	}
 	restored, err := p.RestoreSession(ck, tensor.Device{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w := restored.Core().Snapshot().Workers(); w != 3 {
-		t.Fatalf("restored on %d workers, want the snapshot's 3", w)
+	resumed, err := NewCompiler(1).Resume(ck, tensor.Device{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, r := range map[string]*Session{"RestoreSession": restored, "Resume": resumed} {
+		if w := r.Core().EngineStats().Workers; w != 1 {
+			t.Errorf("%s: restored on %d workers, want 1", name, w)
+		}
 	}
 }
 
@@ -393,6 +407,14 @@ func TestCheckpointWarmCachePath(t *testing.T) {
 	}
 }
 
+// FuzzDecodeCheckpoint fuzzes the GDSC body and seals it with a valid
+// SHA-256 digest inside the target, so mutations reach the field parsers,
+// the embedded formula's parse and the embedded snapshot's decode past the
+// trailer (FuzzOpen covers the trailer, magic and version checks). Every
+// input must either fail with an error wrapping ErrBadCheckpoint or decode
+// into a consistent checkpoint, which then resumes on a sequential device
+// (a refusal wraps ErrBadCheckpoint) and survives a tick. The round-mode
+// envelope is a seed that must be refused.
 func FuzzDecodeCheckpoint(f *testing.F) {
 	buildSeed := func(cfg SessionConfig, dimacs string, target int) []byte {
 		p, err := CompileProblem(mustParseCkF(f, dimacs))
@@ -414,9 +436,11 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		}
 		return env
 	}
-	plain := buildSeed(SessionConfig{Seed: 1, BatchSize: 64, Device: tensor.Sequential()},
+	// Small batches keep the bodies short, so more mutations land on the
+	// envelope fields than on the embedded snapshot's V.
+	plain := buildSeed(SessionConfig{Seed: 1, BatchSize: 16, Device: tensor.Sequential()},
 		"p cnf 3 2\n1 2 0\n-1 3 0\n", 4)
-	proj := buildSeed(SessionConfig{Seed: 2, BatchSize: 64, Device: tensor.Sequential()},
+	proj := buildSeed(SessionConfig{Seed: 2, BatchSize: 16, Device: tensor.Sequential()},
 		ckptProjDIMACS, 4)
 	// A round-mode envelope written before sessions lost round mode: it
 	// must now be rejected cleanly.
@@ -424,7 +448,7 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	fresh := buildSeed(SessionConfig{Seed: 4, BatchSize: 64, Device: tensor.Sequential()},
+	fresh := buildSeed(SessionConfig{Seed: 4, BatchSize: 16, Device: tensor.Sequential()},
 		"p cnf 2 1\n1 2 0\n", 0)
 	// v2 envelope: a specialized session's checkpoint carries its
 	// assumption block.
@@ -434,7 +458,7 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		s, err := p.NewSession(SessionConfig{Seed: 6, BatchSize: 64, Device: tensor.Sequential()})
+		s, err := p.NewSession(SessionConfig{Seed: 6, BatchSize: 16, Device: tensor.Sequential()})
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -447,20 +471,23 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		}
 		return env
 	}()
-	f.Add(plain)
-	f.Add(assumed)
-	f.Add(assumed[:len(assumed)-3])
-	f.Add(proj)
-	f.Add(round)
-	f.Add(fresh)
-	f.Add(plain[:len(plain)/2])
-	flipped := append([]byte(nil), round...)
+	body := func(env []byte) []byte { return env[:len(env)-sha256.Size] }
+	f.Add(body(plain))
+	f.Add(body(assumed))
+	f.Add(body(assumed)[:len(body(assumed))-3])
+	f.Add(body(proj))
+	f.Add(body(round))
+	f.Add(body(fresh))
+	f.Add(body(plain)[:len(body(plain))/2])
+	flipped := append([]byte(nil), body(round)...)
 	flipped[5] ^= 1
 	f.Add(flipped)
 	f.Add([]byte{})
 	f.Add([]byte("GDSC"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		ck, err := DecodeCheckpoint(data)
+	comp := NewCompiler(4)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		sum := sha256.Sum256(body)
+		ck, err := DecodeCheckpoint(append(append([]byte(nil), body...), sum[:]...))
 		if err != nil {
 			if !errors.Is(err, ErrBadCheckpoint) {
 				t.Fatalf("error does not wrap ErrBadCheckpoint: %v", err)
@@ -474,6 +501,14 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		if cnf.AssumeKey(HashFormula(ck.Formula()), ck.Assumptions()) != ck.Key() {
 			t.Fatal("decoded formula does not hash to the envelope key")
 		}
+		s, err := comp.Resume(ck, tensor.Sequential())
+		if err != nil {
+			if !errors.Is(err, ErrBadCheckpoint) {
+				t.Fatalf("resume error does not wrap ErrBadCheckpoint: %v", err)
+			}
+			return
+		}
+		s.Core().ContinuousStep(0)
 	})
 }
 

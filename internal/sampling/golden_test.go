@@ -124,9 +124,31 @@ func TestGoldenCheckpointBytes(t *testing.T) {
 }
 
 // zeroElapsed returns a copy of an unprojected session envelope with the
-// core snapshot's Elapsed field zeroed and the snapshot CRC and envelope
-// digest recomputed.
+// core snapshot's Elapsed field zeroed.
 func zeroElapsed(t *testing.T, env []byte) []byte {
+	t.Helper()
+	return resealSnapshot(t, env, func(blob []byte) {
+		off := snapshotWorkers(blob) + 4 + 4       // workers, inputs
+		if flags := blob[off]; flags&(1<<4) != 0 { // core's projection flag
+			t.Fatal("zeroElapsed does not handle projected snapshots")
+		}
+		off += 1 + 4   // flags; clause-weight count (always 0)
+		off += 8 + 8*8 // round; eight counters before Elapsed
+		clear(blob[off : off+8])
+	})
+}
+
+// snapshotWorkers returns the offset of a core snapshot's u32 worker
+// count: past the magic, version, key, batch, iterations, max age, lr,
+// init range, momentum and seed.
+func snapshotWorkers(blob []byte) int {
+	return 4 + 2 + 2 + int(binary.LittleEndian.Uint16(blob[6:])) + 4*3 + 4*3 + 8
+}
+
+// resealSnapshot returns a copy of a session envelope with edit applied to
+// its embedded core snapshot, and the snapshot CRC and envelope digest
+// recomputed.
+func resealSnapshot(t *testing.T, env []byte, edit func(blob []byte)) []byte {
 	t.Helper()
 	out := append([]byte(nil), env...)
 	d, err := envelope.Open(out, "GDSC", envelope.SHA256, 1, CheckpointVersion, ErrBadCheckpoint)
@@ -143,17 +165,7 @@ func zeroElapsed(t *testing.T, env []byte) []byte {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Snapshot header: magic, version, key, batch, iterations, max age,
-	// lr, init range, momentum, seed, workers, inputs, flags.
-	off := 4 + 2 + 2 + int(binary.LittleEndian.Uint16(blob[6:]))
-	off += 4*3 + 4*3 + 8 + 4 + 4
-	if flags := blob[off]; flags&(1<<4) != 0 { // core's projection flag
-		t.Fatal("zeroElapsed does not handle projected snapshots")
-	}
-	off++
-	off += 4 + 8*int(binary.LittleEndian.Uint32(blob[off:])) // clause weights
-	off += 8 + 8*8                                           // round; eight counters before Elapsed
-	clear(blob[off : off+8])
+	edit(blob)
 	binary.LittleEndian.PutUint32(blob[len(blob)-4:], crc32.ChecksumIEEE(blob[:len(blob)-4]))
 	sum := sha256.Sum256(out[:len(out)-sha256.Size])
 	copy(out[len(out)-sha256.Size:], sum[:])

@@ -101,8 +101,8 @@ func (p *Problem) BatchFor(cfg SessionConfig) int {
 }
 
 // Session is one sampling request over a shared Problem: a core sampler
-// session plus streaming bookkeeping. Sessions are lightweight (V/momentum
-// matrices, per-worker scratch, dedup pool) and independent — N sessions
+// session plus streaming bookkeeping. Sessions are lightweight (the soft-input
+// matrix V, per-worker scratch, dedup pool) and independent — N sessions
 // over one Problem produce N mutually independent solution streams, each
 // deduplicated within itself and deterministic for its seed. A Session is
 // not safe for concurrent use (the batch rows are parallelized internally
