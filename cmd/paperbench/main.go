@@ -6,7 +6,7 @@
 //	paperbench -exp fig2              # Fig. 2: latency vs unique solutions, 60 instances
 //	paperbench -exp fig3              # Fig. 3: learning curve + memory model
 //	paperbench -exp fig4              # Fig. 4: device speedup, ops reduction, transform time
-//	paperbench -exp sched             # continuous-batch scheduler vs round mode
+//	paperbench -exp sched             # continuous-batch scheduler vs the paper's round loop
 //	paperbench -exp cache             # durable compile tier: cold compile vs store load vs warm hit
 //	paperbench -exp serve             # satserved load generator: p50/p99 latency, sol/s vs clients
 //	paperbench -exp quality           # exact-count coverage + chi-square uniformity oracle
@@ -303,10 +303,11 @@ func (b *bench) scale(ctx context.Context) error {
 	return nil
 }
 
-// sched measures the continuous-batch scheduler against the legacy
-// round-synchronous loop (same compiled problem, seed and batch per
-// instance) on the small smoke suite. Three repeats per mode keep the best
-// arm, damping machine noise on sub-millisecond instances.
+// sched measures the continuous-batch scheduler (Sampler.SampleUntil)
+// against the paper's round-synchronous loop (Sampler.SampleRounds, the
+// same tile engine driven in rounds) with the same compiled problem, seed
+// and batch per instance, on the small smoke suite. Three repeats per mode
+// keep the best arm, damping machine noise on sub-millisecond instances.
 func (b *bench) sched(ctx context.Context) error {
 	fmt.Printf("== Scheduler: continuous batching vs round barrier (target %d, timeout %v) ==\n\n",
 		b.opt.Target, b.opt.Timeout)

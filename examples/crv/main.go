@@ -82,6 +82,9 @@ func main() {
 	}
 	decode := func(sol []bool) (byte, byte) {
 		full := sampler.FullAssignment(sol)
+		if !enc.Formula.Sat(full) {
+			log.Fatal("a sampled stimulus fails the constraint CNF")
+		}
 		var av, bv byte
 		for i := 0; i < 8; i++ {
 			if full[enc.InputVar[i]-1] {

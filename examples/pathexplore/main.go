@@ -106,6 +106,9 @@ func main() {
 
 	decode := func(sol []bool) (uint8, uint8) {
 		full := sampler.FullAssignment(sol)
+		if !enc.Formula.Sat(full) {
+			log.Fatal("a sampled path input fails the path-condition CNF")
+		}
 		var xv, yv uint8
 		for i := 0; i < 8; i++ {
 			if full[enc.InputVar[i]-1] {

@@ -70,19 +70,29 @@ func main() {
 	}
 	stats := sampler.SampleUntil(20, 5*time.Second)
 
-	// 4. Print solutions as assignments of the primary input variables.
+	// 4. Print solutions as assignments of the primary input variables,
+	// checking every one against the CNF independently of the sampler.
 	fmt.Printf("\n%d unique solutions (%.0f sol/s):\n", stats.Unique, stats.Throughput())
+	bad := 0
 	for i, sol := range sampler.Solutions() {
+		ok := formula.Sat(sampler.FullAssignment(sol))
+		if !ok {
+			bad++
+		}
 		if i >= 8 {
-			fmt.Printf("  ... and %d more\n", stats.Unique-8)
-			break
+			continue
 		}
 		fmt.Printf("  ")
 		for j, v := range ext.PrimaryInputs {
 			fmt.Printf("x%d=%d ", v, b2i(sol[j]))
 		}
-		full := sampler.FullAssignment(sol)
-		fmt.Printf(" [verified: %v]\n", formula.Sat(full))
+		fmt.Printf(" [verified: %v]\n", ok)
+	}
+	if stats.Unique > 8 {
+		fmt.Printf("  ... and %d more\n", stats.Unique-8)
+	}
+	if bad > 0 {
+		log.Fatalf("%d of %d solutions fail the CNF", bad, stats.Unique)
 	}
 }
 

@@ -104,6 +104,9 @@ func main() {
 		var out [][]bool
 		for _, sol := range gd.Solutions() {
 			full := gd.FullAssignment(sol)
+			if !enc.Formula.Sat(full) {
+				log.Fatal("a sampled solution fails the CNF")
+			}
 			out = append(out, cnf.Project(full, enc.InputVar[:nInputs]))
 		}
 		return out

@@ -286,7 +286,7 @@ func TestEngineTrajectoryMatchesNaive(t *testing.T) {
 			s.initRound()
 			for it := 0; it < s.cfg.Iterations; it++ {
 				ns.step()
-				s.step()
+				s.stepActive()
 				rel := math.Abs(ns.loss-s.stats.FinalLoss) / (1 + math.Abs(ns.loss))
 				if rel > 1e-6 {
 					t.Fatalf("trial %d round %d iter %d: loss %g vs %g", trial, round, it, ns.loss, s.stats.FinalLoss)
@@ -349,14 +349,13 @@ func TestEngineShrinksWorkingSet(t *testing.T) {
 }
 
 // TestStepZeroAllocs guards the fused pipeline: after warm-up a GD step
-// performs no heap allocations on the sequential device (the parallel
-// device pays only the goroutine-spawn bookkeeping of Device.Run).
+// over every tile performs no heap allocations on the sequential device.
 func TestStepZeroAllocs(t *testing.T) {
 	f := mustFormula(t, paperExample)
 	s := newSampler(t, f, Config{BatchSize: 256, Seed: 7, Device: tensor.Sequential()})
 	s.initRound()
-	s.step()
-	allocs := testing.AllocsPerRun(50, func() { s.step() })
+	s.stepActive()
+	allocs := testing.AllocsPerRun(50, func() { s.stepActive() })
 	if allocs != 0 {
 		t.Errorf("step allocates %.1f times per call, want 0", allocs)
 	}

@@ -67,12 +67,12 @@ func TestProjectedDifferential(t *testing.T) {
 	}
 }
 
-// TestProjectedRoundMode: the round-synchronous compat loop shares the
+// TestProjectedRoundMode: the paper's round loop shares the
 // projected dedup path and must satisfy the same contract.
 func TestProjectedRoundMode(t *testing.T) {
 	f := mustFormula(t, projFormula)
-	s := newSampler(t, f, Config{BatchSize: 128, Seed: 3, RoundMode: true})
-	s.SampleUntil(16, 10*time.Second)
+	s := newSampler(t, f, Config{BatchSize: 128, Seed: 3})
+	s.SampleRounds(16, 10*time.Second)
 	if s.UniqueCount() != 16 {
 		t.Fatalf("round mode found %d projected-distinct solutions, want 16", s.UniqueCount())
 	}

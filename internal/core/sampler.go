@@ -33,15 +33,9 @@ type Config struct {
 	// MaxAge is the continuous scheduler's restart cap: a row that has run
 	// MaxAge GD steps since its last (re)start without satisfying the
 	// formula is recycled with fresh noise instead of left spinning.
-	// Default 3×Iterations (a stalled row gets three round-mode budgets
-	// before it is declared stuck).
+	// Default 3×Iterations (a stalled row gets three rounds' budgets before
+	// it is declared stuck).
 	MaxAge int
-	// RoundMode selects the paper's round-synchronous sampling loop for
-	// SampleUntil instead of the continuous-batch scheduler: every round
-	// re-initializes the full batch, runs Iterations GD steps, then hardens
-	// and verifies once. Retained as the compatibility mode and as the
-	// differential oracle for the continuous scheduler.
-	RoundMode bool
 	// Projection lists the CNF variables that define solution identity (the
 	// DIMACS "c ind"/"p show" sampling set): retired rows are deduplicated
 	// by their assignment restricted to these variables, extracted in the
@@ -73,13 +67,13 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Stats accumulates sampling progress. Rounds counts round-mode rounds;
-// Sweeps/Retired/Stalled describe the continuous scheduler. Candidates is
-// the number of candidate trajectories consumed: hardened batch rows
-// examined in round mode, retired rows (satisfied or age-capped) in
-// continuous mode.
+// Stats accumulates sampling progress. Rounds counts the paper's round
+// loop (Round, RoundTrace); Sweeps/Retired/Stalled describe the continuous
+// scheduler. Candidates is the number of candidate trajectories consumed:
+// hardened batch rows examined by a round, retired rows (satisfied or
+// age-capped) by the scheduler.
 type Stats struct {
-	Rounds     int           // GD rounds executed (round mode)
+	Rounds     int           // GD rounds executed (round loop)
 	Iterations int           // total GD iterations
 	Sweeps     int           // harden/verify/retire sweeps (continuous mode)
 	Candidates int           // candidate trajectories consumed
@@ -134,15 +128,12 @@ type Sampler struct {
 
 	vmat *tensor.Matrix // soft inputs V ∈ R^{batch×n}
 
-	scratch []stepScratch       // one per device worker
-	loss    []float64           // per-worker loss accumulators
-	stepFn  func(w, lo, hi int) // prebound stripe worker (keeps step at 0 allocs)
+	scratch []stepScratch // one per device worker
 
 	// Bit-parallel verification state: hardened inputs live in packed
 	// uint64 columns (bit r of cols[i][r/64] is row r's value for input
 	// i), verified 64 rows per word sweep by the shared bitblast program
-	// through this session's Eval.
-	veval  *bitblast.Eval
+	// through each worker's Eval (vevals).
 	colbuf []uint64   // backing store for cols
 	cols   [][]uint64 // one packed column per input
 	valid  []uint64   // per-word validity masks
@@ -168,12 +159,10 @@ type Sampler struct {
 	round int64
 	stats Stats
 
-	// Continuous-batch scheduler state (scheduler.go). The per-row arrays
-	// are allocated lazily on the first ContinuousStep so round-mode
-	// sessions pay nothing; contReady is cleared by Round/RoundTrace so an
+	// Tile engine state (scheduler.go), shared by the continuous scheduler
+	// and the round loop. contReady is cleared by Round/RoundTrace so an
 	// interleaved continuous call re-seeds from the round stream.
 	contReady  bool
-	track      bool     // stepTile records hardened-sign changes
 	stile      int      // scheduler tile (rows per tile, multiple of 64)
 	numTiles   int      // fixed tile count covering the batch
 	active     []int32  // live rows per tile, compacted to the head
@@ -186,9 +175,9 @@ type Sampler struct {
 	exhausted  bool     // saturation guard tripped
 	activeRows int      // running Σ active (updated at retire/refill)
 
-	// Parallel tick state: every tick phase (sweep, refill, GD step) runs
-	// as one RunWorkers dispatch in which each worker claims the tiles of
-	// its contiguous range, then steals unclaimed tiles from the most
+	// Parallel tick state: every tick phase (pack, sweep, refill, GD step)
+	// runs as one RunWorkers dispatch in which each worker claims the tiles
+	// of its contiguous range, then steals unclaimed tiles from the most
 	// backlogged range. Tiles are word-aligned, so no two workers ever
 	// touch the same uint64 of cols/valid/dirty/chg. All closures are
 	// prebound — a steady-state tick performs no allocations.
@@ -198,7 +187,8 @@ type Sampler struct {
 	curPhase func(w, t int)   // tile body of the phase being dispatched
 	curK     int              // workers participating in the current phase
 	tileFn   func(w int)      // prebound claim-and-steal worker loop
-	sweepPh  func(w, t int)   // prebound phase bodies
+	packPh   func(w, t int)   // prebound phase bodies
+	sweepPh  func(w, t int)
 	refillPh func(w, t int)
 	stepPh   func(w, t int)
 	retLanes []int32   // per-tile regions of satisfied lanes, row order
@@ -233,45 +223,29 @@ func newSession(p *Problem, cfg Config) (*Sampler, error) {
 	batch := cfg.BatchSize
 	s.vmat = tensor.NewMatrix(batch, n)
 
-	workers := cfg.Device.Workers()
-	s.scratch = make([]stepScratch, workers)
+	s.scratch = make([]stepScratch, cfg.Device.Workers())
 	for w := range s.scratch {
 		s.scratch[w] = stepScratch{
 			vals:  make([]float32, p.eng.numSlots*p.tile),
 			grads: make([]float32, p.eng.numGregs*p.tile),
 		}
 	}
-	s.loss = make([]float64, workers)
-	s.stepFn = func(w, lo, hi int) {
-		sc := &s.scratch[w]
-		sum := 0.0
-		for tlo := lo; tlo < hi; tlo += p.tile {
-			nt := p.tile
-			if tlo+nt > hi {
-				nt = hi - tlo
-			}
-			sum += s.stepTile(sc, tlo, nt)
-		}
-		s.loss[w] = sum
-	}
 
-	// Scheduler tiles: the continuous scheduler parallelizes whole tiles
-	// (its per-tile active regions make arbitrary row stripes impossible).
-	// The tile size is a pure function of the batch — never of the device —
-	// so compaction targets and per-slot restart streams, and therefore the
-	// solution stream for a seed, are identical for any worker count. Large
-	// batches split into up to 64 scheduler tiles to keep many-worker
-	// devices fed. Tiles are multiples of 64 rows so a tile's packed words
-	// (cols/valid/dirty/chg) are exclusively its own — the property that
-	// lets tick phases run tiles on different workers with no shared-word
-	// races. The GD step re-chunks each scheduler tile into cache tiles
-	// (prob.tile) internally, so dropping the old ≤prob.tile cap costs no
-	// locality.
+	// Scheduler tiles: every GD step and every verify pass runs whole tiles
+	// (the scheduler's per-tile active regions make arbitrary row stripes
+	// impossible). The tile size is a pure function of the batch — never of
+	// the device — so compaction targets, per-slot restart streams and the
+	// tile-ordered loss sum, and therefore the solution stream and stats for
+	// a seed, are identical for any worker count. Large batches split into
+	// up to 64 scheduler tiles to keep many-worker devices fed. Tiles are
+	// multiples of 64 rows so a tile's packed words (cols/valid/dirty/chg)
+	// are exclusively its own — the property that lets tick phases run
+	// tiles on different workers with no shared-word races. The GD step
+	// re-chunks each scheduler tile into cache tiles (prob.tile) internally.
 	s.stile = ((batch+63)/64 + 63) &^ 63
 	s.numTiles = (batch + s.stile - 1) / s.stile
 
 	words := (batch + 63) / 64
-	s.veval = p.verify.NewEval()
 	s.colbuf = make([]uint64, n*words)
 	s.cols = make([][]uint64, n)
 	for i := 0; i < n; i++ {
@@ -304,6 +278,33 @@ func newSession(p *Problem, cfg Config) (*Sampler, error) {
 		keyWidth = np
 	}
 	s.pool = bitblast.NewRowSet(keyWidth, 0)
+
+	s.ages = make([]int32, batch)
+	s.restarts = make([]uint32, batch)
+	s.chg = make([]uint64, words)
+	s.retiredFl = make([]bool, batch)
+	s.dirty = make([]uint64, words)
+	s.active = make([]int32, s.numTiles)
+	s.claims = make([]uint32, s.numTiles)
+	s.retLanes = make([]int32, s.numTiles*s.stile)
+	s.retCnt = make([]int32, s.numTiles)
+	s.stallCnt = make([]int32, s.numTiles)
+	s.refillQ = make([]int32, s.numTiles)
+	s.tileLoss = make([]float64, s.numTiles)
+	s.activateAll()
+	// One verifier scratch per worker, so pack phases verify tiles
+	// concurrently.
+	s.vevals = make([]*bitblast.Eval, len(s.scratch))
+	for w := range s.vevals {
+		s.vevals[w] = p.verify.NewEval()
+	}
+	// Prebound method values: dispatching a phase stores one of these in
+	// curPhase — no per-tick closure allocation.
+	s.packPh = s.packTile
+	s.sweepPh = s.sweepTile
+	s.refillPh = s.refillTile
+	s.stepPh = s.stepActiveTile
+	s.tileFn = s.tileWorker
 	return s, nil
 }
 
@@ -425,16 +426,16 @@ func (s *Sampler) FullAssignment(sol []bool) []bool {
 	return s.prob.ext.AssignmentFromInputs(s.prob.formula.NumVars, sol)
 }
 
-// Round runs one batch round: initialize V, run Config.Iterations GD steps,
-// harden, verify, and fold new unique solutions into the pool. It returns
-// the number of new unique solutions discovered this round.
+// Round runs one batch round of the paper's loop on the tile engine:
+// reseed the whole batch, run Config.Iterations GD steps over every tile,
+// then harden, verify, and fold new unique solutions into the pool. It
+// returns the number of new unique solutions discovered this round.
 func (s *Sampler) Round() int {
 	start := time.Now()
 	defer func() { s.stats.Elapsed += time.Since(start) }()
-	s.leaveContinuous()
 	s.initRound()
 	for it := 0; it < s.cfg.Iterations; it++ {
-		s.step()
+		s.stepActive()
 	}
 	s.stats.Rounds++
 	return s.collect()
@@ -447,29 +448,23 @@ func (s *Sampler) Round() int {
 func (s *Sampler) RoundTrace() []int {
 	start := time.Now()
 	defer func() { s.stats.Elapsed += time.Since(start) }()
-	s.leaveContinuous()
 	s.initRound()
 	s.stats.Rounds++
 	curve := make([]int, 0, s.cfg.Iterations+1)
 	s.collect()
 	curve = append(curve, s.stats.Unique)
 	for it := 0; it < s.cfg.Iterations; it++ {
-		s.step()
+		s.stepActive()
 		s.collect()
 		curve = append(curve, s.stats.Unique)
 	}
 	return curve
 }
 
-// SampleUntil samples until target unique solutions are found or the
-// timeout elapses (timeout <= 0 means no timeout). It returns the stats
-// snapshot at completion. The default driver is the continuous-batch
-// scheduler (ContinuousStep); Config.RoundMode selects the paper's
-// round-synchronous loop instead.
+// SampleUntil drives the continuous-batch scheduler (ContinuousStep) until
+// target unique solutions are found or the timeout elapses (timeout <= 0
+// means no timeout). It returns the stats snapshot at completion.
 func (s *Sampler) SampleUntil(target int, timeout time.Duration) Stats {
-	if s.cfg.RoundMode {
-		return s.sampleUntilRounds(target, timeout)
-	}
 	deadline := time.Time{}
 	if timeout > 0 {
 		deadline = time.Now().Add(timeout)
@@ -489,8 +484,12 @@ func (s *Sampler) SampleUntil(target int, timeout time.Duration) Stats {
 	return s.stats
 }
 
-// sampleUntilRounds is the round-mode SampleUntil loop (Config.RoundMode).
-func (s *Sampler) sampleUntilRounds(target int, timeout time.Duration) Stats {
+// SampleRounds is SampleUntil over the paper's round loop: it runs Round
+// until target unique solutions are found or the timeout elapses (timeout
+// <= 0 means no timeout), and stops early after 64 consecutive zero-gain
+// rounds once the pool is non-empty. It returns the stats snapshot at
+// completion.
+func (s *Sampler) SampleRounds(target int, timeout time.Duration) Stats {
 	deadline := time.Time{}
 	if timeout > 0 {
 		deadline = time.Now().Add(timeout)
@@ -515,40 +514,25 @@ func (s *Sampler) sampleUntilRounds(target int, timeout time.Duration) Stats {
 	return s.stats
 }
 
-// Step runs a single GD iteration on the current batch without hardening
+// Step runs a single GD iteration over the active rows without hardening
 // or collecting — exposed for benchmarks and incremental drivers that
 // want to observe the raw engine. Round/RoundTrace remain the paper's
 // sampling loop.
 func (s *Sampler) Step() {
 	start := time.Now()
 	defer func() { s.stats.Elapsed += time.Since(start) }()
-	s.step()
+	s.stepActive()
 }
 
-// initRound fills V with fresh uniform noise.
+// initRound reseeds the whole batch from the round stream: V gets fresh
+// uniform noise and every tile is fully active. It invalidates the
+// scheduler view, so the next ContinuousStep re-seeds.
 func (s *Sampler) initRound() {
 	seed := s.cfg.Seed + 0x5DEECE66D*s.round
 	s.round++
 	s.vmat.Randomize(s.cfg.Device, seed, -s.cfg.InitRange, s.cfg.InitRange)
-}
-
-// step performs one GD iteration as a single fused pass: each worker walks
-// its row stripe in cache-sized tiles, and for every tile runs embed →
-// forward → loss/adjoint seeding → backward → V-update entirely from
-// per-worker scratch. There are no full-matrix traversals and no per-call
-// allocations.
-func (s *Sampler) step() {
-	batch := s.cfg.BatchSize
-	for w := range s.loss {
-		s.loss[w] = 0
-	}
-	s.cfg.Device.RunIndexed(batch, s.stepFn)
-	total := 0.0
-	for _, l := range s.loss {
-		total += l
-	}
-	s.stats.FinalLoss = total + s.prob.eng.constLoss*float64(batch)
-	s.stats.Iterations++
+	s.activateAll()
+	s.contReady = false
 }
 
 // stepTile runs the fused pipeline for rows [r0, r0+nt) and returns their
@@ -581,11 +565,11 @@ func (s *Sampler) stepTile(sc *stepScratch, r0, nt int) float64 {
 	}
 	e.backwardTile(vals, grads, tile, nt)
 
-	// Input update through the sigmoid embedding. Reading an input's adjoint re-zeroes it,
-	// restoring the engine's register invariant for the next step. In
-	// continuous mode (track) the update also records whether any input's
-	// hardened sign flipped, so the next sweep repacks and re-verifies only
-	// lanes that could have changed.
+	// Input update through the sigmoid embedding. Reading an input's
+	// adjoint re-zeroes it, restoring the engine's register invariant for
+	// the next step. The update also records whether any input's hardened
+	// sign flipped, so the next sweep repacks and re-verifies only lanes
+	// that could have changed.
 	n := e.numInputs
 	for t := 0; t < nt; t++ {
 		r := r0 + t
@@ -604,42 +588,23 @@ func (s *Sampler) stepTile(sc *stepScratch, r0, nt int) float64 {
 			vrow[i] = nv
 			flipped = flipped || (old > 0) != (nv > 0)
 		}
-		if s.track && flipped {
-			// Word-exclusive in continuous mode: GD runs whole scheduler
-			// tiles per worker and tiles are 64-row aligned.
+		if flipped {
+			// Word-exclusive: GD runs whole scheduler tiles per worker and
+			// tiles are 64-row aligned.
 			s.chg[r>>6] |= 1 << (uint(r) & 63)
 		}
 	}
 	return sum
 }
 
-// collect hardens V into packed columns, verifies 64 candidate rows per
-// word sweep against the original CNF, and folds new unique solutions into
-// the pool. It returns the number of new uniques.
+// collect hardens and verifies the whole batch on the tile engine — every
+// lane is marked changed, so the pack phase repacks and re-verifies every
+// tile — then folds valid rows into the pool in row order. It returns the
+// number of new uniques.
 func (s *Sampler) collect() int {
 	batch := s.cfg.BatchSize
-	n := s.prob.eng.numInputs
-	words := (batch + 63) / 64
-
-	// Harden: bit r of cols[i] is V[r][i] > 0.
-	for i := range s.colbuf {
-		s.colbuf[i] = 0
-	}
-	for r := 0; r < batch; r++ {
-		row := s.vmat.Row(r)
-		w, b := r>>6, uint(r)&63
-		for i := 0; i < n; i++ {
-			if row[i] > 0 {
-				s.cols[i][w] |= 1 << b
-			}
-		}
-	}
-
-	s.veval.Sweep(s.cols, 0, words, nil, s.valid, s.projPlan, s.projCols)
-	if tail := uint(batch) & 63; tail != 0 {
-		s.valid[words-1] &= (1 << tail) - 1
-	}
-
+	s.markAllChanged()
+	s.runTiles(s.packPh)
 	newUnique := 0
 	s.stats.Candidates += batch
 	for r := 0; r < batch; r++ {

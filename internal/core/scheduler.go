@@ -5,16 +5,17 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/bitblast"
 	"repro/internal/tensor"
 )
 
-// This file implements the continuous-batch scheduler: the replacement for
-// the paper's round-synchronous sampling loop. The round loop wastes work
-// at both ends of a round — rows that satisfy the formula after the first
-// GD iteration burn the remaining steps re-learning a solution the pool
-// already holds, and rows one step from converging are discarded at the
-// round barrier. The scheduler removes the barrier (see DESIGN.md,
+// This file implements the tile engine and the continuous-batch scheduler
+// that drives it: the replacement for the paper's round-synchronous
+// sampling loop, which survives as a thin driver over the same tile phases
+// (Round, RoundTrace, SampleRounds in sampler.go). The round loop wastes
+// work at both ends of a round — rows that satisfy the formula after the
+// first GD iteration burn the remaining steps re-learning a solution the
+// pool already holds, and rows one step from converging are discarded at
+// the round barrier. The scheduler removes the barrier (see DESIGN.md,
 // "Continuous batching"):
 //
 //   - Every tick starts with a sweep: lanes whose hardened signs may have
@@ -48,16 +49,18 @@ import (
 //
 // Parallelism (see DESIGN.md, "Multi-core ticks"): the tick runs as four
 // phases with scheduler tiles as the ownership unit. Phase A (parallel)
-// hardens, verifies, ages and compacts each tile independently — per-worker
-// bitblast.Eval scratch, per-tile retire buffers — with workers claiming
-// the tiles of a contiguous range and stealing whole tiles from the most
-// backlogged range once drained. Phase B (sequential) merges retired rows
+// packs and verifies (packTile), then ages and compacts (retireTile) each
+// tile independently — per-worker bitblast.Eval scratch, per-tile retire
+// buffers — with workers claiming the tiles of a contiguous range and
+// stealing whole tiles from the most backlogged range once drained. Phase B (sequential) merges retired rows
 // into the shared dedup pool in tile order, then row order — exactly the
 // order a one-worker sweep visits them — and computes per-tile refill
 // quotas by the same sequential tile walk. Phase C (parallel) refills each
 // tile to its quota from per-slot restart streams. Phase D (parallel) runs
 // the fused GD step per tile, accumulating loss per tile and summing in
-// tile order.
+// tile order. A round runs phase D Iterations times over fully active
+// tiles, then packs and verifies every tile and merges valid rows in row
+// order (collect).
 //
 // Determinism: tile work touches only tile-owned words (tiles are 64-row
 // aligned), the merge and quota walks are sequential and tile-ordered,
@@ -80,8 +83,8 @@ const (
 	minActive = 128
 	// staleRetiresPerRow scales the saturation guard: the scheduler
 	// declares the reachable solution set exhausted after 64×batch retired
-	// trajectories gain nothing — the retired-row analogue of round mode's
-	// 64 consecutive zero-gain rounds.
+	// trajectories gain nothing — the retired-row analogue of the round
+	// loop's 64 consecutive zero-gain rounds.
 	staleRetiresPerRow = 64
 )
 
@@ -126,24 +129,12 @@ func (s *Sampler) ActiveRows() int { return s.activeRows }
 // replaying a restart stream would re-explore trajectories this sampler
 // already consumed.
 func (s *Sampler) initContinuous() {
-	batch := s.cfg.BatchSize
-	s.ensureContState()
 	s.initRound()
-	s.track = true
-	for r := 0; r < batch; r++ {
+	for r := range s.ages {
 		s.ages[r] = 0
 		s.retiredFl[r] = false
 	}
-	for w := range s.chg {
-		s.chg[w] = ^uint64(0)
-	}
-	if tail := uint(batch) & 63; tail != 0 {
-		s.chg[len(s.chg)-1] = 1<<tail - 1
-	}
-	for t := 0; t < s.numTiles; t++ {
-		s.active[t] = int32(s.tileCap(t))
-	}
-	s.activeRows = batch
+	s.markAllChanged()
 	for w := range s.valid {
 		s.valid[w] = 0
 	}
@@ -152,41 +143,23 @@ func (s *Sampler) initContinuous() {
 	s.contReady = true
 }
 
-// ensureContState lazily allocates the per-row scheduler arrays (round-mode
-// sessions never pay for them). Shared by initContinuous and the snapshot
-// restore path, which fills the arrays from a checkpoint instead of
-// re-seeding them.
-func (s *Sampler) ensureContState() {
-	if s.ages != nil {
-		return
+// activateAll makes every lane of every tile active.
+func (s *Sampler) activateAll() {
+	for t := range s.active {
+		s.active[t] = int32(s.tileCap(t))
 	}
-	batch := s.cfg.BatchSize
-	words := (batch + 63) / 64
-	s.ages = make([]int32, batch)
-	s.restarts = make([]uint32, batch)
-	s.chg = make([]uint64, words)
-	s.retiredFl = make([]bool, batch)
-	s.dirty = make([]uint64, words)
-	s.active = make([]int32, s.numTiles)
-	s.claims = make([]uint32, s.numTiles)
-	s.retLanes = make([]int32, s.numTiles*s.stile)
-	s.retCnt = make([]int32, s.numTiles)
-	s.stallCnt = make([]int32, s.numTiles)
-	s.refillQ = make([]int32, s.numTiles)
-	s.tileLoss = make([]float64, s.numTiles)
-	// Worker 0 reuses the session Eval (collect shares it); the rest get
-	// their own scratch so phase A verifies tiles concurrently.
-	s.vevals = make([]*bitblast.Eval, len(s.scratch))
-	s.vevals[0] = s.veval
-	for w := 1; w < len(s.vevals); w++ {
-		s.vevals[w] = s.prob.verify.NewEval()
+	s.activeRows = s.cfg.BatchSize
+}
+
+// markAllChanged flags every lane of the batch changed, so the next pack
+// repacks and re-verifies the whole batch.
+func (s *Sampler) markAllChanged() {
+	for w := range s.chg {
+		s.chg[w] = ^uint64(0)
 	}
-	// Prebound method values: dispatching a phase stores one of these in
-	// curPhase — no per-tick closure allocation.
-	s.sweepPh = s.sweepTile
-	s.refillPh = s.refillTile
-	s.stepPh = s.stepActiveTile
-	s.tileFn = s.tileWorker
+	if tail := uint(s.cfg.BatchSize) & 63; tail != 0 {
+		s.chg[len(s.chg)-1] = 1<<tail - 1
+	}
 }
 
 // runTiles dispatches one parallel phase over all scheduler tiles. Worker
@@ -260,13 +233,6 @@ func (s *Sampler) stealTile(epoch uint32, k, self int) int {
 	return best
 }
 
-// leaveContinuous invalidates the scheduler view (a round-mode call is
-// about to rewrite V and the packed columns wholesale).
-func (s *Sampler) leaveContinuous() {
-	s.contReady = false
-	s.track = false
-}
-
 // tileCap returns the row capacity of scheduler tile t.
 func (s *Sampler) tileCap(t int) int {
 	cap := s.stile
@@ -325,12 +291,16 @@ func (s *Sampler) sweep(target int) int {
 	return gained
 }
 
-// sweepTile is phase A's per-tile body: incremental harden of the tile's
-// changed lanes, masked wide verify of the tile's dirty words with this
-// worker's Eval scratch, the retire scan (satisfied lanes queue in the
-// tile's region of retLanes for the sequential merge), aging, and
-// compaction.
+// sweepTile is phase A's per-tile body: packTile, then retireTile.
 func (s *Sampler) sweepTile(w, t int) {
+	s.packTile(w, t)
+	s.retireTile(t)
+}
+
+// packTile is the pack-and-verify half of a sweep: incremental harden of
+// the tile's changed lanes and masked wide verify of the tile's dirty
+// words with this worker's Eval scratch. It is also collect's phase body.
+func (s *Sampler) packTile(w, t int) {
 	base := t * s.stile
 	w0 := base >> 6
 	w1 := (base + s.tileCap(t) + 63) >> 6
@@ -366,10 +336,14 @@ func (s *Sampler) sweepTile(w, t int) {
 	// under projection, the projected signature — is a pure function of the
 	// packed bits).
 	s.vevals[w].Sweep(s.cols, w0, w1, s.dirty, s.valid, s.projPlan, s.projCols)
+}
 
-	// Retire scan: satisfied rows queue for the merge and recycle;
-	// unsatisfied rows age, and rows at the restart cap recycle without
-	// harvesting.
+// retireTile is the retire half of a sweep: satisfied rows queue in the
+// tile's region of retLanes for the sequential merge and recycle;
+// unsatisfied rows age, rows at the restart cap recycle without
+// harvesting, and the survivors compact to the tile head.
+func (s *Sampler) retireTile(t int) {
+	base := t * s.stile
 	end := base + int(s.active[t])
 	maxAge := int32(s.cfg.MaxAge)
 	nsat, nstall := 0, 0

@@ -156,7 +156,7 @@ func TestContinuousRestartDeterminism(t *testing.T) {
 func TestContinuousBeatsRoundPerUnitWork(t *testing.T) {
 	f := mustFormula(t, paperExample)
 	for _, seed := range []int64{1, 7, 42} {
-		round := newSampler(t, f, Config{BatchSize: 128, Seed: seed, RoundMode: true})
+		round := newSampler(t, f, Config{BatchSize: 128, Seed: seed})
 		cont := newSampler(t, f, Config{BatchSize: 128, Seed: seed})
 		const rounds = 4
 		for i := 0; i < rounds; i++ {
@@ -272,7 +272,7 @@ func TestContinuousStepSteadyStateZeroAllocsParallel(t *testing.T) {
 	}
 }
 
-// TestContinuousAfterRoundReseeds: interleaving the round-mode compat API
+// TestContinuousAfterRoundReseeds: interleaving the paper's round loop
 // with the scheduler must not corrupt either — Round rewrites V and the
 // packed columns wholesale, so the next tick re-seeds.
 func TestContinuousAfterRoundReseeds(t *testing.T) {
@@ -322,7 +322,7 @@ func TestContinuousMaxAgeOneIsSingleStepSearch(t *testing.T) {
 // retirement, and per-iteration sweeps only observe more hardenings).
 func TestSolutionsSupersetOfRoundMode(t *testing.T) {
 	f := mustFormula(t, paperExample)
-	round := newSampler(t, f, Config{BatchSize: 256, Seed: 21, RoundMode: true})
+	round := newSampler(t, f, Config{BatchSize: 256, Seed: 21})
 	cont := newSampler(t, f, Config{BatchSize: 256, Seed: 21})
 	round.Round()
 	iters := round.Stats().Iterations

@@ -50,11 +50,14 @@ import (
 // corrupted snapshot yields a clean error — never a panic, never a
 // half-restored session (FuzzDecodeSnapshot guards this).
 //
-// Three fields of the layout are always zero: the momentum f32 after the
-// init range, the momentum flag bit, and the clause-weight count after
-// the projection. They carried optimizer hooks the sampler no longer has
-// and stay in the layout so every checkpoint a session writes keeps its
-// bytes; decode refuses a snapshot with any of them non-zero.
+// Two fields of the layout are always zero: the momentum f32 after the
+// init range and the clause-weight count after the projection. They
+// carried optimizer hooks the sampler no longer has and stay in the layout
+// so every checkpoint a session writes keeps its bytes; decode refuses a
+// snapshot with either non-zero. The flag byte defines three bits
+// (scheduler running, exhausted, projection) and decode refuses every
+// other, including the retired round-mode and momentum bits, so the codec
+// is canonical: a blob that decodes re-encodes to the same bytes.
 
 // SnapshotVersion is the current snapshot codec version. Decode rejects
 // any other version: a checkpoint outlives the process that wrote it, so
@@ -85,7 +88,6 @@ type Snapshot struct {
 	lr, initRange             float32
 	seed                      int64
 	workers                   int
-	roundMode                 bool
 	hasProj                   bool
 	projection                []int
 
@@ -94,8 +96,8 @@ type Snapshot struct {
 
 	vdata []float32 // V matrix, row-major batch×n
 
-	// Continuous scheduler state (zero-valued when the session was in
-	// round mode or never started the scheduler). cols/valid/projCols/
+	// Continuous scheduler state (zero-valued when the session last ran
+	// the round loop or never started the scheduler). cols/valid/projCols/
 	// changed are the scheduler's packed verifier view at the tick
 	// boundary: the columns still hold pre-step bits for lanes whose GD
 	// update flipped a hardened sign, and changed flags exactly those
@@ -136,9 +138,6 @@ func (sn *Snapshot) Workers() int { return sn.workers }
 // Seed returns the session's base seed.
 func (sn *Snapshot) Seed() int64 { return sn.seed }
 
-// RoundMode reports whether the session ran the round-synchronous loop.
-func (sn *Snapshot) RoundMode() bool { return sn.roundMode }
-
 // ProjectionWidth returns the number of projection variables defining the
 // session's solution identity (0 = full assignment).
 func (sn *Snapshot) ProjectionWidth() int { return len(sn.projection) }
@@ -175,7 +174,6 @@ func (s *Sampler) Snapshot() *Snapshot {
 		initRange:  s.cfg.InitRange,
 		seed:       s.cfg.Seed,
 		workers:    s.cfg.Device.Workers(),
-		roundMode:  s.cfg.RoundMode,
 		hasProj:    s.projection != nil,
 		round:      s.round,
 		stats:      s.stats,
@@ -240,7 +238,6 @@ func RestoreSampler(p *Problem, sn *Snapshot, dev tensor.Device) (*Sampler, erro
 		Device:       dev,
 		InitRange:    sn.initRange,
 		MaxAge:       sn.maxAge,
-		RoundMode:    sn.roundMode,
 	}
 	// An effective projection restores explicitly; its absence must also be
 	// explicit (an empty non-nil slice), or newSession would re-inherit the
@@ -367,7 +364,6 @@ func (s *Sampler) restoreScheduler(sn *Snapshot) error {
 	} else if len(sn.projCols) != 0 {
 		return fmt.Errorf("%w: projected columns without a projection", ErrBadSnapshot)
 	}
-	s.ensureContState()
 	copy(s.ages, sn.ages)
 	copy(s.restarts, sn.restarts)
 	copy(s.active, sn.active)
@@ -383,7 +379,6 @@ func (s *Sampler) restoreScheduler(sn *Snapshot) error {
 	}
 	s.staleRet = sn.staleRet
 	s.contReady = true
-	s.track = true
 	return nil
 }
 
@@ -402,14 +397,14 @@ func abbrev(key string) string {
 // Binary codec
 // ---------------------------------------------------------------------------
 
-// snapshot flag bits. The momentum bit is always clear (see the file
-// comment).
+// snapshot flag bits. Bit 0 marked round-mode sessions and bit 1 momentum
+// sessions, neither of which exists any more; decode refuses every bit
+// outside snapFlags, so a decoded snapshot re-encodes to its input bytes.
 const (
-	snapFlagRoundMode = 1 << iota
-	snapFlagMomentum
-	snapFlagContReady
-	snapFlagExhausted
-	snapFlagProjection
+	snapFlagContReady  = 1 << 2
+	snapFlagExhausted  = 1 << 3
+	snapFlagProjection = 1 << 4
+	snapFlags          = snapFlagContReady | snapFlagExhausted | snapFlagProjection
 )
 
 // MarshalBinary encodes the snapshot in the versioned binary format. The
@@ -437,9 +432,6 @@ func (sn *Snapshot) MarshalBinary() ([]byte, error) {
 	e.U32(uint32(sn.workers))
 	e.U32(uint32(n))
 	var flags uint8
-	if sn.roundMode {
-		flags |= snapFlagRoundMode
-	}
 	if sn.contReady {
 		flags |= snapFlagContReady
 	}
@@ -522,10 +514,12 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	if momentum != 0 || flags&snapFlagMomentum != 0 {
+	if momentum != 0 {
 		return nil, fmt.Errorf("%w: momentum session (the sampler runs plain gradient descent)", ErrBadSnapshot)
 	}
-	sn.roundMode = flags&snapFlagRoundMode != 0
+	if flags&^snapFlags != 0 {
+		return nil, fmt.Errorf("%w: undefined flag bits %#02x", ErrBadSnapshot, flags&^snapFlags)
+	}
 	sn.contReady = flags&snapFlagContReady != 0
 	sn.exhausted = flags&snapFlagExhausted != 0
 	sn.hasProj = flags&snapFlagProjection != 0

@@ -75,20 +75,21 @@ func TestSnapshotResumeEquivalence(t *testing.T) {
 		name    string
 		formula string
 		cfg     Config
+		rounds  bool
 		ticks   int
 	}
 	variants := []variant{
-		{"continuous-seq", paperExample, Config{BatchSize: 128, Seed: 11, MaxAge: 4}, 24},
-		{"continuous-7w", paperExample, Config{BatchSize: 192, Seed: 5, MaxAge: 4, Device: tensor.ParallelN(7)}, 24},
-		{"continuous-projected", projFormula, Config{BatchSize: 128, Seed: 9}, 20},
-		{"round-seq", paperExample, Config{BatchSize: 128, Seed: 7, RoundMode: true}, 6},
-		{"round-7w", paperExample, Config{BatchSize: 128, Seed: 7, RoundMode: true, Device: tensor.ParallelN(7)}, 6},
+		{"continuous-seq", paperExample, Config{BatchSize: 128, Seed: 11, MaxAge: 4}, false, 24},
+		{"continuous-7w", paperExample, Config{BatchSize: 192, Seed: 5, MaxAge: 4, Device: tensor.ParallelN(7)}, false, 24},
+		{"continuous-projected", projFormula, Config{BatchSize: 128, Seed: 9}, false, 20},
+		{"round-seq", paperExample, Config{BatchSize: 128, Seed: 7}, true, 6},
+		{"round-7w", paperExample, Config{BatchSize: 128, Seed: 7, Device: tensor.ParallelN(7)}, true, 6},
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
 			f := mustFormula(t, v.formula)
 			tick := func(s *Sampler) {
-				if v.cfg.RoundMode {
+				if v.rounds {
 					s.Round()
 				} else {
 					s.ContinuousStep(0)
@@ -231,27 +232,96 @@ func TestDecodeSnapshotRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestDecodeSnapshotRefusesOptimizerFields: the momentum f32, the momentum
-// flag and the clause-weight count stay in the layout as zeros; a sealed
-// snapshot with any one of them set is refused with ErrBadSnapshot.
+// gdssMomentumAt returns the offset of an encoded snapshot's momentum f32:
+// magic, version, key; batch, iterations, max age, lr, init range. The
+// flag byte follows momentum, seed, workers and inputs.
+func gdssMomentumAt(blob []byte) int { return 8 + int(binary.LittleEndian.Uint16(blob[6:])) + 5*4 }
+
+// reseal rewrites an encoded snapshot's CRC-32 trailer after an edit.
+func reseal(blob []byte) []byte {
+	end := len(blob) - crc32.Size
+	binary.LittleEndian.PutUint32(blob[end:], crc32.ChecksumIEEE(blob[:end]))
+	return blob
+}
+
+// TestDecodeSnapshotRefusesOptimizerFields: the momentum f32 and the
+// clause-weight count stay in the layout as zeros; a sealed snapshot with
+// either one set is refused with ErrBadSnapshot.
 func TestDecodeSnapshotRefusesOptimizerFields(t *testing.T) {
 	blob := readFixture(t, "gdss.bin")
-	// magic, version, key; batch, iterations, max age, lr, init range.
-	mom := 8 + int(binary.LittleEndian.Uint16(blob[6:])) + 5*4
-	// momentum, seed, workers, inputs; then flags and the projection.
+	mom := gdssMomentumAt(blob)
 	flags := mom + 4 + 8 + 4 + 4
 	cw := flags + 1 + 4 + 4*int(binary.LittleEndian.Uint32(blob[flags+1:]))
-	end := len(blob) - crc32.Size
 	for name, forge := range map[string]func(b []byte){
 		"momentum":       func(b []byte) { b[mom+3] = 0x3f }, // 0.5
-		"momentum-flag":  func(b []byte) { b[flags] |= snapFlagMomentum },
 		"clause-weights": func(b []byte) { b[cw] = 1 },
 	} {
 		mut := append([]byte(nil), blob...)
 		forge(mut)
-		binary.LittleEndian.PutUint32(mut[end:], crc32.ChecksumIEEE(mut[:end]))
-		if _, err := DecodeSnapshot(mut); !errors.Is(err, ErrBadSnapshot) {
+		if _, err := DecodeSnapshot(reseal(mut)); !errors.Is(err, ErrBadSnapshot) {
 			t.Errorf("%s: decode error %v, want ErrBadSnapshot", name, err)
+		}
+	}
+}
+
+// TestDecodeSnapshotRefusesUndefinedFlags: the flag byte defines only the
+// scheduler, exhausted and projection bits. A sealed snapshot with any
+// other bit set — the retired round-mode (0) and momentum (1) bits, or an
+// unused high bit — is refused, so no two blobs decode to one snapshot.
+func TestDecodeSnapshotRefusesUndefinedFlags(t *testing.T) {
+	blob := readFixture(t, "gdss.bin")
+	flags := gdssMomentumAt(blob) + 4 + 8 + 4 + 4
+	for _, bit := range []uint{0, 1, 5, 6, 7} {
+		mut := append([]byte(nil), blob...)
+		mut[flags] |= 1 << bit
+		if _, err := DecodeSnapshot(reseal(mut)); !errors.Is(err, ErrBadSnapshot) {
+			t.Errorf("flag bit %d: decode error %v, want ErrBadSnapshot", bit, err)
+		}
+	}
+}
+
+// TestRestoreRejectsSchedulerShape: restore refuses scheduler arrays that
+// do not fit the session's tiles. Each edit changes one array of a real
+// multi-tile snapshot; the edited snapshot is refused both as it stands
+// and after a trip through the codec.
+func TestRestoreRejectsSchedulerShape(t *testing.T) {
+	s := newSampler(t, mustFormula(t, paperExample), Config{BatchSize: 192, Seed: 3})
+	for i := 0; i < 3; i++ {
+		s.ContinuousStep(0)
+	}
+	blob, err := s.Snapshot().MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.numTiles < 3 {
+		t.Fatalf("batch 192 spans %d tiles; the edits need at least 3", s.numTiles)
+	}
+	for name, edit := range map[string]func(sn *Snapshot){
+		"active-short":   func(sn *Snapshot) { sn.active = sn.active[:len(sn.active)-1] },
+		"over-capacity":  func(sn *Snapshot) { sn.active[1] = int32(s.tileCap(1) + 1) },
+		"negative":       func(sn *Snapshot) { sn.active[2] = -1 },
+		"ages-short":     func(sn *Snapshot) { sn.ages = sn.ages[:len(sn.ages)-1] },
+		"restarts-short": func(sn *Snapshot) { sn.restarts = sn.restarts[:len(sn.restarts)-1] },
+	} {
+		sn, err := DecodeSnapshot(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edit(sn)
+		if _, err := RestoreSampler(s.Problem(), sn, tensor.Sequential()); !errors.Is(err, ErrBadSnapshot) {
+			t.Errorf("%s: restore error %v, want ErrBadSnapshot", name, err)
+		}
+		mut, err := sn.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dec, err := DecodeSnapshot(mut); err == nil {
+			_, err = RestoreSampler(s.Problem(), dec, tensor.Sequential())
+			if !errors.Is(err, ErrBadSnapshot) {
+				t.Errorf("%s: re-marshaled restore error %v, want ErrBadSnapshot", name, err)
+			}
+		} else if !errors.Is(err, ErrBadSnapshot) {
+			t.Errorf("%s: re-marshaled decode error %v, want ErrBadSnapshot", name, err)
 		}
 	}
 }
@@ -355,12 +425,12 @@ func TestRestoreRejectsForgedPool(t *testing.T) {
 // CRC-32 inside the target, so mutations reach the field parsers past the
 // trailer (FuzzOpen covers the trailer, magic and version checks). Every
 // input must either fail with an error wrapping ErrBadSnapshot or decode
-// into a snapshot that re-encodes canonically — never panic. A decoded
+// into a snapshot that re-encodes to the input bytes — never panic. A decoded
 // snapshot keyed to one of the seed formulas is restored onto that
 // Problem on a sequential device: a refusal must wrap ErrBadSnapshot, and
 // an accepted restore must snapshot back to the same bytes (restore is an
 // exact state capture) and survive a tick. Seeded with real snapshots
-// (plain, projected, round-mode), the momentum and clause-weight fixture
+// (plain, projected, round loop), the momentum and clause-weight fixture
 // decode must refuse, and structured mutations of them.
 func FuzzDecodeSnapshot(f *testing.F) {
 	probs := map[string]*Problem{}
@@ -373,7 +443,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		bumped[4] ^= 0xFF
 		f.Add(bumped)
 	}
-	seedFrom := func(formula string, cfg Config, ticks int) {
+	seedFrom := func(formula string, cfg Config, rounds bool, ticks int) {
 		cf, err := cnf.ParseDIMACSString(formula)
 		if err != nil {
 			f.Fatal(err)
@@ -388,7 +458,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			f.Fatal(err)
 		}
 		for i := 0; i < ticks; i++ {
-			if cfg.RoundMode {
+			if rounds {
 				s.Round()
 			} else {
 				s.ContinuousStep(0)
@@ -402,9 +472,9 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	}
 	// Small batches keep the bodies short, so more mutations land on the
 	// scheduler and pool fields than on V.
-	seedFrom(paperExample, Config{BatchSize: 16, Seed: 1}, 6)
-	seedFrom(projFormula, Config{BatchSize: 16, Seed: 3}, 6)
-	seedFrom(paperExample, Config{BatchSize: 16, Seed: 4, RoundMode: true}, 2)
+	seedFrom(paperExample, Config{BatchSize: 16, Seed: 1}, false, 6)
+	seedFrom(projFormula, Config{BatchSize: 16, Seed: 3}, false, 6)
+	seedFrom(paperExample, Config{BatchSize: 16, Seed: 4}, true, 2)
 	golden, err := CompileCNF(benchgen.SmallSuite()[0].Formula)
 	if err != nil {
 		f.Fatal(err)
@@ -431,16 +501,8 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoded snapshot fails to re-encode: %v", err)
 		}
-		sn2, err := DecodeSnapshot(blob)
-		if err != nil {
-			t.Fatalf("re-encoded snapshot fails to decode: %v", err)
-		}
-		blob2, err := sn2.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(blob, blob2) {
-			t.Fatal("codec is not canonical under fuzzed input")
+		if !bytes.Equal(blob, data) {
+			t.Fatal("codec is not canonical: decode→encode changed the bytes")
 		}
 		p := probs[sn.Key()]
 		if p == nil {

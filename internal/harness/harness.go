@@ -352,7 +352,7 @@ func RunFig4(ctx context.Context, instances []*benchgen.Instance, opt RunOptions
 type SchedRow struct {
 	Instance    string
 	ContSolS    float64 // unique sol/s, continuous scheduler
-	RoundSolS   float64 // unique sol/s, round mode
+	RoundSolS   float64 // unique sol/s, round loop
 	Ratio       float64 // continuous over round
 	ContUnique  int
 	RoundUnique int
@@ -363,10 +363,10 @@ type SchedRow struct {
 }
 
 // RunSched measures the continuous-batch scheduler against the
-// round-synchronous loop on the given instances (the PR's before/after
-// ablation, and the CI smoke check's data source). Both arms run
-// core.Sampler.SampleUntil over one compiled problem at the batch a
-// session would pick under the memory budget; Repeats > 1 keeps the best
+// round-synchronous loop on the given instances (the scheduler ablation,
+// and the CI smoke check's data source). The arms run
+// core.Sampler.SampleUntil and core.Sampler.SampleRounds over one compiled
+// problem at the batch a session would pick under the memory budget; Repeats > 1 keeps the best
 // arm of each mode, damping scheduler-independent noise on small
 // instances. Cancellation is honoured between runs.
 func RunSched(ctx context.Context, instances []*benchgen.Instance, repeats int, opt RunOptions) []SchedRow {
@@ -384,12 +384,15 @@ func RunSched(ctx context.Context, instances []*benchgen.Instance, repeats int, 
 			continue
 		}
 		batch := p.BatchFor(opt.sessionConfig())
-		measure := func(roundMode bool, seed int64) core.Stats {
+		measure := func(rounds bool, seed int64) core.Stats {
 			s, serr := p.Core().NewSampler(core.Config{
-				BatchSize: batch, Seed: seed, Device: opt.Device, RoundMode: roundMode,
+				BatchSize: batch, Seed: seed, Device: opt.Device,
 			})
 			if serr != nil || ctx.Err() != nil {
 				return core.Stats{}
+			}
+			if rounds {
+				return s.SampleRounds(opt.Target, opt.Timeout)
 			}
 			return s.SampleUntil(opt.Target, opt.Timeout)
 		}

@@ -19,11 +19,11 @@ package sampling
 // where str/bytes are u32 length + payload. The stale field is always 0:
 // it carried the zero-gain round counter of round-mode sessions, which no
 // longer exist, and stays in the layout so continuous-session envelopes
-// keep their bytes; an envelope with a non-zero stale field or a
-// round-mode snapshot is rejected. Version 1 is the
-// assumption-free envelope; version 2 adds the session's assumption
-// literals (i32 each) between the formula and the snapshot and is only
-// written when the session's problem carries assumptions, so every
+// keep their bytes; an envelope with a non-zero stale field is rejected,
+// and core.DecodeSnapshot refuses a round-mode snapshot's flag bit.
+// Version 1 is the assumption-free envelope; version 2 adds the session's
+// assumption literals (i32 each) between the formula and the snapshot and
+// is only written when the session's problem carries assumptions, so every
 // unassumed checkpoint stays a version-1 envelope older readers accept.
 // The trailing SHA-256 covers every preceding byte, so any truncation or
 // flip — including inside the embedded core blob, which carries its own
@@ -174,10 +174,7 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: embedded formula: %v", ErrBadCheckpoint, err)
 	}
-	// core.DecodeSnapshot aliases its input's pool section; copy the blob
-	// so the Checkpoint owns all its memory and the caller may reuse or
-	// discard data (the server decodes tokens out of a recycled spool).
-	snap, err := core.DecodeSnapshot(append([]byte(nil), blob...))
+	snap, err := core.DecodeSnapshot(blob)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
 	}
@@ -192,7 +189,7 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	if delivered > uint64(snap.UniqueCount()) {
 		return nil, fmt.Errorf("%w: delivered cursor %d exceeds the snapshot's %d solutions", ErrBadCheckpoint, delivered, snap.UniqueCount())
 	}
-	if stale != 0 || snap.RoundMode() {
+	if stale != 0 {
 		return nil, fmt.Errorf("%w: round-mode session checkpoint (sessions run only the continuous scheduler)", ErrBadCheckpoint)
 	}
 	return &Checkpoint{

@@ -45,6 +45,8 @@ func readGolden(t *testing.T, name string) ([]byte, []string) {
 
 // TestGoldenCheckpointResume: the committed envelopes still decode, and a
 // cold resume continues exactly the stream recorded when they were written.
+// The decoded checkpoint owns its memory: the envelope bytes are
+// overwritten before the resume, as a server reusing a spool buffer would.
 func TestGoldenCheckpointResume(t *testing.T) {
 	for _, g := range goldenCheckpoints {
 		t.Run(g.name, func(t *testing.T) {
@@ -55,6 +57,9 @@ func TestGoldenCheckpointResume(t *testing.T) {
 			ck, err := DecodeCheckpoint(env)
 			if err != nil {
 				t.Fatal(err)
+			}
+			for i := range env {
+				env[i] = 0xA5
 			}
 			s, err := NewCompiler(4).Resume(ck, tensor.Device{})
 			if err != nil {

@@ -37,7 +37,7 @@ func TestRunWorkersCoversEachSlotOnce(t *testing.T) {
 	}
 }
 
-func TestRunIndexedPooledReuseCoversRange(t *testing.T) {
+func TestRunPooledReuseCoversRange(t *testing.T) {
 	// Repeated dispatch through the persistent pool must keep exact
 	// coverage (the helpers are reused, not respawned).
 	d := ParallelN(4)
@@ -47,7 +47,7 @@ func TestRunIndexedPooledReuseCoversRange(t *testing.T) {
 		for i := range hits {
 			hits[i] = 0
 		}
-		d.RunIndexed(n, func(_, lo, hi int) {
+		d.Run(n, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				atomic.AddInt32(&hits[i], 1)
 			}
@@ -60,25 +60,14 @@ func TestRunIndexedPooledReuseCoversRange(t *testing.T) {
 	}
 }
 
-func TestRunIndexedZeroAllocSteadyState(t *testing.T) {
-	// The scheduler ticks through RunIndexed/RunWorkers on every iteration;
-	// a per-call goroutine spawn (the old implementation) allocates and
-	// would show up in the sampler's steady-state alloc guard.
+func TestRunWorkersZeroAllocSteadyState(t *testing.T) {
+	// The scheduler ticks through RunWorkers on every phase; a per-call
+	// goroutine spawn (the old implementation) allocates and would show up
+	// in the sampler's steady-state alloc guard.
 	d := ParallelN(4)
 	sink := make([]int64, d.Workers())
-	fn := func(w, lo, hi int) {
-		s := int64(0)
-		for i := lo; i < hi; i++ {
-			s += int64(i)
-		}
-		sink[w] = s
-	}
-	d.RunIndexed(1024, fn) // warm up: spawns the parked helpers
-	if got := testing.AllocsPerRun(100, func() { d.RunIndexed(1024, fn) }); got != 0 {
-		t.Errorf("RunIndexed steady state allocates %v/op, want 0", got)
-	}
 	wfn := func(w int) { sink[w]++ }
-	d.RunWorkers(4, wfn)
+	d.RunWorkers(4, wfn) // warm up: spawns the parked helpers
 	if got := testing.AllocsPerRun(100, func() { d.RunWorkers(4, wfn) }); got != 0 {
 		t.Errorf("RunWorkers steady state allocates %v/op, want 0", got)
 	}
@@ -100,7 +89,7 @@ func TestConcurrentDispatchSharedDevice(t *testing.T) {
 				for i := range hits {
 					hits[i] = 0
 				}
-				d.RunIndexed(n, func(_, lo, hi int) {
+				d.Run(n, func(lo, hi int) {
 					for i := lo; i < hi; i++ {
 						atomic.AddInt32(&hits[i], 1)
 					}

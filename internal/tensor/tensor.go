@@ -60,13 +60,11 @@ type workerPool struct {
 	done    chan struct{}
 }
 
-// poolJob is the unit of work sent to a parked helper: either a stripe of a
-// RunIndexed call (ranged) or one worker slot of a RunWorkers call (solo).
-// Sent by value — dispatch allocates nothing.
+// poolJob is the unit of work sent to a parked helper: one worker slot of a
+// RunWorkers call. Sent by value — dispatch allocates nothing.
 type poolJob struct {
-	ranged         func(worker, lo, hi int)
-	solo           func(worker int)
-	worker, lo, hi int
+	fn     func(worker int)
+	worker int
 }
 
 func newWorkerPool(workers int) *workerPool {
@@ -103,11 +101,7 @@ func (p *workerPool) start() {
 
 func poolHelper(jobs <-chan poolJob, done chan<- struct{}) {
 	for j := range jobs {
-		if j.ranged != nil {
-			j.ranged(j.worker, j.lo, j.hi)
-		} else {
-			j.solo(j.worker)
-		}
+		j.fn(j.worker)
 		done <- struct{}{}
 	}
 }
@@ -129,67 +123,27 @@ func (d Device) Name() string {
 }
 
 // Run partitions [0, n) into contiguous stripes and invokes fn(lo, hi) for
-// each stripe, one per worker. With one worker it runs inline (no goroutine
+// each stripe, one RunWorkers slot per stripe. With one worker, or fewer
+// than two rows per worker, it runs inline as one stripe (no goroutine
 // overhead), so Sequential timing reflects a plain loop.
 func (d Device) Run(n int, fn func(lo, hi int)) {
-	d.RunIndexed(n, func(_, lo, hi int) { fn(lo, hi) })
-}
-
-// RunIndexed is Run with a stable worker index: fn(worker, lo, hi) receives
-// a dense index in [0, Workers()) that is unique per concurrent stripe, so
-// callers can keep per-worker scratch or accumulators without a mutex/slot
-// handshake. The single-worker (or tiny-n) path runs inline as worker 0.
-func (d Device) RunIndexed(n int, fn func(worker, lo, hi int)) {
 	w := d.Workers()
 	if w == 1 || n < 2*w {
-		fn(0, 0, n)
+		fn(0, n)
 		return
 	}
 	chunk := (n + w - 1) / w
-	if p := d.pool; p != nil && p.mu.TryLock() {
-		p.start()
-		sent := 0
-		for lo := chunk; lo < n; lo += chunk {
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			p.jobs[sent] <- poolJob{ranged: fn, worker: sent + 1, lo: lo, hi: hi}
-			sent++
-		}
-		fn(0, 0, chunk) // the caller works stripe 0 alongside the helpers
-		for i := 0; i < sent; i++ {
-			<-p.done
-		}
-		p.mu.Unlock()
-		return
-	}
-	// Concurrent dispatch on a shared device (or a zero-value multi-worker
-	// Device): per-call goroutines keep independent sessions overlapping
-	// instead of serializing behind the pool lock.
-	var wg sync.WaitGroup
-	worker := 0
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(worker, lo, hi int) {
-			defer wg.Done()
-			fn(worker, lo, hi)
-		}(worker, lo, hi)
-		worker++
-	}
-	wg.Wait()
+	d.RunWorkers((n+chunk-1)/chunk, func(i int) {
+		fn(i*chunk, min((i+1)*chunk, n))
+	})
 }
 
 // RunWorkers invokes fn(worker) exactly once for each worker index in
 // [0, k), concurrently across the device's workers (k above Workers() is
-// clamped). Unlike RunIndexed it never merges slots: callers that own work
-// partitions keyed by worker index (e.g. the scheduler's tile ranges) get
-// one invocation per slot even when each slot's work is small. Worker 0
-// runs on the calling goroutine.
+// clamped). It never merges slots: callers that own work partitions keyed
+// by worker index (e.g. the scheduler's tile ranges) get one invocation
+// per slot even when each slot's work is small. Worker 0 runs on the
+// calling goroutine.
 func (d Device) RunWorkers(k int, fn func(worker int)) {
 	if w := d.Workers(); k > w {
 		k = w
@@ -203,7 +157,7 @@ func (d Device) RunWorkers(k int, fn func(worker int)) {
 	if p := d.pool; p != nil && p.mu.TryLock() {
 		p.start()
 		for i := 1; i < k; i++ {
-			p.jobs[i-1] <- poolJob{solo: fn, worker: i}
+			p.jobs[i-1] <- poolJob{fn: fn, worker: i}
 		}
 		fn(0)
 		for i := 1; i < k; i++ {

@@ -3,7 +3,6 @@ package tensor
 import (
 	"math"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -69,45 +68,38 @@ func TestRandomizeRowsDecorrelated(t *testing.T) {
 	}
 }
 
-func TestRunIndexedWorkerIdentity(t *testing.T) {
+func TestRunStripesOnePerWorker(t *testing.T) {
+	// Run hands each worker at most one contiguous stripe, and the stripes
+	// tile [0, n) in order.
 	for _, d := range []Device{Sequential(), ParallelN(3), ParallelN(8)} {
 		n := 100
-		hits := make([]int32, n)
 		var mu sync.Mutex
-		workerRanges := map[int]int{}
-		d.RunIndexed(n, func(w, lo, hi int) {
-			if w < 0 || w >= d.Workers() {
-				t.Errorf("%s: worker index %d out of [0, %d)", d.Name(), w, d.Workers())
-			}
+		stripes := map[int]int{}
+		d.Run(n, func(lo, hi int) {
 			mu.Lock()
-			workerRanges[w]++
+			stripes[lo] = hi
 			mu.Unlock()
-			for i := lo; i < hi; i++ {
-				atomic.AddInt32(&hits[i], 1)
-			}
 		})
-		for i, h := range hits {
-			if h != 1 {
-				t.Fatalf("%s: index %d covered %d times", d.Name(), i, h)
-			}
+		if len(stripes) > d.Workers() {
+			t.Errorf("%s: %d stripes for %d workers", d.Name(), len(stripes), d.Workers())
 		}
-		// Worker indices must be unique per concurrent stripe: each index
-		// is used at most once per RunIndexed call.
-		for w, c := range workerRanges {
-			if c != 1 {
-				t.Errorf("%s: worker %d ran %d stripes", d.Name(), w, c)
+		for lo := 0; lo < n; {
+			hi, ok := stripes[lo]
+			if !ok || hi <= lo {
+				t.Fatalf("%s: no stripe starts at %d", d.Name(), lo)
 			}
+			lo = hi
 		}
 	}
 }
 
-func TestRunIndexedTinyNInlines(t *testing.T) {
-	// n below the striping threshold runs inline as worker 0.
+func TestRunTinyNInlines(t *testing.T) {
+	// n below the striping threshold runs inline as one stripe.
 	called := 0
-	ParallelN(8).RunIndexed(3, func(w, lo, hi int) {
+	ParallelN(8).Run(3, func(lo, hi int) {
 		called++
-		if w != 0 || lo != 0 || hi != 3 {
-			t.Errorf("inline path got (w=%d, lo=%d, hi=%d)", w, lo, hi)
+		if lo != 0 || hi != 3 {
+			t.Errorf("inline path got (lo=%d, hi=%d)", lo, hi)
 		}
 	})
 	if called != 1 {
