@@ -4,8 +4,14 @@
 // The gradient-descent sampler hardens its learned soft inputs directly
 // into packed columns and verifies a whole batch with word-level sweeps
 // instead of per-row Circuit.Eval + Formula.Sat — the per-row path remains
-// as the differential-testing oracle. See DESIGN.md ("Bit-parallel
-// verification").
+// as the differential-testing oracle.
+//
+// Almost every clause of a Tseitin CNF is a gate definition, and the
+// circuit extracted from it satisfies a gate definition by construction.
+// New proves those clauses once, against the circuit it is given, and the
+// sweep checks only the residual clauses — about one per constrained
+// output. Every lane a sweep accepts still satisfies the whole CNF. See
+// DESIGN.md ("Bit-parallel verification").
 package bitblast
 
 import (
@@ -29,8 +35,8 @@ type Program struct {
 	circ *circuit.Circuit
 	// lits holds the clause plan after compile-time resolution, one clause
 	// after another: clauses satisfied by a pinned or constant variable are
-	// dropped, literals it falsifies are removed. Clause i is
-	// lits[starts[i]:starts[i+1]].
+	// dropped, literals it falsifies are removed, and clauses the circuit
+	// proves are dropped. Clause i is lits[starts[i]:starts[i+1]].
 	lits   []blit
 	starts []int32
 	// unsat is set when some clause lost every literal to that resolution
@@ -46,66 +52,261 @@ type Program struct {
 // constant, is fixed before the sweep: its literals drop the clauses they
 // satisfy and drop out of the ones they falsify, pins taking precedence
 // over constants. Each pin on a live node adds a unit clause, so every
-// candidate row is held to it.
+// candidate row is held to it. A clause the circuit proves (see prover) is
+// dropped too: the plan keeps only the residual clauses, at exact size.
 func New(c *circuit.Circuit, nodeOf map[int]circuit.NodeID, f *cnf.Formula, pins []cnf.Lit) *Program {
 	if len(nodeOf) != f.NumVars {
 		panic(fmt.Sprintf("bitblast: node map covers %d of %d variables", len(nodeOf), f.NumVars))
 	}
 	// Resolve every variable once: the node its literals sweep, or -1 with
-	// the value it is fixed at.
+	// the value it is fixed at. Every node a variable maps to is a leaf of
+	// the proof.
 	node := make([]int32, f.NumVars+1)
 	val := make([]bool, f.NumVars+1)
+	pv := newProver(c)
 	for v, id := range nodeOf {
-		if nd := c.Nodes[id]; nd.Type == circuit.Const {
-			node[v], val[v] = -1, nd.Val
-		} else {
+		switch pv.kind[id] {
+		case zeroNode, oneNode:
+			node[v], val[v] = -1, pv.kind[id] == oneNode
+		default:
 			node[v] = int32(id)
+			pv.kind[id] = leafNode
 		}
 	}
 	for _, l := range pins {
 		node[l.Var()], val[l.Var()] = -1, l.Positive()
 	}
-	total := len(pins)
+	// Clauses resolve straight into the slab; one that is satisfied or
+	// proved is cut off again, so the slab only grows with the residual.
+	var lits []blit
+	starts := []int32{0}
 	for _, cl := range f.Clauses {
-		total += len(cl)
-	}
-	p := &Program{
-		circ:   c,
-		lits:   make([]blit, 0, total),
-		starts: make([]int32, 1, len(f.Clauses)+len(pins)+1),
-	}
-	for _, cl := range f.Clauses {
-		lo, sat := len(p.lits), false
+		lo, sat, root := len(lits), false, int32(0)
 		for _, l := range cl {
 			v := l.Var()
 			if id := node[v]; id >= 0 {
-				p.lits = append(p.lits, blit{node: id, neg: !l.Positive()})
+				lits = append(lits, blit{node: id, neg: !l.Positive()})
+				root = max(root, id)
 			} else if l.Sat(val[v]) {
 				sat = true
 				break
 			}
 		}
 		switch {
-		case sat:
-			p.lits = p.lits[:lo]
-		case len(p.lits) == lo:
+		case len(lits) == lo && !sat:
 			return &Program{circ: c, unsat: true}
+		case sat || pv.proves(lits[lo:], root):
+			lits = lits[:lo]
 		default:
-			p.starts = append(p.starts, int32(len(p.lits)))
+			starts = append(starts, int32(len(lits)))
 		}
 	}
 	for _, l := range pins {
 		id := nodeOf[l.Var()]
-		if nd := c.Nodes[id]; nd.Type == circuit.Const {
+		if nd := &c.Nodes[id]; nd.Type == circuit.Const {
 			if nd.Val != l.Positive() {
 				return &Program{circ: c, unsat: true}
 			}
 			continue
 		}
-		p.lits = append(p.lits, blit{node: int32(id), neg: !l.Positive()})
-		p.starts = append(p.starts, int32(len(p.lits)))
+		lits = append(lits, blit{node: int32(id), neg: !l.Positive()})
+		if pv.proves(lits[len(lits)-1:], int32(id)) {
+			lits = lits[:len(lits)-1]
+		} else {
+			starts = append(starts, int32(len(lits)))
+		}
 	}
+	// Bytes prices the plan by its capacity: allocate exactly what the
+	// sweep reads.
+	p := &Program{circ: c, lits: make([]blit, len(lits)), starts: make([]int32, len(starts))}
+	copy(p.lits, lits)
+	copy(p.starts, starts)
 	return p
+}
+
+// maxLeaves and maxCone bound one proof: a cone's truth table over at most
+// maxLeaves free leaves fits one uint64, and at most maxCone gates are
+// evaluated on it. A larger cone leaves its clauses in the sweep.
+const (
+	maxLeaves = 6
+	maxCone   = 64
+)
+
+// leafTable[i] is leaf i's column of the 64-row truth table: row r gives
+// leaf i the value of bit i of r. With k ≤ 6 leaves, every assignment of
+// them appears in rows 0..2^k-1 and the table repeats above, so a clause
+// that holds on all 64 rows holds under every leaf assignment.
+var leafTable = [maxLeaves]uint64{
+	0xAAAAAAAAAAAAAAAA, 0xCCCCCCCCCCCCCCCC, 0xF0F0F0F0F0F0F0F0,
+	0xFF00FF00FF00FF00, 0xFFFF0000FFFF0000, 0xFFFFFFFF00000000,
+}
+
+// prover decides, clause by clause, whether the circuit satisfies a
+// resolved clause under every input assignment, so the sweep need not
+// check it. A clause's root is its highest literal node. The root's fanin
+// cone is walked down to leaves — nodes that carry a CNF variable, and
+// inputs — and to constants. When every other literal sits on one of
+// those leaves, the cone is evaluated as a bit-parallel truth table with
+// the leaves free, and the clause is proved if it holds on every row.
+//
+// Free leaves over-approximate the values a sweep can give them, so the
+// proof is sound for whatever circuit it is given: a gate that does not
+// compute what the CNF defines only keeps the clause in the sweep. A
+// gate's clauses are consecutive in a Tseitin CNF, so the prover keeps
+// the last root's cone and evaluates it once for the whole group.
+type prover struct {
+	c    *circuit.Circuit
+	kind []uint8 // per node: gateNode, leafNode, or a constant
+	// cone[id] is node id's truth table when cone[id].gen == gen, that is
+	// when id is in the current root's cone.
+	cone []coneNode
+	gen  int32
+	root int32 // root of the current cone, -1 before the first
+	ok   bool  // the current cone fits maxLeaves and maxCone
+	// Leaves and gates the current cone has used so far.
+	leaves, gates int
+}
+
+// coneNode is one node's entry in the prover's current cone.
+type coneNode struct {
+	gen int32  // the cone it belongs to
+	tt  uint64 // its truth table there
+}
+
+// Node kinds the cone walk tells apart.
+const (
+	gateNode uint8 = iota // evaluated from its fanins
+	leafNode              // an input, or a node a CNF variable maps to
+	zeroNode              // constant false
+	oneNode               // constant true
+)
+
+func newProver(c *circuit.Circuit) *prover {
+	pv := &prover{
+		c:    c,
+		kind: make([]uint8, len(c.Nodes)),
+		cone: make([]coneNode, len(c.Nodes)),
+		root: -1,
+	}
+	for id := range c.Nodes {
+		switch nd := &c.Nodes[id]; {
+		case nd.Type == circuit.Input:
+			pv.kind[id] = leafNode
+		case nd.Type == circuit.Const && nd.Val:
+			pv.kind[id] = oneNode
+		case nd.Type == circuit.Const:
+			pv.kind[id] = zeroNode
+		}
+	}
+	return pv
+}
+
+// proves reports whether the circuit satisfies the clause cl, whose
+// highest literal node is r, under every input assignment.
+func (pv *prover) proves(cl []blit, r int32) bool {
+	if r != pv.root {
+		pv.root = r
+		pv.gen++
+		pv.leaves, pv.gates = 0, 0
+		var v uint64
+		if v, pv.ok = pv.eval(r); pv.ok {
+			pv.cone[r] = coneNode{pv.gen, v}
+		}
+	}
+	if !pv.ok {
+		return false
+	}
+	acc, gen, cone := uint64(0), pv.gen, pv.cone
+	for _, l := range cl {
+		n := cone[l.node]
+		if n.gen != gen {
+			return false
+		}
+		if l.neg {
+			n.tt = ^n.tt
+		}
+		acc |= n.tt
+	}
+	return acc == ^uint64(0)
+}
+
+// value returns node id's truth table in the current cone, giving a leaf
+// the next free leafTable column and evaluating a gate from its fanins on
+// first visit. It reports false once the cone outgrows maxLeaves or
+// maxCone.
+func (pv *prover) value(id int32) (uint64, bool) {
+	if n := pv.cone[id]; n.gen == pv.gen {
+		return n.tt, true
+	}
+	var v uint64
+	switch pv.kind[id] {
+	case leafNode:
+		if pv.leaves == maxLeaves {
+			return 0, false
+		}
+		v = leafTable[pv.leaves]
+		pv.leaves++
+	case zeroNode: // v stays 0
+	case oneNode:
+		v = ^uint64(0)
+	default:
+		if pv.gates == maxCone {
+			return 0, false
+		}
+		pv.gates++
+		var ok bool
+		if v, ok = pv.eval(id); !ok {
+			return 0, false
+		}
+	}
+	pv.cone[id] = coneNode{pv.gen, v}
+	return v, true
+}
+
+// eval evaluates gate id on its fanins' truth tables with the sweep's
+// semantics (evalWords). An input root is leaf 0. It reports false for a
+// node type the sweep does not evaluate, or when a fanin's cone is too
+// large.
+func (pv *prover) eval(id int32) (uint64, bool) {
+	nd := &pv.c.Nodes[id]
+	if nd.Type == circuit.Input {
+		pv.leaves++
+		return leafTable[0], true
+	}
+	var v uint64
+	switch nd.Type {
+	case circuit.And, circuit.Nand:
+		v = ^uint64(0)
+		for _, f := range nd.Fanin {
+			fv, ok := pv.value(int32(f))
+			if !ok {
+				return 0, false
+			}
+			v &= fv
+		}
+	case circuit.Buf, circuit.Not, circuit.Or, circuit.Nor:
+		for _, f := range nd.Fanin {
+			fv, ok := pv.value(int32(f))
+			if !ok {
+				return 0, false
+			}
+			v |= fv
+		}
+	case circuit.Xor, circuit.Xnor:
+		for _, f := range nd.Fanin {
+			fv, ok := pv.value(int32(f))
+			if !ok {
+				return 0, false
+			}
+			v ^= fv
+		}
+	default:
+		return 0, false
+	}
+	if nd.Type == circuit.Not || nd.Type == circuit.Nand || nd.Type == circuit.Nor || nd.Type == circuit.Xnor {
+		v = ^v
+	}
+	return v, true
 }
 
 // Bytes returns the heap the compiled clause plan retains: the literal
@@ -139,12 +340,13 @@ func (p *Program) ScratchBytes() int64 {
 	return int64(len(p.circ.Nodes)) * sweepWidth * 8
 }
 
-// Sweep evaluates the circuit on packed input columns and checks every
-// CNF clause for the words w in [lo, hi) with mask[w] != 0 (every word of
-// the range when mask is nil), writing one validity mask word per swept
-// word: bit r of valid[w] is set iff the full assignment induced by lane r
-// of word w satisfies the formula. cols holds one packed column per
-// primary input (in circuit input order), each at least hi words long.
+// Sweep evaluates the circuit on packed input columns and checks the
+// plan's residual clauses for the words w in [lo, hi) with mask[w] != 0
+// (every word of the range when mask is nil), writing one validity mask
+// word per swept word: bit r of valid[w] is set iff the full assignment
+// induced by lane r of word w satisfies the formula. cols holds one
+// packed column per primary input (in circuit input order), each at least
+// hi words long.
 // Lanes beyond the caller's batch carry whatever bits the caller packed
 // there — mask them off in valid before use.
 //

@@ -8,7 +8,7 @@ import (
 
 // This file implements the production execution engine: a fused,
 // register-allocated lowering of the extracted circuit that replaces the
-// naive one-slot-per-op tape in program.go (retained as the
+// naive one-slot-per-op tape (program_test.go, kept as the
 // differential-testing oracle). Three compile passes shrink the working
 // set and the per-iteration instruction count (see DESIGN.md, "Execution
 // engine"):

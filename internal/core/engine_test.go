@@ -11,7 +11,7 @@ import (
 )
 
 // naiveSampler replicates the seed sampler's step/collect loop on the
-// naive one-slot-per-op tape (program.go) with full-matrix traversals. It
+// naive one-slot-per-op tape (program_test.go) with full-matrix traversals. It
 // is the ground truth the fused engine is differentially tested against.
 // The loss is accumulated row-major (the engine's tile order) so that the
 // sequential-device comparison can be bit-exact.

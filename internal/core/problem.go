@@ -162,8 +162,8 @@ func (p *Problem) MemoryEstimate(sh Shape) int64 {
 // RetainedBytes prices the heap this Problem retains from the lengths of
 // the arrays it holds: the formula's clauses and literals, the circuit's
 // nodes, fanins and input names, the extraction's variable lists, node
-// map, the engine's code and the verifier's clause slab. The sum is
-// scaled by retainSlack for the append growth and size-class rounding
+// map, the engine's code and the verifier's residual clause slab. The sum
+// is scaled by retainSlack for the append growth and size-class rounding
 // that compiling leaves and decoding's exact-size allocations do not. A compiled Problem and its GDSP decode price the
 // same bytes, and the heap either retains lies within
 // [RetainedBytes/2, RetainedBytes] (TestRetainedBytesBoundsHeap in
@@ -205,8 +205,8 @@ const (
 	// control byte, at the 7/16 to 7/8 load a map keeps as it grows.
 	nodeOfEntryBytes = 32
 	// retainSlackNum/retainSlackDen (11/8) covers growth and rounding.
-	// Measured, a fresh compile retains 0.66-0.89 of the price and a
-	// decode 0.56-0.67 (TestRetainedBytesBoundsHeap logs both).
+	// Measured, a fresh compile retains 0.64-0.96 of the price and a
+	// decode 0.52-0.63 (TestRetainedBytesBoundsHeap logs both).
 	retainSlackNum = 11
 	retainSlackDen = 8
 )

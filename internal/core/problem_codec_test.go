@@ -351,6 +351,53 @@ func TestDecodedProblemVerifiesAgainstItsFormula(t *testing.T) {
 	}
 }
 
+// TestDecodedForgedGateIsSwept: the verifier drops the clauses the circuit
+// proves, so a circuit that lies must not prove its lie away. A sealed
+// blob whose circuit computes OR where extraction built AND (inside the
+// mux that defines variable 5 of the paper's example) decodes; the
+// clauses that mux no longer satisfies land in the residual set, so the
+// swept plan grows (its exact-size slab prices it), and every row a
+// session delivers is still a model of the formula.
+func TestDecodedForgedGateIsSwept(t *testing.T) {
+	f := mustFormula(t, paperExample)
+	p := mustCompile(t, f)
+	forged := -1
+	blob := forgedBlob(t, p, func(ext *extract.Result) {
+		for id, nd := range ext.Circuit.Nodes {
+			if nd.Type == circuit.Or && nd.Var == 0 {
+				ext.Circuit.Nodes[id].Type = circuit.And
+				forged = id
+				return
+			}
+		}
+	})
+	if forged < 0 {
+		t.Fatal("no OR gate to forge")
+	}
+	dec, err := DecodeProblem(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, honest := dec.verify.Bytes(), p.verify.Bytes(); got <= honest {
+		t.Fatalf("forged node %d: the swept plan holds %d B, the honest circuit's %d B", forged, got, honest)
+	}
+	s, err := dec.NewSampler(Config{BatchSize: 256, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		s.ContinuousStep(0)
+	}
+	if s.UniqueCount() == 0 {
+		t.Fatal("no solutions; the check exercises nothing")
+	}
+	for i := 0; i < s.UniqueCount(); i++ {
+		if !f.Sat(s.FullAssignmentAt(i)) {
+			t.Fatalf("solution %d of %d is not a model of the formula", i, s.UniqueCount())
+		}
+	}
+}
+
 // FuzzDecodeProblem: an arbitrary GDSP body, sealed with a valid SHA-256
 // trailer inside the target, must either decode into a problem that still
 // matches its content address, runs a sampler tick over the engine and
@@ -443,7 +490,8 @@ func sealProblem(body []byte) []byte {
 
 // BenchmarkProblemCodec measures decode against cold compile on an
 // s15850a-scale instance — the store tier's reason to exist is that the
-// left column is a small fraction of the right.
+// left column is a small fraction of the right — and decode alone on a
+// serve-cold-shaped instance.
 func BenchmarkProblemCodec(b *testing.B) {
 	inst := benchgen.Iscas("s15850a_mini", 600, 10300, 3, 15832)
 	p, err := CompileCNF(inst.Formula)
@@ -465,6 +513,24 @@ func BenchmarkProblemCodec(b *testing.B) {
 	b.Run("compile", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := CompileCNF(inst.Formula); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	// A serve-cold-shaped request's store-warm load: decode sits on its
+	// request path.
+	cold, err := CompileCNF(benchgen.Iscas("cold-0", 120, 1200, 4, 6001).Formula)
+	if err != nil {
+		b.Fatal(err)
+	}
+	coldBlob, err := cold.MarshalBinary()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("decode-cold", func(b *testing.B) {
+		b.SetBytes(int64(len(coldBlob)))
+		for i := 0; i < b.N; i++ {
+			if _, err := DecodeProblem(coldBlob); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,12 +1,3 @@
-// Package core implements the paper's primary contribution: GPU-style
-// gradient-based SAT sampling over the multi-level, multi-output Boolean
-// function recovered from a CNF by the transformation algorithm
-// (internal/extract). Each logic gate is relaxed to its probabilistic form
-// (the paper's Table I), primary inputs become a batch of real-valued rows
-// embedded through a sigmoid, and gradient descent on the ℓ2 loss against
-// the output targets drives every batch row toward an independent
-// satisfying assignment. Hardened rows are verified against the original
-// CNF and deduplicated, yielding unique valid solutions.
 package core
 
 import (
@@ -16,9 +7,9 @@ import (
 )
 
 // This file is the naive tape interpreter: one value slot per two-input
-// op, no fusion, full-matrix forward/backward. It is no longer on the
-// production path — the fused, register-allocated engine in engine.go
-// replaced it there — but it is kept as the differential-testing oracle:
+// op, no fusion, full-matrix forward/backward. The fused,
+// register-allocated engine in engine.go replaced it on the production
+// path, so it lives in a test file as the differential-testing oracle:
 // its kernels transcribe the paper's Table I one op at a time, which makes
 // it easy to audit, and the engine is required to reproduce its forward
 // values bit-for-bit (see engine_test.go).

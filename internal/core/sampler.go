@@ -1,3 +1,12 @@
+// Package core implements the paper's primary contribution: GPU-style
+// gradient-based SAT sampling over the multi-level, multi-output Boolean
+// function recovered from a CNF by the transformation algorithm
+// (internal/extract). Each logic gate is relaxed to its probabilistic form
+// (the paper's Table I), primary inputs become a batch of real-valued rows
+// embedded through a sigmoid, and gradient descent on the ℓ2 loss against
+// the output targets drives every batch row toward an independent
+// satisfying assignment. Hardened rows are verified against the original
+// CNF and deduplicated, yielding unique valid solutions.
 package core
 
 import (

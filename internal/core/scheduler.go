@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/bits"
 	"sync/atomic"
 	"time"
@@ -20,10 +21,11 @@ import (
 //
 //   - Every tick starts with a sweep: lanes whose hardened signs may have
 //     flipped since the last sweep (tracked for free inside the GD update)
-//     are repacked into the bit-parallel columns, and only words holding a
-//     dirty lane re-run the CNF clause sweep (bitblast.Eval.Sweep) —
-//     validity is a pure function of the packed bits, so cached masks stay
-//     exact for clean lanes.
+//     are repacked into the bit-parallel columns, without a branch on each
+//     sign, and only words holding a dirty lane re-run the clause sweep
+//     (bitblast.Eval.Sweep), which checks the CNF clauses the circuit does
+//     not prove — validity is a pure function of the packed bits, so
+//     cached masks stay exact for clean lanes.
 //   - Satisfied rows retire immediately: their solution folds into the
 //     dedup pool (and streams to any sink the session holds) and the lane
 //     is recycled. Rows that reach the restart cap (Config.MaxAge GD steps
@@ -321,13 +323,10 @@ func (s *Sampler) packTile(w, t int) {
 		for ; m != 0; m &= m - 1 {
 			r := wb + bits.TrailingZeros64(m)
 			row := s.vmat.Row(r)
-			bit := uint64(1) << (uint(r) & 63)
+			sh := uint(r) & 63
 			for i := 0; i < n; i++ {
-				if row[i] > 0 {
-					s.cols[i][wi] |= bit
-				} else {
-					s.cols[i][wi] &^= bit
-				}
+				col := &s.cols[i][wi]
+				*col = *col&^(1<<sh) | positive(row[i])<<sh
 			}
 		}
 	}
@@ -336,6 +335,15 @@ func (s *Sampler) packTile(w, t int) {
 	// under projection, the projected signature — is a pure function of the
 	// packed bits).
 	s.vevals[w].Sweep(s.cols, w0, w1, s.dirty, s.valid, s.projPlan, s.projCols)
+}
+
+// positive is 1 when v > 0 and 0 otherwise, NaN included, without a
+// branch: fresh noise makes the sign a coin flip the branch predictor
+// loses half the time. v > 0 exactly when v's bits less one, as a uint32,
+// lie below +Inf's bits (0x7F800000): +0 wraps to the top, and NaNs and
+// negatives (sign bit set) lie at or above.
+func positive(v float32) uint64 {
+	return (uint64(math.Float32bits(v)-1) - 0x7F800000) >> 63
 }
 
 // retireTile is the retire half of a sweep: satisfied rows queue in the
