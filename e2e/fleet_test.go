@@ -282,22 +282,18 @@ func TestFleetHandoffPreemption(t *testing.T) {
 	// Leg 3: ungraceful death — SIGKILL a replica mid-stream. No drain, no
 	// handoff; the client's fleet rotation re-runs the pinned-seed request
 	// on B and determinism makes the retry byte-identical, so the caller
-	// still converges with zero loss. The kill point is driven through the
-	// chaos plan's killpeer@sol arm.
+	// still converges with zero loss. The replica's own chaos plan kills it
+	// right after it writes its 10th solution (killpeer@sol): a kill sent
+	// by the client on receiving solution 10 can land after the whole
+	// 60-solution stream already sits in the socket buffers.
 	t.Run("sigkill-fleet-differential", func(t *testing.T) {
-		srvA2 := startServedWith(t, bin, t.TempDir())
-		inj := faultinject.New(mustParseFleetPlan(t, "killpeer@sol=10"))
+		srvA2 := startServedWith(t, bin, t.TempDir(), "-faultplan", "killpeer@sol=10")
 		seed := int64(11)
 		cl := client.NewFleet([]string{srvA2.base, srvB.base}, client.Config{
 			MaxAttempts: 6,
 			BaseBackoff: 50 * time.Millisecond,
 			MaxBackoff:  time.Second,
 			MaxElapsed:  50 * time.Second,
-			OnSolution: func(total int) {
-				if _, death := inj.AdvanceSol(); death {
-					srvA2.cmd.Process.Kill()
-				}
-			},
 		})
 		ctx, cancel := context.WithTimeout(context.Background(), 55*time.Second)
 		defer cancel()
@@ -309,6 +305,11 @@ func TestFleetHandoffPreemption(t *testing.T) {
 		}
 		if res.Retries < 1 {
 			t.Fatalf("retries = %d: the kill never forced a rotation", res.Retries)
+		}
+		select {
+		case <-srvA2.exited:
+		case <-time.After(10 * time.Second):
+			t.Fatal("the replica armed with killpeer@sol=10 is still running")
 		}
 		if len(res.Solutions) != nWant {
 			t.Fatalf("fleet client delivered %d/%d solutions", len(res.Solutions), nWant)

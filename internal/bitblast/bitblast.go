@@ -45,16 +45,16 @@ type Program struct {
 	unsat bool
 }
 
-// New compiles a verifier for f over circuit c. nodeOf maps every CNF
-// variable 1..NumVars to its circuit node (extract.Result.NodeOf); pins
-// are assumption literals resolved at compile time, nil for an
-// unconditioned problem. A variable that is pinned, or whose node is a
+// New compiles a verifier for f over circuit c. nodeOf[v-1] is the circuit
+// node of CNF variable v, for every v in 1..NumVars
+// (extract.Result.NodeOf); pins are assumption literals resolved at
+// compile time, nil for an unconditioned problem. A variable that is pinned, or whose node is a
 // constant, is fixed before the sweep: its literals drop the clauses they
 // satisfy and drop out of the ones they falsify, pins taking precedence
 // over constants. Each pin on a live node adds a unit clause, so every
 // candidate row is held to it. A clause the circuit proves (see prover) is
 // dropped too: the plan keeps only the residual clauses, at exact size.
-func New(c *circuit.Circuit, nodeOf map[int]circuit.NodeID, f *cnf.Formula, pins []cnf.Lit) *Program {
+func New(c *circuit.Circuit, nodeOf []circuit.NodeID, f *cnf.Formula, pins []cnf.Lit) *Program {
 	if len(nodeOf) != f.NumVars {
 		panic(fmt.Sprintf("bitblast: node map covers %d of %d variables", len(nodeOf), f.NumVars))
 	}
@@ -64,12 +64,12 @@ func New(c *circuit.Circuit, nodeOf map[int]circuit.NodeID, f *cnf.Formula, pins
 	node := make([]int32, f.NumVars+1)
 	val := make([]bool, f.NumVars+1)
 	pv := newProver(c)
-	for v, id := range nodeOf {
+	for i, id := range nodeOf {
 		switch pv.kind[id] {
 		case zeroNode, oneNode:
-			node[v], val[v] = -1, pv.kind[id] == oneNode
+			node[i+1], val[i+1] = -1, pv.kind[id] == oneNode
 		default:
-			node[v] = int32(id)
+			node[i+1] = int32(id)
 			pv.kind[id] = leafNode
 		}
 	}
@@ -102,7 +102,7 @@ func New(c *circuit.Circuit, nodeOf map[int]circuit.NodeID, f *cnf.Formula, pins
 		}
 	}
 	for _, l := range pins {
-		id := nodeOf[l.Var()]
+		id := nodeOf[l.Var()-1]
 		if nd := &c.Nodes[id]; nd.Type == circuit.Const {
 			if nd.Val != l.Positive() {
 				return &Program{circ: c, unsat: true}

@@ -126,7 +126,7 @@ func newSweepFixture(t testing.TB, r *rand.Rand) *sweepFixture {
 		if b < batch {
 			row = rows[b]
 		}
-		assign := ext.AssignmentFromInputs(nv, row)
+		assign := ext.AssignmentFromInputs(row)
 		bit := uint64(1) << (uint(b) & 63)
 		if f.Sat(assign) {
 			x.valid[b>>6] |= bit
@@ -371,7 +371,7 @@ func BenchmarkVerify(b *testing.B) {
 	b.Run("oracle", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, row := range rows {
-				assign := ext.AssignmentFromInputs(enc.Formula.NumVars, row)
+				assign := ext.AssignmentFromInputs(row)
 				if enc.Formula.Sat(assign) {
 					valid[0] |= 1
 				}

@@ -10,11 +10,11 @@ import (
 // unit clause per pin, with nothing resolved at compile time and nothing
 // proved. A lane passes it exactly when its full assignment satisfies f
 // and agrees with the pins, which is what New's plan accepts.
-func NewFull(c *circuit.Circuit, nodeOf map[int]circuit.NodeID, f *cnf.Formula, pins []cnf.Lit) *Program {
+func NewFull(c *circuit.Circuit, nodeOf []circuit.NodeID, f *cnf.Formula, pins []cnf.Lit) *Program {
 	p := &Program{circ: c, starts: []int32{0}}
 	add := func(cl []cnf.Lit) {
 		for _, l := range cl {
-			p.lits = append(p.lits, blit{node: int32(nodeOf[l.Var()]), neg: !l.Positive()})
+			p.lits = append(p.lits, blit{node: int32(nodeOf[l.Var()-1]), neg: !l.Positive()})
 		}
 		p.starts = append(p.starts, int32(len(p.lits)))
 	}

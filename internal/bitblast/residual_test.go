@@ -66,8 +66,8 @@ func residualRows(r *rand.Rand, f *cnf.Formula, ext *extract.Result, batch int) 
 	}
 	model := s.Model()
 	varOf := make(map[int32]int, len(c.Inputs))
-	for v, id := range ext.NodeOf {
-		varOf[int32(id)] = v
+	for i, id := range ext.NodeOf {
+		varOf[int32(id)] = i + 1
 	}
 	for lane := 0; lane < batch/2; lane++ {
 		flip := -1
@@ -90,7 +90,7 @@ func residualRows(r *rand.Rand, f *cnf.Formula, ext *extract.Result, batch int) 
 func specialize(ext *extract.Result, pins []cnf.Lit, cols [][]uint64) (*circuit.Circuit, [][]uint64) {
 	c := &circuit.Circuit{Nodes: slices.Clone(ext.Circuit.Nodes), Outputs: ext.Circuit.Outputs}
 	for _, l := range pins {
-		if id := ext.NodeOf[l.Var()]; c.Nodes[id].Type == circuit.Input {
+		if id := ext.NodeOf[l.Var()-1]; c.Nodes[id].Type == circuit.Input {
 			c.Nodes[id] = circuit.Node{Type: circuit.Const, Val: l.Positive(), Var: l.Var()}
 		}
 	}

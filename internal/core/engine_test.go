@@ -107,7 +107,7 @@ func (ns *naiveSampler) collect() {
 		if _, dup := ns.unique[string(key)]; dup {
 			continue
 		}
-		assign := ns.s.prob.ext.AssignmentFromInputs(ns.formula.NumVars, row)
+		assign := ns.s.prob.ext.AssignmentFromInputs(row)
 		if !ns.formula.Sat(assign) {
 			continue
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"unsafe"
 
 	"repro/internal/bitblast"
@@ -33,8 +34,8 @@ type Problem struct {
 // Compile lowers a transformation result into a shareable Problem: it
 // compiles the fused engine, the bitblast verifier, and the cache tile.
 // The Problem keeps a copy of ext without its Bindings, which no sampler
-// reads and GDSP does not store, so a compiled Problem holds the same
-// data as its decode. The returned Problem is read-only and safe for
+// reads and GDSP does not store, and with an exact-size node array, so a
+// compiled Problem holds the same data as its decode. The returned Problem is read-only and safe for
 // concurrent use.
 func Compile(f *cnf.Formula, ext *extract.Result) (*Problem, error) {
 	if len(ext.Circuit.Inputs) == 0 {
@@ -42,6 +43,11 @@ func Compile(f *cnf.Formula, ext *extract.Result) (*Problem, error) {
 	}
 	kept := *ext
 	kept.Bindings = nil
+	// Transform grew the node array by append; keep an exact-size copy,
+	// as a decode holds, so the unused capacity is not retained.
+	c := *ext.Circuit
+	c.Nodes = slices.Clone(c.Nodes)
+	kept.Circuit = &c
 	return newProblem(f, &kept, f.ContentHash(), nil), nil
 }
 
@@ -188,7 +194,7 @@ func (p *Problem) RetainedBytes() int64 {
 		int64(len(c.Outputs))*int64(unsafe.Sizeof(circuit.Output{})) +
 		int64(len(c.Inputs))*inputNameBytes +
 		int64(ints)*int64(unsafe.Sizeof(0)) +
-		int64(len(ext.NodeOf))*nodeOfEntryBytes +
+		int64(len(ext.NodeOf))*int64(unsafe.Sizeof(circuit.NodeID(0))) +
 		int64(len(e.code))*int64(unsafe.Sizeof(einstr{})) +
 		int64(len(e.outputs))*int64(unsafe.Sizeof(eout{})) +
 		int64(e.numInputs)*int64(unsafe.Sizeof(false)+unsafe.Sizeof(int32(0))) + // liveIn, liveInList
@@ -201,12 +207,9 @@ const (
 	// inputNameBytes is an input's "x<var>" name: one 8-byte size class
 	// below 10^7 variables.
 	inputNameBytes = 8
-	// nodeOfEntryBytes is one NodeOf entry: a 16-byte slot and its
-	// control byte, at the 7/16 to 7/8 load a map keeps as it grows.
-	nodeOfEntryBytes = 32
 	// retainSlackNum/retainSlackDen (11/8) covers growth and rounding.
-	// Measured, a fresh compile retains 0.64-0.96 of the price and a
-	// decode 0.52-0.63 (TestRetainedBytesBoundsHeap logs both).
+	// Measured, a fresh compile retains 0.77-0.89 of the price and a
+	// decode 0.75-0.84 (TestRetainedBytesBoundsHeap logs both).
 	retainSlackNum = 11
 	retainSlackDen = 8
 )

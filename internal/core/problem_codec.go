@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"slices"
 	"strconv"
 	"time"
 
@@ -129,15 +128,15 @@ func (p *Problem) MarshalBinary() ([]byte, error) {
 		e.U8(b2u(o.Target))
 	}
 
-	// Extraction (minus Bindings; see the file comment). NodeOf encodes
-	// var-ascending so equal extractions produce identical bytes.
+	// Extraction (minus Bindings; see the file comment). NodeOf is written
+	// as (variable, node) pairs, variable-ascending.
 	e.Ints(ext.PrimaryInputs)
 	e.Ints(ext.Intermediates)
 	e.Ints(ext.PrimaryOutputs)
 	e.U32(uint32(len(ext.NodeOf)))
-	for _, v := range sortedVars(ext.NodeOf) {
-		e.U32(uint32(int32(v)))
-		e.U32(uint32(ext.NodeOf[v]))
+	for i, id := range ext.NodeOf {
+		e.U32(uint32(int32(i + 1)))
+		e.U32(uint32(id))
 	}
 	e.U64(uint64(ext.TransformTime.Nanoseconds()))
 	e.U32(uint32(ext.Windows))
@@ -238,16 +237,6 @@ func (s *slab[T]) take(n int) []T {
 	out := s.free[:n:n]
 	s.free = s.free[n:]
 	return out
-}
-
-// sortedVars returns NodeOf's keys ascending (canonical encode order).
-func sortedVars(m map[int]circuit.NodeID) []int {
-	vars := make([]int, 0, len(m))
-	for v := range m {
-		vars = append(vars, v)
-	}
-	slices.Sort(vars)
-	return vars
 }
 
 func decodeFormula(d *envelope.Decoder) *cnf.Formula {
@@ -416,7 +405,7 @@ func decodeExtraction(d *envelope.Decoder, f *cnf.Formula, c *circuit.Circuit) *
 	if d.Err() != nil {
 		return ext
 	}
-	ext.NodeOf = make(map[int]circuit.NodeID, nmap)
+	ext.NodeOf = make([]circuit.NodeID, nmap)
 	prev := 0
 	for i := 0; i < nmap; i++ {
 		v := int(int32(d.U32()))
@@ -429,7 +418,7 @@ func decodeExtraction(d *envelope.Decoder, f *cnf.Formula, c *circuit.Circuit) *
 			d.Fail("node map entry %d: node %d of %d", i, id, len(c.Nodes))
 			return ext
 		}
-		ext.NodeOf[v] = circuit.NodeID(id)
+		ext.NodeOf[v-1] = circuit.NodeID(id)
 		prev = v
 	}
 	ext.TransformTime = time.Duration(d.U64())

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"errors"
-	"maps"
 	"os"
 	"slices"
 	"testing"
@@ -273,7 +272,7 @@ func TestDecodeProblemRejectsKeyMismatch(t *testing.T) {
 // that holds that variable fixed.
 func TestDecodeProblemRejectsIncompleteNodeMap(t *testing.T) {
 	p := mustCompile(t, mustFormula(t, paperExample))
-	blob := forgedBlob(t, p, func(ext *extract.Result) { delete(ext.NodeOf, p.formula.NumVars) })
+	blob := forgedBlob(t, p, func(ext *extract.Result) { ext.NodeOf = ext.NodeOf[:p.formula.NumVars-1] })
 	if _, err := DecodeProblem(blob); err == nil {
 		t.Fatal("node map missing a variable decoded successfully")
 	} else if !errors.Is(err, ErrBadProblem) {
@@ -291,7 +290,7 @@ func forgedBlob(t *testing.T, p *Problem, edit func(ext *extract.Result)) []byte
 	c.Nodes = slices.Clone(c.Nodes)
 	ext := *p.ext
 	ext.Circuit = &c
-	ext.NodeOf = maps.Clone(ext.NodeOf)
+	ext.NodeOf = slices.Clone(ext.NodeOf)
 	edit(&ext)
 	q := *p
 	q.ext = &ext
@@ -328,7 +327,7 @@ func TestDecodedProblemVerifiesAgainstItsFormula(t *testing.T) {
 	f := mustFormula(t, paperExample)
 	blob := forgedBlob(t, mustCompile(t, f), func(ext *extract.Result) {
 		a, b := ext.PrimaryInputs[0], ext.PrimaryInputs[1]
-		ext.NodeOf[a], ext.NodeOf[b] = ext.NodeOf[b], ext.NodeOf[a]
+		ext.NodeOf[a-1], ext.NodeOf[b-1] = ext.NodeOf[b-1], ext.NodeOf[a-1]
 	})
 	dec, err := DecodeProblem(blob)
 	if err != nil {

@@ -432,7 +432,7 @@ func (s *Sampler) FullAssignmentAt(i int) []bool {
 // problem the pins are already folded into the circuit's constants and
 // constraints.
 func (s *Sampler) FullAssignment(sol []bool) []bool {
-	return s.prob.ext.AssignmentFromInputs(s.prob.formula.NumVars, sol)
+	return s.prob.ext.AssignmentFromInputs(sol)
 }
 
 // Round runs one batch round of the paper's loop on the tile engine:
@@ -667,9 +667,48 @@ func packLane(dst []uint64, cols [][]uint64, r int) {
 	}
 }
 
+// sigmoid32 is σ(v) = 1/(1+e^−v), computed in float32 throughout. With
+// x = −v, e^x = 2^k·p(r): k = round(x·log₂e), r = x − k·ln2 in
+// [−ln2/2, ln2/2] (ln2 split in two so that k·ln2Hi is exact), and p a
+// degree-6 fit of e^r on that interval (relative error 2.6e-9), evaluated
+// in Estrin's form for a short dependency chain. x is clamped to
+// [−126·ln2, 128·ln2], so 2^k is a normal float32 or, at k = 128, +Inf:
+// σ(+Inf) = 1, σ(−Inf) = 0, and NaN stays NaN. The clamps are branches:
+// with the min and max builtins, whose NaN and signed-zero rules add
+// instructions, the function ran about 1.4× slower. Where σ(v) is a
+// normal float32 its relative error is below 2^−22; below that its
+// absolute error is below 2^−126 (TestSigmoid32Bound).
 func sigmoid32(v float32) float32 {
-	return float32(1 / (1 + math.Exp(-float64(v))))
+	x := -v
+	if x < expLo {
+		x = expLo
+	}
+	if x > expHi {
+		x = expHi
+	}
+	ki := int32(x*log2e + 126.5) // k+126, rounded half up: x·log₂e >= −126
+	k := float32(ki - 126)
+	r := x - k*ln2Hi - k*ln2Lo
+	r2 := r * r
+	p := 1 + r + r2*((0.5+expC3*r)+r2*((expC4+expC5*r)+r2*expC6))
+	return 1 / (1 + p*math.Float32frombits(uint32(ki+1)<<23)) // 2^k: exponent field k+127
 }
+
+// sigmoid32's constants: the clamp (expLo is the float32 just above
+// −126·ln2, so e^expLo is still normal), log₂e, ln2 as an exact high part
+// and its remainder, and the degree-3..6 coefficients of the fit of e^r
+// (degrees 0..2 round to 1, 1 and 1/2 in float32).
+const (
+	expLo = -87.33654 // −126·ln2
+	expHi = 88.72284  // 128·ln2
+	log2e = 1.442695
+	ln2Hi = 0.693359375
+	ln2Lo = -2.12194440e-4
+	expC3 = 0.166664153
+	expC4 = 0.0416663513
+	expC5 = 0.00837512594
+	expC6 = 0.00139411085
+)
 
 // String describes the sampler configuration.
 func (s *Sampler) String() string {

@@ -78,7 +78,7 @@ func Specialize(p *Problem, assume []cnf.Lit) (*Problem, error) {
 	outputs := append([]circuit.Output(nil), base.Outputs...)
 	pinnedNode := make(map[circuit.NodeID]bool, len(fresh))
 	for _, l := range fresh {
-		id := ext.NodeOf[l.Var()]
+		id := ext.NodeOf[l.Var()-1]
 		switch nodes[id].Type {
 		case circuit.Input:
 			nd := nodes[id]

@@ -73,8 +73,9 @@ type Result struct {
 	PrimaryOutputs []int
 	// Bindings lists the recovered expressions in recovery order.
 	Bindings []Binding
-	// NodeOf maps every CNF variable 1..NumVars to its circuit node.
-	NodeOf map[int]circuit.NodeID
+	// NodeOf holds every CNF variable's circuit node: NodeOf[v-1] is the
+	// node of variable v, for v in 1..NumVars.
+	NodeOf []circuit.NodeID
 	// TransformTime is the wall-clock cost of the transformation (the
 	// paper's Fig. 4 right).
 	TransformTime time.Duration
@@ -103,7 +104,7 @@ func (r *Result) GateHistogram() map[string]int {
 func (r *Result) ProjectionNodes(vars []int) []int32 {
 	out := make([]int32, len(vars))
 	for i, v := range vars {
-		out[i] = int32(r.NodeOf[v])
+		out[i] = int32(r.NodeOf[v-1])
 	}
 	return out
 }
@@ -111,14 +112,18 @@ func (r *Result) ProjectionNodes(vars []int) []int32 {
 // AssignmentFromInputs evaluates the extracted circuit under the given
 // primary-input values (in circuit input order) and returns a dense CNF
 // assignment (assign[v-1] = value of CNF variable v).
-func (r *Result) AssignmentFromInputs(numVars int, inputs []bool) []bool {
+func (r *Result) AssignmentFromInputs(inputs []bool) []bool {
 	vals := r.Circuit.Eval(inputs)
-	assign := make([]bool, numVars)
-	for v, id := range r.NodeOf {
-		assign[v-1] = vals[id]
+	assign := make([]bool, len(r.NodeOf))
+	for i, id := range r.NodeOf {
+		assign[i] = vals[id]
 	}
 	return assign
 }
+
+// noNode marks a variable Transform has not given a node yet; none is
+// left when it returns.
+const noNode circuit.NodeID = -1
 
 // Transform runs Algorithm 1 on f.
 func Transform(f *cnf.Formula) (*Result, error) {
@@ -126,15 +131,21 @@ func Transform(f *cnf.Formula) (*Result, error) {
 	t := &transformer{
 		res: &Result{
 			Circuit: circuit.NewCircuit(),
-			NodeOf:  map[int]circuit.NodeID{},
+			NodeOf:  make([]circuit.NodeID, f.NumVars),
 		},
 		kind:    map[int]Kind{},
 		classed: map[int]bool{},
+	}
+	for i := range t.res.NodeOf {
+		t.res.NodeOf[i] = noNode
 	}
 	// Lookahead: last clause index in which each variable occurs.
 	lastUse := map[int]int{}
 	for i, c := range f.Clauses {
 		for _, l := range c {
+			if l.Var() > f.NumVars {
+				return nil, fmt.Errorf("extract: clause %d: variable %d of %d", i, l.Var(), f.NumVars)
+			}
 			lastUse[l.Var()] = i
 		}
 	}
@@ -205,12 +216,12 @@ type transformer struct {
 // nodeFor returns the circuit node for CNF variable v, creating a primary
 // input node (and classifying v as PI) when it has none.
 func (t *transformer) nodeFor(v int) circuit.NodeID {
-	if id, ok := t.res.NodeOf[v]; ok {
+	if id := t.res.NodeOf[v-1]; id != noNode {
 		return id
 	}
 	id := t.res.Circuit.AddInput(fmt.Sprintf("x%d", v))
 	t.res.Circuit.Nodes[id].Var = v
-	t.res.NodeOf[v] = id
+	t.res.NodeOf[v-1] = id
 	t.kind[v] = PrimaryInput
 	t.classed[v] = true
 	t.res.PrimaryInputs = append(t.res.PrimaryInputs, v)
@@ -399,7 +410,7 @@ func (t *transformer) commit(window []cnf.Clause, v int, expr *logic.Expr) []cnf
 		if int(id) >= fresh {
 			t.res.Circuit.Nodes[id].Var = v
 		}
-		t.res.NodeOf[v] = id
+		t.res.NodeOf[v-1] = id
 		t.kind[v] = Intermediate
 		t.classed[v] = true
 		t.res.Intermediates = append(t.res.Intermediates, v)
@@ -410,12 +421,12 @@ func (t *transformer) commit(window []cnf.Clause, v int, expr *logic.Expr) []cnf
 // nodeForOutput returns v's node for an output constraint without forcing a
 // PI classification for a fresh v.
 func (t *transformer) nodeForOutput(v int) circuit.NodeID {
-	if id, ok := t.res.NodeOf[v]; ok {
+	if id := t.res.NodeOf[v-1]; id != noNode {
 		return id
 	}
 	id := t.res.Circuit.AddInput(fmt.Sprintf("x%d", v))
 	t.res.Circuit.Nodes[id].Var = v
-	t.res.NodeOf[v] = id
+	t.res.NodeOf[v-1] = id
 	return id
 }
 

@@ -6,7 +6,7 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/cnf"
-	"repro/internal/sat"
+	"repro/internal/quality"
 )
 
 const paperExample = `c paper Fig. 1 CNF example
@@ -83,14 +83,18 @@ func checkBijection(t *testing.T, f *cnf.Formula, res *Result) {
 			continue
 		}
 		satisfying++
-		assign := res.AssignmentFromInputs(f.NumVars, in)
+		assign := res.AssignmentFromInputs(in)
 		if !f.Sat(assign) {
 			t.Fatalf("PI assignment %v drives outputs but extended assignment falsifies CNF (clause %d)",
 				in, f.FirstUnsat(assign))
 		}
 	}
-	if want := sat.CountModels(f, 0); satisfying != want {
-		t.Fatalf("satisfying PI assignments = %d, CNF models = %d", satisfying, want)
+	want, err := quality.ExactCount(f, nil, quality.CountLimits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if float64(satisfying) != want {
+		t.Fatalf("satisfying PI assignments = %d, CNF models = %g", satisfying, want)
 	}
 }
 

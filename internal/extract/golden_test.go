@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"slices"
 	"testing"
 
 	"repro/internal/benchgen"
@@ -23,13 +22,8 @@ func digest(r *Result) string {
 		fmt.Fprintf(h, "%d %v %t %d;", nd.Type, nd.Fanin, nd.Val, nd.Var)
 	}
 	fmt.Fprintf(h, "in %v out %v;", c.Inputs, c.Outputs)
-	vars := make([]int, 0, len(r.NodeOf))
-	for v := range r.NodeOf {
-		vars = append(vars, v)
-	}
-	slices.Sort(vars)
-	for _, v := range vars {
-		fmt.Fprintf(h, "%d>%d,", v, r.NodeOf[v])
+	for i, id := range r.NodeOf {
+		fmt.Fprintf(h, "%d>%d,", i+1, id)
 	}
 	fmt.Fprintf(h, "pi %v iv %v po %v;", r.PrimaryInputs, r.Intermediates, r.PrimaryOutputs)
 	for _, b := range r.Bindings {

@@ -23,7 +23,7 @@ func TestProjectionNodes(t *testing.T) {
 	vars := []int{1, in.Formula.NumVars, 1 + r.Intn(in.Formula.NumVars)}
 	plan := ext.ProjectionNodes(vars)
 	for i, v := range vars {
-		if id := ext.NodeOf[v]; plan[i] != int32(id) {
+		if id := ext.NodeOf[v-1]; plan[i] != int32(id) {
 			t.Errorf("var %d: plan %d, node %d", v, plan[i], id)
 		}
 	}

@@ -48,7 +48,9 @@ type Plan struct {
 	CancelAtSol int64
 	// KillPeerAtSol > 0 arms a peer death: when the Nth solution is
 	// delivered, the harness hard-kills (SIGKILL) the replica it is
-	// streaming from — the fleet-failover arm.
+	// streaming from — the fleet-failover arm. A satserved armed with it
+	// kills itself once it has written its Nth solution, so the stream
+	// cannot finish before the death lands.
 	KillPeerAtSol int64
 	// RejectAdopts > 0 makes a server refuse its first N /v1/adopt
 	// requests — the adoption-rejection arm, proving senders fall back to

@@ -269,6 +269,10 @@ func TestRetainedBytesBoundsHeap(t *testing.T) {
 				t.Fatal(err)
 			}
 			fresh := liveHeap() - h0
+			// The input each side was built from was live at h0: keep it
+			// live through the second reading too, or its collection
+			// would be subtracted from what the Problem retains.
+			runtime.KeepAlive(text)
 			blob, err := p.core.MarshalBinary()
 			if err != nil {
 				t.Fatal(err)
@@ -279,6 +283,7 @@ func TestRetainedBytesBoundsHeap(t *testing.T) {
 				t.Fatal(err)
 			}
 			decoded := liveHeap() - h0
+			runtime.KeepAlive(blob)
 			est := p.core.RetainedBytes()
 			runtime.KeepAlive(p)
 			runtime.KeepAlive(dec)

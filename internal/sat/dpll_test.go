@@ -5,7 +5,7 @@ import "repro/internal/cnf"
 // DPLL decides satisfiability with the textbook Davis–Putnam–Logemann–
 // Loveland procedure (unit propagation + chronological backtracking, no
 // learning). It is exponentially slower than the CDCL solver on hard
-// instances and exists as a correctness oracle for tests and small tools.
+// instances and is the oracle the CDCL solver is tested against.
 // It returns the verdict and, when Sat, a model (assign[v-1] = value).
 func DPLL(f *cnf.Formula) (Status, []bool) {
 	assign := make([]int8, f.NumVars)

@@ -139,8 +139,9 @@ type Config struct {
 	// admission queue; overflow is shed with 429 + Retry-After (default 0:
 	// no per-tenant bound beyond QueueDepth).
 	TenantQueueDepth int
-	// Injector, when armed, injects chaos-tier faults (adoption
-	// rejections). Nil is inert.
+	// Injector, when armed, injects chaos-tier faults: adoption
+	// rejections, a per-solution delay, and the peer death, which kills
+	// this process once its Nth solution is written. Nil is inert.
 	Injector *faultinject.Injector
 	// Seed bases the per-request session seeds (default 1).
 	Seed int64
@@ -1051,6 +1052,11 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request, req *sampleReque
 		}
 		delivered++
 		s.met.addSolutions(1, projVars > 0, time.Now())
+		if _, death := s.cfg.Injector.AdvanceSol(); death {
+			// The chaos plan's peer death: end the process as SIGKILL
+			// would, mid-stream, with no drain and no deferred cleanup.
+			os.Exit(137)
+		}
 		if req.target > 0 && adm.sess.Delivered() >= req.target {
 			return sampling.Stop
 		}

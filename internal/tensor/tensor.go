@@ -249,9 +249,11 @@ func SplitMix64(x uint64) uint64 {
 const DrawIncrement = 0xD1B54A32D192ED03
 
 // Uniform01 maps a scrambled 64-bit word to a uniform float32 in [0, 1)
-// using its top 24 bits.
+// using its top 24 bits. They convert through int32, which is exact below
+// 2^24 and one signed conversion on every target; a uint64 conversion is
+// that cheap only where the compiler proves the top bit clear.
 func Uniform01(x uint64) float32 {
-	return float32(x>>40) * (1.0 / (1 << 24))
+	return float32(int32(x>>40)) * (1.0 / (1 << 24))
 }
 
 // Sigmoid computes dst = 1/(1+exp(-src)) elementwise, striped by rows.

@@ -154,6 +154,18 @@ func TestRandomizeDeterministicAcrossDevices(t *testing.T) {
 	}
 }
 
+// TestUniform01Exhaustive: the int32 conversion gives the value the
+// uint64 one does on every one of the 2^24 top-bit patterns, whatever the
+// low bits hold.
+func TestUniform01Exhaustive(t *testing.T) {
+	for i := uint64(0); i < 1<<24; i++ {
+		x := i<<40 | SplitMix64(i)>>24
+		if got, want := Uniform01(x), float32(x>>40)*(1.0/(1<<24)); got != want {
+			t.Fatalf("Uniform01(%#x) = %v, want %v", x, got, want)
+		}
+	}
+}
+
 func TestSigmoid(t *testing.T) {
 	src := NewMatrix(1, 3)
 	src.Data = []float32{0, 10, -10}
