@@ -198,36 +198,6 @@ func BenchmarkFig4Devices(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineStep isolates the fused execution engine: rounds of pure
-// GD iterations (no harden/verify/dedup), reported as row-iterations per
-// second. allocs/op should read 0 on the sequential arm — the fused
-// pipeline runs entirely from preallocated per-worker scratch.
-func BenchmarkEngineStep(b *testing.B) {
-	for _, in := range benchInstances() {
-		in := in
-		b.Run(in.Name, func(b *testing.B) {
-			ext, err := extract.Transform(in.Formula)
-			if err != nil {
-				b.Fatal(err)
-			}
-			const batch = 4096
-			s, err := core.New(in.Formula, ext, core.Config{
-				BatchSize: batch, Iterations: 5, Device: tensor.Sequential(),
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			s.Round() // warm up scratch and the solution pool
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.Step()
-			}
-			b.ReportMetric(float64(batch)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
-		})
-	}
-}
-
 // BenchmarkTransform times the CNF→multi-level-function transformation
 // (Fig. 4 right) and reports the ops-reduction factor (Fig. 4 middle). The
 // extra cold-0 row is a formula the size of perfbench's serve-cold pool,

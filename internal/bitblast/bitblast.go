@@ -39,6 +39,11 @@ type Program struct {
 	// proves are dropped. Clause i is lits[starts[i]:starts[i+1]].
 	lits   []blit
 	starts []int32
+	// The residual clauses' cone, the only nodes a sweep reads: ins lists
+	// the positions in circ.Inputs of the cone's inputs, gates the cone's
+	// other nodes (every literal node and its transitive fanin), both
+	// ascending. See coneOrder.
+	ins, gates []int32
 	// unsat is set when some clause lost every literal to that resolution
 	// (or a pin contradicts a constant node): no row satisfies the CNF, so
 	// Sweep reports zero valid lanes.
@@ -121,7 +126,51 @@ func New(c *circuit.Circuit, nodeOf []circuit.NodeID, f *cnf.Formula, pins []cnf
 	p := &Program{circ: c, lits: make([]blit, len(lits)), starts: make([]int32, len(starts))}
 	copy(p.lits, lits)
 	copy(p.starts, starts)
+	p.ins, p.gates = p.coneOrder(nil)
 	return p
+}
+
+// coneOrder returns the cone of the residual clauses' literal nodes and
+// of the extra nodes: each node's transitive fanin is in it too. It is
+// split as Program.ins and Program.gates are, at exact size. Every fanin
+// precedes its fanout in the node array, which evalWords relies on too,
+// so one descending pass closes the cone, and the gates in ascending
+// order meet every fanin before its fanout.
+func (p *Program) coneOrder(extra []int32) (ins, gates []int32) {
+	c := p.circ
+	in := make([]bool, len(c.Nodes))
+	for _, l := range p.lits {
+		in[l.node] = true
+	}
+	for _, id := range extra {
+		in[id] = true
+	}
+	nins, ngates := 0, 0
+	for id := len(c.Nodes) - 1; id >= 0; id-- {
+		nd := &c.Nodes[id]
+		switch {
+		case !in[id]:
+		case nd.Type == circuit.Input:
+			nins++
+		default:
+			ngates++
+			for _, f := range nd.Fanin {
+				in[f] = true
+			}
+		}
+	}
+	ins, gates = make([]int32, 0, nins), make([]int32, 0, ngates)
+	for i, id := range c.Inputs {
+		if in[id] {
+			ins = append(ins, int32(i))
+		}
+	}
+	for id := range c.Nodes {
+		if in[id] && c.Nodes[id].Type != circuit.Input {
+			gates = append(gates, int32(id))
+		}
+	}
+	return ins, gates
 }
 
 // maxLeaves and maxCone bound one proof: a cone's truth table over at most
@@ -310,9 +359,9 @@ func (pv *prover) eval(id int32) (uint64, bool) {
 }
 
 // Bytes returns the heap the compiled clause plan retains: the literal
-// slab and the clause starts at their allocated capacity.
+// slab, the clause starts and the cone order at their allocated capacity.
 func (p *Program) Bytes() int64 {
-	return int64(cap(p.lits))*int64(unsafe.Sizeof(blit{})) + int64(cap(p.starts))*4
+	return int64(cap(p.lits))*int64(unsafe.Sizeof(blit{})) + int64(cap(p.starts)+cap(p.ins)+cap(p.gates))*4
 }
 
 // sweepWidth is how many packed words one pass over the node/clause tape
@@ -322,26 +371,47 @@ func (p *Program) Bytes() int64 {
 // 4× and the accumulators schedule as independent instruction streams.
 const sweepWidth = 4
 
-// Eval is reusable per-goroutine scratch for a Program.
+// Eval is reusable per-goroutine scratch for a Program, bound to one
+// projection plan.
 type Eval struct {
 	prog *Program
-	vals []uint64 // sweepWidth packed words per circuit node, node-major
+	plan []int32
+	// The nodes a sweep evaluates: the Program's cone order, or under a
+	// plan whose nodes reach outside it, the order of both cones.
+	ins, gates []int32
+	vals       []uint64 // sweepWidth packed words per circuit node, node-major
 }
 
-// NewEval allocates scratch for word-level sweeps over p.
-func (p *Program) NewEval() *Eval {
-	return &Eval{prog: p, vals: make([]uint64, len(p.circ.Nodes)*sweepWidth)}
+// NewEval allocates scratch for word-level sweeps over p. A non-nil plan
+// makes every Sweep also extract projected signatures: it maps projection
+// variables to circuit nodes (extract.Result.ProjectionNodes). The sweep
+// evaluates only the cone of the residual clauses and the plan's nodes;
+// when the plan's cones lie inside the residual one, the Eval shares the
+// Program's order, and otherwise it holds its own.
+func (p *Program) NewEval(plan []int32) *Eval {
+	e := &Eval{prog: p, plan: plan, ins: p.ins, gates: p.gates, vals: make([]uint64, len(p.circ.Nodes)*sweepWidth)}
+	if len(plan) > 0 {
+		if ins, gates := p.coneOrder(plan); len(ins) != len(p.ins) || len(gates) != len(p.gates) {
+			e.ins, e.gates = ins, gates
+		}
+	}
+	return e
 }
 
 // ScratchBytes returns the resident size of one Eval's scratch — the
 // per-worker verifier cost a session's memory model charges for each
-// device worker.
-func (p *Program) ScratchBytes() int64 {
-	return int64(len(p.circ.Nodes)) * sweepWidth * 8
+// device worker. Under a projection (projected) it includes the most an
+// Eval's own cone order can hold: every node.
+func (p *Program) ScratchBytes(projected bool) int64 {
+	b := int64(len(p.circ.Nodes)) * sweepWidth * 8
+	if projected {
+		b += int64(len(p.circ.Nodes)) * 4
+	}
+	return b
 }
 
-// Sweep evaluates the circuit on packed input columns and checks the
-// plan's residual clauses for the words w in [lo, hi) with mask[w] != 0
+// Sweep evaluates the circuit's cone on packed input columns and checks
+// the residual clauses for the words w in [lo, hi) with mask[w] != 0
 // (every word of the range when mask is nil), writing one validity mask
 // word per swept word: bit r of valid[w] is set iff the full assignment
 // induced by lane r of word w satisfies the formula. cols holds one
@@ -350,10 +420,9 @@ func (p *Program) ScratchBytes() int64 {
 // Lanes beyond the caller's batch carry whatever bits the caller packed
 // there — mask them off in valid before use.
 //
-// A non-nil plan also extracts projected signatures in the same sweep: it
-// maps projection variables to circuit nodes
-// (extract.Result.ProjectionNodes), and bit r of proj[k][w] becomes lane
-// r's value for the k-th projection variable.
+// Under the Eval's projection plan, the same sweep also extracts
+// projected signatures: bit r of proj[k][w] becomes lane r's value for
+// the k-th projection variable. proj is not read without a plan.
 //
 // Words outside the range, or with mask[w] == 0, keep their valid and
 // proj words untouched. A lane's validity and signature are pure functions
@@ -362,10 +431,11 @@ func (p *Program) ScratchBytes() int64 {
 // tile range with that worker's own Eval. Dirty words are gathered into
 // groups of sweepWidth, so a sparse mask still fills wide passes.
 //
-// The sweep is word-major: every node and clause is evaluated for one
+// The sweep is word-major: every cone node and clause is evaluated for one
 // group before the next, so the working set is sweepWidth uint64s per node
-// regardless of batch size. Sweep performs no allocations.
-func (e *Eval) Sweep(cols [][]uint64, lo, hi int, mask, valid []uint64, plan []int32, proj [][]uint64) {
+// regardless of batch size. Nodes outside the cone are never read or
+// written. Sweep performs no allocations.
+func (e *Eval) Sweep(cols [][]uint64, lo, hi int, mask, valid []uint64, proj [][]uint64) {
 	p := e.prog
 	if len(cols) != len(p.circ.Inputs) {
 		panic(fmt.Sprintf("bitblast: got %d input columns for %d inputs", len(cols), len(p.circ.Inputs)))
@@ -378,7 +448,7 @@ func (e *Eval) Sweep(cols [][]uint64, lo, hi int, mask, valid []uint64, plan []i
 		}
 		if p.unsat {
 			valid[w] = 0
-			for j := range plan {
+			for j := range e.plan {
 				proj[j][w] = 0
 			}
 			continue
@@ -386,19 +456,19 @@ func (e *Eval) Sweep(cols [][]uint64, lo, hi int, mask, valid []uint64, plan []i
 		ws[k] = w
 		k++
 		if k == sweepWidth {
-			e.flushGroup(cols, &ws, sweepWidth, valid, plan, proj)
+			e.flushGroup(cols, &ws, sweepWidth, valid, proj)
 			k = 0
 		}
 	}
 	if k > 0 {
-		e.flushGroup(cols, &ws, k, valid, plan, proj)
+		e.flushGroup(cols, &ws, k, valid, proj)
 	}
 }
 
 // flushGroup runs one wide pass over the k (1..sweepWidth) gathered words
 // ws[0..k-1]: node evaluation, the clause sweep, the validity store, and —
-// when plan is non-nil — the projected-signature store.
-func (e *Eval) flushGroup(cols [][]uint64, ws *[sweepWidth]int, k int, valid []uint64, plan []int32, proj [][]uint64) {
+// under a plan — the projected-signature store.
+func (e *Eval) flushGroup(cols [][]uint64, ws *[sweepWidth]int, k int, valid []uint64, proj [][]uint64) {
 	e.evalWords(cols, ws, k)
 	m0, m1, m2, m3 := e.checkWords()
 	switch k {
@@ -414,15 +484,15 @@ func (e *Eval) flushGroup(cols [][]uint64, ws *[sweepWidth]int, k int, valid []u
 	default:
 		valid[ws[0]] = m0
 	}
-	if plan != nil {
-		e.projectWords(plan, proj, ws, k)
+	if e.plan != nil {
+		e.projectWords(proj, ws, k)
 	}
 }
 
 // projectWords gathers the packed projected signatures of the k gathered
 // words from the node values computed by evalWords.
-func (e *Eval) projectWords(plan []int32, proj [][]uint64, ws *[sweepWidth]int, k int) {
-	for pk, nd := range plan {
+func (e *Eval) projectWords(proj [][]uint64, ws *[sweepWidth]int, k int) {
+	for pk, nd := range e.plan {
 		col := proj[pk]
 		b := int(nd) * sweepWidth
 		for j := 0; j < k; j++ {
@@ -431,8 +501,8 @@ func (e *Eval) projectWords(plan []int32, proj [][]uint64, ws *[sweepWidth]int, 
 	}
 }
 
-// evalWords computes every node's packed values for the k (1..sweepWidth)
-// gathered input words ws[0..k-1] in one unrolled pass. Short groups pad by
+// evalWords computes the packed values of the Eval's cone nodes for the k
+// (1..sweepWidth) gathered input words ws[0..k-1] in one unrolled pass. Short groups pad by
 // repeating the last real word, so the body is branch-free over lanes: the
 // duplicate results are recomputed and simply never stored.
 func (e *Eval) evalWords(cols [][]uint64, ws *[sweepWidth]int, k int) {
@@ -451,19 +521,18 @@ func (e *Eval) evalWords(cols [][]uint64, ws *[sweepWidth]int, k int) {
 	if k > 3 {
 		w3 = ws[3]
 	}
-	for i, id := range c.Inputs {
+	for _, i := range e.ins {
 		col := cols[i]
-		b := int(id) * sweepWidth
+		b := int(c.Inputs[i]) * sweepWidth
 		vals[b] = col[w0]
 		vals[b+1] = col[w1]
 		vals[b+2] = col[w2]
 		vals[b+3] = col[w3]
 	}
-	for id, nd := range c.Nodes {
-		b := id * sweepWidth
+	for _, id := range e.gates {
+		nd := &c.Nodes[id]
+		b := int(id) * sweepWidth
 		switch nd.Type {
-		case circuit.Input:
-			// loaded above
 		case circuit.Const:
 			v := uint64(0)
 			if nd.Val {

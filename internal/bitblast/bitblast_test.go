@@ -176,12 +176,12 @@ func (x *sweepFixture) run(r *rand.Rand, c sweepCase, valid []uint64, proj [][]u
 	cut := 1 + r.Intn(x.words-1)
 	switch c.ranges {
 	case "split": // two workers, each with its own Eval
-		prog.NewEval().Sweep(x.cols, 0, cut, mask, valid, plan, proj)
-		prog.NewEval().Sweep(x.cols, cut, x.words, mask, valid, plan, proj)
+		prog.NewEval(plan).Sweep(x.cols, 0, cut, mask, valid, proj)
+		prog.NewEval(plan).Sweep(x.cols, cut, x.words, mask, valid, proj)
 	case "tail": // dirty words before the cut are out of range
-		prog.NewEval().Sweep(x.cols, cut, x.words, mask, valid, plan, proj)
+		prog.NewEval(plan).Sweep(x.cols, cut, x.words, mask, valid, proj)
 	default:
-		prog.NewEval().Sweep(x.cols, 0, x.words, mask, valid, plan, proj)
+		prog.NewEval(plan).Sweep(x.cols, 0, x.words, mask, valid, proj)
 	}
 	swept := make([]bool, x.words)
 	for w := range swept {
@@ -264,21 +264,21 @@ func checkSweepAllocs(t *testing.T, seed int64, cases ...sweepCase) {
 		proj[k] = make([]uint64, x.words)
 	}
 	for _, c := range cases {
-		ev := x.program(c.unsat).NewEval()
-		var m []uint64
-		if c.mask != "" {
-			m = mask
-		}
 		var plan []int32
 		if c.project {
 			plan = x.plan
+		}
+		ev := x.program(c.unsat).NewEval(plan)
+		var m []uint64
+		if c.mask != "" {
+			m = mask
 		}
 		lo := 0
 		if c.ranges != "" {
 			lo = 1
 		}
 		if allocs := testing.AllocsPerRun(100, func() {
-			ev.Sweep(x.cols, lo, x.words, m, valid, plan, proj)
+			ev.Sweep(x.cols, lo, x.words, m, valid, proj)
 		}); allocs != 0 {
 			t.Errorf("%s: Sweep allocates %.1f times per call, want 0", c.name, allocs)
 		}
@@ -322,6 +322,70 @@ func TestVerifyProjectMatchesOracle(t *testing.T) {
 		sweepCase{name: "masked-project-unsat", mask: "random", project: true, unsat: true})
 }
 
+// TestSweepReadsOnlyItsCone: a sweep evaluates only the cone of the
+// residual clauses and of its Eval's projection plan. Every node outside
+// that order is poisoned before the sweep; validity and projection words
+// must still equal the oracle's, and the poison must stay intact. The
+// order must be closed under fanin, and the fixture's free variable (no
+// clause names it) must put a projected Eval on its own order.
+func TestSweepReadsOnlyItsCone(t *testing.T) {
+	r := rand.New(rand.NewSource(53))
+	const poison = 0xDEADBEEFCAFEF00D
+	for trial := 0; trial < 25; trial++ {
+		x := newSweepFixture(t, r)
+		c := x.ext.Circuit
+		for _, plan := range [][]int32{nil, x.plan} {
+			ev := x.program(false).NewEval(plan)
+			if ev.SharesOrder() != (plan == nil) {
+				t.Fatalf("trial %d plan %v: shares the program's order %t", trial, plan, ev.SharesOrder())
+			}
+			var outside []circuit.NodeID
+			for id := range c.Nodes {
+				nid := circuit.NodeID(id)
+				if !ev.InCone(nid) {
+					outside = append(outside, nid)
+					for j := range ev.NodeVals(nid) {
+						ev.NodeVals(nid)[j] = poison
+					}
+					continue
+				}
+				for _, f := range c.Nodes[id].Fanin {
+					if !ev.InCone(f) {
+						t.Fatalf("trial %d: cone node %d has fanin %d outside the cone", trial, id, f)
+					}
+				}
+			}
+			for _, nd := range plan {
+				if !ev.InCone(circuit.NodeID(nd)) {
+					t.Fatalf("trial %d: projection node %d outside the cone", trial, nd)
+				}
+			}
+			valid, proj := make([]uint64, x.words), make([][]uint64, len(plan))
+			for k := range proj {
+				proj[k] = make([]uint64, x.words)
+			}
+			ev.Sweep(x.cols, 0, x.words, nil, valid, proj)
+			for w := range valid {
+				if valid[w] != x.valid[w] {
+					t.Fatalf("trial %d word %d: valid %x, want %x", trial, w, valid[w], x.valid[w])
+				}
+				for k := range proj {
+					if proj[k][w] != x.projWords[k][w] {
+						t.Fatalf("trial %d word %d var %d: projection %x, want %x", trial, w, x.vars[k], proj[k][w], x.projWords[k][w])
+					}
+				}
+			}
+			for _, id := range outside {
+				for _, v := range ev.NodeVals(id) {
+					if v != poison {
+						t.Fatalf("trial %d: node %d outside the cone was written", trial, id)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestVerifyProjectZeroAllocs: the projected sweeps must not allocate.
 func TestVerifyProjectZeroAllocs(t *testing.T) {
 	checkSweepAllocs(t, 37,
@@ -361,10 +425,10 @@ func BenchmarkVerify(b *testing.B) {
 	words := batch / 64
 	valid := make([]uint64, words)
 	b.Run("packed64", func(b *testing.B) {
-		ev := bitblast.New(ext.Circuit, ext.NodeOf, enc.Formula, nil).NewEval()
+		ev := bitblast.New(ext.Circuit, ext.NodeOf, enc.Formula, nil).NewEval(nil)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			ev.Sweep(cols, 0, words, nil, valid, nil, nil)
+			ev.Sweep(cols, 0, words, nil, valid, nil)
 		}
 		b.ReportMetric(float64(batch)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 	})

@@ -24,6 +24,7 @@ func NewFull(c *circuit.Circuit, nodeOf []circuit.NodeID, f *cnf.Formula, pins [
 	for _, l := range pins {
 		add([]cnf.Lit{l})
 	}
+	p.ins, p.gates = p.coneOrder(nil)
 	return p
 }
 
@@ -36,4 +37,33 @@ func (p *Program) SlabCaps() (lits, litsCap, starts, startsCap int) {
 // Clauses returns how many clauses the sweep checks.
 func (p *Program) Clauses() int {
 	return max(len(p.starts)-1, 0)
+}
+
+// InCone reports whether a sweep with e evaluates node id: a cone input
+// or a cone gate.
+func (e *Eval) InCone(id circuit.NodeID) bool {
+	for _, i := range e.ins {
+		if e.prog.circ.Inputs[i] == id {
+			return true
+		}
+	}
+	for _, g := range e.gates {
+		if g == int32(id) {
+			return true
+		}
+	}
+	return false
+}
+
+// ConeSize returns how many nodes a sweep with e evaluates.
+func (e *Eval) ConeSize() int { return len(e.ins) + len(e.gates) }
+
+// SharesOrder reports whether e evaluates the Program's own cone order.
+func (e *Eval) SharesOrder() bool {
+	return len(e.gates) == len(e.prog.gates) && (len(e.gates) == 0 || &e.gates[0] == &e.prog.gates[0])
+}
+
+// NodeVals returns node id's sweepWidth packed words in e's scratch.
+func (e *Eval) NodeVals(id circuit.NodeID) []uint64 {
+	return e.vals[int(id)*sweepWidth : (int(id)+1)*sweepWidth]
 }

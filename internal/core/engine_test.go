@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/benchgen"
 	"repro/internal/circuit"
 	"repro/internal/cnf"
 	"repro/internal/tensor"
@@ -371,5 +372,34 @@ func TestCollectSteadyStateZeroAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(50, func() { s.collect() })
 	if allocs != 0 {
 		t.Errorf("steady-state collect allocates %.1f times per call, want 0", allocs)
+	}
+}
+
+// BenchmarkEngineStep isolates the fused execution engine: rounds of pure
+// GD iterations (no harden/verify/dedup) on the bench instances of the
+// root package's BenchmarkTable2, reported as row-iterations per second.
+// allocs/op should read 0 — the fused pipeline runs entirely from
+// preallocated per-worker scratch.
+func BenchmarkEngineStep(b *testing.B) {
+	for _, in := range []*benchgen.Instance{
+		benchgen.OrChain("or-50-10-7-UC-10", 50, 4, 5010),
+		benchgen.QChain("90-10-10-q", 15, 24, 9020),
+		benchgen.Iscas("s15850a-mini", 300, 3000, 7, 15874),
+		benchgen.Prod("Prod-mini", 150, 30, 8),
+	} {
+		b.Run(in.Name, func(b *testing.B) {
+			const batch = 4096
+			s, err := NewFromCNF(in.Formula, Config{BatchSize: batch, Iterations: 5, Device: tensor.Sequential()})
+			if err != nil {
+				b.Fatal(err)
+			}
+			s.Round() // warm up scratch and the solution pool
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.stepActive()
+			}
+			b.ReportMetric(float64(batch)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+		})
 	}
 }

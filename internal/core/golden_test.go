@@ -133,7 +133,7 @@ func TestGoldenSnapshot(t *testing.T) {
 	if !bytes.Equal(again, blob) {
 		t.Fatal("decoded fixture re-encodes different bytes")
 	}
-	if sn.ProjectionWidth() == 0 || !sn.contReady {
+	if len(sn.projection) == 0 || !sn.contReady {
 		t.Fatal("fixture lacks a projection or scheduler section")
 	}
 	s, err := RestoreSampler(goldenInstance(t), sn, tensor.Sequential())

@@ -142,8 +142,10 @@ func (sh Shape) Pool() int {
 // MemoryEstimate returns the resident bytes a sampler session of shape sh
 // over this problem occupies — the one memory model batch sizing and
 // admission control share. The engine's tiled value/adjoint scratch and
-// the verifier's sweep scratch are fixed per-worker costs (batch rows
-// stream through them); the soft-input matrix V, the
+// the verifier's sweep scratch — under a projection with room for the
+// cone order a worker's Eval may hold of its own — are fixed per-worker
+// costs (batch rows stream through them), and the merge's row blocks are
+// fixed per session; the soft-input matrix V, the
 // packed hardened and projection columns, the validity masks and the
 // scheduler's per-row arrays grow with the batch; the dedup pool grows by
 // solutionBytes per retained solution. Pure arithmetic on the compiled
@@ -152,15 +154,18 @@ func (p *Problem) MemoryEstimate(sh Shape) int64 {
 	n := int64(p.eng.numInputs)
 	b := int64(sh.Batch)
 	fixed := int64(sh.Workers) * int64(p.tile) * int64(p.eng.numSlots+p.eng.numGregs) * 4
-	fixed += int64(sh.Workers) * p.verify.ScratchBytes() // per-worker bitblast Eval
-	linear := 4 * b * n                                  // V
+	fixed += int64(sh.Workers) * p.verify.ScratchBytes(sh.Projection > 0) // per-worker bitblast Eval
+	fixed += 64 * 8 * ((n + 63) / 64)                                     // merge's row block
+	linear := 4 * b * n                                                   // V
 
 	linear += b * n / 8 // packed hardened columns
 	linear += b / 8     // validity masks
 	linear += 10 * b    // continuous scheduler: ages, restart counters, change/retire flags
 	linear += b / 8     // continuous scheduler: dirty-word mask
 	if sh.Projection > 0 {
-		linear += int64(sh.Projection) * ((b + 63) / 64) * 8 // packed projection columns
+		np := int64(sh.Projection)
+		linear += np * ((b + 63) / 64) * 8 // packed projection columns
+		fixed += 64 * 8 * ((np + 63) / 64) // merge's projected row block
 	}
 	return fixed + linear + int64(sh.Pool())*p.solutionBytes(sh.Projection)
 }
@@ -168,7 +173,8 @@ func (p *Problem) MemoryEstimate(sh Shape) int64 {
 // RetainedBytes prices the heap this Problem retains from the lengths of
 // the arrays it holds: the formula's clauses and literals, the circuit's
 // nodes, fanins and input names, the extraction's variable lists, node
-// map, the engine's code and the verifier's residual clause slab. The sum
+// map, the engine's code and the verifier's residual clause slab and cone
+// order. The sum
 // is scaled by retainSlack for the append growth and size-class rounding
 // that compiling leaves and decoding's exact-size allocations do not. A compiled Problem and its GDSP decode price the
 // same bytes, and the heap either retains lies within

@@ -4,9 +4,21 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bitblast"
 	"repro/internal/cnf"
 	"repro/internal/tensor"
 )
+
+// ProjectedSolutionAt returns the i-th unique solution's projected
+// assignment, in projection order (indices [0, UniqueCount())): its key in
+// the dedup pool, unpacked. It returns nil when the session has no
+// projection.
+func (s *Sampler) ProjectedSolutionAt(i int) []bool {
+	if s.projection == nil {
+		return nil
+	}
+	return bitblast.UnpackRow(make([]bool, len(s.projection)), s.pool.Row(i))
+}
 
 // projFormula: four disjoint 3-literal clauses over 12 variables (7^4
 // full models), projected onto one variable per clause — 2^4 − ... the

@@ -146,23 +146,23 @@ type Sampler struct {
 	colbuf []uint64   // backing store for cols
 	cols   [][]uint64 // one packed column per input
 	valid  []uint64   // per-word validity masks
-	rowbuf []uint64   // one packed candidate row, for hashing/dedup
+	inRows rowBlock   // one word's lanes as packed input rows, for dedup
 	solbuf []bool     // one unpacked primary-input row (FullAssignmentAt)
 
 	// Projected-sampling state (nil projPlan = full-assignment identity).
 	// The verify sweep fills projCols with each lane's projected signature
 	// (bit r of projCols[k][r/64] is row r's value for projection variable
-	// k); the pool is keyed by prowbuf and each class keeps its first
-	// primary-input row in wit.
+	// k); the pool is keyed by projRows' rows and each class keeps its
+	// first primary-input row in wit.
 	projection []int      // CNF variables defining solution identity
 	projPlan   []int32    // circuit node per projection variable
 	projbuf    []uint64   // backing store for projCols
 	projCols   [][]uint64 // one packed column per projection variable
-	prowbuf    []uint64   // one packed projected row, for hashing/dedup
-	wit        []uint64   // packed primary-input witness per class, rowbuf-sized rows
+	projRows   rowBlock   // one word's lanes as packed projected rows, for dedup
+	wit        []uint64   // packed primary-input witness per class, inRows-sized rows
 
-	// Dedup pool: unique keys (rowbuf, or prowbuf under a projection) in
-	// discovery order.
+	// Dedup pool: unique keys (input rows, or projected rows under a
+	// projection) in discovery order.
 	pool  *bitblast.RowSet
 	hits  []int32 // retired-candidate observations per solution
 	round int64
@@ -261,7 +261,7 @@ func newSession(p *Problem, cfg Config) (*Sampler, error) {
 		s.cols[i] = s.colbuf[i*words : (i+1)*words]
 	}
 	s.valid = make([]uint64, words)
-	s.rowbuf = make([]uint64, (n+63)/64)
+	s.inRows = newRowBlock(n)
 	s.solbuf = make([]bool, n)
 	keyWidth := n
 
@@ -283,7 +283,7 @@ func newSession(p *Problem, cfg Config) (*Sampler, error) {
 		for k := 0; k < np; k++ {
 			s.projCols[k] = s.projbuf[k*words : (k+1)*words]
 		}
-		s.prowbuf = make([]uint64, (np+63)/64)
+		s.projRows = newRowBlock(np)
 		keyWidth = np
 	}
 	s.pool = bitblast.NewRowSet(keyWidth, 0)
@@ -305,7 +305,7 @@ func newSession(p *Problem, cfg Config) (*Sampler, error) {
 	// concurrently.
 	s.vevals = make([]*bitblast.Eval, len(s.scratch))
 	for w := range s.vevals {
-		s.vevals[w] = p.verify.NewEval()
+		s.vevals[w] = p.verify.NewEval(s.projPlan)
 	}
 	// Prebound method values: dispatching a phase stores one of these in
 	// curPhase — no per-tick closure allocation.
@@ -315,15 +315,6 @@ func newSession(p *Problem, cfg Config) (*Sampler, error) {
 	s.stepPh = s.stepActiveTile
 	s.tileFn = s.tileWorker
 	return s, nil
-}
-
-// NewFromCNF transforms f with extract.Transform and builds a sampler.
-func NewFromCNF(f *cnf.Formula, cfg Config) (*Sampler, error) {
-	p, err := CompileCNF(f)
-	if err != nil {
-		return nil, err
-	}
-	return newSession(p, cfg)
 }
 
 // Problem returns the shared compiled problem this session runs over.
@@ -383,7 +374,7 @@ func (s *Sampler) inputRow(i int) []uint64 {
 	if s.projPlan == nil {
 		return s.pool.Row(i)
 	}
-	w := len(s.rowbuf)
+	w := s.inRows.words
 	return s.wit[i*w : (i+1)*w]
 }
 
@@ -407,16 +398,6 @@ func (s *Sampler) SolutionHits() []int {
 		out[i] = int(h)
 	}
 	return out
-}
-
-// ProjectedSolutionAt returns the i-th unique solution's projected
-// assignment, in projection order (indices [0, UniqueCount())). It returns
-// nil when the session has no projection.
-func (s *Sampler) ProjectedSolutionAt(i int) []bool {
-	if s.projection == nil {
-		return nil
-	}
-	return bitblast.UnpackRow(make([]bool, len(s.projection)), s.pool.Row(i))
 }
 
 // FullAssignmentAt expands the i-th unique solution into a freshly
@@ -523,16 +504,6 @@ func (s *Sampler) SampleRounds(target int, timeout time.Duration) Stats {
 	return s.stats
 }
 
-// Step runs a single GD iteration over the active rows without hardening
-// or collecting — exposed for benchmarks and incremental drivers that
-// want to observe the raw engine. Round/RoundTrace remain the paper's
-// sampling loop.
-func (s *Sampler) Step() {
-	start := time.Now()
-	defer func() { s.stats.Elapsed += time.Since(start) }()
-	s.stepActive()
-}
-
 // initRound reseeds the whole batch from the round stream: V gets fresh
 // uniform noise and every tile is fully active. It invalidates the
 // scheduler view, so the next ContinuousStep re-seeds.
@@ -614,6 +585,7 @@ func (s *Sampler) collect() int {
 	batch := s.cfg.BatchSize
 	s.markAllChanged()
 	s.runTiles(s.packPh)
+	s.resetRows()
 	newUnique := 0
 	s.stats.Candidates += batch
 	for r := 0; r < batch; r++ {
@@ -633,14 +605,15 @@ func (s *Sampler) collect() int {
 // projected signature when a projection is active (the full model at lane
 // r was already verified against the full CNF; a new class keeps it as its
 // witness), the full primary-input row otherwise. Every observation — new
-// or duplicate — counts toward the matched solution's hit tally.
+// or duplicate — counts toward the matched solution's hit tally. A merge
+// calls it in ascending lane order after resetRows, so each packed word
+// is transposed into rows at most once.
 func (s *Sampler) recordRow(r int) bool {
-	key := s.rowbuf
+	var key []uint64
 	if s.projPlan != nil {
-		key = s.prowbuf
-		packLane(key, s.projCols, r)
+		key = s.projRows.row(s.projCols, r)
 	} else {
-		packLane(key, s.cols, r)
+		key = s.inRows.row(s.cols, r)
 	}
 	i, added := s.pool.Insert(key)
 	if !added {
@@ -648,23 +621,56 @@ func (s *Sampler) recordRow(r int) bool {
 		return false
 	}
 	if s.projPlan != nil {
-		packLane(s.rowbuf, s.cols, r)
-		s.wit = append(s.wit, s.rowbuf...)
+		s.wit = append(s.wit, s.inRows.row(s.cols, r)...)
 	}
 	s.stats.Valid++
 	s.hits = append(s.hits, 1)
 	return true
 }
 
-// packLane gathers lane r of the packed columns into the packed row dst.
-func packLane(dst []uint64, cols [][]uint64, r int) {
-	w, b := r>>6, uint(r)&63
-	for i := range dst {
-		dst[i] = 0
+// resetRows forgets the words the row blocks hold: the columns have been
+// repacked since the last merge.
+func (s *Sampler) resetRows() {
+	s.inRows.at, s.projRows.at = -1, -1
+}
+
+// rowBlock holds the 64 lanes of one packed word as packed rows, so a
+// merge moves bits a word at a time: one 64×64 transpose per 64 columns
+// turns the word's columns into the rows of every lane.
+type rowBlock struct {
+	rows  []uint64 // 64 rows of words uint64 each, lane-major
+	words int      // packed words per row
+	at    int      // packed word the rows hold, -1 for none
+}
+
+// newRowBlock allocates a row block for rows of width bits.
+func newRowBlock(width int) rowBlock {
+	words := (width + 63) / 64
+	return rowBlock{rows: make([]uint64, 64*words), words: words, at: -1}
+}
+
+// row returns lane r of cols as a packed row, transposing r's word into
+// the block unless it holds that word already. Bits past the width of the
+// row are zero.
+func (b *rowBlock) row(cols [][]uint64, r int) []uint64 {
+	w := r >> 6
+	if w != b.at {
+		b.at = w
+		var blk [64]uint64
+		for k := 0; k < b.words; k++ {
+			part := cols[k<<6 : min(k<<6+64, len(cols))]
+			for j, col := range part {
+				blk[j] = col[w]
+			}
+			clear(blk[len(part):])
+			transpose64(&blk)
+			for l, x := range blk {
+				b.rows[l*b.words+k] = x
+			}
+		}
 	}
-	for i, col := range cols {
-		dst[i>>6] |= (col[w] >> b & 1) << (uint(i) & 63)
-	}
+	l := r & 63
+	return b.rows[l*b.words : (l+1)*b.words]
 }
 
 // sigmoid32 is σ(v) = 1/(1+e^−v), computed in float32 throughout. With

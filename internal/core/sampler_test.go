@@ -44,6 +44,16 @@ func mustFormula(t *testing.T, s string) *cnf.Formula {
 	return f
 }
 
+// NewFromCNF transforms f with extract.Transform and builds a sampler: the
+// one-call form tests use for CompileCNF and then Problem.NewSampler.
+func NewFromCNF(f *cnf.Formula, cfg Config) (*Sampler, error) {
+	p, err := CompileCNF(f)
+	if err != nil {
+		return nil, err
+	}
+	return p.NewSampler(cfg)
+}
+
 func newSampler(t *testing.T, f *cnf.Formula, cfg Config) *Sampler {
 	t.Helper()
 	s, err := NewFromCNF(f, cfg)

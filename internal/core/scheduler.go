@@ -261,6 +261,7 @@ func (s *Sampler) sweep(target int) int {
 	// phase A's tiles were scheduled. recordRow reads only the packed
 	// columns, which compaction and refill never touch within a tick, so
 	// deferring the merge past compaction is exact.
+	s.resetRows()
 	gained, sat, stalled := 0, 0, 0
 	for t := 0; t < s.numTiles; t++ {
 		base := t * s.stile
@@ -306,12 +307,11 @@ func (s *Sampler) packTile(w, t int) {
 	base := t * s.stile
 	w0 := base >> 6
 	w1 := (base + s.tileCap(t) + 63) >> 6
-	n := s.prob.eng.numInputs
 
 	// Incremental harden: only lanes whose hardened signs may have flipped
 	// (flagged by the GD update, a restart, or a compaction move) repack
 	// into the columns; their words become dirty. Iterates change-bitmap
-	// words, so the cost tracks dirty lanes, not batch size.
+	// words, so the cost tracks dirty words, not batch size.
 	for wi := w0; wi < w1; wi++ {
 		m := s.chg[wi]
 		s.dirty[wi] = m
@@ -319,22 +319,38 @@ func (s *Sampler) packTile(w, t int) {
 			continue
 		}
 		s.chg[wi] = 0
-		wb := wi << 6
-		for ; m != 0; m &= m - 1 {
-			r := wb + bits.TrailingZeros64(m)
-			row := s.vmat.Row(r)
-			sh := uint(r) & 63
-			for i := 0; i < n; i++ {
-				col := &s.cols[i][wi]
-				*col = *col&^(1<<sh) | positive(row[i])<<sh
-			}
-		}
+		s.hardenWord(wi, m)
 	}
 
 	// Masked verify: clean words keep their cached masks (validity — and,
 	// under projection, the projected signature — is a pure function of the
 	// packed bits).
-	s.vevals[w].Sweep(s.cols, w0, w1, s.dirty, s.valid, s.projPlan, s.projCols)
+	s.vevals[w].Sweep(s.cols, w0, w1, s.dirty, s.valid, s.projCols)
+}
+
+// hardenWord repacks the lanes m marks in packed word wi from V's rows,
+// 64 inputs at a time: each marked lane's signs gather into one row word,
+// one 64×64 transpose turns the block's row words into column words, and
+// the marked lanes blend into the columns. Lanes m does not mark keep
+// their bits, whatever the block holds for them.
+func (s *Sampler) hardenWord(wi int, m uint64) {
+	n := s.prob.eng.numInputs
+	var blk [64]uint64
+	for i0 := 0; i0 < n; i0 += 64 {
+		i1 := min(i0+64, n)
+		for mm := m; mm != 0; mm &= mm - 1 {
+			l := bits.TrailingZeros64(mm)
+			x := uint64(0)
+			for j, v := range s.vmat.Row(wi<<6 | l)[i0:i1] {
+				x |= positive(v) << uint(j)
+			}
+			blk[l] = x
+		}
+		transpose64(&blk)
+		for j, col := range s.cols[i0:i1] {
+			col[wi] = col[wi]&^m | blk[j]&m
+		}
+	}
 }
 
 // positive is 1 when v > 0 and 0 otherwise, NaN included, without a
@@ -344,6 +360,31 @@ func (s *Sampler) packTile(w, t int) {
 // negatives (sign bit set) lie at or above.
 func positive(v float32) uint64 {
 	return (uint64(math.Float32bits(v)-1) - 0x7F800000) >> 63
+}
+
+// transpose64 transposes a 64×64 bit matrix in place: bit j of a[i]
+// trades places with bit i of a[j]. Each of the six stages swaps the
+// off-diagonal j×j blocks of every 2j×2j block (j = 32, 16, …, 1) with
+// one masked XOR per row pair, so a whole transpose is 192 swaps instead
+// of 4,096 single-bit moves. It is its own inverse.
+func transpose64(a *[64]uint64) {
+	transposeStage(a, 32, 0x00000000FFFFFFFF)
+	transposeStage(a, 16, 0x0000FFFF0000FFFF)
+	transposeStage(a, 8, 0x00FF00FF00FF00FF)
+	transposeStage(a, 4, 0x0F0F0F0F0F0F0F0F)
+	transposeStage(a, 2, 0x3333333333333333)
+	transposeStage(a, 1, 0x5555555555555555)
+}
+
+// transposeStage swaps, in every row pair (k, k+j) with bit j of k clear,
+// the bits of row k above the mask m's runs with the bits of row k+j under
+// them. It inlines into transpose64, so j and m are constants there.
+func transposeStage(a *[64]uint64, j uint, m uint64) {
+	for k := uint(0); k < 64; k = (k + j + 1) &^ j {
+		t := (a[k&63]>>j ^ a[(k|j)&63]) & m
+		a[(k|j)&63] ^= t
+		a[k&63] ^= t << j
+	}
 }
 
 // retireTile is the retire half of a sweep: satisfied rows queue in the

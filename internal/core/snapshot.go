@@ -138,10 +138,6 @@ func (sn *Snapshot) Workers() int { return sn.workers }
 // Seed returns the session's base seed.
 func (sn *Snapshot) Seed() int64 { return sn.seed }
 
-// ProjectionWidth returns the number of projection variables defining the
-// session's solution identity (0 = full assignment).
-func (sn *Snapshot) ProjectionWidth() int { return len(sn.projection) }
-
 // UniqueCount returns the number of unique solutions in the snapshot's
 // dedup pool.
 func (sn *Snapshot) UniqueCount() int { return sn.nsols }
@@ -282,7 +278,7 @@ func RestoreSampler(p *Problem, sn *Snapshot, dev tensor.Device) (*Sampler, erro
 // or a bit set past a row's or a signature's width.
 func (s *Sampler) restorePool(sn *Snapshot) error {
 	n := s.prob.eng.numInputs
-	rowWords := len(s.rowbuf)
+	rowWords := s.inRows.words
 	nsols := sn.nsols
 	if len(sn.rows) != nsols*rowWords || len(sn.hits) != nsols || len(sn.hashes) != nsols {
 		return fmt.Errorf("%w: pool arrays (%d row words, %d hits, %d hashes) for %d solutions × %d inputs",
@@ -291,8 +287,8 @@ func (s *Sampler) restorePool(sn *Snapshot) error {
 	keys, keyWidth := sn.rows, n
 	if s.projPlan != nil {
 		keys, keyWidth = sn.psigs, len(s.projection)
-		if len(keys) != nsols*len(s.prowbuf) {
-			return fmt.Errorf("%w: %d projected-signature words for %d solutions × %d words", ErrBadSnapshot, len(keys), nsols, len(s.prowbuf))
+		if len(keys) != nsols*s.projRows.words {
+			return fmt.Errorf("%w: %d projected-signature words for %d solutions × %d words", ErrBadSnapshot, len(keys), nsols, s.projRows.words)
 		}
 	} else if len(sn.psigs) != 0 {
 		return fmt.Errorf("%w: projected signatures without a projection", ErrBadSnapshot)

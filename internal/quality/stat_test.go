@@ -60,7 +60,11 @@ func TestSamplerStatisticalSmoke(t *testing.T) {
 			}
 
 			// Uniformity at the bounded budget.
-			s, err := core.NewFromCNF(f, core.Config{BatchSize: 64, Seed: tc.seed, Device: tensor.Sequential()})
+			p, err := core.CompileCNF(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := p.NewSampler(core.Config{BatchSize: 64, Seed: tc.seed, Device: tensor.Sequential()})
 			if err != nil {
 				t.Fatal(err)
 			}
