@@ -59,14 +59,6 @@ func (s *RowSet) Len() int { return len(s.hashes) }
 // Row returns the i-th inserted row. The caller must not modify it.
 func (s *RowSet) Row(i int) []uint64 { return s.slab[i*s.words : (i+1)*s.words : (i+1)*s.words] }
 
-// Rows returns every row, back to back in insertion order. The caller must
-// not modify it.
-func (s *RowSet) Rows() []uint64 { return s.slab }
-
-// Hashes returns each row's Hash64 in insertion order. The caller must not
-// modify it.
-func (s *RowSet) Hashes() []uint64 { return s.hashes }
-
 // Insert adds a copy of key, a row of the set's width whose bits past the
 // width are zero, unless an equal row is present. It returns the row's
 // index and whether it was added.

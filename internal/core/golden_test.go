@@ -15,15 +15,17 @@ import (
 // The GDSS and GDSP fixtures under testdata/ were written over benchgen's
 // or-12-3-small on a sequential device: gdsp_v4.bin is the compiled
 // problem (TransformTime zeroed), gdsp_v4_pins.bin the problem specialized
-// under pins -1 -2, and gdss.bin a continuous session (batch 64, seed 7,
-// projection onto variables 1-8, Elapsed zeroed) cut after 3 ticks.
+// under pins -1 -2, and gdss_v2.bin a continuous session (batch 64, seed
+// 7, projection onto variables 1-8, Elapsed zeroed) cut after 3 ticks.
 // gdss.stream holds that session's streamSig after goldenSnapshotRun more
 // ticks. gdsp_v1.bin and gdsp_v2.bin are the same two problems in the
 // earlier layouts that also stored the engine tape and verify plan, and
 // gdsp_v3.bin and gdsp_v3_pins.bin in the layout that also stored a
-// clause-provenance table; decode refuses them all. gdss_momentum.bin is
-// the same session run with momentum 0.5 and clause weights 1/1.5/2
-// repeating, which decode refuses.
+// clause-provenance table; decode refuses them all. gdss.bin is the same
+// session in the version-1 snapshot layout, which also stored the packed
+// verifier view, the pool's keys and hashes and two always-zero optimizer
+// fields, and gdss_momentum.bin a version-1 session run with momentum 0.5
+// and clause weights; decode refuses both.
 const goldenSnapshotRun = 6
 
 func readFixture(t *testing.T, name string) []byte {
@@ -116,12 +118,12 @@ func TestGoldenProblem(t *testing.T) {
 }
 
 // TestGoldenSnapshot: the committed GDSS blob decodes, re-encodes byte for
-// byte, carries the projection and scheduler sections, and restores onto a
-// fresh compile to continue exactly the recorded stream. A momentum and
-// clause-weight session's blob, sealed and otherwise intact, fails decode
-// with ErrBadSnapshot.
+// byte, carries a projection and a running scheduler, and restores onto a
+// fresh compile to a session that snapshots back to the same bytes and
+// continues exactly the recorded stream. The version-1 blobs, sealed and
+// otherwise intact, fail decode with ErrBadSnapshot.
 func TestGoldenSnapshot(t *testing.T) {
-	blob := readFixture(t, "gdss.bin")
+	blob := readFixture(t, "gdss_v2.bin")
 	sn, err := DecodeSnapshot(blob)
 	if err != nil {
 		t.Fatal(err)
@@ -134,11 +136,17 @@ func TestGoldenSnapshot(t *testing.T) {
 		t.Fatal("decoded fixture re-encodes different bytes")
 	}
 	if len(sn.projection) == 0 || !sn.contReady {
-		t.Fatal("fixture lacks a projection or scheduler section")
+		t.Fatal("fixture lacks a projection or a running scheduler")
 	}
 	s, err := RestoreSampler(goldenInstance(t), sn, tensor.Sequential())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if again, err = s.Snapshot().MarshalBinary(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, blob) {
+		t.Fatal("restored fixture re-encodes different bytes")
 	}
 	for i := 0; i < goldenSnapshotRun; i++ {
 		s.ContinuousStep(0)
@@ -147,7 +155,9 @@ func TestGoldenSnapshot(t *testing.T) {
 	if got := streamSig(s); strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("restored session streams %d solutions, recorded %d, or the streams differ", len(got), len(want))
 	}
-	if _, err := DecodeSnapshot(readFixture(t, "gdss_momentum.bin")); !errors.Is(err, ErrBadSnapshot) {
-		t.Fatalf("momentum session: decode error %v, want ErrBadSnapshot", err)
+	for _, old := range []string{"gdss.bin", "gdss_momentum.bin"} {
+		if _, err := DecodeSnapshot(readFixture(t, old)); !errors.Is(err, ErrBadSnapshot) {
+			t.Fatalf("%s: decode error %v, want ErrBadSnapshot", old, err)
+		}
 	}
 }

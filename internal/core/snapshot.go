@@ -11,35 +11,32 @@ import (
 )
 
 // This file implements session checkpoint/restore: Sampler.Snapshot
-// captures the complete per-session state — the soft-input matrix V, the
-// per-slot SplitMix64 restart-stream cursors, row ages, the dedup pool
-// (solution rows, projected signatures, hit tallies, dedup hashes), retired/
-// saturation counters, and the continuous scheduler's per-tile active
-// regions with its packed verifier view — and RestoreSampler rebuilds a
-// Sampler that continues the *byte-identical* solution stream an
-// uninterrupted run would have produced (the invariant guarded by
+// captures the per-session state that no computation recovers — the
+// config, the stats, the soft-input matrix V, the scheduler's per-row ages
+// and restart counters, its per-tile active regions and saturation count,
+// and the dedup pool's primary-input rows (witnesses under a projection)
+// with their hit tallies — and RestoreSampler rebuilds a Sampler that
+// continues the *byte-identical* solution stream an uninterrupted run
+// would have produced (the invariant guarded by
 // TestSnapshotResumeEquivalence).
 //
-// The snapshot is an exact state capture, including state that is in
-// principle recomputable (the packed hardened columns, cached validity
-// masks, projected-signature columns, pending changed flags, and the
-// per-solution dedup hashes). The pool sections are verified, not
-// trusted: restore inserts every key through the live session's dedup
-// insert, one Hash64 per solution, and refuses a key seen twice, a stored
-// hash that differs from the key's, and a bit set past a row's or a
-// signature's width. The column sections are trusted: recomputing them on
-// restore — one full repack + bit-parallel verify — costs tens of
-// milliseconds on an s15850a-scale session, blowing the
-// checkpoint-on-every-drain budget, while serializing them costs ~1% of
-// the snapshot's size (V dominates) and makes their restore a plain copy.
-// They are CRC-covered like everything else, so corruption is detected,
-// but a deliberately forged token could desynchronize its own session's
-// verifier view. Resume tokens are server-generated opaque blobs with an
-// outer integrity digest; forging one only damages the forger's stream.
+// A snapshot stores a value only if it cannot be recomputed, and restore
+// re-verifies what it rebuilds. The packed verifier view (hardened
+// columns, validity masks, projected columns, changed flags) is a
+// function of V, so restore marks every lane changed and the first tick
+// repacks and re-verifies the whole batch. The pool's keys and dedup
+// hashes are functions of its rows: restore packs the rows into the
+// session's columns, 64 lanes per word, and sweeps them with the
+// session's verifier, refusing a row that is not a model (assumption pins
+// included), a row with a bit set past its width, and a row whose key
+// repeats an earlier one; under a projection each key is its witness's
+// swept signature, and the pool's insert recomputes every hash. A forged
+// snapshot can therefore steer its own session's search, but it cannot
+// make the session deliver a non-model or a duplicate.
 //
 // Scratch that is dead between ticks — the per-word dirty mask, the
-// per-sweep retirement flags, the per-worker value/adjoint tiles — is NOT
-// captured: every tick rebuilds it from scratch before reading it.
+// per-sweep retirement flags, the per-worker value/adjoint tiles — is not
+// captured either: every tick rebuilds it before reading it.
 //
 // The codec is a versioned, length-prefixed little-endian binary format
 // (a field list over internal/envelope) keyed by the Problem's content
@@ -48,21 +45,15 @@ import (
 // bounds-checked against the remaining input before allocation and the
 // whole payload is covered by a trailing CRC32, so a truncated or
 // corrupted snapshot yields a clean error — never a panic, never a
-// half-restored session (FuzzDecodeSnapshot guards this).
-//
-// Two fields of the layout are always zero: the momentum f32 after the
-// init range and the clause-weight count after the projection. They
-// carried optimizer hooks the sampler no longer has and stay in the layout
-// so every checkpoint a session writes keeps its bytes; decode refuses a
-// snapshot with either non-zero. The flag byte defines three bits
-// (scheduler running, exhausted, projection) and decode refuses every
-// other, including the retired round-mode and momentum bits, so the codec
-// is canonical: a blob that decodes re-encodes to the same bytes.
+// half-restored session (FuzzDecodeSnapshot guards this). The flag byte
+// defines three bits (scheduler running, exhausted, projection) and decode
+// refuses every other, so the codec is canonical: a blob that decodes
+// re-encodes to the same bytes.
 
 // SnapshotVersion is the current snapshot codec version. Decode rejects
 // any other version: a checkpoint outlives the process that wrote it, so
 // silent cross-version reinterpretation is never acceptable.
-const SnapshotVersion = 1
+const SnapshotVersion = 2
 
 // snapshotMagic opens every encoded snapshot.
 const snapshotMagic = "GDSS"
@@ -96,32 +87,22 @@ type Snapshot struct {
 
 	vdata []float32 // V matrix, row-major batch×n
 
-	// Continuous scheduler state (zero-valued when the session last ran
-	// the round loop or never started the scheduler). cols/valid/projCols/
-	// changed are the scheduler's packed verifier view at the tick
-	// boundary: the columns still hold pre-step bits for lanes whose GD
-	// update flipped a hardened sign, and changed flags exactly those
-	// lanes for the next sweep's incremental repack.
+	// Scheduler state. contReady is clear when the session last ran the
+	// round loop or never started the scheduler: the next ContinuousStep
+	// re-seeds, keeping only the restart counters.
 	contReady bool
 	exhausted bool
 	ages      []int32
 	restarts  []uint32
 	active    []int32
 	staleRet  int
-	cols      []uint64 // packed hardened columns, flattened n×words
-	valid     []uint64 // cached per-word validity masks
-	projCols  []uint64 // packed projected-signature columns, flattened np×words
-	changed   []uint64 // pending changed-lane flags, packed 1 bit per lane
 
 	// Dedup pool in discovery order: each solution's packed primary-input
-	// row, retirement tally and 64-bit dedup hash, and under a projection
-	// its packed projected signature (the pool key the hash is taken over).
-	// The codec stores each row as its (numInputs+7)/8 low bytes.
-	rows   []uint64 // nsols × rowWords
-	nsols  int
-	hits   []int32
-	hashes []uint64
-	psigs  []uint64 // nsols × sigWords
+	// row (its witness under a projection) and retirement tally. The codec
+	// stores each row as its (numInputs+7)/8 low bytes.
+	rows  []uint64 // nsols × rowWords
+	nsols int
+	hits  []int32
 }
 
 // Key returns the content hash of the compiled Problem this snapshot was
@@ -153,8 +134,8 @@ func (sn *Snapshot) Shape(workers, target int) Shape {
 		Projection: len(sn.projection)}
 }
 
-// Snapshot captures the sampler's complete per-session state between
-// sampling calls. It must not run concurrently with Round/ContinuousStep/
+// Snapshot captures the per-session state a restore cannot recompute,
+// between sampling calls. It must not run concurrently with Round/ContinuousStep/
 // SampleUntil on the same Sampler (a Sampler is single-caller by
 // contract); the returned Snapshot holds copies, so the sampler may keep
 // running afterwards without invalidating it.
@@ -176,32 +157,20 @@ func (s *Sampler) Snapshot() *Snapshot {
 		vdata:      append([]float32(nil), s.vmat.Data...),
 		contReady:  s.contReady,
 		exhausted:  s.exhausted,
+		ages:       append([]int32(nil), s.ages...),
+		restarts:   append([]uint32(nil), s.restarts...),
+		active:     append([]int32(nil), s.active...),
 		staleRet:   s.staleRet,
+		nsols:      s.pool.Len(),
+		hits:       append([]int32(nil), s.hits...),
 	}
 	if s.projection != nil {
 		sn.projection = append([]int(nil), s.projection...)
 	}
-	if s.contReady {
-		sn.ages = append([]int32(nil), s.ages...)
-		sn.restarts = append([]uint32(nil), s.restarts...)
-		sn.active = append([]int32(nil), s.active...)
-		sn.cols = append([]uint64(nil), s.colbuf...)
-		sn.valid = append([]uint64(nil), s.valid...)
-		if s.projPlan != nil {
-			sn.projCols = append([]uint64(nil), s.projbuf...)
-		}
-		// The live change bitmap is already in the codec's packed layout.
-		sn.changed = append([]uint64(nil), s.chg...)
+	sn.rows = make([]uint64, 0, sn.nsols*s.inRows.words)
+	for i := 0; i < sn.nsols; i++ {
+		sn.rows = append(sn.rows, s.inputRow(i)...)
 	}
-	sn.nsols = s.pool.Len()
-	keys := append([]uint64(nil), s.pool.Rows()...)
-	if s.projPlan != nil {
-		sn.psigs, sn.rows = keys, append([]uint64(nil), s.wit...)
-	} else {
-		sn.rows = keys
-	}
-	sn.hits = append([]int32(nil), s.hits...)
-	sn.hashes = append([]uint64(nil), s.pool.Hashes()...)
 	return sn
 }
 
@@ -257,60 +226,88 @@ func RestoreSampler(p *Problem, sn *Snapshot, dev tensor.Device) (*Sampler, erro
 	s.stats = sn.stats
 	s.exhausted = sn.exhausted
 
-	if err := s.restorePool(sn); err != nil {
+	if err := s.restoreScheduler(sn); err != nil {
 		return nil, err
 	}
-	if sn.contReady {
-		if err := s.restoreScheduler(sn); err != nil {
-			return nil, err
-		}
+	if err := s.restorePool(sn); err != nil {
+		return nil, err
 	}
 	if s.stats.Unique != s.pool.Len() {
 		return nil, fmt.Errorf("%w: stats report %d unique, pool holds %d", ErrBadSnapshot, s.stats.Unique, s.pool.Len())
 	}
+	// The packed view is V's, hardened: the first sweep rebuilds it from
+	// V and re-verifies every lane (restorePool used it as scratch).
+	s.markAllChanged()
 	return s, nil
 }
 
-// restorePool rebuilds the dedup pool — keys, witnesses and hit tallies —
-// from the snapshot, inserting each key in discovery order through the
-// insert a live session uses, into a set pre-sized to the pool. A forged
-// pool is refused: a key seen twice, a stored hash that is not the key's,
-// or a bit set past a row's or a signature's width.
+// restoreScheduler restores the scheduler's per-row and per-tile arrays,
+// refusing any that do not fit the session's batch and tiles.
+func (s *Sampler) restoreScheduler(sn *Snapshot) error {
+	batch := s.cfg.BatchSize
+	if len(sn.ages) != batch || len(sn.restarts) != batch {
+		return fmt.Errorf("%w: scheduler rows (%d ages, %d restarts) for batch %d", ErrBadSnapshot, len(sn.ages), len(sn.restarts), batch)
+	}
+	if len(sn.active) != s.numTiles {
+		return fmt.Errorf("%w: %d active tiles, want %d", ErrBadSnapshot, len(sn.active), s.numTiles)
+	}
+	s.activeRows = 0
+	for t, a := range sn.active {
+		if a < 0 || int(a) > s.tileCap(t) {
+			return fmt.Errorf("%w: tile %d active %d exceeds capacity %d", ErrBadSnapshot, t, a, s.tileCap(t))
+		}
+		s.activeRows += int(a)
+	}
+	copy(s.ages, sn.ages)
+	copy(s.restarts, sn.restarts)
+	copy(s.active, sn.active)
+	s.staleRet = sn.staleRet
+	s.contReady = sn.contReady
+	return nil
+}
+
+// restorePool rebuilds the dedup pool from the snapshot's rows and hit
+// tallies. The rows are packed into the session's columns, 64 lanes per
+// word, and swept by the session's verifier; each is then inserted in
+// discovery order, keyed by itself or, under a projection, by its swept
+// signature. A row that is not a model, that has a bit set past its width
+// or whose key repeats an earlier one is refused, as is a tally below 1.
 func (s *Sampler) restorePool(sn *Snapshot) error {
 	n := s.prob.eng.numInputs
 	rowWords := s.inRows.words
 	nsols := sn.nsols
-	if len(sn.rows) != nsols*rowWords || len(sn.hits) != nsols || len(sn.hashes) != nsols {
-		return fmt.Errorf("%w: pool arrays (%d row words, %d hits, %d hashes) for %d solutions × %d inputs",
-			ErrBadSnapshot, len(sn.rows), len(sn.hits), len(sn.hashes), nsols, n)
+	if len(sn.rows) != nsols*rowWords || len(sn.hits) != nsols {
+		return fmt.Errorf("%w: pool arrays (%d row words, %d hits) for %d solutions × %d inputs",
+			ErrBadSnapshot, len(sn.rows), len(sn.hits), nsols, n)
 	}
-	keys, keyWidth := sn.rows, n
+	keyWidth := n
 	if s.projPlan != nil {
-		keys, keyWidth = sn.psigs, len(s.projection)
-		if len(keys) != nsols*s.projRows.words {
-			return fmt.Errorf("%w: %d projected-signature words for %d solutions × %d words", ErrBadSnapshot, len(keys), nsols, s.projRows.words)
-		}
-	} else if len(sn.psigs) != 0 {
-		return fmt.Errorf("%w: projected signatures without a projection", ErrBadSnapshot)
+		keyWidth = len(s.projection)
 	}
-	if nsols == 0 {
-		return nil
-	}
-	keyWords := (keyWidth + 63) / 64
 	s.pool = bitblast.NewRowSet(keyWidth, nsols)
-	for i := 0; i < nsols; i++ {
-		if sn.hits[i] < 1 {
-			return fmt.Errorf("%w: solution %d has hit tally %d", ErrBadSnapshot, i, sn.hits[i])
-		}
-		key := keys[i*keyWords : (i+1)*keyWords]
-		if padded(sn.rows[i*rowWords:(i+1)*rowWords], n) || padded(key, keyWidth) {
-			return fmt.Errorf("%w: solution %d has a bit set past its width", ErrBadSnapshot, i)
-		}
-		if _, added := s.pool.Insert(key); !added {
-			return fmt.Errorf("%w: solution %d repeats an earlier key", ErrBadSnapshot, i)
-		}
-		if s.pool.Hashes()[i] != sn.hashes[i] {
-			return fmt.Errorf("%w: solution %d has a stored hash that is not its key's", ErrBadSnapshot, i)
+	lanes := 64 * len(s.valid)
+	for lo := 0; lo < nsols; lo += lanes {
+		hi := min(lo+lanes, nsols)
+		s.packRows(sn.rows[lo*rowWords : hi*rowWords])
+		s.vevals[0].Sweep(s.cols, 0, (hi-lo+63)/64, nil, s.valid, s.projCols)
+		s.resetRows()
+		for i := lo; i < hi; i++ {
+			r := i - lo
+			key := sn.rows[i*rowWords : (i+1)*rowWords]
+			switch {
+			case sn.hits[i] < 1:
+				return fmt.Errorf("%w: solution %d has hit tally %d", ErrBadSnapshot, i, sn.hits[i])
+			case padded(key, n):
+				return fmt.Errorf("%w: solution %d has a bit set past its width", ErrBadSnapshot, i)
+			case s.valid[r>>6]>>(uint(r)&63)&1 == 0:
+				return fmt.Errorf("%w: solution %d is not a model", ErrBadSnapshot, i)
+			}
+			if s.projPlan != nil {
+				key = s.projRows.row(s.projCols, r)
+			}
+			if _, added := s.pool.Insert(key); !added {
+				return fmt.Errorf("%w: solution %d repeats an earlier key", ErrBadSnapshot, i)
+			}
 		}
 	}
 	s.hits = append([]int32(nil), sn.hits...)
@@ -320,62 +317,33 @@ func (s *Sampler) restorePool(sn *Snapshot) error {
 	return nil
 }
 
+// packRows packs primary-input rows into the columns, row r at lane r,
+// one 64×64 transpose per 64 lanes and 64 inputs; at most 64·len(valid)
+// rows fit. Lanes past the last row hold zeros in the words the rows
+// reach and keep their bits in the others.
+func (s *Sampler) packRows(rows []uint64) {
+	n, rowWords := s.prob.eng.numInputs, s.inRows.words
+	nrows := len(rows) / rowWords
+	var blk [64]uint64
+	for w := 0; w*64 < nrows; w++ {
+		lanes := min(64, nrows-w*64)
+		for k := 0; k < rowWords; k++ {
+			for l := 0; l < lanes; l++ {
+				blk[l] = rows[(w*64+l)*rowWords+k]
+			}
+			clear(blk[lanes:])
+			transpose64(&blk)
+			for j, col := range s.cols[k<<6 : min(k<<6+64, n)] {
+				col[w] = blk[j]
+			}
+		}
+	}
+}
+
 // padded reports whether a packed row of width bits has a bit set past
 // its width.
 func padded(row []uint64, width int) bool {
 	return width&63 != 0 && row[len(row)-1]>>(uint(width)&63) != 0
-}
-
-// restoreScheduler rebuilds the continuous scheduler's live view from the
-// snapshot: the per-row arrays, and the packed columns + cached validity
-// masks + pending changed flags exactly as the tick boundary left them.
-func (s *Sampler) restoreScheduler(sn *Snapshot) error {
-	batch := s.cfg.BatchSize
-	words := (batch + 63) / 64
-	n := s.prob.eng.numInputs
-	if len(sn.ages) != batch || len(sn.restarts) != batch {
-		return fmt.Errorf("%w: scheduler rows (%d ages, %d restarts) for batch %d", ErrBadSnapshot, len(sn.ages), len(sn.restarts), batch)
-	}
-	if len(sn.active) != s.numTiles {
-		return fmt.Errorf("%w: %d active tiles, want %d", ErrBadSnapshot, len(sn.active), s.numTiles)
-	}
-	for t, a := range sn.active {
-		if a < 0 || int(a) > s.tileCap(t) {
-			return fmt.Errorf("%w: tile %d active %d exceeds capacity %d", ErrBadSnapshot, t, a, s.tileCap(t))
-		}
-	}
-	if len(sn.cols) != n*words || len(sn.valid) != words || len(sn.changed) != words {
-		return fmt.Errorf("%w: verifier view (%d col words, %d valid words, %d changed words) for %d inputs × %d words",
-			ErrBadSnapshot, len(sn.cols), len(sn.valid), len(sn.changed), n, words)
-	}
-	// A changed flag past the batch would send the next sweep to repack a
-	// row V does not have.
-	if padded(sn.changed, batch) {
-		return fmt.Errorf("%w: changed flags set past batch %d", ErrBadSnapshot, batch)
-	}
-	if s.projPlan != nil {
-		if want := len(s.projection) * words; len(sn.projCols) != want {
-			return fmt.Errorf("%w: %d projected column words, want %d", ErrBadSnapshot, len(sn.projCols), want)
-		}
-	} else if len(sn.projCols) != 0 {
-		return fmt.Errorf("%w: projected columns without a projection", ErrBadSnapshot)
-	}
-	copy(s.ages, sn.ages)
-	copy(s.restarts, sn.restarts)
-	copy(s.active, sn.active)
-	copy(s.colbuf, sn.cols)
-	copy(s.valid, sn.valid)
-	if s.projPlan != nil {
-		copy(s.projbuf, sn.projCols)
-	}
-	copy(s.chg, sn.changed)
-	s.activeRows = 0
-	for _, a := range s.active {
-		s.activeRows += int(a)
-	}
-	s.staleRet = sn.staleRet
-	s.contReady = true
-	return nil
 }
 
 // abbrev shortens a content-hash key for error messages.
@@ -393,9 +361,8 @@ func abbrev(key string) string {
 // Binary codec
 // ---------------------------------------------------------------------------
 
-// snapshot flag bits. Bit 0 marked round-mode sessions and bit 1 momentum
-// sessions, neither of which exists any more; decode refuses every bit
-// outside snapFlags, so a decoded snapshot re-encodes to its input bytes.
+// snapshot flag bits. Decode refuses every bit outside snapFlags, so a
+// decoded snapshot re-encodes to its input bytes.
 const (
 	snapFlagContReady  = 1 << 2
 	snapFlagExhausted  = 1 << 3
@@ -413,9 +380,7 @@ func (sn *Snapshot) MarshalBinary() ([]byte, error) {
 	n := sn.numInputs
 	rowBytes, rowWords := (n+7)/8, (n+63)/64
 	est := 192 + len(sn.key) + 4*len(sn.projection) + 4*len(sn.vdata) +
-		8*len(sn.ages) + 4*len(sn.active) +
-		8*(len(sn.cols)+len(sn.valid)+len(sn.changed)+len(sn.projCols)) +
-		sn.nsols*(rowBytes+12) + 8*len(sn.psigs)
+		8*len(sn.ages) + 4*len(sn.active) + sn.nsols*(rowBytes+4)
 	e := envelope.NewEncoder(snapshotMagic, SnapshotVersion, est)
 	e.Str(sn.key)
 	e.U32(uint32(sn.batch))
@@ -423,7 +388,6 @@ func (sn *Snapshot) MarshalBinary() ([]byte, error) {
 	e.U32(uint32(sn.maxAge))
 	e.F32(sn.lr)
 	e.F32(sn.initRange)
-	e.F32(0) // momentum
 	e.U64(uint64(sn.seed))
 	e.U32(uint32(sn.workers))
 	e.U32(uint32(n))
@@ -441,7 +405,6 @@ func (sn *Snapshot) MarshalBinary() ([]byte, error) {
 	if sn.hasProj {
 		e.Ints(sn.projection)
 	}
-	e.U32(0) // clause-weight count
 	e.U64(uint64(sn.round))
 	st := sn.stats
 	e.U64(uint64(st.Rounds))
@@ -456,18 +419,10 @@ func (sn *Snapshot) MarshalBinary() ([]byte, error) {
 	e.F64(st.FinalLoss)
 
 	e.F32s(sn.vdata)
-	if sn.contReady {
-		e.I32s(sn.ages)
-		e.U32s(sn.restarts)
-		e.I32s(sn.active)
-		e.U64(uint64(sn.staleRet))
-		e.U64s(sn.cols)
-		e.U64s(sn.valid)
-		e.U64s(sn.changed)
-		if sn.hasProj {
-			e.U64s(sn.projCols)
-		}
-	}
+	e.I32s(sn.ages)
+	e.U32s(sn.restarts)
+	e.I32s(sn.active)
+	e.U64(uint64(sn.staleRet))
 
 	e.U32(uint32(sn.nsols))
 	raw := e.Grow(sn.nsols * rowBytes)
@@ -478,10 +433,6 @@ func (sn *Snapshot) MarshalBinary() ([]byte, error) {
 		}
 	}
 	e.I32s(sn.hits)
-	e.U64s(sn.hashes)
-	if sn.hasProj {
-		e.U64s(sn.psigs)
-	}
 	return e.Seal(envelope.CRC32), nil
 }
 
@@ -502,16 +453,12 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	sn.maxAge = int(d.U32())
 	sn.lr = d.F32()
 	sn.initRange = d.F32()
-	momentum := d.U32() // f32 bits: only +0 is canonical
 	sn.seed = int64(d.U64())
 	sn.workers = int(d.U32())
 	sn.numInputs = int(d.U32())
 	flags := d.U8()
 	if err := d.Err(); err != nil {
 		return nil, err
-	}
-	if momentum != 0 {
-		return nil, fmt.Errorf("%w: momentum session (the sampler runs plain gradient descent)", ErrBadSnapshot)
 	}
 	if flags&^snapFlags != 0 {
 		return nil, fmt.Errorf("%w: undefined flag bits %#02x", ErrBadSnapshot, flags&^snapFlags)
@@ -536,9 +483,6 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 			d.Fail("projection flag set with zero variables")
 		}
 	}
-	if ncw := d.U32(); ncw != 0 {
-		d.Fail("%d clause weights (the sampler runs unweighted gradient descent)", ncw)
-	}
 	sn.round = int64(d.U64())
 	sn.stats.Rounds = int(d.U64())
 	sn.stats.Iterations = int(d.U64())
@@ -550,46 +494,21 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	sn.stats.Stalled = int(d.U64())
 	sn.stats.Elapsed = time.Duration(d.U64())
 	sn.stats.FinalLoss = d.F64()
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
 
-	words := (sn.batch + 63) / 64
 	sn.vdata = d.F32s("V data")
 	if d.Err() == nil && len(sn.vdata) != sn.batch*sn.numInputs {
 		d.Fail("V data has %d values for batch %d × %d inputs", len(sn.vdata), sn.batch, sn.numInputs)
 	}
-	if err := d.Err(); err != nil {
-		return nil, err
+	sn.ages = d.I32s("row ages")
+	sn.restarts = d.U32s("restart counters")
+	if d.Err() == nil && (len(sn.ages) != sn.batch || len(sn.restarts) != sn.batch) {
+		d.Fail("scheduler rows (%d ages, %d restarts) for batch %d", len(sn.ages), len(sn.restarts), sn.batch)
 	}
-
-	if sn.contReady {
-		sn.ages = d.I32s("row ages")
-		sn.restarts = d.U32s("restart counters")
-		sn.active = d.I32s("active tiles")
-		sn.staleRet = int(d.U64())
-		sn.cols = d.U64s("packed columns")
-		sn.valid = d.U64s("validity masks")
-		sn.changed = d.U64s("changed flags")
-		if sn.hasProj {
-			sn.projCols = d.U64s("projected columns")
-		}
-		if err := d.Err(); err != nil {
-			return nil, err
-		}
-		if len(sn.ages) != sn.batch || len(sn.restarts) != sn.batch {
-			return nil, fmt.Errorf("%w: scheduler rows (%d ages, %d restarts) for batch %d", ErrBadSnapshot, len(sn.ages), len(sn.restarts), sn.batch)
-		}
-		if len(sn.cols) != sn.numInputs*words || len(sn.valid) != words || len(sn.changed) != words {
-			return nil, fmt.Errorf("%w: verifier view shape mismatch", ErrBadSnapshot)
-		}
-		if sn.hasProj && len(sn.projCols) != len(sn.projection)*words {
-			return nil, fmt.Errorf("%w: projected column shape mismatch", ErrBadSnapshot)
-		}
-	}
+	sn.active = d.I32s("active tiles")
+	sn.staleRet = int(d.U64())
 
 	rowBytes, rowWords := (sn.numInputs+7)/8, (sn.numInputs+63)/64
-	nsols := d.Count(rowBytes+12, "solutions")
+	nsols := d.Count(rowBytes+4, "solutions")
 	if d.Err() == nil && nsols != sn.stats.Unique {
 		d.Fail("pool holds %d solutions, stats report %d", nsols, sn.stats.Unique)
 	}
@@ -604,16 +523,8 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 		}
 	}
 	sn.hits = d.I32s("hit tallies")
-	sn.hashes = d.U64s("dedup hashes")
-	if d.Err() == nil && (len(sn.hits) != nsols || len(sn.hashes) != nsols) {
-		d.Fail("pool arrays (%d hits, %d hashes) for %d solutions", len(sn.hits), len(sn.hashes), nsols)
-	}
-	if sn.hasProj {
-		sigWords := (len(sn.projection) + 63) / 64
-		sn.psigs = d.U64s("projected signatures")
-		if d.Err() == nil && len(sn.psigs) != nsols*sigWords {
-			d.Fail("projected signatures hold %d words for %d solutions × %d words", len(sn.psigs), nsols, sigWords)
-		}
+	if d.Err() == nil && len(sn.hits) != nsols {
+		d.Fail("%d hit tallies for %d solutions", len(sn.hits), nsols)
 	}
 	if err := d.Close(); err != nil {
 		return nil, err

@@ -7,9 +7,11 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/benchgen"
+	"repro/internal/bitblast"
 	"repro/internal/cnf"
 	"repro/internal/tensor"
 )
@@ -69,27 +71,33 @@ func roundTrip(t *testing.T, sn *Snapshot) *Snapshot {
 // with a different worker count — must produce the byte-identical solution
 // stream (order, witnesses, projected signatures, hit tallies) and
 // identical stats that the uninterrupted run produces. Continuous and
-// round mode, 1 and 7 workers, unprojected and projected.
+// round mode, a session that runs a Round between continuous ticks, 1 and
+// 7 workers, unprojected and projected. A schedule names each tick: 'c'
+// for ContinuousStep, 'r' for Round.
 func TestSnapshotResumeEquivalence(t *testing.T) {
 	type variant struct {
-		name    string
-		formula string
-		cfg     Config
-		rounds  bool
-		ticks   int
+		name     string
+		formula  string
+		cfg      Config
+		schedule string
 	}
+	cont, rounds := strings.Repeat("c", 24), strings.Repeat("r", 6)
 	variants := []variant{
-		{"continuous-seq", paperExample, Config{BatchSize: 128, Seed: 11, MaxAge: 4}, false, 24},
-		{"continuous-7w", paperExample, Config{BatchSize: 192, Seed: 5, MaxAge: 4, Device: tensor.ParallelN(7)}, false, 24},
-		{"continuous-projected", projFormula, Config{BatchSize: 128, Seed: 9}, false, 20},
-		{"round-seq", paperExample, Config{BatchSize: 128, Seed: 7}, true, 6},
-		{"round-7w", paperExample, Config{BatchSize: 128, Seed: 7, Device: tensor.ParallelN(7)}, true, 6},
+		{"continuous-seq", paperExample, Config{BatchSize: 128, Seed: 11, MaxAge: 4}, cont},
+		{"continuous-7w", paperExample, Config{BatchSize: 192, Seed: 5, MaxAge: 4, Device: tensor.ParallelN(7)}, cont},
+		{"continuous-projected", projFormula, Config{BatchSize: 128, Seed: 9}, cont[:20]},
+		{"round-seq", paperExample, Config{BatchSize: 128, Seed: 7}, rounds},
+		{"round-7w", paperExample, Config{BatchSize: 128, Seed: 7, Device: tensor.ParallelN(7)}, rounds},
+		// The restart counters outlive a Round: a snapshot taken after it
+		// must carry them into the continuous ticks that follow.
+		{"round-then-continuous", paperExample, Config{BatchSize: 128, Seed: 5, MaxAge: 2}, cont[:6] + "r" + cont[:10]},
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
 			f := mustFormula(t, v.formula)
-			tick := func(s *Sampler) {
-				if v.rounds {
+			ticks := len(v.schedule)
+			tick := func(s *Sampler, i int) {
+				if v.schedule[i] == 'r' {
 					s.Round()
 				} else {
 					s.ContinuousStep(0)
@@ -97,8 +105,8 @@ func TestSnapshotResumeEquivalence(t *testing.T) {
 			}
 
 			base := newSampler(t, f, v.cfg)
-			for i := 0; i < v.ticks; i++ {
-				tick(base)
+			for i := 0; i < ticks; i++ {
+				tick(base, i)
 			}
 			want := streamSig(base)
 			if len(want) == 0 {
@@ -106,11 +114,11 @@ func TestSnapshotResumeEquivalence(t *testing.T) {
 			}
 
 			// Interrupt at every tick boundary, including 0 (before any work)
-			// and v.ticks (after all of it).
-			for cut := 0; cut <= v.ticks; cut++ {
+			// and ticks (after all of it).
+			for cut := 0; cut <= ticks; cut++ {
 				s := newSampler(t, f, v.cfg)
 				for i := 0; i < cut; i++ {
-					tick(s)
+					tick(s, i)
 				}
 				sn := roundTrip(t, s.Snapshot())
 				// Restore onto a freshly compiled Problem (same content hash)
@@ -128,8 +136,8 @@ func TestSnapshotResumeEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("cut %d: restore: %v", cut, err)
 				}
-				for i := cut; i < v.ticks; i++ {
-					tick(r)
+				for i := cut; i < ticks; i++ {
+					tick(r, i)
 				}
 				got := streamSig(r)
 				if len(got) != len(want) {
@@ -232,10 +240,12 @@ func TestDecodeSnapshotRejectsCorruption(t *testing.T) {
 	}
 }
 
-// gdssMomentumAt returns the offset of an encoded snapshot's momentum f32:
-// magic, version, key; batch, iterations, max age, lr, init range. The
-// flag byte follows momentum, seed, workers and inputs.
-func gdssMomentumAt(blob []byte) int { return 8 + int(binary.LittleEndian.Uint16(blob[6:])) + 5*4 }
+// gdssFlagsAt returns the offset of an encoded snapshot's flag byte:
+// magic, version, key; batch, iterations, max age, lr, init range; seed;
+// workers, inputs.
+func gdssFlagsAt(blob []byte) int {
+	return 8 + int(binary.LittleEndian.Uint16(blob[6:])) + 5*4 + 8 + 2*4
+}
 
 // reseal rewrites an encoded snapshot's CRC-32 trailer after an edit.
 func reseal(blob []byte) []byte {
@@ -244,33 +254,13 @@ func reseal(blob []byte) []byte {
 	return blob
 }
 
-// TestDecodeSnapshotRefusesOptimizerFields: the momentum f32 and the
-// clause-weight count stay in the layout as zeros; a sealed snapshot with
-// either one set is refused with ErrBadSnapshot.
-func TestDecodeSnapshotRefusesOptimizerFields(t *testing.T) {
-	blob := readFixture(t, "gdss.bin")
-	mom := gdssMomentumAt(blob)
-	flags := mom + 4 + 8 + 4 + 4
-	cw := flags + 1 + 4 + 4*int(binary.LittleEndian.Uint32(blob[flags+1:]))
-	for name, forge := range map[string]func(b []byte){
-		"momentum":       func(b []byte) { b[mom+3] = 0x3f }, // 0.5
-		"clause-weights": func(b []byte) { b[cw] = 1 },
-	} {
-		mut := append([]byte(nil), blob...)
-		forge(mut)
-		if _, err := DecodeSnapshot(reseal(mut)); !errors.Is(err, ErrBadSnapshot) {
-			t.Errorf("%s: decode error %v, want ErrBadSnapshot", name, err)
-		}
-	}
-}
-
 // TestDecodeSnapshotRefusesUndefinedFlags: the flag byte defines only the
 // scheduler, exhausted and projection bits. A sealed snapshot with any
-// other bit set — the retired round-mode (0) and momentum (1) bits, or an
-// unused high bit — is refused, so no two blobs decode to one snapshot.
+// other bit set — a low bit (0, 1) or a high one — is refused, so no two
+// blobs decode to one snapshot.
 func TestDecodeSnapshotRefusesUndefinedFlags(t *testing.T) {
-	blob := readFixture(t, "gdss.bin")
-	flags := gdssMomentumAt(blob) + 4 + 8 + 4 + 4
+	blob := readFixture(t, "gdss_v2.bin")
+	flags := gdssFlagsAt(blob)
 	for _, bit := range []uint{0, 1, 5, 6, 7} {
 		mut := append([]byte(nil), blob...)
 		mut[flags] |= 1 << bit
@@ -326,27 +316,19 @@ func TestRestoreRejectsSchedulerShape(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsChangedPastBatch: a changed flag on a lane past the
-// batch would send the next sweep to repack a row V does not have, so
-// restore refuses it (FuzzDecodeSnapshot found the panic it caused).
-func TestRestoreRejectsChangedPastBatch(t *testing.T) {
-	s := newSampler(t, mustFormula(t, paperExample), Config{BatchSize: 16, Seed: 1})
-	s.ContinuousStep(0)
-	sn := roundTrip(t, s.Snapshot())
-	if _, err := RestoreSampler(s.Problem(), sn, tensor.Sequential()); err != nil {
-		t.Fatal(err)
-	}
-	sn.changed[0] |= 1 << 20
-	if _, err := RestoreSampler(s.Problem(), sn, tensor.Sequential()); !errors.Is(err, ErrBadSnapshot) {
-		t.Fatalf("changed flag past the batch: err = %v, want ErrBadSnapshot", err)
-	}
+// poolSection returns the offset of an encoded snapshot's first pooled
+// row. The pool section ends the payload: u32 count, the packed rows, then
+// the u32-counted hit tallies, followed by the 4-byte CRC32 trailer.
+func poolSection(blob []byte, rowBytes, nsols int) int {
+	return len(blob) - crc32.Size - (4 + 4*nsols) - nsols*rowBytes
 }
 
 // TestRestoreRejectsForgedPool: a CRC-valid snapshot whose dedup pool is
 // inconsistent must not restore. Each forgery rewrites the pool section of
 // a real snapshot and re-seals its CRC, so it decodes cleanly; restore must
 // refuse it with ErrBadSnapshot instead of building a session that delivers
-// a solution twice or misses a dedup.
+// a solution twice or misses a dedup. Restore recomputes every key and
+// hash, so a copied row is a repeat whatever the snapshot claimed.
 func TestRestoreRejectsForgedPool(t *testing.T) {
 	for _, v := range []struct {
 		name    string
@@ -363,46 +345,23 @@ func TestRestoreRejectsForgedPool(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n, np, nsols := s.NumInputs(), len(s.Projection()), s.UniqueCount()
+		n, nsols := s.NumInputs(), s.UniqueCount()
 		if n%8 == 0 || nsols < 2 {
 			t.Fatalf("%s: fixture has %d inputs and %d solutions; it needs row padding bits and two solutions", v.name, n, nsols)
 		}
-		// The pool section ends the payload: u32 count, the packed rows,
-		// then u32-counted hit tallies, hashes and (projected) signatures,
-		// followed by the 4-byte CRC32 trailer.
-		rowBytes, sigWords := (n+7)/8, (np+63)/64
-		end := len(blob) - 4
-		sigs := end - 8*nsols*sigWords
-		hashes := end - 8*nsols
-		if np > 0 {
-			hashes = sigs - 4 - 8*nsols
-		}
-		rows := hashes - 4 - (4 + 4*nsols) - nsols*rowBytes
-
-		type forgery struct {
+		rowBytes := (n + 7) / 8
+		rows := poolSection(blob, rowBytes, nsols)
+		for _, fg := range []struct {
 			name  string
 			forge func(b []byte)
-		}
-		forgeries := []forgery{
-			{"row-copied-with-its-hash", func(b []byte) {
-				copy(b[rows:rows+rowBytes], b[rows+rowBytes:rows+2*rowBytes])
-				copy(b[hashes:hashes+8], b[hashes+8:hashes+16])
-				if np > 0 {
-					copy(b[sigs:sigs+8*sigWords], b[sigs+8*sigWords:sigs+16*sigWords])
-				}
-			}},
-			{"flipped-hash", func(b []byte) { b[hashes] ^= 1 }},
+		}{
+			{"row-copied-with-its-hash", func(b []byte) { copy(b[rows:rows+rowBytes], b[rows+rowBytes:rows+2*rowBytes]) }},
 			{"row-padding-bit", func(b []byte) { b[rows+rowBytes-1] |= 0x80 }},
-		}
-		if np > 0 {
-			forgeries = append(forgeries, forgery{"signature-padding-bit", func(b []byte) { b[sigs+8*sigWords-1] |= 0x80 }})
-		}
-		for _, fg := range forgeries {
+		} {
 			t.Run(v.name+"/"+fg.name, func(t *testing.T) {
 				mut := append([]byte(nil), blob...)
 				fg.forge(mut)
-				binary.LittleEndian.PutUint32(mut[end:], crc32.ChecksumIEEE(mut[:end]))
-				sn, err := DecodeSnapshot(mut)
+				sn, err := DecodeSnapshot(reseal(mut))
 				if err != nil {
 					t.Fatalf("forged snapshot does not decode: %v", err)
 				}
@@ -421,6 +380,59 @@ func TestRestoreRejectsForgedPool(t *testing.T) {
 	}
 }
 
+// TestRestoreRejectsNonModelPool: restore re-verifies every pooled row
+// against the CNF, so a sealed snapshot whose last pooled row was edited
+// into a non-model is refused — otherwise the session would deliver it to
+// any caller whose cursor has not passed it. The edit flips one input bit
+// at a time until the row stops being a model; a non-model equals no
+// pooled row, so the edit makes no repeat.
+func TestRestoreRejectsNonModelPool(t *testing.T) {
+	for _, v := range []struct {
+		name    string
+		formula string
+		cfg     Config
+	}{
+		{"full", paperExample, Config{BatchSize: 64, Seed: 1}},
+		{"projected", projFormula, Config{BatchSize: 64, Seed: 1}},
+	} {
+		t.Run(v.name, func(t *testing.T) {
+			f := mustFormula(t, v.formula)
+			s := newSampler(t, f, v.cfg)
+			for i := 0; i < 3; i++ {
+				s.ContinuousStep(0)
+			}
+			blob, err := s.Snapshot().MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, nsols := s.NumInputs(), s.UniqueCount()
+			if nsols < 1 {
+				t.Fatal("session pooled no solution")
+			}
+			rowBytes := (n + 7) / 8
+			last := poolSection(blob, rowBytes, nsols) + (nsols-1)*rowBytes
+			row := bitblast.UnpackRow(make([]bool, n), s.inputRow(nsols-1))
+			for i := 0; i < n; i++ {
+				row[i] = !row[i]
+				if !f.Sat(s.FullAssignment(row)) {
+					mut := append([]byte(nil), blob...)
+					mut[last+i/8] ^= 1 << (i % 8)
+					sn, err := DecodeSnapshot(reseal(mut))
+					if err != nil {
+						t.Fatalf("edited snapshot does not decode: %v", err)
+					}
+					if _, err := RestoreSampler(s.Problem(), sn, tensor.Sequential()); !errors.Is(err, ErrBadSnapshot) {
+						t.Fatalf("restore of a non-model pooled row: err = %v, want ErrBadSnapshot", err)
+					}
+					return
+				}
+				row[i] = !row[i]
+			}
+			t.Fatal("no single-bit flip of the last pooled row makes a non-model")
+		})
+	}
+}
+
 // FuzzDecodeSnapshot fuzzes the GDSS body and seals it with a valid
 // CRC-32 inside the target, so mutations reach the field parsers past the
 // trailer (FuzzOpen covers the trailer, magic and version checks). Every
@@ -428,10 +440,11 @@ func TestRestoreRejectsForgedPool(t *testing.T) {
 // into a snapshot that re-encodes to the input bytes — never panic. A decoded
 // snapshot keyed to one of the seed formulas is restored onto that
 // Problem on a sequential device: a refusal must wrap ErrBadSnapshot, and
-// an accepted restore must snapshot back to the same bytes (restore is an
-// exact state capture) and survive a tick. Seeded with real snapshots
-// (plain, projected, round loop), the momentum and clause-weight fixture
-// decode must refuse, and structured mutations of them.
+// an accepted restore must snapshot back to the same bytes, hold only
+// models of the CNF in its pool, and survive a tick after which every
+// solution is still a model. Seeded with real snapshots (plain,
+// projected, round loop, the golden fixture) and structured mutations of
+// them.
 func FuzzDecodeSnapshot(f *testing.F) {
 	probs := map[string]*Problem{}
 	seed := func(blob []byte) {
@@ -480,11 +493,11 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		f.Fatal(err)
 	}
 	probs[golden.Key()] = golden
-	momentum, err := os.ReadFile("testdata/gdss_momentum.bin")
+	fixture, err := os.ReadFile("testdata/gdss_v2.bin")
 	if err != nil {
 		f.Fatal(err)
 	}
-	seed(momentum)
+	seed(fixture)
 	f.Add([]byte{})
 	f.Add([]byte("GDSS"))
 
@@ -524,8 +537,21 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		if !bytes.Equal(again, blob) {
 			t.Fatal("restored session snapshots to different bytes")
 		}
+		checkModels(t, s, "restored pool")
 		s.ContinuousStep(0)
+		checkModels(t, s, "after one tick")
 	})
+}
+
+// checkModels fails t unless every solution s holds satisfies its CNF.
+func checkModels(t *testing.T, s *Sampler, when string) {
+	t.Helper()
+	f := s.Problem().Formula()
+	for i := 0; i < s.UniqueCount(); i++ {
+		if !f.Sat(s.FullAssignmentAt(i)) {
+			t.Fatalf("%s: solution %d of %d is not a model", when, i, s.UniqueCount())
+		}
+	}
 }
 
 // BenchmarkSnapshot measures one full checkpoint+restore cycle — Snapshot,

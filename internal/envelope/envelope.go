@@ -121,15 +121,6 @@ func (e *Encoder) U32s(vs []uint32) {
 	}
 }
 
-// U64s writes a u32 count and the values.
-func (e *Encoder) U64s(vs []uint64) {
-	e.U32(uint32(len(vs)))
-	raw := e.Grow(8 * len(vs))
-	for i, v := range vs {
-		binary.LittleEndian.PutUint64(raw[8*i:], v)
-	}
-}
-
 // F32s writes a u32 count and the values.
 func (e *Encoder) F32s(vs []float32) {
 	e.U32(uint32(len(vs)))
@@ -296,19 +287,6 @@ func (d *Decoder) U32s(what string) []uint32 {
 	out := make([]uint32, len(raw)/4)
 	for i := range out {
 		out[i] = binary.LittleEndian.Uint32(raw[4*i:])
-	}
-	return out
-}
-
-// U64s reads a u32 count and that many u64 values.
-func (d *Decoder) U64s(what string) []uint64 {
-	raw := d.array(8, what)
-	if d.err != nil {
-		return nil
-	}
-	out := make([]uint64, len(raw)/8)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint64(raw[8*i:])
 	}
 	return out
 }

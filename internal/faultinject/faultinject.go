@@ -158,12 +158,6 @@ func (p Plan) String() string {
 	return strings.Join(parts, ";")
 }
 
-// Armed reports whether the plan injects anything at all.
-func (p Plan) Armed() bool {
-	return p.KillAtTick > 0 || p.CancelAtSol > 0 || p.KillPeerAtSol > 0 ||
-		p.RejectAdopts > 0 || p.Corrupt || p.Slow > 0
-}
-
 // Injector counts a workload's progress events and fires the plan's faults
 // at their exact points. All methods are safe for concurrent use; each
 // fault fires exactly once.

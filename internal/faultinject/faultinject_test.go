@@ -209,3 +209,9 @@ func TestNilInjectorSafeEverywhere(t *testing.T) {
 		t.Fatal("nil injector fired an advance")
 	}
 }
+
+// Armed reports whether the plan injects anything at all.
+func (p Plan) Armed() bool {
+	return p.KillAtTick > 0 || p.CancelAtSol > 0 || p.KillPeerAtSol > 0 ||
+		p.RejectAdopts > 0 || p.Corrupt || p.Slow > 0
+}

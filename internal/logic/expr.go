@@ -166,9 +166,6 @@ func Xor(es ...*Expr) *Expr {
 // Xnor returns ¬Xor(es...).
 func Xnor(es ...*Expr) *Expr { return Not(Xor(es...)) }
 
-// Implies returns a → b.
-func Implies(a, b *Expr) *Expr { return Or(Not(a), b) }
-
 // Ite returns the if-then-else (c ∧ t) ∨ (¬c ∧ f).
 func Ite(c, t, f *Expr) *Expr { return Or(And(c, t), And(Not(c), f)) }
 

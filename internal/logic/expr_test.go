@@ -305,3 +305,6 @@ func TestIteAndImplies(t *testing.T) {
 		t.Error("Implies expansion wrong")
 	}
 }
+
+// Implies returns a → b.
+func Implies(a, b *Expr) *Expr { return Or(Not(a), b) }

@@ -2,34 +2,30 @@ package sampling
 
 // Session checkpoints: the service-layer envelope over core snapshots.
 //
-// A core.Snapshot captures the sampler's exact GD/scheduler/pool state but
+// A core.Snapshot holds the sampler state no computation recovers and
 // restores only onto an already-compiled Problem. A service that restarts
-// loses its compile cache, so the session checkpoint additionally embeds
-// the DIMACS text of the formula itself: a checkpoint is self-contained —
-// decode, recompile (through the Compiler's cache when warm, from the
-// embedded text when cold), restore, and the stream continues at exactly
-// the next undelivered solution.
+// loses its compile cache, so the session checkpoint also embeds the
+// DIMACS text of the formula and its assumption set: a checkpoint is
+// self-contained — decode, recompile (through the Compiler's cache when
+// warm, from the embedded text when cold), restore, and the stream
+// continues at exactly the next undelivered solution. Like the snapshot,
+// it stores a value only if it cannot be recomputed, and restore
+// re-verifies what it rebuilds: the snapshot's key must be the content
+// hash of the embedded formula and assumptions, and every pooled row —
+// the undelivered backlog included — must be a model.
 //
-// Envelope ("GDSC", little-endian, length-prefixed):
+// Envelope ("GDSC", version 3, little-endian, length-prefixed):
 //
-//	magic "GDSC" | u16 version | str name | u64 delivered | u32 stale
-//	| str formula (DIMACS) | [v2: bytes assumptions] | bytes core snapshot
-//	| sha256 digest
+//	magic "GDSC" | u16 version | u64 delivered | bytes formula (DIMACS)
+//	| i32s assumptions | bytes core snapshot | sha256 digest
 //
-// where str/bytes are u32 length + payload. The stale field is always 0:
-// it carried the zero-gain round counter of round-mode sessions, which no
-// longer exist, and stays in the layout so continuous-session envelopes
-// keep their bytes; an envelope with a non-zero stale field is rejected,
-// and core.DecodeSnapshot refuses a round-mode snapshot's flag bit.
-// Version 1 is the assumption-free envelope; version 2 adds the session's
-// assumption literals (i32 each) between the formula and the snapshot and
-// is only written when the session's problem carries assumptions, so every
-// unassumed checkpoint stays a version-1 envelope older readers accept.
-// The trailing SHA-256 covers every preceding byte, so any truncation or
-// flip — including inside the embedded core blob, which carries its own
-// CRC — is rejected before any field is interpreted. Decoding never
-// panics; every failure wraps ErrBadCheckpoint. Encoding is canonical:
-// decode→encode is byte-identical.
+// where bytes is a u32 length + payload and i32s a u32 count + that many
+// i32 literals (count 0 for a session without pins). Decode refuses every
+// other version. The trailing SHA-256 covers every preceding byte, so any
+// truncation or flip — including inside the embedded core blob, which
+// carries its own CRC — is rejected before any field is interpreted.
+// Decoding never panics; every failure wraps ErrBadCheckpoint. Encoding
+// is canonical: decode→encode is byte-identical.
 
 import (
 	"bytes"
@@ -42,13 +38,9 @@ import (
 	"repro/internal/tensor"
 )
 
-// CheckpointVersion is the envelope format version this build writes for
-// sessions over a specialized problem; assumption-free sessions encode as
-// checkpointVersionBase for backward compatibility.
-const CheckpointVersion = 2
-
-// checkpointVersionBase is the assumption-free envelope version.
-const checkpointVersionBase = 1
+// CheckpointVersion is the envelope format version this build writes and
+// reads.
+const CheckpointVersion = 3
 
 // ErrBadCheckpoint is wrapped by every checkpoint decode/restore failure:
 // corrupt or truncated envelopes, version or digest mismatches, and
@@ -60,15 +52,11 @@ const checkpointMagic = "GDSC"
 // Checkpoint is a decoded session checkpoint: the formula, the core
 // sampler snapshot, and the stream cursor. It is immutable once decoded.
 type Checkpoint struct {
-	name      string
 	delivered int
 	formula   *cnf.Formula
 	assume    []cnf.Lit
 	snap      *core.Snapshot
 }
-
-// Name returns the checkpointed session's name.
-func (c *Checkpoint) Name() string { return c.name }
 
 // Key returns the content hash identifying the compiled artifact this
 // checkpoint belongs to: HashFormula of the embedded formula, folded with
@@ -109,28 +97,20 @@ func (s *Session) Checkpoint() ([]byte, error) {
 	}
 	text := s.prob.Formula().DIMACSString()
 	assume := s.prob.core.Assumptions()
-	version := uint16(checkpointVersionBase)
-	if len(assume) > 0 {
-		version = CheckpointVersion
+	lits := make([]int32, len(assume))
+	for i, l := range assume {
+		lits[i] = int32(l)
 	}
 	n := 4 + 2 + // magic, version
-		4 + len(s.name) +
-		8 + 4 + // delivered, stale
+		8 + // delivered
 		4 + len(text) +
-		4 + 4*len(assume) +
+		4 + 4*len(lits) +
 		4 + len(blob) +
 		envelope.SHA256.Size()
-	e := envelope.NewEncoder(checkpointMagic, version, n)
-	e.Bytes([]byte(s.name))
+	e := envelope.NewEncoder(checkpointMagic, CheckpointVersion, n)
 	e.U64(uint64(s.delivered))
-	e.U32(0) // stale
 	e.Bytes([]byte(text))
-	if len(assume) > 0 {
-		e.U32(uint32(4 * len(assume)))
-		for _, l := range assume {
-			e.U32(uint32(int32(l)))
-		}
-	}
+	e.I32s(lits)
 	e.Bytes(blob)
 	return e.Seal(envelope.SHA256), nil
 }
@@ -143,29 +123,20 @@ func (s *Session) Checkpoint() ([]byte, error) {
 // never panics on arbitrary input, and it does not retain data — the
 // returned Checkpoint owns all its memory.
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
-	d, err := envelope.Open(data, checkpointMagic, envelope.SHA256, checkpointVersionBase, CheckpointVersion, ErrBadCheckpoint)
+	d, err := envelope.Open(data, checkpointMagic, envelope.SHA256, CheckpointVersion, CheckpointVersion, ErrBadCheckpoint)
 	if err != nil {
 		return nil, err
 	}
-	name := d.Bytes("session name")
 	delivered := d.U64()
-	stale := d.U32()
 	text := d.Bytes("formula")
-	var assume []cnf.Lit
-	if d.Version == CheckpointVersion {
-		// A u32 byte length, then that many bytes of i32 literals.
-		n := d.Count(1, "assumption block")
-		if d.Err() == nil && (n == 0 || n%4 != 0) {
-			d.Fail("assumption block of %d bytes (want a non-empty multiple of 4)", n)
-		}
-		assume = make([]cnf.Lit, n/4)
-		for i := range assume {
-			assume[i] = cnf.Lit(int32(d.U32()))
-		}
-	}
+	lits := d.I32s("assumptions")
 	blob := d.Bytes("core snapshot")
 	if err := d.Close(); err != nil {
 		return nil, err
+	}
+	var assume []cnf.Lit
+	for _, l := range lits {
+		assume = append(assume, cnf.Lit(l))
 	}
 	// Resume tokens arrive over the network, so the embedded formula is
 	// re-parsed under the same service-grade bounds submissions face —
@@ -182,18 +153,14 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 		return nil, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
 	}
 	// AssumeKey degenerates to the content hash for an empty assumption
-	// set, so one cross-check covers both envelope versions.
+	// set, so one cross-check covers sessions with and without pins.
 	if key := cnf.AssumeKey(HashFormula(f), assume); key != snap.Key() {
 		return nil, fmt.Errorf("%w: embedded content hashes to %.12s but snapshot is keyed %.12s", ErrBadCheckpoint, key, snap.Key())
 	}
 	if delivered > uint64(snap.UniqueCount()) {
 		return nil, fmt.Errorf("%w: delivered cursor %d exceeds the snapshot's %d solutions", ErrBadCheckpoint, delivered, snap.UniqueCount())
 	}
-	if stale != 0 {
-		return nil, fmt.Errorf("%w: round-mode session checkpoint (sessions run only the continuous scheduler)", ErrBadCheckpoint)
-	}
 	return &Checkpoint{
-		name:      string(name),
 		delivered: int(delivered),
 		formula:   f,
 		assume:    assume,
@@ -218,7 +185,6 @@ func (p *Problem) RestoreSession(ck *Checkpoint, dev tensor.Device) (*Session, e
 	return &Session{
 		prob:      p,
 		core:      s,
-		name:      ck.name,
 		delivered: ck.delivered,
 		stats: Stats{
 			Unique:    s.UniqueCount(),

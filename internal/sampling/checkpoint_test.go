@@ -302,8 +302,6 @@ func TestDecodeCheckpointRejectsCorruption(t *testing.T) {
 	// semantic cross-checks: an implausible delivered cursor...
 	forged := append([]byte(nil), env...)
 	off := 4 + 2 // magic + version
-	nameLen := binary.LittleEndian.Uint32(forged[off:])
-	off += 4 + int(nameLen)
 	binary.LittleEndian.PutUint64(forged[off:], 1<<40)
 	if _, err := DecodeCheckpoint(reseal(forged)); !errors.Is(err, ErrBadCheckpoint) {
 		t.Fatalf("forged delivered cursor: err = %v", err)
@@ -311,11 +309,11 @@ func TestDecodeCheckpointRejectsCorruption(t *testing.T) {
 	// ...and an embedded formula that hashes to a different key than the
 	// snapshot's.
 	otherText := "p cnf 2 1\n1 2 0\n"
-	swapped := append([]byte(nil), env[:off+12]...)
+	swapped := append([]byte(nil), env[:off+8]...)
 	swapped = binary.LittleEndian.AppendUint32(swapped, uint32(len(otherText)))
 	swapped = append(swapped, otherText...)
-	fLen := binary.LittleEndian.Uint32(env[off+12:])
-	swapped = append(swapped, env[off+12+4+int(fLen):len(env)-sha256.Size]...)
+	fLen := binary.LittleEndian.Uint32(env[off+8:])
+	swapped = append(swapped, env[off+8+4+int(fLen):len(env)-sha256.Size]...)
 	if _, err := DecodeCheckpoint(reseal(swapped)); !errors.Is(err, ErrBadCheckpoint) {
 		t.Fatalf("swapped formula: err = %v", err)
 	}
@@ -334,6 +332,65 @@ func TestDecodeCheckpointRejectsCorruption(t *testing.T) {
 	}
 	if _, err := prob.RestoreSession(nil, tensor.Device{}); !errors.Is(err, ErrBadCheckpoint) {
 		t.Fatalf("nil checkpoint: err = %v", err)
+	}
+}
+
+// TestResumeRefusesNonModelBacklog: a session stopped mid-flush owes its
+// client the pooled rows past the delivered cursor, and a resumed session
+// delivers them first. A resealed envelope whose last backlog row was
+// edited into a non-model decodes, but Compiler.Resume refuses it: restore
+// re-verifies every pooled row.
+func TestResumeRefusesNonModelBacklog(t *testing.T) {
+	f := mustParseCk(t, "p cnf 10 5\n1 2 0\n3 4 0\n5 6 0\n7 8 0\n9 10 0\n")
+	p, err := CompileProblem(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := p.NewSession(SessionConfig{Seed: 1, BatchSize: 64, Device: tensor.Sequential()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first []string
+	if _, err := s.Stream(context.Background(), 0, collectSink(&first, 3)); err != nil {
+		t.Fatal(err)
+	}
+	c := s.Core()
+	n, nsols := c.NumInputs(), c.UniqueCount()
+	if nsols <= s.Delivered() {
+		t.Fatalf("no backlog: %d pooled, %d delivered", nsols, s.Delivered())
+	}
+	env, err := s.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The snapshot's pool section ends it: u32 count, the packed rows, the
+	// u32-counted hit tallies and the CRC-32.
+	rowBytes := (n + 7) / 8
+	last := func(blob []byte) int { return len(blob) - 4 - (4 + 4*nsols) - rowBytes }
+	row := make([]bool, n)
+	blob := embeddedSnapshot(t, env)
+	for i := range row {
+		row[i] = blob[last(blob)+i/8]>>(i%8)&1 == 1
+	}
+	bit := -1
+	for i := range row {
+		row[i] = !row[i]
+		if !f.Sat(c.FullAssignment(row)) {
+			bit = i
+			break
+		}
+		row[i] = !row[i]
+	}
+	if bit < 0 {
+		t.Fatal("no single-bit flip of the last pooled row makes a non-model")
+	}
+	forged := resealSnapshot(t, env, func(blob []byte) { blob[last(blob)+bit/8] ^= 1 << (bit % 8) })
+	ck, err := DecodeCheckpoint(forged)
+	if err != nil {
+		t.Fatalf("edited envelope does not decode: %v", err)
+	}
+	if _, err := NewCompiler(1).Resume(ck, tensor.Device{}); !errors.Is(err, ErrBadCheckpoint) {
+		t.Fatalf("resume with a non-model backlog row: err = %v, want ErrBadCheckpoint", err)
 	}
 }
 
@@ -413,8 +470,10 @@ func TestCheckpointWarmCachePath(t *testing.T) {
 // trailer (FuzzOpen covers the trailer, magic and version checks). Every
 // input must either fail with an error wrapping ErrBadCheckpoint or decode
 // into a consistent checkpoint, which then resumes on a sequential device
-// (a refusal wraps ErrBadCheckpoint) and survives a tick. The round-mode
-// envelope is a seed that must be refused.
+// (a refusal wraps ErrBadCheckpoint) to a session whose every solution —
+// the undelivered backlog included — is a model of the CNF under the
+// envelope's pins, before and after a tick. The round-mode envelope is a
+// seed that must be refused.
 func FuzzDecodeCheckpoint(f *testing.F) {
 	buildSeed := func(cfg SessionConfig, dimacs string, target int) []byte {
 		p, err := CompileProblem(mustParseCkF(f, dimacs))
@@ -450,8 +509,8 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	}
 	fresh := buildSeed(SessionConfig{Seed: 4, BatchSize: 16, Device: tensor.Sequential()},
 		"p cnf 2 1\n1 2 0\n", 0)
-	// v2 envelope: a specialized session's checkpoint carries its
-	// assumption block.
+	// A specialized session's checkpoint carries a non-empty assumption
+	// block.
 	assumed := func() []byte {
 		p, err := NewCompiler(4).CompileAssume(
 			mustParseCkF(f, "p cnf 3 2\n1 2 0\n-1 3 0\n"), []cnf.Lit{2})
@@ -508,8 +567,26 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 			}
 			return
 		}
+		checkModels(t, s, ck, "resumed session")
 		s.Core().ContinuousStep(0)
+		checkModels(t, s, ck, "after one tick")
 	})
+}
+
+// checkModels fails t unless every solution s holds satisfies the
+// checkpoint's CNF and pins.
+func checkModels(t *testing.T, s *Session, ck *Checkpoint, when string) {
+	t.Helper()
+	for i, sol := range s.Solutions() {
+		if !ck.Formula().Sat(sol) {
+			t.Fatalf("%s: solution %d is not a model", when, i)
+		}
+		for _, l := range ck.Assumptions() {
+			if !l.Sat(sol[l.Var()-1]) {
+				t.Fatalf("%s: solution %d breaks pin %d", when, i, l)
+			}
+		}
+	}
 }
 
 func mustParseCkF(f *testing.F, s string) *cnf.Formula {

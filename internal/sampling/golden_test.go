@@ -18,41 +18,61 @@ import (
 // goldenCheckpoints are GDSC envelopes committed under testdata/, written
 // by continuous sessions over benchgen's or-12-3-small on a sequential
 // device at batch 64: each session streamed toward target, stopped after
-// a few deliveries and checkpointed. The .stream file beside each holds
-// the solutions the interrupted leg and the resumed leg delivered
-// together, one 0/1 string per line.
+// a few deliveries and checkpointed. The .stream file named by stream
+// holds the solutions the interrupted leg and the resumed leg delivered
+// together, one 0/1 string per line. gdsc_v3 is unpinned and
+// gdsc_v3_pins pinned -1 -2; gdsc_v1 and gdsc_v2 are the same two cuts
+// in the earlier layouts, which also carried a session name and a stale
+// counter and wrote the assumption block only for pinned sessions. Decode
+// refuses those.
 var goldenCheckpoints = []struct {
 	name    string
 	version uint16
+	stream  string
 	target  int
 }{
-	{"gdsc_v1", 1, 160}, // unassumed: version-1 envelope
-	{"gdsc_v2", 2, 120}, // pinned -1 -2: version-2 envelope
+	{"gdsc_v1", 1, "gdsc_v1", 160},
+	{"gdsc_v2", 2, "gdsc_v2", 120},
+	{"gdsc_v3", 3, "gdsc_v1", 160},
+	{"gdsc_v3_pins", 3, "gdsc_v2", 120},
 }
 
-func readGolden(t *testing.T, name string) ([]byte, []string) {
+// readGolden reads a fixture envelope and the stream it resumes to. An
+// envelope of an earlier layout must be refused with ErrBadCheckpoint;
+// for those it reports false and the caller checks nothing more.
+func readGolden(t *testing.T, name, stream string, version uint16) ([]byte, []string, bool) {
 	t.Helper()
 	env, err := os.ReadFile("testdata/" + name + ".ckpt")
 	if err != nil {
 		t.Fatal(err)
 	}
-	text, err := os.ReadFile("testdata/" + name + ".stream")
+	if v := binary.LittleEndian.Uint16(env[4:]); v != version {
+		t.Fatalf("fixture is envelope version %d, want %d", v, version)
+	}
+	if version != CheckpointVersion {
+		if _, err := DecodeCheckpoint(env); !errors.Is(err, ErrBadCheckpoint) {
+			t.Fatalf("earlier layout: decode error %v, want ErrBadCheckpoint", err)
+		}
+		return nil, nil, false
+	}
+	text, err := os.ReadFile("testdata/" + stream + ".stream")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return env, strings.Fields(string(text))
+	return env, strings.Fields(string(text)), true
 }
 
-// TestGoldenCheckpointResume: the committed envelopes still decode, and a
-// cold resume continues exactly the stream recorded when they were written.
+// TestGoldenCheckpointResume: the committed current-layout envelopes
+// decode, and a cold resume continues exactly the stream recorded when
+// they were written; the earlier-layout ones are refused.
 // The decoded checkpoint owns its memory: the envelope bytes are
 // overwritten before the resume, as a server reusing a spool buffer would.
 func TestGoldenCheckpointResume(t *testing.T) {
 	for _, g := range goldenCheckpoints {
 		t.Run(g.name, func(t *testing.T) {
-			env, want := readGolden(t, g.name)
-			if v := binary.LittleEndian.Uint16(env[4:]); v != g.version {
-				t.Fatalf("fixture is envelope version %d, want %d", v, g.version)
+			env, want, current := readGolden(t, g.name, g.stream, g.version)
+			if !current {
+				return
 			}
 			ck, err := DecodeCheckpoint(env)
 			if err != nil {
@@ -77,16 +97,27 @@ func TestGoldenCheckpointResume(t *testing.T) {
 }
 
 // TestGoldenCheckpointBytes: Session.Checkpoint writes the committed bytes.
-// A restored session re-encodes its envelope byte for byte, and a fresh
+// A decoded envelope's snapshot re-encodes byte for byte, a restored
+// session re-encodes its envelope byte for byte, and a fresh
 // session run to the same cut writes it again except for the snapshot's
 // wall-clock Elapsed, the one field two identical runs do not share.
 func TestGoldenCheckpointBytes(t *testing.T) {
 	for _, g := range goldenCheckpoints {
 		t.Run(g.name, func(t *testing.T) {
-			env, want := readGolden(t, g.name)
+			env, want, current := readGolden(t, g.name, g.stream, g.version)
+			if !current {
+				return
+			}
 			ck, err := DecodeCheckpoint(env)
 			if err != nil {
 				t.Fatal(err)
+			}
+			blob, err := ck.Snapshot().MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(blob, embeddedSnapshot(t, env)) {
+				t.Fatal("decoded snapshot re-encodes different bytes")
 			}
 			comp := NewCompiler(4)
 			restored, err := comp.Resume(ck, tensor.Device{})
@@ -137,7 +168,7 @@ func zeroElapsed(t *testing.T, env []byte) []byte {
 		if flags := blob[off]; flags&(1<<4) != 0 { // core's projection flag
 			t.Fatal("zeroElapsed does not handle projected snapshots")
 		}
-		off += 1 + 4   // flags; clause-weight count (always 0)
+		off += 1       // flags
 		off += 8 + 8*8 // round; eight counters before Elapsed
 		clear(blob[off : off+8])
 	})
@@ -145,9 +176,27 @@ func zeroElapsed(t *testing.T, env []byte) []byte {
 
 // snapshotWorkers returns the offset of a core snapshot's u32 worker
 // count: past the magic, version, key, batch, iterations, max age, lr,
-// init range, momentum and seed.
+// init range and seed.
 func snapshotWorkers(blob []byte) int {
-	return 4 + 2 + 2 + int(binary.LittleEndian.Uint16(blob[6:])) + 4*3 + 4*3 + 8
+	return 4 + 2 + 2 + int(binary.LittleEndian.Uint16(blob[6:])) + 4*3 + 4*2 + 8
+}
+
+// embeddedSnapshot returns the core snapshot blob of a session envelope,
+// aliasing env.
+func embeddedSnapshot(t *testing.T, env []byte) []byte {
+	t.Helper()
+	d, err := envelope.Open(env, "GDSC", envelope.SHA256, CheckpointVersion, CheckpointVersion, ErrBadCheckpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.U64() // delivered
+	d.Bytes("formula")
+	d.I32s("assumptions")
+	blob := d.Bytes("core snapshot")
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return blob
 }
 
 // resealSnapshot returns a copy of a session envelope with edit applied to
@@ -156,20 +205,7 @@ func snapshotWorkers(blob []byte) int {
 func resealSnapshot(t *testing.T, env []byte, edit func(blob []byte)) []byte {
 	t.Helper()
 	out := append([]byte(nil), env...)
-	d, err := envelope.Open(out, "GDSC", envelope.SHA256, 1, CheckpointVersion, ErrBadCheckpoint)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.Bytes("name")
-	d.Take(12) // delivered, stale
-	d.Bytes("formula")
-	if d.Version == CheckpointVersion {
-		d.Bytes("assumptions")
-	}
-	blob := d.Bytes("core snapshot")
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
+	blob := embeddedSnapshot(t, out)
 	edit(blob)
 	binary.LittleEndian.PutUint32(blob[len(blob)-4:], crc32.ChecksumIEEE(blob[:len(blob)-4]))
 	sum := sha256.Sum256(out[:len(out)-sha256.Size])
@@ -178,8 +214,8 @@ func resealSnapshot(t *testing.T, env []byte, edit func(blob []byte)) []byte {
 }
 
 // TestGoldenRoundModeCheckpointRejected: sessions no longer run the round
-// loop, so an envelope a round-mode session wrote — or any envelope with
-// a non-zero stale field — fails cleanly with ErrBadCheckpoint.
+// loop, so an envelope a round-mode session wrote fails cleanly with
+// ErrBadCheckpoint.
 func TestGoldenRoundModeCheckpointRejected(t *testing.T) {
 	round, err := os.ReadFile("testdata/gdsc_round.ckpt")
 	if err != nil {
@@ -187,12 +223,5 @@ func TestGoldenRoundModeCheckpointRejected(t *testing.T) {
 	}
 	if _, err := DecodeCheckpoint(round); !errors.Is(err, ErrBadCheckpoint) {
 		t.Fatalf("round-mode envelope: err = %v, want ErrBadCheckpoint", err)
-	}
-	env, _ := readGolden(t, "gdsc_v1")
-	stale := append([]byte(nil), env...)
-	off := 4 + 2 + 4 + int(binary.LittleEndian.Uint32(stale[6:])) + 8
-	binary.LittleEndian.PutUint32(stale[off:], 1)
-	if _, err := DecodeCheckpoint(reseal(stale)); !errors.Is(err, ErrBadCheckpoint) {
-		t.Fatalf("non-zero stale field: err = %v, want ErrBadCheckpoint", err)
 	}
 }

@@ -80,7 +80,7 @@ func (p *Problem) NewSession(cfg SessionConfig) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Session{prob: p, core: s, name: "this-work"}, nil
+	return &Session{prob: p, core: s}, nil
 }
 
 // maxAdaptedBatch caps a budget-sized batch: beyond ~8k rows per round
@@ -110,7 +110,6 @@ func (p *Problem) BatchFor(cfg SessionConfig) int {
 type Session struct {
 	prob      *Problem
 	core      *core.Sampler
-	name      string
 	delivered int             // solutions already handed to a sink
 	yield     <-chan struct{} // set per StreamYield call; checked at tick boundaries
 	stats     Stats
@@ -122,7 +121,7 @@ type Session struct {
 func (s *Session) Delivered() int { return s.delivered }
 
 // Name implements Sampler.
-func (s *Session) Name() string { return s.name }
+func (s *Session) Name() string { return "this-work" }
 
 // Problem returns the shared compiled problem.
 func (s *Session) Problem() *Problem { return s.prob }

@@ -199,13 +199,6 @@ func (m *Matrix) Set(r, c int, v float32) { m.Data[r*m.Cols+c] = v }
 // Row returns a view of row r.
 func (m *Matrix) Row(r int) []float32 { return m.Data[r*m.Cols : (r+1)*m.Cols] }
 
-// Fill sets every element to v.
-func (m *Matrix) Fill(v float32) {
-	for i := range m.Data {
-		m.Data[i] = v
-	}
-}
-
 // Randomize fills the matrix with uniform values in [lo, hi) using per-row
 // deterministic streams derived from seed, so results are identical for
 // any device parallelism. The streams are SplitMix64-based: seeding a

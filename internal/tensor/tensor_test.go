@@ -232,3 +232,10 @@ func TestDeviceEquivalenceProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Fill sets every element to v.
+func (m *Matrix) Fill(v float32) {
+	for i := range m.Data {
+		m.Data[i] = v
+	}
+}
