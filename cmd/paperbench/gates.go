@@ -92,20 +92,6 @@ func gateCache(rep *report) []string {
 	return atLeast(nil, fast, fmt.Sprintf("instances loaded %.0fx faster than cold compile", cacheSpeedup))
 }
 
-// gateServe requires the load generator to have completed requests and
-// seen no errors, so the service smoke cannot pass vacuously.
-func gateServe(rep *report) []string {
-	ok, errs := 0, 0
-	for _, r := range rep.Serve {
-		ok += r.Requests
-		errs += r.Errors
-	}
-	if ok == 0 || errs > 0 {
-		return []string{fmt.Sprintf("%d successful requests, %d errors", ok, errs)}
-	}
-	return nil
-}
-
 // gateQuality requires full coverage and the uniformity smoke on every
 // exactly-counted instance.
 func gateQuality(rep *report) []string {

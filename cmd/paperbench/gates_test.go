@@ -74,10 +74,6 @@ func TestGates(t *testing.T) {
 		{"cache/pass", gateCache, report{CacheTier: cacheRows(5)}, ""},
 		{"cache/one-fast", gateCache, report{CacheTier: cacheRows(4.99)}, "only 1 instances loaded 5x faster"},
 
-		{"serve/pass", gateServe, report{Serve: []ServeRow{{Requests: 4}, {Requests: 8}}}, ""},
-		{"serve/errors", gateServe, report{Serve: []ServeRow{{Requests: 4}, {Requests: 7, Errors: 1}}}, "11 successful requests, 1 errors"},
-		{"serve/no-requests", gateServe, report{Serve: []ServeRow{{Clients: 1}}}, "0 successful requests"},
-
 		{"quality/pass", gateQuality, report{Quality: qualityRows(1, 1e-3)}, ""},
 		{"quality/coverage", gateQuality, report{Quality: qualityRows(0.999, 0.5)}, "b: coverage 0.9990 below floor"},
 		{"quality/p", gateQuality, report{Quality: qualityRows(1, 0.00099)}, "b: uniformity p=0.00099 below floor"},

@@ -8,7 +8,6 @@
 //	paperbench -exp fig4              # Fig. 4: device speedup, ops reduction, transform time
 //	paperbench -exp sched             # continuous-batch scheduler vs the paper's round loop
 //	paperbench -exp cache             # durable compile tier: cold compile vs store load vs warm hit
-//	paperbench -exp serve             # satserved load generator: p50/p99 latency, sol/s vs clients
 //	paperbench -exp quality           # exact-count coverage + chi-square uniformity oracle
 //	paperbench -exp assume            # assumption specialization: re-specialize vs cold compile + conditioned quality
 //	paperbench -exp engine            # compiled-engine shape: fusion, registers, memory
@@ -33,15 +32,14 @@
 //	         on at least two instances
 //	cache    store load >= 5x faster than cold compile on at least two
 //	         instances
-//	serve    at least one completed request and no request errors
 //	quality  coverage 1.0 and uniformity p >= 1e-3 on every instance, at
 //	         least two instances measured
 //	assume   re-specialization >= 5x faster than cold compile on at least
 //	         two Table II instances, and the quality gate's floors on at
 //	         least two conditioned spaces
 //
-// An experiment that cannot run at all (no temp store, no listener, an
-// oracle or compile error) exits 1 with or without -check.
+// An experiment that cannot run at all (no temp store, an oracle or
+// compile error) exits 1 with or without -check.
 //
 // All experiments share one sampling.Compiler, so each instance is
 // transformed and engine-compiled once for the whole run (fig3, fig4 and
@@ -85,7 +83,6 @@ type report struct {
 	Table2   []harness.Table2Row  `json:"table2,omitempty"`
 	Scale    []harness.ScaleRow   `json:"scale,omitempty"`
 	Sched    []harness.SchedRow   `json:"sched,omitempty"`
-	Serve    []ServeRow           `json:"serve,omitempty"`
 	Quality  []harness.QualityRow `json:"quality,omitempty"`
 	Assume   []harness.AssumeRow  `json:"assume,omitempty"`
 	Fig2     []harness.Fig2Point  `json:"fig2,omitempty"`
@@ -114,7 +111,6 @@ var experiments = []experiment{
 	{"fig4", (*bench).fig4, nil},
 	{"sched", (*bench).sched, gateSched},
 	{"cache", (*bench).cache, gateCache},
-	{"serve", (*bench).serve, gateServe},
 	{"quality", (*bench).quality, gateQuality},
 	{"assume", (*bench).assume, gateAssume},
 	{"engine", (*bench).engine, nil},
@@ -122,7 +118,7 @@ var experiments = []experiment{
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: table2 | scale | fig2 | fig3 | fig4 | sched | cache | serve | quality | assume | engine | all")
+		exp      = flag.String("exp", "all", "experiment: table2 | scale | fig2 | fig3 | fig4 | sched | cache | quality | assume | engine | all")
 		target   = flag.Int("target", 1000, "minimum unique solutions per sampler (paper: 1000)")
 		timeout  = flag.Duration("timeout", 10*time.Second, "per-sampler per-instance timeout (paper: 2h)")
 		workers  = flag.Int("workers", 0, "parallel workers (0 = all CPUs)")
@@ -320,7 +316,9 @@ func (b *bench) sched(ctx context.Context) error {
 // transform-and-compile time, the time to load the same problem back from
 // a content-addressed store (read + GDSP decode), and the in-memory warm
 // hit. The store lives in a throwaway directory — the experiment measures
-// the codec, not a shared deployment.
+// the codec, not a shared deployment. Three repeats per arm keep the
+// fastest reading, as sched does, so one slow compile or load cannot
+// move the gate.
 func (b *bench) cache(ctx context.Context) error {
 	fmt.Println("== Cache: durable compile tier — cold compile vs store load vs warm hit ==")
 	fmt.Println()
@@ -334,11 +332,6 @@ func (b *bench) cache(ctx context.Context) error {
 	}
 	harness.RenderCache(os.Stdout, b.rep.CacheTier)
 	return nil
-}
-
-func (b *bench) serve(ctx context.Context) (err error) {
-	b.rep.Serve, err = runServe(ctx, b.opt.Compiler, b.opt.Device, min(b.opt.Target, 200))
-	return err
 }
 
 // quality measures the GD sampler against the exact-count oracle on the

@@ -96,6 +96,27 @@ func TestRunSchedComparesModes(t *testing.T) {
 	}
 }
 
+// TestRunCacheLoadsFromStore runs the cache gate's arms: every repeat's
+// fresh loader must hit the disk tier, or the instance would lose its row.
+func TestRunCacheLoadsFromStore(t *testing.T) {
+	ins := benchgen.SmallSuite()
+	rows, err := RunCache(context.Background(), ins, t.TempDir(), fastOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != len(ins) {
+		t.Fatalf("rows = %d want %d", len(rows), len(ins))
+	}
+	for _, r := range rows {
+		if r.ColdCompile <= 0 || r.StoreLoad <= 0 || r.BlobBytes <= 0 {
+			t.Errorf("%s: arm not measured: %+v", r.Instance, r)
+		}
+		if want := float64(r.ColdCompile) / float64(r.StoreLoad); r.Speedup != want {
+			t.Errorf("%s: speedup %v, want cold/load = %v", r.Instance, r.Speedup, want)
+		}
+	}
+}
+
 func TestRunQualityScoresBothCheckpoints(t *testing.T) {
 	rows, err := RunQuality(context.Background(), benchgen.QualitySuite(), fastOpts())
 	if err != nil {

@@ -92,8 +92,6 @@ type Config struct {
 	MaxElapsed time.Duration
 	// Sleep, when set, replaces the context-aware backoff timer (tests).
 	Sleep func(context.Context, time.Duration) error
-	// OnRetry, when set, observes every backoff decision.
-	OnRetry func(attempt int, status int, wait time.Duration, resume bool)
 	// OnSolution, when set, observes every accumulated solution with the
 	// running total — the hook chaos harnesses use to inject faults at
 	// exact delivery points.
@@ -249,7 +247,7 @@ func (c *Client) Sample(ctx context.Context, req Request) (*Result, error) {
 			base = resumeBase
 		}
 		mark := len(res.Solutions)
-		leg, status, err := c.leg(ctx, base, req, resume, res, &gotMeta)
+		leg, err := c.leg(ctx, base, req, resume, res, &gotMeta)
 		switch {
 		case err == nil && leg == legDone:
 			return res, nil
@@ -265,7 +263,7 @@ func (c *Client) Sample(ctx context.Context, req Request) (*Result, error) {
 				resumeBase = adopter[0]
 			}
 			res.Resumes++
-			if werr := c.backoff(ctx, attempt, status, 0, true); werr != nil {
+			if werr := c.backoff(ctx, attempt, 0); werr != nil {
 				return res, werr
 			}
 		case err == nil && leg == legShed:
@@ -274,7 +272,7 @@ func (c *Client) Sample(ctx context.Context, req Request) (*Result, error) {
 			if resume == "" {
 				c.rotate()
 			}
-			if werr := c.backoff(ctx, attempt, status, res.lastRetryAfter, false); werr != nil {
+			if werr := c.backoff(ctx, attempt, res.lastRetryAfter); werr != nil {
 				return res, werr
 			}
 		case err != nil && ctx.Err() != nil:
@@ -291,7 +289,7 @@ func (c *Client) Sample(ctx context.Context, req Request) (*Result, error) {
 				if resume == "" {
 					c.rotate()
 				}
-				if werr := c.backoff(ctx, attempt, 0, 0, resume != ""); werr != nil {
+				if werr := c.backoff(ctx, attempt, 0); werr != nil {
 					return res, werr
 				}
 				continue
@@ -307,7 +305,7 @@ func (c *Client) Sample(ctx context.Context, req Request) (*Result, error) {
 				return res, fmt.Errorf("client: resume leg failed, token spent: %w", err)
 			}
 			c.rotate()
-			if werr := c.backoff(ctx, attempt, 0, 0, false); werr != nil {
+			if werr := c.backoff(ctx, attempt, 0); werr != nil {
 				return res, werr
 			}
 		}
@@ -329,16 +327,16 @@ const (
 	legShed
 )
 
-// leg issues one HTTP exchange against base. It returns legShed (with the
-// status) for retryable statuses, legDrained when the stream ended
+// leg issues one HTTP exchange against base. It returns legShed for
+// retryable statuses, legDrained when the stream ended
 // interrupted with a resume token (drain, handoff, or an unreadmitted
 // preemption), legDone on clean completion, and an error for transport
 // failures or terminal statuses.
-func (c *Client) leg(ctx context.Context, base string, req Request, resume string, res *Result, gotMeta *bool) (legKind, int, error) {
+func (c *Client) leg(ctx context.Context, base string, req Request, resume string, res *Result, gotMeta *bool) (legKind, error) {
 	u, body := buildURL(base, req, resume)
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, u, strings.NewReader(body))
 	if err != nil {
-		return legDone, 0, &StatusError{Status: 0, Body: err.Error()}
+		return legDone, &StatusError{Status: 0, Body: err.Error()}
 	}
 	if body != "" {
 		hreq.Header.Set("Content-Type", "text/plain")
@@ -349,7 +347,7 @@ func (c *Client) leg(ctx context.Context, base string, req Request, resume strin
 		// server-side, so even a resume token is still intact and the leg
 		// can be retried verbatim — this is exactly the window where a
 		// drained server is restarting.
-		return legDone, 0, &preStreamError{err}
+		return legDone, &preStreamError{err}
 	}
 	defer resp.Body.Close()
 	switch resp.StatusCode {
@@ -358,10 +356,10 @@ func (c *Client) leg(ctx context.Context, base string, req Request, resume strin
 	case http.StatusTooManyRequests, http.StatusServiceUnavailable:
 		res.lastRetryAfter = headerRetryAfter(resp)
 		io.Copy(io.Discard, resp.Body)
-		return legShed, resp.StatusCode, nil
+		return legShed, nil
 	default:
 		b, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return legDone, resp.StatusCode, &StatusError{Status: resp.StatusCode, Body: string(b)}
+		return legDone, &StatusError{Status: resp.StatusCode, Body: string(b)}
 	}
 
 	sc := bufio.NewScanner(resp.Body)
@@ -372,13 +370,13 @@ func (c *Client) leg(ctx context.Context, base string, req Request, resume strin
 			Type string `json:"type"`
 		}
 		if err := json.Unmarshal(sc.Bytes(), &probe); err != nil {
-			return legDone, resp.StatusCode, fmt.Errorf("client: bad stream line: %w", err)
+			return legDone, fmt.Errorf("client: bad stream line: %w", err)
 		}
 		switch probe.Type {
 		case "meta":
 			var m Meta
 			if err := json.Unmarshal(sc.Bytes(), &m); err != nil {
-				return legDone, resp.StatusCode, err
+				return legDone, err
 			}
 			if !*gotMeta {
 				res.Meta = m
@@ -389,7 +387,7 @@ func (c *Client) leg(ctx context.Context, base string, req Request, resume strin
 				Assignment string `json:"assignment"`
 			}
 			if err := json.Unmarshal(sc.Bytes(), &s); err != nil {
-				return legDone, resp.StatusCode, err
+				return legDone, err
 			}
 			res.Solutions = append(res.Solutions, s.Assignment)
 			if c.cfg.OnSolution != nil {
@@ -401,7 +399,7 @@ func (c *Client) leg(ctx context.Context, base string, req Request, resume strin
 			// when this line omits them.
 			var d Done
 			if err := json.Unmarshal(sc.Bytes(), &d); err != nil {
-				return legDone, resp.StatusCode, err
+				return legDone, err
 			}
 			res.Done = d
 			res.Preemptions += d.Preemptions
@@ -409,17 +407,17 @@ func (c *Client) leg(ctx context.Context, base string, req Request, resume strin
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return legDone, resp.StatusCode, err
+		return legDone, err
 	}
 	if !sawDone {
-		return legDone, resp.StatusCode, errors.New("client: stream ended without a done line")
+		return legDone, errors.New("client: stream ended without a done line")
 	}
 	if res.Done.Resume != "" {
 		// Any done line carrying a token is a continuation offer — drain,
 		// handoff, or a preemption that could not re-admit.
-		return legDrained, resp.StatusCode, nil
+		return legDrained, nil
 	}
-	return legDone, resp.StatusCode, nil
+	return legDone, nil
 }
 
 // buildURL renders the request's query string against base; resume legs
@@ -442,7 +440,7 @@ func buildURL(base string, req Request, resume string) (string, string) {
 
 // backoff sleeps the capped exponential delay (with ±25% jitter) before
 // the next attempt, respecting a server-provided floor and the context.
-func (c *Client) backoff(ctx context.Context, attempt, status int, floor time.Duration, resume bool) error {
+func (c *Client) backoff(ctx context.Context, attempt int, floor time.Duration) error {
 	d := c.cfg.BaseBackoff << attempt
 	if d > c.cfg.MaxBackoff || d <= 0 {
 		d = c.cfg.MaxBackoff
@@ -453,9 +451,6 @@ func (c *Client) backoff(ctx context.Context, attempt, status int, floor time.Du
 	d += jit
 	if floor > d {
 		d = floor
-	}
-	if c.cfg.OnRetry != nil {
-		c.cfg.OnRetry(attempt, status, d, resume)
 	}
 	if c.cfg.Sleep != nil {
 		return c.cfg.Sleep(ctx, d)
